@@ -3,17 +3,17 @@
 A :class:`SchemaCatalog` is a read-optimized view of one database's
 :class:`~repro.db.schema.Schema` — case-insensitive table/column lookup,
 column types, PK flags, and the set of declared PK/FK join edges.  When
-built from a live :class:`~repro.db.database.Database` it additionally
-probes representative values (the same ``SELECT DISTINCT … LIMIT k``
-probe the prompt builder uses, §6.3) so that TEXT columns which actually
-store numbers are not flagged for numeric comparisons.
+built from a live :class:`~repro.db.backends.sqlite.Database` it
+additionally probes representative values (the same ``SELECT DISTINCT
+… LIMIT k`` probe the prompt builder uses, §6.3) so that TEXT columns
+which actually store numbers are not flagged for numeric comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.db.schema import Schema
 from repro.errors import ExecutionError
 

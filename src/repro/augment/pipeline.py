@@ -10,7 +10,7 @@ from repro.augment.question2sql import QuestionToSQLAugmenter
 from repro.augment.sql2question import SQLToQuestionAugmenter
 from repro.augment.synthetic_llm import SyntheticLLM
 from repro.datasets.base import Text2SQLDataset, Text2SQLExample
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.errors import DatasetError
 
 

@@ -26,7 +26,7 @@ from repro.datasets.perturb import (
     _replace_words,
 )
 from repro.datasets.templates import sample_question_sql
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.errors import GenerationError
 
 

@@ -32,7 +32,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.config import ModelConfig, get_model_config
 from repro.core.ranking import SENTINEL_SQL, lint_gated_order  # noqa: F401 - re-export
 from repro.datasets.base import Text2SQLExample
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.engine import (
     BeamPerturbMiddleware,
     Engine,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.errors import DatasetError
 
 

@@ -31,7 +31,7 @@ from repro.datasets.perturb import (
 )
 from repro.datasets.spider import SpiderConfig, build_spider
 from repro.datasets.templates import sample_question_sql
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.db.schema import Column, ForeignKey, Schema, Table
 from repro.errors import DatasetError
 from repro.sqlgen.parser import parse_sql

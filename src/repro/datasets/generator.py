@@ -17,7 +17,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.db.schema import Column, ForeignKey, Schema, Table
 from repro.db.values import ValueGenerator, WORDS
 from repro.datasets.blueprints import ColumnSpec, DomainBlueprint, TableSpec

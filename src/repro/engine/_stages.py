@@ -76,6 +76,7 @@ from repro.linking.features import (
     SchemaFeatureExtractor,
 )
 from repro.linking.lexical import LexicalSchemaScorer
+from repro.memo import Memo
 from repro.promptgen.builder import (
     DatabasePrompt,
     PromptBuilder,
@@ -107,7 +108,11 @@ class _LinkAssets:
     classifier: "SchemaItemClassifier | None"
 
 
-class _SqlMemos:
+#: Entries kept per per-database SQL memo.
+SQL_MEMO_CAPACITY = 4096
+
+
+def _new_sql_memos() -> dict[str, Memo]:
     """Per-database memos for pure per-SQL computations.
 
     Ranked candidates repeat heavily across questions on one schema
@@ -115,32 +120,14 @@ class _SqlMemos:
     canonical equivalence key, lint diagnostics, and static cost of a
     given SQL string never change for a fixed database.  Memoizing them
     per database turns the repeats into dict hits with bit-identical
-    values.  Each memo is LRU-bounded by ``capacity``.
+    values.
     """
-
-    STORES = ("lm", "key", "lint", "cost")
-
-    def __init__(self, capacity: int | None = 4096):
-        self.capacity = capacity
-        self._stores: dict[str, dict] = {name: {} for name in self.STORES}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, store_name: str, sql: str, factory):
-        store = self._stores[store_name]
-        if sql in store:
-            self.hits += 1
-            # LRU bookkeeping: re-insertion moves the key to the end.
-            value = store[sql] = store.pop(sql)
-            return value
-        self.misses += 1
-        value = store[sql] = factory()
-        if self.capacity is not None and len(store) > self.capacity:
-            store.pop(next(iter(store)))
-        return value
+    return {
+        name: Memo(SQL_MEMO_CAPACITY) for name in ("lm", "key", "lint", "cost")
+    }
 
 
-def _sql_memos(ctx: InferenceContext, parser: "CodeSParser") -> _SqlMemos:
+def _sql_memos(ctx: InferenceContext, parser: "CodeSParser") -> dict[str, Memo]:
     """The per-database SQL memos, resolved through the cache.
 
     Keyed by the parser's *router*, not its bare LM: two parsers
@@ -154,7 +141,7 @@ def _sql_memos(ctx: InferenceContext, parser: "CodeSParser") -> _SqlMemos:
     return ctx.cache.get(
         "sql_memos",
         (id(ctx.database), id(parser.router), backend_dialect(ctx.database)),
-        _SqlMemos,
+        _new_sql_memos,
     )
 
 
@@ -385,7 +372,7 @@ class RankStage(_ParserStage):
             return
         parser = self.parser
         scores = ctx.scores
-        memos = _sql_memos(ctx, parser)
+        lm_memo = _sql_memos(ctx, parser)["lm"]
         candidates: list[tuple[str, float]] = []
         for sql, filled, retrieval_sim, ungrounded in ctx.raw_candidates:
             used = filled.columns_used()
@@ -407,7 +394,7 @@ class RankStage(_ParserStage):
                 # The LM prior flows through the provider router — the
                 # reliability boundary (failover, hedging, breakers)
                 # between the engine and whatever backs the model.
-                + 0.08 * memos.get("lm", sql, lambda: parser.router.score(sql))
+                + 0.08 * lm_memo.get(sql, parser.router.score, sql)
                 + 0.25 * value_bonus(filled, ctx.matched)
                 - 0.1 * projection_filter_overlap(filled)
                 - 0.5 * count_mismatch(filled, ctx.question)
@@ -441,13 +428,13 @@ class LintGateStage(_ParserStage):
         ctx.lint = {}
         if parser.lint_gate and ctx.beam:
             ctx.analyzer = _analyzer(ctx)
-            memos = _sql_memos(ctx, parser)
+            lint_memo = _sql_memos(ctx, parser)["lint"]
             analyzer = ctx.analyzer
             ctx.ordered, ctx.lint = lint_gated_order(
                 ctx.beam,
                 analyzer,
-                analyze=lambda sql: memos.get(
-                    "lint", sql, lambda: tuple(analyzer.analyze_sql(sql))
+                analyze=lambda sql: lint_memo.get(
+                    sql, lambda: tuple(analyzer.analyze_sql(sql))
                 ),
             )
         else:
@@ -481,13 +468,12 @@ class EquivDedupStage(_ParserStage):
                 lambda: CostEstimator(ctx.analyzer.catalog, dialect=dialect),
             )
             memos = _sql_memos(ctx, parser)
+            key_memo, cost_memo = memos["key"], memos["cost"]
             estimator = ctx.estimator
             groups: list[list[str]] = []
             group_of: dict[str, int] = {}
             for sql in ctx.ordered:
-                group_key = memos.get(
-                    "key", sql, lambda: canonical_key_sql(sql, dialect)
-                )
+                group_key = key_memo.get(sql, canonical_key_sql, sql, dialect)
                 if group_key in group_of:
                     groups[group_of[group_key]].append(sql)
                 else:
@@ -498,9 +484,7 @@ class EquivDedupStage(_ParserStage):
             ctx.representatives = [
                 min(
                     group,
-                    key=lambda sql: memos.get(
-                        "cost", sql, lambda: estimator.estimate_sql(sql)
-                    ),
+                    key=lambda sql: cost_memo.get(sql, estimator.estimate_sql, sql),
                 )
                 for group in groups
             ]

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable
 
+from repro.memo import Memo
+
 
 class StageCache:
     """Keyed factory cache with hit/miss accounting and optional LRU bounds.
 
-    Keys are ``(kind, *key_parts)`` tuples — e.g. ``("builder", db_key)``
-    — so one cache instance can hold every resource kind the stages
-    need while :meth:`clear_kind` can still evict selectively.
+    A :class:`~repro.memo.Memo` keyed by ``(kind, *key_parts)`` tuples
+    — e.g. ``("builder", db_key)`` — so one cache instance can hold
+    every resource kind the stages need while :meth:`clear_kind` can
+    still evict selectively.
 
     ``capacity`` bounds the number of entries; when full, the least
     recently *used* entry (reads refresh recency) is evicted and the
@@ -33,35 +36,27 @@ class StageCache:
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._store: dict[tuple, Any] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._memo = Memo(capacity)
+
+    @property
+    def hits(self) -> int:
+        return self._memo.hits
+
+    @property
+    def misses(self) -> int:
+        return self._memo.misses
+
+    @property
+    def evictions(self) -> int:
+        return self._memo.evictions
 
     def get(self, kind: str, key: Hashable, factory: Callable[[], Any]) -> Any:
         """The cached value for ``(kind, key)``, building it on first use."""
-        full_key = (kind, key)
-        if full_key in self._store:
-            self.hits += 1
-            # LRU bookkeeping: re-insertion moves the key to the end.
-            value = self._store[full_key] = self._store.pop(full_key)
-            return value
-        self.misses += 1
-        value = self._store[full_key] = factory()
-        if self.capacity is not None and len(self._store) > self.capacity:
-            self._store.pop(next(iter(self._store)))
-            self.evictions += 1
-        return value
+        return self._memo.get((kind, key), factory)
 
     def clear(self) -> None:
         """Drop every cached resource (counters included)."""
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._memo = Memo(self._memo.capacity)
 
     def absorb(self, other: "StageCache") -> int:
         """Copy ``other``'s entries into this cache; returns how many.
@@ -78,42 +73,45 @@ class StageCache:
         the old owner's warm per-database resources instead of
         rebuilding them.
         """
+        entries = self._memo.entries
         fresh = {
             full_key: value
-            for full_key, value in other._store.items()
-            if full_key not in self._store
+            for full_key, value in other._memo.entries.items()
+            if full_key not in entries
         }
-        if self.capacity is not None:
-            room = self.capacity - len(self._store)
+        capacity = self._memo.capacity
+        if capacity is not None:
+            room = capacity - len(entries)
             if room <= 0:
                 return 0
             if len(fresh) > room:
                 fresh = dict(list(fresh.items())[-room:])
         if fresh:
             merged = dict(fresh)
-            merged.update(self._store)
-            self._store = merged
+            merged.update(entries)
+            self._memo.entries = merged
         return len(fresh)
 
     def clear_kind(self, kind: str) -> int:
         """Evict all entries of one resource kind; returns how many."""
-        doomed = [key for key in self._store if key[0] == kind]
+        entries = self._memo.entries
+        doomed = [key for key in entries if key[0] == kind]
         for key in doomed:
-            del self._store[key]
+            del entries[key]
         return len(doomed)
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._memo.entries)
 
     def __contains__(self, full_key: tuple) -> bool:
-        return full_key in self._store
+        return full_key in self._memo.entries
 
     @property
     def stats(self) -> dict[str, int | None]:
         return {
-            "entries": len(self._store),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "capacity": self.capacity,
+            "entries": len(self._memo.entries),
+            "hits": self._memo.hits,
+            "misses": self._memo.misses,
+            "evictions": self._memo.evictions,
+            "capacity": self._memo.capacity,
         }

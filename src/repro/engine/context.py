@@ -15,7 +15,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.analyzer import SemanticAnalyzer
     from repro.analysis.diagnostics import Diagnostic
     from repro.core.slotfill import InstantiationContext
-    from repro.db.database import Database
+    from repro.db.backends.sqlite import Database
     from repro.datasets.base import Text2SQLExample
     from repro.engine.cache import StageCache
     from repro.engine.trace import InferenceTrace

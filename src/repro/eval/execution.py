@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.errors import DeadlineExceededError, ExecutionError
 from repro.eval.metrics import results_match
 from repro.reliability.clock import Clock

@@ -22,7 +22,7 @@ from repro.analysis.diagnostics import has_errors
 from repro.analysis.equivalence import Verdict, prove_equivalent
 from repro.datasets.base import Text2SQLDataset, Text2SQLExample
 from repro.db.backends import backend_for_dialect, create_backend
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.errors import ReproError, SQLSyntaxError
 from repro.sqlgen.dialects import transpile
 from repro.eval.execution import (

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.eval.execution import execution_match
 
 Row = tuple[Any, ...]

@@ -9,7 +9,7 @@ a parameter (BIRD uses 100; we default lower for CPU-bound runs).
 
 from __future__ import annotations
 
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.errors import ExecutionError
 from repro.eval.execution import execution_match
 from repro.reliability.clock import SYSTEM_CLOCK, Clock

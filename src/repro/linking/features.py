@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.db.schema import Column, Table
+from repro.memo import Memo
 from repro.retrieval.lcs import lcs_match_degree
 from repro.retrieval.value_retriever import MatchedValue
 from repro.sqlgen.ast import ColumnRef
@@ -22,9 +23,16 @@ from repro.text.tokenize import sentence_tokens, stemmed_tokens
 #: Size of the feature vector produced per schema item.
 FEATURE_DIM = 11
 
+#: Entries kept in each of a :class:`MemoizedSchemaFeatureExtractor`'s memos.
+MEMO_CAPACITY = 8192
+
 
 def _readable(name: str) -> str:
     return name.replace("_", " ")
+
+
+def _stemmed_token_set(text: str) -> frozenset[str]:
+    return frozenset(stemmed_tokens(text))
 
 
 class SchemaFeatureExtractor:
@@ -108,44 +116,25 @@ class MemoizedSchemaFeatureExtractor(SchemaFeatureExtractor):
 
     Intended to be scoped per database (the engine's link-assets
     bundle), so item-side entries stay warm across every question
-    served on that schema.  ``capacity`` bounds each internal map with
-    LRU eviction; ``None`` means unbounded.
+    served on that schema.  Each internal memo keeps the
+    :data:`MEMO_CAPACITY` most recently used entries.
     """
 
     def __init__(
         self,
         embedder: HashedNgramEmbedder | None = None,
         use_comments: bool = True,
-        capacity: int | None = 8192,
     ):
         super().__init__(embedder=embedder, use_comments=use_comments)
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"memo capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._stem_sets: dict[str, frozenset[str]] = {}
-        self._sent_sets: dict[str, frozenset[str]] = {}
-        self._rows: dict[tuple[str, str, str], list[float]] = {}
-
-    def _cached(self, store: dict, key, factory):
-        value = store.get(key)
-        if value is not None:
-            # LRU bookkeeping: re-insertion moves the key to the end.
-            store[key] = store.pop(key)
-            return value
-        value = store[key] = factory()
-        if self.capacity is not None and len(store) > self.capacity:
-            store.pop(next(iter(store)))
-        return value
+        self._stem_sets = Memo(MEMO_CAPACITY)
+        self._sent_sets = Memo(MEMO_CAPACITY)
+        self._rows = Memo(MEMO_CAPACITY)
 
     def _stem_set(self, text: str) -> frozenset[str]:
-        return self._cached(
-            self._stem_sets, text, lambda: frozenset(stemmed_tokens(text))
-        )
+        return self._stem_sets.get(text, _stemmed_token_set, text)
 
     def _sentence_token_set(self, text: str) -> frozenset[str]:
-        return self._cached(
-            self._sent_sets, text, lambda: frozenset(sentence_tokens(text))
-        )
+        return self._sent_sets.get(text, super()._sentence_token_set, text)
 
     def _overlap(self, query: str, target: str) -> float:
         target_set = self._stem_set(target)
@@ -164,10 +153,10 @@ class MemoizedSchemaFeatureExtractor(SchemaFeatureExtractor):
         return len(left_set & right_set) / len(left_set | right_set)
 
     def _name_features(self, question: str, name: str, comment: str) -> list[float]:
-        return self._cached(
-            self._rows,
+        return self._rows.get(
             (question, name, comment),
-            lambda: super(MemoizedSchemaFeatureExtractor, self)._name_features(
-                question, name, comment
-            ),
+            super()._name_features,
+            question,
+            name,
+            comment,
         )

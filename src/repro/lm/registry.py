@@ -9,10 +9,6 @@ independent registries isolate parallel evaluations from each other.
 The process-wide default registry keeps the old sharing behaviour for
 ordinary use.
 
-A serving process that cycles through many tiers or corpus seeds would
-otherwise grow the registry without limit, so the internal maps can be
-bounded with LRU eviction (``capacity`` counts LMs, corpora, and
-routers separately — each map holds at most ``capacity`` entries).
 Provider routers (:mod:`repro.lm.providers`) are registry citizens
 too: ``router_for`` caches one live router per (LM recipe, router
 config, clock) so parsers sharing a topology share breaker state.
@@ -20,7 +16,7 @@ config, clock) so parsers sharing a topology share breaker state.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.config import ModelConfig
 from repro.lm.corpus import CorpusConfig, PretrainCorpus, build_corpus
@@ -33,59 +29,31 @@ if TYPE_CHECKING:
 
 
 class LMRegistry:
-    """Cache of pre-training artifacts keyed by recipe, with a lifecycle.
+    """Cache of pre-training artifacts keyed by recipe, with a lifecycle."""
 
-    ``capacity`` bounds each internal map (LMs and corpora) with LRU
-    eviction — reads refresh recency, and evictions are counted in
-    ``lm_evictions`` / ``corpus_evictions``.  ``None`` means unbounded.
-    """
-
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"registry capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._lms: dict[tuple[str, bool, int], PretrainedLM] = {}
         self._corpora: dict[int, PretrainCorpus] = {}
         self._routers: dict[tuple, "ProviderRouter"] = {}
-        self.lm_evictions = 0
-        self.corpus_evictions = 0
-        self.router_evictions = 0
-
-    def _touch(self, store: dict, key: Any) -> Any:
-        # LRU bookkeeping: re-insertion moves the key to the end.
-        value = store[key] = store.pop(key)
-        return value
-
-    def _bound(self, store: dict) -> int:
-        evicted = 0
-        if self.capacity is not None:
-            while len(store) > self.capacity:
-                store.pop(next(iter(store)))
-                evicted += 1
-        return evicted
 
     def corpus(self, seed: int = 0) -> PretrainCorpus:
         """The (cached) pre-training corpus for ``seed``."""
-        if seed in self._corpora:
-            return self._touch(self._corpora, seed)
-        corpus = self._corpora[seed] = build_corpus(CorpusConfig(seed=seed))
-        self.corpus_evictions += self._bound(self._corpora)
-        return corpus
+        if seed not in self._corpora:
+            self._corpora[seed] = build_corpus(CorpusConfig(seed=seed))
+        return self._corpora[seed]
 
     def lm_for(self, config: ModelConfig) -> PretrainedLM:
         """The (cached) pre-trained LM for a model tier."""
         key = (config.family, config.incremental, config.ngram_order)
-        if key in self._lms:
-            return self._touch(self._lms, key)
-        corpus = self.corpus()
-        base = pretrain_base_lm(
-            config.family, order=config.ngram_order, corpus=corpus
-        )
-        if config.incremental:
-            base = IncrementalPretrainer(corpus=corpus).run(base)
-        self._lms[key] = base
-        self.lm_evictions += self._bound(self._lms)
-        return base
+        if key not in self._lms:
+            corpus = self.corpus()
+            base = pretrain_base_lm(
+                config.family, order=config.ngram_order, corpus=corpus
+            )
+            if config.incremental:
+                base = IncrementalPretrainer(corpus=corpus).run(base)
+            self._lms[key] = base
+        return self._lms[key]
 
     def router_for(
         self,
@@ -99,8 +67,6 @@ class LMRegistry:
         plus the (hashable, frozen) :class:`RouterConfig` plus the
         clock identity — a router carries live breaker state bound to
         one clock, so routers on different clocks must not be shared.
-        Subject to the same LRU ``capacity`` bound as LMs and corpora,
-        with evictions counted in ``router_evictions``.
         """
         from repro.lm.providers.config import RouterConfig, build_router
 
@@ -110,36 +76,27 @@ class LMRegistry:
             router_config,
             id(clock) if clock is not None else None,
         )
-        if key in self._routers:
-            return self._touch(self._routers, key)
-        router = self._routers[key] = build_router(
-            router_config, self.lm_for(config), clock=clock
-        )
-        self.router_evictions += self._bound(self._routers)
-        return router
+        if key not in self._routers:
+            self._routers[key] = build_router(
+                router_config, self.lm_for(config), clock=clock
+            )
+        return self._routers[key]
 
     def clear(self) -> None:
         """Drop every cached corpus, LM, and router (rebuilt on next use)."""
         self._lms.clear()
         self._corpora.clear()
         self._routers.clear()
-        self.lm_evictions = 0
-        self.corpus_evictions = 0
-        self.router_evictions = 0
 
     def __len__(self) -> int:
         return len(self._lms) + len(self._corpora) + len(self._routers)
 
     @property
-    def stats(self) -> dict[str, int | None]:
+    def stats(self) -> dict[str, int]:
         return {
             "lms": len(self._lms),
             "corpora": len(self._corpora),
             "routers": len(self._routers),
-            "lm_evictions": self.lm_evictions,
-            "corpus_evictions": self.corpus_evictions,
-            "router_evictions": self.router_evictions,
-            "capacity": self.capacity,
         }
 
 

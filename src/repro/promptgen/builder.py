@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.db.schema import Schema
 from repro.errors import SQLSyntaxError
 from repro.linking.classifier import SchemaItemClassifier

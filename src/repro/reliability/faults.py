@@ -83,7 +83,7 @@ class FaultDecider:
 
 
 class FaultyDatabase:
-    """A :class:`~repro.db.database.Database` wrapper that injects faults.
+    """A :class:`~repro.db.backends.sqlite.Database` wrapper that injects faults.
 
     Each ``execute`` call draws once from the seeded RNG and, in order
     of precedence, may raise an injected :class:`ExecutionError`

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import re
 
-from repro.db.database import Database
+from repro.db.backends.sqlite import Database
 from repro.retrieval.bm25 import BM25Index
 from repro.retrieval.lcs import lcs_match_degree, longest_common_substring
 

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from repro.serving.outcomes import Completed, Failed, Shed
 
-#: Default bound on the raw samples an aggregator retains and a
+#: Bound on the raw samples an aggregator retains and a
 #: snapshot carries.  Without a bound, per-request history grows (and
 #: is pickled across the sharding layer's process pipe) linearly with
 #: total completed requests — a long-running server would degrade
@@ -49,19 +49,21 @@ def nearest_rank(values: "Iterable[float]", percentile: float) -> float:
     return ordered[rank - 1]
 
 
-def _downsample(values: list[float], capacity: int | None) -> tuple[float, ...]:
-    """Deterministically thin ``values`` to at most ``capacity`` samples.
+def _downsample(values: list[float]) -> tuple[float, ...]:
+    """Deterministically thin ``values`` to at most ``SAMPLE_CAPACITY`` samples.
 
     Sorted-stride selection: the kept samples are evenly spaced ranks
     of the sorted pool, so downstream nearest-rank percentiles stay
     close to the full-pool values without carrying the full history.
     """
-    if capacity is None or len(values) <= capacity:
+    if len(values) <= SAMPLE_CAPACITY:
         return tuple(values)
     ordered = sorted(values)
-    step = len(ordered) / capacity
+    step = len(ordered) / SAMPLE_CAPACITY
     last = len(ordered) - 1
-    return tuple(ordered[min(last, int(i * step))] for i in range(capacity))
+    return tuple(
+        ordered[min(last, int(i * step))] for i in range(SAMPLE_CAPACITY)
+    )
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,7 @@ class ServerMetrics:
         return sum(self.shed.values())
 
     @staticmethod
-    def merge(
-        *snapshots: "ServerMetrics",
-        sample_capacity: int | None = SAMPLE_CAPACITY,
-    ) -> "ServerMetrics":
+    def merge(*snapshots: "ServerMetrics") -> "ServerMetrics":
         """Fold per-shard snapshots into one cluster snapshot.
 
         Exact for every counter (sums, dict-sums) and for the queue
@@ -131,7 +130,7 @@ class ServerMetrics:
         inputs are already subsampled, so merged percentiles become a
         deterministic approximation; averaging per-shard percentiles
         would be *wrong*, pooling samples is not.  The merged snapshot
-        carries at most ``sample_capacity`` pooled samples itself, so
+        carries at most ``SAMPLE_CAPACITY`` pooled samples itself, so
         repeated folds stay bounded.  Provider and breaker rows are
         concatenated (each shard owns disjoint routers and breakers),
         with gauge-like provider counters summed.
@@ -191,8 +190,8 @@ class ServerMetrics:
             hedge_discarded=sum(s.hedge_discarded for s in snapshots),
             provider_sheds=shed.get("provider_shed", 0),
             database_breakers=tuple(database_breakers),
-            latency_samples=_downsample(latencies, sample_capacity),
-            queue_wait_samples=_downsample(queue_waits, sample_capacity),
+            latency_samples=_downsample(latencies),
+            queue_wait_samples=_downsample(queue_waits),
         )
 
     def as_rows(self) -> list[dict[str, object]]:
@@ -263,27 +262,22 @@ class MetricsAggregator:
     """Thread-safe accumulator the server and its workers write into.
 
     Counters and running totals are exact forever; the raw samples
-    backing the percentiles live in fixed-size rings
-    (``sample_capacity``, default :data:`SAMPLE_CAPACITY`), so memory
-    and snapshot size stay bounded however long the server runs.
-    Under the cap the rings hold the complete history and every
+    backing the percentiles live in rings of :data:`SAMPLE_CAPACITY`,
+    so memory and snapshot size stay bounded however long the server
+    runs.  Under the cap the rings hold the complete history and every
     reported number is exact; past it the percentiles reflect the most
-    recent ``sample_capacity`` completions.
+    recent ``SAMPLE_CAPACITY`` completions.
     """
 
-    def __init__(self, sample_capacity: int | None = SAMPLE_CAPACITY) -> None:
-        if sample_capacity is not None and sample_capacity < 1:
-            raise ValueError(
-                f"sample_capacity must be >= 1, got {sample_capacity}"
-            )
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._admitted = 0
         self._completed = 0
         self._failed = 0
         self._shed: dict[str, int] = {}
         self._tiers: dict[str, int] = {}
-        self._latencies: "deque[float]" = deque(maxlen=sample_capacity)
-        self._queue_waits: "deque[float]" = deque(maxlen=sample_capacity)
+        self._latencies: "deque[float]" = deque(maxlen=SAMPLE_CAPACITY)
+        self._queue_waits: "deque[float]" = deque(maxlen=SAMPLE_CAPACITY)
         self._queue_wait_total = 0.0
         self._batches = 0
         self._batched_items = 0

@@ -63,7 +63,10 @@ from repro.serving.scheduler import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.database import Database
+    from repro.db.backends.sqlite import Database
+
+#: LRU bound for each per-database engine's StageCache.
+CACHE_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -81,8 +84,6 @@ class ServerConfig:
     default_deadline_s: float | None = None
     breaker_failure_threshold: int = 3
     breaker_recovery_s: float = 5.0
-    #: LRU bound for each per-database engine's StageCache.
-    cache_capacity: int | None = 256
     #: Execution backend every request's database is adapted into
     #: (:func:`repro.db.backends.create_backend`); ``"sqlite"`` is the
     #: identity and serves the reference databases untouched.
@@ -366,7 +367,7 @@ class Server:
             engine = self._engines.get(db_id)
             if engine is None and hasattr(self.parser, "build_engine"):
                 engine = self._engines[db_id] = self.parser.build_engine(
-                    cache=StageCache(capacity=self.config.cache_capacity)
+                    cache=StageCache(capacity=CACHE_CAPACITY)
                 )
             return engine
 

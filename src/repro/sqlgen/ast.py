@@ -19,7 +19,7 @@ def identifier_key(name: str) -> str:
     The one sanctioned spelling of identifier comparison: everything
     outside :mod:`repro.sqlgen` / :mod:`repro.analysis` must route
     identifier equality through this helper or :meth:`ColumnRef.key`
-    (enforced by ARCH003 in ``scripts/arch_lint.py``).
+    (enforced by staticcheck rule ARCH003, run by ``repro check``).
     """
     return name.lower()
 

@@ -1,6 +1,6 @@
 """Plugin-based static analysis for the repro codebase.
 
-Grown out of ``scripts/arch_lint.py``: rules are classes implementing
+Grown out of a regex architecture lint: rules are classes implementing
 the :class:`~repro.staticcheck.registry.Rule` protocol, registered in
 a global :class:`~repro.staticcheck.registry.RuleRegistry`, and run by
 :func:`check_tree` / :func:`check_modules` over parsed
@@ -16,9 +16,8 @@ worklist dataflow solver (``dataflow.py``); a content-hash incremental
 cache (``cache.py``) makes warm runs skip unchanged modules, and
 ``fix.py`` powers ``repro check --fix``.
 
-Entry points: ``repro check`` (CLI) and the ``scripts/arch_lint.py``
-shim.  See DESIGN.md §13–§14 for the architecture and how to add a
-rule.
+Entry points: ``repro check`` (CLI) and :func:`check_tree` (library).
+See DESIGN.md §13–§14 for the architecture and how to add a rule.
 """
 
 from repro.staticcheck import rules as _rules  # noqa: F401  (registration)

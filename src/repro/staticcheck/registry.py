@@ -2,8 +2,8 @@
 
 Every rule is a class with a stable ``id``, a ``severity``, a one-line
 ``title``, and a docstring that *is* the rule's documentation — there
-is no second prose copy anywhere: ``repro check --explain RULE`` and
-the ``scripts/arch_lint.py`` shim both render from here.
+is no second prose copy anywhere: ``repro check --explain RULE``
+renders from here.
 
 Rules register themselves with the :data:`register` decorator at
 import time; the runner instantiates a fresh object per run, so rules
@@ -110,10 +110,6 @@ class RuleRegistry:
         cls = self.get(rule_id)
         header = f"{cls.id} ({cls.severity}) — {cls.title}"
         return f"{header}\n\n{cls.docs()}"
-
-    def render_docs(self) -> str:
-        """Every rule's documentation, one block per rule."""
-        return "\n\n".join(self.explain(rule_id) for rule_id in self.ids())
 
 
 #: The process-wide registry rule modules register into.

@@ -1,8 +1,7 @@
 """ARCH001–ARCH008: the architectural rules, on real AST visitors.
 
-Ported from the original ``scripts/arch_lint.py`` core (that script is
-now a shim over this registry).  The port closes the old
-false-negative classes: import aliases (``import time as t``),
+Ported from the original regex architecture lint.  The port closes
+the old false-negative classes: import aliases (``import time as t``),
 from-imports of clock functions, and multiline call spellings all
 resolve through :class:`~repro.staticcheck.rules._util.ImportTable`
 instead of matching surface receiver names.

@@ -20,7 +20,11 @@ import hashlib
 
 import numpy as np
 
+from repro.memo import Memo
 from repro.text.tokenize import character_ngrams, sentence_tokens
+
+#: Texts a :class:`MemoizedEmbedder` keeps embedded.
+MEMO_CAPACITY = 4096
 
 
 def _stable_hash(token: str, salt: int) -> int:
@@ -105,40 +109,26 @@ class MemoizedEmbedder:
     The memo is meant to be *scoped*: the engine resolves one instance
     per database through its :class:`~repro.engine.cache.StageCache`,
     so schema-item embeddings are shared across every question served
-    on that database and evicted with the engine's cache.  ``capacity``
-    bounds the memo with LRU eviction (questions churn, item texts
-    stay hot); ``None`` means unbounded.
+    on that database and evicted with the engine's cache.  It keeps the
+    :data:`MEMO_CAPACITY` most recently used texts (questions churn,
+    item texts stay hot).
     """
 
-    def __init__(self, base: HashedNgramEmbedder, capacity: int | None = 4096):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"memo capacity must be >= 1, got {capacity}")
+    def __init__(self, base: HashedNgramEmbedder):
         self.base = base
-        self.capacity = capacity
-        self._memo: dict[str, np.ndarray] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._memo = Memo(MEMO_CAPACITY)
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
-    def embed(self, text: str) -> np.ndarray:
-        cached = self._memo.get(text)
-        if cached is not None:
-            self.hits += 1
-            # LRU bookkeeping: re-insertion moves the key to the end.
-            self._memo[text] = self._memo.pop(text)
-            return cached
-        self.misses += 1
+    def _embed_frozen(self, text: str) -> np.ndarray:
         vec = self.base.embed(text)
         vec.flags.writeable = False
-        self._memo[text] = vec
-        if self.capacity is not None and len(self._memo) > self.capacity:
-            self._memo.pop(next(iter(self._memo)))
-            self.evictions += 1
         return vec
+
+    def embed(self, text: str) -> np.ndarray:
+        return self._memo.get(text, self._embed_frozen, text)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         if not texts:
@@ -147,12 +137,3 @@ class MemoizedEmbedder:
 
     def similarity(self, left: str, right: str) -> float:
         return float(np.dot(self.embed(left), self.embed(right)))
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._memo),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }

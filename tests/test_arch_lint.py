@@ -1,28 +1,20 @@
 """Architectural rules (repro.staticcheck) — rules + repo-wide gate.
 
-The old ``scripts/arch_lint.py`` kwarg-based exemptions became
-path-based rule scoping: passing ``path="reliability/clock.py"`` to
-:func:`repro.staticcheck.check_source` exercises the ARCH001
+Rule exemptions are path-based: passing ``path="reliability/clock.py"``
+to :func:`repro.staticcheck.check_source` exercises the ARCH001
 allowlist the same way the tree walk does.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from repro import cli
 from repro.staticcheck import check_source, check_tree, load_baseline
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-_spec = importlib.util.spec_from_file_location(
-    "arch_lint", REPO_ROOT / "scripts" / "arch_lint.py"
-)
-arch_lint = importlib.util.module_from_spec(_spec)
-sys.modules["arch_lint"] = arch_lint
-_spec.loader.exec_module(arch_lint)
 
 
 def _rules(source: str, path: str = "mod.py") -> list[str]:
@@ -320,8 +312,15 @@ class TestRepoGate:
             f"stale baseline entries: {result.stale_baseline}"
         )
 
-    def test_shim_exit_status(self):
-        assert arch_lint.main([str(REPO_ROOT / "src" / "repro")]) == 0
+    def test_check_cli_exit_status(self):
+        argv = [
+            "check",
+            "--root",
+            str(REPO_ROOT / "src" / "repro"),
+            "--baseline",
+            str(REPO_ROOT / "staticcheck_baseline.json"),
+        ]
+        assert cli.main(argv) == cli.CHECK_OK
 
     def test_json_output_is_byte_stable_across_hash_seeds(self):
         """``repro check --format json`` must not depend on PYTHONHASHSEED."""

@@ -16,7 +16,6 @@ import pytest
 from repro.core.ranking import SENTINEL_SQL
 from repro.engine import StageCache
 from repro.errors import GenerationError, ServingError
-from repro.lm.registry import LMRegistry
 from repro.reliability.clock import FakeClock
 from repro.serving import (
     AdmissionQueue,
@@ -440,18 +439,6 @@ class TestBoundedCaches:
         assert cache.get("kind", "a", lambda: "rebuilt") == "A"
         assert cache.get("kind", "b", lambda: "rebuilt") == "rebuilt"
         assert cache.evictions == 2  # re-inserting b pushed out c
-
-    def test_lm_registry_bounded_with_counters(self):
-        registry = LMRegistry(capacity=1)
-        registry.corpus(seed=0)
-        registry.corpus(seed=1)  # evicts seed 0
-        assert registry.corpus_evictions == 1
-        assert registry.stats["corpora"] == 1
-        assert registry.stats["capacity"] == 1
-
-    def test_lm_registry_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            LMRegistry(capacity=0)
 
 
 # -- loadgen ------------------------------------------------------------------

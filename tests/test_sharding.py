@@ -25,6 +25,7 @@ from repro.serving import (
     Overloaded,
     ProcessWorkerHandle,
     RateLimited,
+    SAMPLE_CAPACITY,
     Server,
     ServerConfig,
     ServerMetrics,
@@ -627,8 +628,9 @@ class TestMergedMetrics:
         # Long-running servers must not accumulate (and pickle across
         # the process pipe) one sample per request forever: the rings
         # cap, while completed/mean stay exact running totals.
-        aggregator = MetricsAggregator(sample_capacity=16)
-        for index in range(100):
+        total = SAMPLE_CAPACITY + 100
+        aggregator = MetricsAggregator()
+        for index in range(total):
             aggregator.record(
                 Completed(
                     request=_request(index),
@@ -639,22 +641,24 @@ class TestMergedMetrics:
                 )
             )
         snapshot = aggregator.snapshot()
-        assert snapshot.completed == 100  # exact despite the cap
-        assert len(snapshot.latency_samples) == 16
-        assert len(snapshot.queue_wait_samples) == 16
+        assert snapshot.completed == total  # exact despite the cap
+        assert len(snapshot.latency_samples) == SAMPLE_CAPACITY
+        assert len(snapshot.queue_wait_samples) == SAMPLE_CAPACITY
         assert snapshot.mean_queue_s == pytest.approx(0.005)
         # the ring keeps the most recent completions
-        assert min(snapshot.latency_samples) == pytest.approx(0.85)
+        assert min(snapshot.latency_samples) == pytest.approx(0.01 * 101)
 
     def test_merge_caps_carried_samples_and_keeps_means_exact(self):
-        fast = self._snapshot_with_latencies([0.01] * 30, queue_s=0.1)
-        slow = self._snapshot_with_latencies([1.0] * 10, queue_s=0.5)
-        merged = ServerMetrics.merge(fast, slow, sample_capacity=8)
-        assert merged.completed == 40
-        assert len(merged.latency_samples) == 8
+        fast = self._snapshot_with_latencies(
+            [0.01] * SAMPLE_CAPACITY, queue_s=0.1
+        )
+        slow = self._snapshot_with_latencies([1.0] * 1000, queue_s=0.5)
+        merged = ServerMetrics.merge(fast, slow)
+        assert merged.completed == SAMPLE_CAPACITY + 1000
+        assert len(merged.latency_samples) == SAMPLE_CAPACITY
         # weighted by completed counts, not by pooled (capped) samples
         assert merged.mean_queue_s == pytest.approx(
-            (30 * 0.1 + 10 * 0.5) / 40
+            (SAMPLE_CAPACITY * 0.1 + 1000 * 0.5) / (SAMPLE_CAPACITY + 1000)
         )
         # the sorted-stride subsample spans the pooled distribution
         assert min(merged.latency_samples) == 0.01
