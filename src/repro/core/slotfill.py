@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.db.schema import Column, Schema
@@ -47,6 +48,7 @@ from repro.sqlgen.ast import (
     SelectItem,
     identifier_key,
 )
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 _QUOTED_RE = re.compile(r"'([^']*)'|\"([^\"]*)\"")
@@ -125,7 +127,13 @@ def question_aggregate(question: str, default: str) -> str:
 
 @dataclass
 class InstantiationContext:
-    """Everything slot filling needs about the target question/database."""
+    """Everything slot filling needs about the target question/database.
+
+    One context serves one request.  The request-invariant facts every
+    fill reads (ranked tables, ranked column pools, question literals)
+    are computed on first use and memoized on the context, so they live
+    exactly as long as the request does.
+    """
 
     question: str
     schema: Schema
@@ -134,34 +142,59 @@ class InstantiationContext:
     use_types: bool = True
     slot_depth: int = 3
     representative: Optional[Callable[[str, str], list]] = None
+    _column_pools: dict[tuple[str, str], tuple[Column, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def ranked_tables(self) -> list[str]:
+    @cached_property
+    def ranked_tables(self) -> tuple[str, ...]:
         ranked = self.scores.top_tables(len(self.schema.tables))
-        known = {t.name.lower() for t in self.schema.tables}
-        return [name for name in ranked if name in known]
+        return tuple(name for name in ranked if self.schema.has_table(name))
 
-    def ranked_columns(self, table_name: str) -> list[str]:
-        table = self.schema.table(table_name)
-        return self.scores.top_columns(table_name, len(table.columns))
+    def column_pool(self, table_name: str, kind: str) -> tuple[Column, ...]:
+        """``table_name``'s columns, best-ranked first, filtered by ``kind``.
 
+        ``kind`` is ``"numeric"``, ``"text"`` or ``"any"``; the type
+        filter is skipped when column types are ablated away.
+        """
+        if not self.use_types or kind not in ("numeric", "text"):
+            kind = "any"
+        key = (identifier_key(table_name), kind)
+        pool = self._column_pools.get(key)
+        if pool is None:
+            if kind == "any":
+                table = self.schema.table(table_name)
+                ranked = self.scores.top_columns(table_name, len(table.columns))
+                pool = tuple(table.column(name) for name in ranked)
+            else:
+                types = _NUMERIC_TYPES if kind == "numeric" else _TEXT_TYPES
+                pool = tuple(
+                    column
+                    for column in self.column_pool(table_name, "any")
+                    if column.type.upper() in types
+                )
+            self._column_pools[key] = pool
+        return pool
 
-def _question_numbers(question: str) -> list[float | int]:
-    numbers: list[float | int] = []
-    for raw in _NUMBER_RE.findall(question):
-        numbers.append(float(raw) if "." in raw else int(raw))
-    return numbers
+    @cached_property
+    def question_numbers(self) -> tuple[float | int, ...]:
+        """Numbers mentioned in the question, in mention order."""
+        return tuple(
+            float(raw) if "." in raw else int(raw)
+            for raw in _NUMBER_RE.findall(self.question)
+        )
 
-
-def _question_strings(question: str) -> list[str]:
-    """Literal string candidates in mention order (quoted, then entities)."""
-    strings: list[str] = []
-    for quoted in _QUOTED_RE.finditer(question):
-        strings.append(quoted.group(1) or quoted.group(2))
-    for span in _CAPITALIZED_SPAN_RE.finditer(question):
-        text = span.group(1)
-        if text not in strings:
-            strings.append(text)
-    return strings
+    @cached_property
+    def question_strings(self) -> tuple[str, ...]:
+        """Literal string candidates in mention order (quoted, then entities)."""
+        strings: list[str] = []
+        for quoted in _QUOTED_RE.finditer(self.question):
+            strings.append(quoted.group(1) or quoted.group(2))
+        for span in _CAPITALIZED_SPAN_RE.finditer(self.question):
+            text = span.group(1)
+            if text not in strings:
+                strings.append(text)
+        return tuple(strings)
 
 
 class _Filler:
@@ -177,8 +210,8 @@ class _Filler:
         self.table_map = table_map
         self.variant = variant
         self._column_cache: dict[tuple[str, str], ColumnRef | None] = {}
-        self._numbers = _question_numbers(ctx.question)
-        self._strings = _question_strings(ctx.question)
+        self._numbers = list(ctx.question_numbers)
+        self._strings = list(ctx.question_strings)
         self._available_values = list(ctx.matched_values)
         self._used_columns: set[str] = set()
         #: Literal slots that had to fall back to template/DB defaults
@@ -194,18 +227,6 @@ class _Filler:
         if len(self.table_map) == 1:
             return next(iter(self.table_map.values()))
         return None
-
-    def _candidates(self, table_name: str, kind: str) -> list[Column]:
-        table = self.ctx.schema.table(table_name)
-        ranked_names = self.ctx.ranked_columns(table_name)
-        ranked = [table.column(name) for name in ranked_names]
-        if not self.ctx.use_types:
-            return ranked
-        if kind == "numeric":
-            return [c for c in ranked if c.type.upper() in _NUMERIC_TYPES]
-        if kind == "text":
-            return [c for c in ranked if c.type.upper() in _TEXT_TYPES]
-        return ranked
 
     def map_column(
         self, template_col: ColumnRef, kind: str = "any", role: str = ""
@@ -223,7 +244,7 @@ class _Filler:
         if table_name is None:
             self._column_cache[cache_key] = None
             return None
-        candidates = self._candidates(table_name, kind)
+        candidates = self.ctx.column_pool(table_name, kind)
         # Projection/grouping/aggregation slots should avoid raw key columns.
         if role in ("select", "group", "agg", "order") and len(candidates) > 1:
             non_keys = [
@@ -605,7 +626,7 @@ def _template_tables(template: Query) -> list[str]:
 def _table_assignments(
     ctx: InstantiationContext, template_tables: list[str]
 ) -> list[dict[str, str]]:
-    ranked = ctx.ranked_tables()
+    ranked = ctx.ranked_tables
     if not ranked:
         return []
     depth = max(1, ctx.slot_depth)
@@ -642,19 +663,24 @@ def _table_assignments(
 
 @dataclass(frozen=True)
 class FilledCandidate:
-    """One instantiated candidate plus its grounding diagnostics."""
+    """One instantiated candidate, its SQL, and its grounding diagnostics."""
 
     query: Query
+    sql: str
     ungrounded_literals: int
 
 
 def instantiate_template(
-    template: Query, ctx: InstantiationContext
+    template: Query,
+    ctx: InstantiationContext,
+    serialize: Callable[[Query], str] = SQLITE_EMITTER.serialize,
 ) -> list[FilledCandidate]:
     """All candidate instantiations of ``template`` against the target.
 
-    Returns up to ``slot_depth * assignments`` candidates, deduplicated,
-    best-ranked table assignments first.
+    Returns up to ``slot_depth * assignments`` candidates, deduplicated
+    case-insensitively on their SQL, best-ranked table assignments
+    first.  ``serialize`` renders each fill exactly once (pass the
+    backend emitter's ``serialize`` to get SQL in its dialect).
     """
     template_tables = _template_tables(template)
     candidates: list[FilledCandidate] = []
@@ -665,13 +691,14 @@ def instantiate_template(
             filled = filler.fill(template)
             if filled is None:
                 continue
-            from repro.sqlgen.serializer import serialize
-
-            key = serialize(filled).lower()
+            sql = serialize(filled)
+            key = sql.lower()
             if key in seen:
                 continue
             seen.add(key)
             candidates.append(
-                FilledCandidate(query=filled, ungrounded_literals=filler.ungrounded)
+                FilledCandidate(
+                    query=filled, sql=sql, ungrounded_literals=filler.ungrounded
+                )
             )
     return candidates

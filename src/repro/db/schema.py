@@ -8,6 +8,7 @@ provide informative comments for ambiguous schema" (§6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SchemaError
 from repro.sqlgen.ast import identifier_key
@@ -58,21 +59,26 @@ class Table:
             raise SchemaError(f"table {self.name!r} has no columns")
         seen: set[str] = set()
         for column in self.columns:
-            lowered = column.name.lower()
-            if lowered in seen:
+            key = identifier_key(column.name)
+            if key in seen:
                 raise SchemaError(f"duplicate column {column.name!r} in {self.name!r}")
-            seen.add(lowered)
+            seen.add(key)
+
+    @cached_property
+    def _columns_by_key(self) -> dict[str, Column]:
+        # Built on first lookup and stored in the instance ``__dict__``,
+        # so it stays out of ``==``, ``hash`` and ``repr``.
+        return {identifier_key(column.name): column for column in self.columns}
 
     def column(self, name: str) -> Column:
         """Look up a column by case-insensitive name."""
-        for column in self.columns:
-            if identifier_key(column.name) == identifier_key(name):
-                return column
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
+        column = self._columns_by_key.get(identifier_key(name))
+        if column is None:
+            raise SchemaError(f"no column {name!r} in table {self.name!r}")
+        return column
 
     def has_column(self, name: str) -> bool:
-        key = identifier_key(name)
-        return any(identifier_key(column.name) == key for column in self.columns)
+        return identifier_key(name) in self._columns_by_key
 
     @property
     def primary_key(self) -> Column | None:
@@ -110,8 +116,7 @@ class Schema:
     def __post_init__(self) -> None:
         if not self.tables:
             raise SchemaError(f"schema {self.name!r} has no tables")
-        names = [table.name.lower() for table in self.tables]
-        if len(names) != len(set(names)):
+        if len(self._tables_by_key) != len(self.tables):
             raise SchemaError(f"duplicate table names in schema {self.name!r}")
         for fkey in self.foreign_keys:
             src = self.table(fkey.src_table)
@@ -121,16 +126,31 @@ class Schema:
             if not dst.has_column(fkey.dst_column):
                 raise SchemaError(f"foreign key target missing: {fkey.render()}")
 
+    @cached_property
+    def _tables_by_key(self) -> dict[str, Table]:
+        # Stored in the instance ``__dict__`` like ``Table._columns_by_key``.
+        return {identifier_key(table.name): table for table in self.tables}
+
+    @cached_property
+    def _join_edges(self) -> dict[tuple[str, str], ForeignKey]:
+        # Both orientations of every FK pair; the first key in schema
+        # order wins, as it did for the linear scan.
+        edges: dict[tuple[str, str], ForeignKey] = {}
+        for fkey in self.foreign_keys:
+            src, dst = identifier_key(fkey.src_table), identifier_key(fkey.dst_table)
+            edges.setdefault((src, dst), fkey)
+            edges.setdefault((dst, src), fkey)
+        return edges
+
     def table(self, name: str) -> Table:
         """Look up a table by case-insensitive name."""
-        for table in self.tables:
-            if identifier_key(table.name) == identifier_key(name):
-                return table
-        raise SchemaError(f"no table {name!r} in schema {self.name!r}")
+        table = self._tables_by_key.get(identifier_key(name))
+        if table is None:
+            raise SchemaError(f"no table {name!r} in schema {self.name!r}")
+        return table
 
     def has_table(self, name: str) -> bool:
-        key = identifier_key(name)
-        return any(identifier_key(table.name) == key for table in self.tables)
+        return identifier_key(name) in self._tables_by_key
 
     def column_keys(self) -> list[str]:
         """All ``table.column`` keys in schema order (lower-cased)."""
@@ -142,22 +162,18 @@ class Schema:
 
     def foreign_keys_of(self, table_name: str) -> list[ForeignKey]:
         """Foreign keys touching ``table_name`` on either side."""
-        lowered = table_name.lower()
+        key = identifier_key(table_name)
         return [
             fkey
             for fkey in self.foreign_keys
-            if lowered in (fkey.src_table.lower(), fkey.dst_table.lower())
+            if key in (identifier_key(fkey.src_table), identifier_key(fkey.dst_table))
         ]
 
     def join_edge(self, left_table: str, right_table: str) -> ForeignKey | None:
         """The FK connecting two tables, if any (either direction)."""
-        left = left_table.lower()
-        right = right_table.lower()
-        for fkey in self.foreign_keys:
-            pair = (fkey.src_table.lower(), fkey.dst_table.lower())
-            if pair in ((left, right), (right, left)):
-                return fkey
-        return None
+        return self._join_edges.get(
+            (identifier_key(left_table), identifier_key(right_table))
+        )
 
     def rename(self, name: str) -> "Schema":
         """Copy of this schema under a different name."""

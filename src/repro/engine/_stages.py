@@ -342,19 +342,22 @@ class CandidateGenStage(_ParserStage):
         # downstream consumer (lint, dedup, execution) sees SQL the
         # backend actually accepts.  On the default SQLite backend this
         # is byte-identical to the historical serializer.
-        emitter = emitter_for(backend_dialect(ctx.database))
+        serialize = emitter_for(backend_dialect(ctx.database)).serialize
         raw: list[tuple[str, object, float, int]] = []
         seen: set[str] = set()
         for template, retrieval_sim in templates:
-            for candidate in instantiate_template(template, ctx.inst_ctx):
-                filled = candidate.query
-                sql = emitter.serialize(filled)
-                key = sql.lower()
+            for candidate in instantiate_template(template, ctx.inst_ctx, serialize):
+                key = candidate.sql.lower()
                 if key in seen:
                     continue
                 seen.add(key)
                 raw.append(
-                    (sql, filled, retrieval_sim, candidate.ungrounded_literals)
+                    (
+                        candidate.sql,
+                        candidate.query,
+                        retrieval_sim,
+                        candidate.ungrounded_literals,
+                    )
                 )
         ctx.raw_candidates = raw
 

@@ -1,10 +1,14 @@
 """Tests for the database substrate."""
 
+import dataclasses
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.db import Column, Database, ForeignKey, Schema, Table, ValueGenerator
 from repro.errors import ExecutionError, SchemaError
+from repro.sqlgen.ast import identifier_key
 
 from tests.fixtures import bank_database, bank_schema
 
@@ -68,6 +72,115 @@ class TestSchemaModel:
         renamed = bank_schema().rename("other")
         assert renamed.name == "other"
         assert renamed.tables == bank_schema().tables
+
+
+def _multi_edge_schema() -> Schema:
+    """Self-referencing and repeated FKs, in both orientations, mixed case."""
+    return Schema(
+        name="Edges",
+        tables=(
+            Table(
+                "Emp",
+                (Column("id", "INTEGER", is_primary=True), Column("Boss_ID", "INTEGER")),
+            ),
+            Table(
+                "dept",
+                (Column("ID", "INTEGER", is_primary=True), Column("head", "INTEGER")),
+            ),
+        ),
+        foreign_keys=(
+            ForeignKey("emp", "boss_id", "EMP", "id"),
+            ForeignKey("Dept", "head", "emp", "ID"),
+            ForeignKey("emp", "id", "dept", "head"),
+        ),
+    )
+
+
+#: Schemas the index-vs-scan property runs over.
+_INDEXED_SCHEMAS = (bank_schema(), _multi_edge_schema())
+
+
+def _scan_table(schema: Schema, name: str) -> Table | None:
+    for table in schema.tables:
+        if identifier_key(table.name) == identifier_key(name):
+            return table
+    return None
+
+
+def _scan_column(table: Table, name: str) -> Column | None:
+    for column in table.columns:
+        if identifier_key(column.name) == identifier_key(name):
+            return column
+    return None
+
+
+def _scan_join_edge(schema: Schema, left: str, right: str) -> ForeignKey | None:
+    wanted = (identifier_key(left), identifier_key(right))
+    for fkey in schema.foreign_keys:
+        pair = (identifier_key(fkey.src_table), identifier_key(fkey.dst_table))
+        if pair in (wanted, wanted[::-1]):
+            return fkey
+    return None
+
+
+def _case_variant(data, name: str) -> str:
+    flips = data.draw(st.lists(st.booleans(), min_size=len(name), max_size=len(name)))
+    return "".join(ch.upper() if up else ch.lower() for ch, up in zip(name, flips))
+
+
+class TestSchemaIndex:
+    """The dict-backed lookups agree with a linear scan on every name."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), schema=st.sampled_from(_INDEXED_SCHEMAS))
+    def test_lookups_match_linear_scan(self, data, schema):
+        for table in schema.tables:
+            name = _case_variant(data, table.name)
+            assert schema.has_table(name)
+            assert schema.table(name) is _scan_table(schema, name)
+            for column in table.columns:
+                col_name = _case_variant(data, column.name)
+                assert table.has_column(col_name)
+                assert table.column(col_name) is _scan_column(table, col_name)
+            missing = name + "_x"
+            assert not table.has_column(missing)
+            with pytest.raises(SchemaError) as info:
+                table.column(missing)
+            assert str(info.value) == f"no column {missing!r} in table {table.name!r}"
+            for other in schema.tables:
+                right = _case_variant(data, other.name)
+                assert schema.join_edge(name, right) is _scan_join_edge(
+                    schema, name, right
+                )
+            assert schema.join_edge(name, "nowhere") is None
+        missing = _case_variant(data, schema.tables[0].name) + "_x"
+        assert not schema.has_table(missing)
+        with pytest.raises(SchemaError) as info:
+            schema.table(missing)
+        assert str(info.value) == f"no table {missing!r} in schema {schema.name!r}"
+
+    @pytest.mark.parametrize("build", [bank_schema, _multi_edge_schema])
+    def test_index_is_invisible_to_value_semantics(self, build):
+        plain, indexed = build(), build()
+        for table in indexed.tables:
+            for column in table.columns:
+                table.column(column.name.upper())
+            for other in indexed.tables:
+                indexed.join_edge(table.name, other.name)
+        assert "_join_edges" not in vars(plain)
+        assert "_join_edges" in vars(indexed)
+        assert all("_columns_by_key" in vars(table) for table in indexed.tables)
+        assert indexed == plain
+        assert hash(indexed) == hash(plain)
+        assert repr(indexed) == repr(plain)
+        assert dataclasses.replace(indexed) == plain
+        assert hash(dataclasses.replace(indexed.tables[0])) == hash(plain.tables[0])
+        restored = pickle.loads(pickle.dumps(indexed))
+        assert restored == plain and repr(restored) == repr(plain)
+        first = plain.tables[0]
+        assert restored.table(first.name).column(first.columns[-1].name) == (
+            first.columns[-1]
+        )
 
 
 class TestDatabase:

@@ -21,6 +21,8 @@ from repro import cli
 from repro.analysis import SchemaCatalog
 from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.diagnostics import DIALECT_CASE_FOLD
+from repro.core.slotfill import InstantiationContext, instantiate_template
+from repro.datasets import build_bank_financials
 from repro.db import Database
 from repro.db.backends import (
     COLUMNAR_CAPABILITIES,
@@ -39,6 +41,7 @@ from repro.errors import (
     ExecutionError,
     SQLSyntaxError,
 )
+from repro.linking.lexical import LexicalSchemaScorer
 from repro.eval.conformance import (
     bundled_dataset_builders,
     run_conformance,
@@ -141,6 +144,45 @@ class TestAnsiGolden:
 
 # ---------------------------------------------------------------------------
 # backend protocol and registry
+
+
+class TestSlotFillEmission:
+    """Slot filling serializes each candidate once, in the caller's dialect."""
+
+    def test_golden_questions_carry_their_dialect_sql(self):
+        golden = json.loads(
+            (GOLDEN_DIR / "engine_parity.json").read_text(encoding="utf-8")
+        )
+        rows = golden["datasets"]["bank_financials"]
+        dataset = build_bank_financials()
+        schema = dataset.databases["bank_financials"].schema
+        gold_sql = dict.fromkeys(example.sql for example in dataset.train)
+        templates = [parse_sql(sql) for sql in gold_sql]
+        checked = 0
+        for question in (row["question"] for row in rows):
+            scores = LexicalSchemaScorer().score_schema(question, schema, [])
+            by_dialect = {}
+            for dialect in ("sqlite", "ansi", "tsql"):
+                emitter = emitter_for(dialect)
+                ctx = InstantiationContext(
+                    question=question, schema=schema, scores=scores
+                )
+                candidates = [
+                    candidate
+                    for template in templates
+                    for candidate in instantiate_template(
+                        template, ctx, serialize=emitter.serialize
+                    )
+                ]
+                for candidate in candidates:
+                    assert candidate.sql == emitter.serialize(candidate.query)
+                    if dialect == "sqlite":
+                        assert candidate.sql == serialize(candidate.query)
+                by_dialect[dialect] = [candidate.query for candidate in candidates]
+                checked += len(candidates)
+            # Deduplicating on dialect SQL keeps the same candidates.
+            assert by_dialect["ansi"] == by_dialect["sqlite"] == by_dialect["tsql"]
+        assert checked > 0
 
 
 class TestBackendRegistry:

@@ -12,6 +12,7 @@ import importlib.util
 import inspect
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,8 +33,12 @@ from repro.engine import (
 from repro.errors import GenerationError
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.eval.reporting import format_stage_report
+from repro.core import slotfill
+from repro.linking.classifier import SchemaScores
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.reliability.clock import FakeClock
+from repro.sqlgen.ast import identifier_key
+from repro.sqlgen.dialects import emitter_for
 
 pytestmark = pytest.mark.engine
 
@@ -232,6 +237,71 @@ def test_repeat_questions_hit_the_per_database_cache(bank):
     result = parser.generate(QUESTION, database, engine=engine)
     assert engine.cache.misses == misses_after_first  # everything reused
     assert sum(s.cache_hits for s in result.trace.stages) > 0
+
+
+# -- per-request work counts -------------------------------------------------
+
+
+def test_candidate_gen_does_request_invariant_work_once(bank, monkeypatch):
+    """Each fill is serialized once; each table's columns are ranked once.
+
+    Counts calls during one ``generate()`` on a golden-parity question,
+    so a return to per-slot recomputation or a second serialization of
+    every candidate fails here without any timing.
+    """
+    parser, dataset, database = bank
+    example = dataset.dev[0]
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert golden["datasets"]["bank_financials"][0]["question"] == example.question
+    counts: Counter = Counter()
+
+    class CountingEmitter:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+        def serialize(self, query):
+            counts["serialize"] += 1
+            return self._inner.serialize(query)
+
+    monkeypatch.setattr(
+        "repro.engine._stages.emitter_for",
+        lambda dialect: CountingEmitter(emitter_for(dialect)),
+    )
+
+    fill = slotfill._Filler.fill
+    depth = [0]
+
+    def counting_fill(self, template):
+        depth[0] += 1
+        try:
+            filled = fill(self, template)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0 and filled is not None:
+            counts["fills"] += 1
+        return filled
+
+    monkeypatch.setattr(slotfill._Filler, "fill", counting_fill)
+
+    top_columns = SchemaScores.top_columns
+    rankings: list[tuple[SchemaScores, str]] = []
+
+    def counting_top_columns(self, table_name, k):
+        rankings.append((self, identifier_key(table_name)))
+        return top_columns(self, table_name, k)
+
+    monkeypatch.setattr(SchemaScores, "top_columns", counting_top_columns)
+
+    engine = parser.build_engine()
+    result = parser.generate(example.question, database, engine=engine)
+    assert result.sql == golden["datasets"]["bank_financials"][0]["sql"]
+    assert counts["fills"] > 0
+    assert counts["serialize"] == counts["fills"]
+    per_table = Counter((id(scores), table) for scores, table in rankings)
+    assert per_table and max(per_table.values()) == 1
 
 
 # -- fault injection as middleware --------------------------------------------
