@@ -40,11 +40,6 @@ class Column:
         """
         return "TEXT" if self.type.upper() == "DATE" else self.type.upper()
 
-    @property
-    def sqlite_type(self) -> str:
-        """Historical alias for :attr:`storage_type`."""
-        return self.storage_type
-
 
 @dataclass(frozen=True)
 class Table:

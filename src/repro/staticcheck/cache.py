@@ -11,9 +11,10 @@ verifies.
 
 Two staleness guards:
 
-- a **rules fingerprint** hashing every registered rule's source code
-  (plus the cache format version): edit any rule and the whole cache
-  invalidates;
+- a **rules fingerprint** hashing the source of every module in this
+  package (rules, their shared helpers and base classes), the file
+  defining each rule class, and the cache format version: edit any
+  code a rule runs and the whole cache invalidates;
 - per-file **content hashes**: edit any module and only that module
   re-analyzes.
 
@@ -38,17 +39,28 @@ def content_hash(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
+#: the staticcheck package, whose every module the fingerprint covers.
+PACKAGE_DIR = Path(__file__).resolve().parent
+
+
 def rules_fingerprint(rule_classes) -> str:
-    """Hash of the cache version and every rule's source, sorted by id."""
+    """Hash of the cache version, the rules' ids and docs, and the code
+    they run: every module of this package (shared helpers and base
+    classes included) plus each rule class's own file."""
     digest = hashlib.sha256(f"v{CACHE_VERSION}".encode("utf-8"))
+    files = set(PACKAGE_DIR.rglob("*.py"))
     for cls in sorted(rule_classes, key=lambda cls: cls.id):
         digest.update(cls.id.encode("utf-8"))
+        digest.update(cls.docs().encode("utf-8"))
         try:
-            digest.update(inspect.getsource(cls).encode("utf-8"))
+            files.add(Path(inspect.getsourcefile(cls)).resolve())
         except (OSError, TypeError):
-            # source unavailable (frozen/interactive): key on the id
-            # and docs so at least doc edits invalidate.
-            digest.update(cls.docs().encode("utf-8"))
+            pass  # no source (frozen/interactive): id and docs only
+    for path in sorted(files):
+        try:
+            digest.update(path.read_bytes())
+        except OSError:
+            pass
     return digest.hexdigest()
 
 

@@ -76,6 +76,25 @@ def module_matches(module: str, target: str) -> bool:
     return module == target or module.startswith(target + ".")
 
 
+def in_scope(path: str, scopes) -> bool:
+    """Does the module at ``path`` fall inside any of ``scopes``?
+
+    The one scope rule every path-scoped check uses.  A directory scope
+    (``"serving/"``) matches at any path-component boundary and a file
+    scope (``"engine/_stages.py"``) matches as a component-aligned
+    suffix, so ``serving/m.py``, ``repro/serving/m.py`` and
+    ``src/repro/serving/m.py`` are all in ``serving/`` whichever
+    directory the check was rooted at — but ``myserving/m.py`` is not.
+    """
+    rooted = f"/{path}"
+    return any(
+        f"/{scope}" in rooted
+        if scope.endswith("/")
+        else rooted.endswith(f"/{scope}")
+        for scope in scopes
+    )
+
+
 def const_str_tuple(node: ast.expr) -> tuple[str, ...] | None:
     """The value of a literal tuple/list of string constants, else None."""
     if not isinstance(node, (ast.Tuple, ast.List)):

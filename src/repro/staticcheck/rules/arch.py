@@ -6,27 +6,95 @@ from-imports of clock functions, and multiline call spellings all
 resolve through :class:`~repro.staticcheck.rules._util.ImportTable`
 instead of matching surface receiver names.
 
-Path-based exemptions live on each rule (``reliability/clock.py`` for
-ARCH001, ``sqlgen/``/``analysis/`` for ARCH003, …) and key off the
-module path relative to the check root.
+Six of the rules (ARCH001, ARCH004–ARCH008) are one check — "this
+module or call is confined to that package" — so they are data: each
+is a :class:`ContainmentRule` carrying a table of :class:`Ban`
+clauses.  Every path exemption, here and in the other path-scoped
+rules, goes through :func:`~repro.staticcheck.rules._util.in_scope`.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 
-from repro.staticcheck.findings import Finding
+from repro.staticcheck.findings import Finding, SourceSpan
 from repro.staticcheck.module import ModuleContext
 from repro.staticcheck.registry import Rule, register
 from repro.staticcheck.rules._util import (
     ImportTable,
     imported_modules,
+    in_scope,
     module_matches,
 )
 
 
+@dataclass(frozen=True)
+class Ban:
+    """One containment clause: what is banned, and where it is allowed.
+
+    ``modules`` bans importing each module and its submodules;
+    ``calls`` bans calling each qualified target, resolved through the
+    module's imports.  The clause is lifted inside ``allowed`` and, when
+    ``only`` is set, applies nowhere outside ``only``.  ``message`` may
+    name the offender as ``{name}``.
+    """
+
+    message: str
+    modules: tuple[str, ...] = ()
+    calls: frozenset[str] = frozenset()
+    allowed: tuple[str, ...] = ()
+    only: tuple[str, ...] | None = None
+
+    def applies(self, path: str) -> bool:
+        return not in_scope(path, self.allowed) and (
+            self.only is None or in_scope(path, self.only)
+        )
+
+    def offender(
+        self, node: ast.AST, imports: ImportTable | None
+    ) -> str | None:
+        """The banned name ``node`` uses, or ``None``."""
+        if isinstance(node, ast.Call):
+            resolved = imports.resolve(node.func) if self.calls else None
+            return resolved if resolved in self.calls else None
+        for name in imported_modules(node):
+            if any(module_matches(name, banned) for banned in self.modules):
+                return name
+        return None
+
+
+class ContainmentRule(Rule):
+    """Base for rules that are a table of :class:`Ban` clauses.
+
+    Each import statement and each call yields at most one finding: the
+    first clause (in table order) it breaks.
+    """
+
+    clauses: tuple[Ban, ...] = ()
+
+    def check(self, module: ModuleContext) -> list[Finding]:
+        clauses = [c for c in self.clauses if c.applies(module.path)]
+        if not clauses:
+            return []
+        imports = None
+        if any(clause.calls for clause in clauses):
+            imports = ImportTable.from_tree(module.tree)
+        findings = []
+        for node in ast.walk(module.tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom, ast.Call)):
+                continue
+            for clause in clauses:
+                name = clause.offender(node, imports)
+                if name is not None:
+                    message = clause.message.format(name=name)
+                    findings.append(self.finding(module, node, message))
+                    break
+        return findings
+
+
 @register
-class RawClockRule(Rule):
+class RawClockRule(ContainmentRule):
     """Raw clock reads.
 
     ``time.time()``, ``time.monotonic()``, ``time.perf_counter()``,
@@ -43,43 +111,26 @@ class RawClockRule(Rule):
     severity = "error"
     title = "raw clock reads outside reliability/clock.py"
 
-    #: files (relative to the check root) allowed to read raw clocks.
-    ALLOWLIST = ("reliability/clock.py",)
-
-    #: qualified call targets that are raw clock reads.
-    RAW_CLOCK_CALLS = frozenset(
-        {
-            "time.time",
-            "time.monotonic",
-            "time.perf_counter",
-            "time.perf_counter_ns",
-            "time.monotonic_ns",
-            "datetime.now",
-            "datetime.utcnow",
-            "datetime.datetime.now",
-            "datetime.datetime.utcnow",
-        }
+    clauses = (
+        Ban(
+            calls=frozenset(
+                {
+                    "time.time",
+                    "time.monotonic",
+                    "time.perf_counter",
+                    "time.perf_counter_ns",
+                    "time.monotonic_ns",
+                    "datetime.now",
+                    "datetime.utcnow",
+                    "datetime.datetime.now",
+                    "datetime.datetime.utcnow",
+                }
+            ),
+            allowed=("reliability/clock.py",),
+            message="raw clock call {name}(); inject "
+            "repro.reliability.clock.Clock instead",
+        ),
     )
-
-    def check(self, module: ModuleContext) -> list[Finding]:
-        if module.path in self.ALLOWLIST:
-            return []
-        imports = ImportTable.from_tree(module.tree)
-        findings = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = imports.resolve(node.func)
-            if resolved in self.RAW_CLOCK_CALLS:
-                findings.append(
-                    self.finding(
-                        module,
-                        node,
-                        f"raw clock call {resolved}(); inject "
-                        "repro.reliability.clock.Clock instead",
-                    )
-                )
-        return findings
 
 
 @register
@@ -174,7 +225,7 @@ class LowerComparisonRule(Rule):
     CASE_NORMALIZERS = ("lower", "casefold")
 
     def check(self, module: ModuleContext) -> list[Finding]:
-        if module.path.startswith(self.ALLOWLIST_PREFIXES):
+        if in_scope(module.path, self.ALLOWLIST_PREFIXES):
             return []
         findings = []
         for node in ast.walk(module.tree):
@@ -210,7 +261,7 @@ class LowerComparisonRule(Rule):
 
 
 @register
-class EngineEncapsulationRule(Rule):
+class EngineEncapsulationRule(ContainmentRule):
     """Engine stage encapsulation.
 
     The staged-inference internals (``repro.engine._stages``) may only
@@ -228,43 +279,31 @@ class EngineEncapsulationRule(Rule):
     severity = "error"
     title = "engine stage internals / inline pipeline encapsulation"
 
-    STAGE_INTERNALS_MODULE = "repro.engine._stages"
-    ENGINE_PREFIX = "engine/"
+    clauses = (
+        Ban(
+            modules=("repro.engine._stages",),
+            allowed=("engine/",),
+            message="stage internals import (repro.engine._stages) "
+            "outside engine/; compose pipelines via "
+            "repro.engine.build_default_engine",
+        ),
+    )
     PIPELINE_INGREDIENTS = ("repro.core.slotfill", "repro.core.ranking")
     PIPELINE_ALLOWLIST_PREFIXES = ("core/", "engine/")
 
     def check(self, module: ModuleContext) -> list[Finding]:
-        findings = []
-        engine_exempt = module.path.startswith(self.ENGINE_PREFIX)
-        pipeline_exempt = module.path.startswith(
-            self.PIPELINE_ALLOWLIST_PREFIXES
-        )
+        findings = super().check(module)
+        if in_scope(module.path, self.PIPELINE_ALLOWLIST_PREFIXES):
+            return findings
         pipeline_imports: dict[str, int] = {}
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            modules = imported_modules(node)
-            if not engine_exempt and any(
-                module_matches(name, self.STAGE_INTERNALS_MODULE)
-                for name in modules
-            ):
-                findings.append(
-                    self.finding(
-                        module,
-                        node,
-                        "stage internals import (repro.engine._stages) "
-                        "outside engine/; compose pipelines via "
-                        "repro.engine.build_default_engine",
-                    )
-                )
-            if not pipeline_exempt:
-                for name in modules:
-                    for ingredient in self.PIPELINE_INGREDIENTS:
-                        if module_matches(name, ingredient):
-                            pipeline_imports.setdefault(ingredient, node.lineno)
+            for name in imported_modules(node):
+                for ingredient in self.PIPELINE_INGREDIENTS:
+                    if module_matches(name, ingredient):
+                        pipeline_imports.setdefault(ingredient, node.lineno)
         if len(pipeline_imports) == len(self.PIPELINE_INGREDIENTS):
-            from repro.staticcheck.findings import SourceSpan
-
             findings.append(
                 self.finding(
                     module,
@@ -279,7 +318,7 @@ class EngineEncapsulationRule(Rule):
 
 
 @register
-class ConcurrencyContainmentRule(Rule):
+class ConcurrencyContainmentRule(ContainmentRule):
     """Concurrency containment.
 
     Thread, lock, and queue primitives (``threading``, ``_thread``,
@@ -294,43 +333,25 @@ class ConcurrencyContainmentRule(Rule):
     severity = "error"
     title = "concurrency primitives outside serving/ and reliability/"
 
-    CONCURRENCY_MODULES = (
-        "threading",
-        "_thread",
-        "queue",
-        "multiprocessing",
-        "concurrent",
+    clauses = (
+        Ban(
+            modules=(
+                "threading",
+                "_thread",
+                "queue",
+                "multiprocessing",
+                "concurrent",
+            ),
+            allowed=("serving/", "reliability/"),
+            message="concurrency primitive import ({name}) outside "
+            "serving/ and reliability/; the engine and model layers "
+            "stay single-threaded",
+        ),
     )
-    ALLOWLIST_PREFIXES = ("serving/", "reliability/")
-
-    def check(self, module: ModuleContext) -> list[Finding]:
-        if module.path.startswith(self.ALLOWLIST_PREFIXES):
-            return []
-        findings = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            for name in imported_modules(node):
-                if any(
-                    module_matches(name, primitive)
-                    for primitive in self.CONCURRENCY_MODULES
-                ):
-                    findings.append(
-                        self.finding(
-                            module,
-                            node,
-                            f"concurrency primitive import ({name}) "
-                            "outside serving/ and reliability/; the "
-                            "engine and model layers stay "
-                            "single-threaded",
-                        )
-                    )
-                    break
-        return findings
 
 
 @register
-class ProviderEncapsulationRule(Rule):
+class ProviderEncapsulationRule(ContainmentRule):
     """Provider encapsulation.
 
     LM provider *implementations* (``repro.lm.providers.local`` /
@@ -348,65 +369,33 @@ class ProviderEncapsulationRule(Rule):
     severity = "error"
     title = "provider implementation imports outside the registry"
 
-    PROVIDERS_PACKAGE = "repro.lm.providers"
-    #: concrete implementation submodules importable only via the
-    #: registry (``base`` and ``config`` are interface/data).
-    IMPL_MODULES = ("local", "sim", "router")
-    ALLOWLIST_PREFIXES = ("lm/providers/",)
-    ALLOWLIST_FILES = ("lm/registry.py",)
-    BANNED_PREFIXES = ("engine/", "serving/")
-
-    def check(self, module: ModuleContext) -> list[Finding]:
-        if (
-            module.path.startswith(self.ALLOWLIST_PREFIXES)
-            or module.path in self.ALLOWLIST_FILES
-        ):
-            return []
-        banned = module.path.startswith(self.BANNED_PREFIXES)
-        findings = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            modules = imported_modules(node)
-            touched = any(
-                module_matches(name, self.PROVIDERS_PACKAGE)
-                for name in modules
-            )
-            if banned and touched:
-                findings.append(
-                    self.finding(
-                        module,
-                        node,
-                        f"{self.PROVIDERS_PACKAGE} import inside engine/ "
-                        "or serving/; the engine consumes providers via "
-                        "parser.router and serving reads router stats "
-                        "as plain dicts",
-                    )
-                )
-            elif any(self._impl_module(name) for name in modules):
-                findings.append(
-                    self.finding(
-                        module,
-                        node,
-                        "provider implementation import "
-                        f"({self.PROVIDERS_PACKAGE}."
-                        f"{{{'|'.join(self.IMPL_MODULES)}}}) outside "
-                        "lm/providers/; construct routers via "
-                        "LMRegistry.router_for or the "
-                        "repro.lm.providers package API",
-                    )
-                )
-        return findings
-
-    def _impl_module(self, name: str) -> bool:
-        return any(
-            module_matches(name, f"{self.PROVIDERS_PACKAGE}.{impl}")
-            for impl in self.IMPL_MODULES
-        )
+    clauses = (
+        Ban(
+            modules=("repro.lm.providers",),
+            allowed=("lm/providers/", "lm/registry.py"),
+            only=("engine/", "serving/"),
+            message="repro.lm.providers import inside engine/ or "
+            "serving/; the engine consumes providers via parser.router "
+            "and serving reads router stats as plain dicts",
+        ),
+        # ``base`` and ``config`` are interface/data, not implementations.
+        Ban(
+            modules=(
+                "repro.lm.providers.local",
+                "repro.lm.providers.sim",
+                "repro.lm.providers.router",
+            ),
+            allowed=("lm/providers/", "lm/registry.py"),
+            message="provider implementation import "
+            "(repro.lm.providers.{{local|sim|router}}) outside "
+            "lm/providers/; construct routers via LMRegistry.router_for "
+            "or the repro.lm.providers package API",
+        ),
+    )
 
 
 @register
-class SqliteContainmentRule(Rule):
+class SqliteContainmentRule(ContainmentRule):
     """SQLite containment.
 
     ``sqlite3`` may only be imported inside ``db/backends/`` — the one
@@ -423,35 +412,19 @@ class SqliteContainmentRule(Rule):
     severity = "error"
     title = "sqlite3 imports outside db/backends/"
 
-    #: the only path prefix allowed to touch the driver module.
-    ALLOWLIST_PREFIXES = ("db/backends/",)
-
-    DRIVER_MODULE = "sqlite3"
-
-    def check(self, module: ModuleContext) -> list[Finding]:
-        if module.path.startswith(self.ALLOWLIST_PREFIXES):
-            return []
-        findings = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            for name in imported_modules(node):
-                if module_matches(name, self.DRIVER_MODULE):
-                    findings.append(
-                        self.finding(
-                            module,
-                            node,
-                            "sqlite3 import outside db/backends/; program "
-                            "against the ExecutionBackend protocol "
-                            "(repro.db.backends) instead of the driver",
-                        )
-                    )
-                    break
-        return findings
+    clauses = (
+        Ban(
+            modules=("sqlite3",),
+            allowed=("db/backends/",),
+            message="sqlite3 import outside db/backends/; program "
+            "against the ExecutionBackend protocol (repro.db.backends) "
+            "instead of the driver",
+        ),
+    )
 
 
 @register
-class IPCContainmentRule(Rule):
+class IPCContainmentRule(ContainmentRule):
     """Cross-process IPC containment.
 
     ``multiprocessing`` and ``concurrent.futures`` may only be
@@ -473,56 +446,29 @@ class IPCContainmentRule(Rule):
     severity = "error"
     title = "multiprocessing/IPC primitives outside serving/sharding/"
 
-    #: the only path prefix allowed to speak cross-process.
-    ALLOWLIST_PREFIXES = ("serving/sharding/",)
-
-    PROCESS_MODULES = ("multiprocessing", "concurrent.futures")
-
-    #: qualified call targets that construct IPC channels/executors.
-    IPC_CONSTRUCTORS = frozenset(
-        {
-            "multiprocessing.Pipe",
-            "multiprocessing.Queue",
-            "multiprocessing.SimpleQueue",
-            "multiprocessing.JoinableQueue",
-            "multiprocessing.Manager",
-            "multiprocessing.connection.Pipe",
-            "concurrent.futures.ProcessPoolExecutor",
-        }
+    clauses = (
+        Ban(
+            modules=("multiprocessing", "concurrent.futures"),
+            allowed=("serving/sharding/",),
+            message="cross-process import ({name}) outside "
+            "serving/sharding/; worker processes are reached through "
+            "the sharding transport",
+        ),
+        Ban(
+            calls=frozenset(
+                {
+                    "multiprocessing.Pipe",
+                    "multiprocessing.Queue",
+                    "multiprocessing.SimpleQueue",
+                    "multiprocessing.JoinableQueue",
+                    "multiprocessing.Manager",
+                    "multiprocessing.connection.Pipe",
+                    "concurrent.futures.ProcessPoolExecutor",
+                }
+            ),
+            allowed=("serving/sharding/",),
+            message="IPC primitive {name}() constructed outside "
+            "serving/sharding/; pipes and process pools live behind "
+            "the WorkerHandle transport",
+        ),
     )
-
-    def check(self, module: ModuleContext) -> list[Finding]:
-        if module.path.startswith(self.ALLOWLIST_PREFIXES):
-            return []
-        imports = ImportTable.from_tree(module.tree)
-        findings = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for name in imported_modules(node):
-                    if any(
-                        module_matches(name, banned)
-                        for banned in self.PROCESS_MODULES
-                    ):
-                        findings.append(
-                            self.finding(
-                                module,
-                                node,
-                                f"cross-process import ({name}) outside "
-                                "serving/sharding/; worker processes are "
-                                "reached through the sharding transport",
-                            )
-                        )
-                        break
-            elif isinstance(node, ast.Call):
-                resolved = imports.resolve(node.func)
-                if resolved in self.IPC_CONSTRUCTORS:
-                    findings.append(
-                        self.finding(
-                            module,
-                            node,
-                            f"IPC primitive {resolved}() constructed "
-                            "outside serving/sharding/; pipes and process "
-                            "pools live behind the WorkerHandle transport",
-                        )
-                    )
-        return findings

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from repro.staticcheck.findings import Finding, SourceSpan
 from repro.staticcheck.module import ModuleContext
 from repro.staticcheck.registry import Rule, register
-from repro.staticcheck.rules._util import ImportTable
+from repro.staticcheck.rules._util import ImportTable, in_scope
 
 #: path prefixes the rule applies to (the only legal lock zones).
 SCOPE_PREFIXES = ("serving/", "reliability/")
@@ -101,10 +101,7 @@ class LockOrderRule(Rule):
         self._edges: dict[_Edge, tuple[str, int, str]] = {}
 
     def check(self, module: ModuleContext) -> list[Finding]:
-        if not any(
-            module.path.startswith(p) or f"/{p}" in module.path
-            for p in SCOPE_PREFIXES
-        ):
+        if not in_scope(module.path, SCOPE_PREFIXES):
             return []
         imports = ImportTable.from_tree(module.tree)
         findings: list[Finding] = []

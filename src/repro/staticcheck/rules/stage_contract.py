@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.module import ModuleContext
 from repro.staticcheck.registry import Rule, register
-from repro.staticcheck.rules._util import const_str_tuple
+from repro.staticcheck.rules._util import const_str_tuple, in_scope
 
 #: the module whose stage classes carry contracts.
 STAGE_MODULE = "engine/_stages.py"
@@ -131,10 +131,7 @@ class StageContractRule(Rule):
     title = "engine stage reads→writes contract drift"
 
     def check(self, module: ModuleContext) -> list[Finding]:
-        if not (
-            module.path == STAGE_MODULE
-            or module.path.endswith("/" + STAGE_MODULE)
-        ):
+        if not in_scope(module.path, (STAGE_MODULE,)):
             return []
         helpers = _module_helper_sets(module.tree)
         findings: list[Finding] = []

@@ -11,8 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro import cli
-from repro.staticcheck import check_source, check_tree, load_baseline
+from repro.staticcheck import REGISTRY, check_source, check_tree, load_baseline
+from repro.staticcheck.rules._util import in_scope
+from repro.staticcheck.rules.arch import Ban, ContainmentRule, LowerComparisonRule
+from repro.staticcheck.rules.locks import SCOPE_PREFIXES
+from repro.staticcheck.rules.stage_contract import STAGE_MODULE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -351,3 +357,110 @@ class TestRepoGate:
         assert outputs[0] == outputs[1]
         payload = json.loads(outputs[0])
         assert payload["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# scope regression: every path-scoped rule, under every check root
+
+
+CONTAINMENT_RULES = [
+    REGISTRY.get(rule_id)
+    for rule_id in REGISTRY.ids()
+    if issubclass(REGISTRY.get(rule_id), ContainmentRule)
+]
+
+#: the check roots a tree walk may be rooted at (``--root src/repro``,
+#: ``--root src``, ``--root .``): scoping must not depend on which.
+ROOT_PREFIXES = ("", "repro/", "src/repro/")
+
+
+def _scope_path(scope: str) -> str:
+    """A module path inside ``scope`` (a ``dir/`` or a file)."""
+    return f"{scope}m.py" if scope.endswith("/") else scope
+
+
+def _breaking_source(clause: Ban) -> tuple[str, str]:
+    """A module breaking ``clause`` with one import or call, and the
+    message that clause reports for it."""
+    if clause.modules:
+        name = clause.modules[0]
+        source = f"import {name}\n"
+    else:
+        name = sorted(clause.calls)[0]
+        source = f"import {name.rsplit('.', 1)[0]}\nvalue = {name}()\n"
+    return source, clause.message.format(name=name)
+
+
+def _findings(source: str, path: str) -> list[tuple[str, str]]:
+    return [(f.rule, f.message) for f in check_source(source, path=path)]
+
+
+CLAUSE_CASES = [
+    pytest.param(rule, clause, id=f"{rule.id}-clause{index}")
+    for rule in CONTAINMENT_RULES
+    for index, clause in enumerate(rule.clauses)
+]
+
+
+class TestScopeMatcher:
+    @pytest.mark.parametrize("rule, clause", CLAUSE_CASES)
+    def test_containment_clause_scoped_under_every_root(self, rule, clause):
+        source, message = _breaking_source(clause)
+        expected = (rule.id, message)
+        neutral = _scope_path(clause.only[0]) if clause.only else "mod.py"
+        assert expected in _findings(source, neutral)
+        for scope in clause.allowed:
+            for prefix in ROOT_PREFIXES:
+                path = prefix + _scope_path(scope)
+                assert expected not in _findings(source, path), path
+        for scope in clause.only or ():
+            for prefix in ROOT_PREFIXES:
+                path = prefix + _scope_path(scope)
+                assert expected in _findings(source, path), path
+
+    LOCK_SOURCE = (
+        "import threading\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.lock = threading.Lock()\n"
+        "    def twice(self):\n"
+        "        with self.lock:\n"
+        "            with self.lock:\n"
+        "                pass\n"
+    )
+    STAGE_SOURCE = (
+        "class Stage:\n"
+        "    name = 'stage'\n"
+        "    def run(self, ctx):\n"
+        "        return ctx.question\n"
+    )
+
+    @pytest.mark.parametrize(
+        "rule_id, source, scopes",
+        [
+            pytest.param("LOCK001", LOCK_SOURCE, SCOPE_PREFIXES, id="LOCK001"),
+            pytest.param("STAGE001", STAGE_SOURCE, (STAGE_MODULE,), id="STAGE001"),
+        ],
+    )
+    def test_scoped_rule_applies_under_every_root(self, rule_id, source, scopes):
+        assert rule_id not in _rules(source, path="mod.py")
+        for scope in scopes:
+            for prefix in ROOT_PREFIXES:
+                path = prefix + _scope_path(scope)
+                assert rule_id in _rules(source, path=path), path
+
+    def test_lower_comparison_allowlist_under_every_root(self):
+        source = "same = a.lower() == b.lower()\n"
+        assert _rules(source) == ["ARCH003"]
+        for scope in LowerComparisonRule.ALLOWLIST_PREFIXES:
+            for prefix in ROOT_PREFIXES:
+                assert _rules(source, path=prefix + _scope_path(scope)) == []
+
+    def test_scopes_match_whole_path_components(self):
+        assert in_scope("serving/m.py", ("serving/",))
+        assert in_scope("src/repro/serving/sharding/m.py", ("serving/",))
+        assert not in_scope("myserving/m.py", ("serving/",))
+        assert not in_scope("serving.py", ("serving/",))
+        assert in_scope("repro/engine/_stages.py", ("engine/_stages.py",))
+        assert not in_scope("xengine/_stages.py", ("engine/_stages.py",))
+        assert not in_scope("engine/_stages.pyc", ("engine/_stages.py",))

@@ -5,6 +5,7 @@ golden."""
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -27,6 +28,7 @@ from repro.staticcheck import (
     render_sarif,
     rules_fingerprint,
 )
+from repro.staticcheck import cache as cache_module
 from repro.staticcheck.cfg import NORMAL
 from repro.staticcheck.fix import apply_fixes
 
@@ -991,6 +993,26 @@ class TestIncrementalCache:
     def test_content_hash_is_stable(self):
         assert content_hash("x = 1\n") == content_hash("x = 1\n")
         assert content_hash("x = 1\n") != content_hash("x = 2\n")
+
+    def test_shared_helper_edit_changes_fingerprint(self, tmp_path, monkeypatch):
+        # ARCH004-008 run code from rules/_util.py and a shared base
+        # class, not from their own class bodies: editing only that
+        # shared module must still invalidate the cache.
+        copy = tmp_path / "staticcheck"
+        shutil.copytree(
+            cache_module.PACKAGE_DIR,
+            copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        monkeypatch.setattr(cache_module, "PACKAGE_DIR", copy)
+        rule_classes = [REGISTRY.get(rule_id) for rule_id in REGISTRY.ids()]
+        before = rules_fingerprint(rule_classes)
+        assert rules_fingerprint(rule_classes) == before
+        util = copy / "rules" / "_util.py"
+        util.write_text(
+            util.read_text(encoding="utf-8") + "\n# edited\n", encoding="utf-8"
+        )
+        assert rules_fingerprint(rule_classes) != before
 
 
 # ---------------------------------------------------------------------------
