@@ -37,8 +37,8 @@ from repro.serving import (
     ShardingConfig,
     default_worker_ids,
 )
-from repro.serving.loadgen import ServiceModel, poisson_workload
-from repro.serving.sharding import Warm, run_loadgen_sharded
+from repro.serving.loadgen import ServiceModel, poisson_workload, run_loadgen
+from repro.serving.sharding import Warm
 
 TIER = "codes-1b"
 N_REQUESTS = 96
@@ -164,7 +164,7 @@ def test_shard_scaling(benchmark, report):
                     router.handles[worker_id].send(Warm(db_ids=shard))
                 router.metrics()
 
-                result = run_loadgen_sharded(
+                result = run_loadgen(
                     router, arrivals, title=f"{workers}-worker cluster"
                 )
             finally:

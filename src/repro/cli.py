@@ -27,6 +27,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 
 from repro.analysis import (
     SchemaCatalog,
@@ -57,6 +58,7 @@ from repro.eval.reporting import (
 )
 from repro.reliability import Deadline, FakeClock, RetryPolicy
 from repro.serving import (
+    Arrival,
     Completed,
     InlineWorkerHandle,
     ProcessWorkerHandle,
@@ -71,6 +73,7 @@ from repro.serving import (
     WorkerPool,
     default_worker_ids,
     poisson_workload,
+    replay,
     run_loadgen,
 )
 
@@ -412,17 +415,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """One-shot serving: JSONL requests in, JSONL outcomes out.
 
     Each input line is ``{"question": ..., "db_id": ..., "id"?,
-    "tenant"?, "deadline_s"?}``.  Every request is submitted, the queue
-    is drained through the micro-batch scheduler, and one JSON line per
-    outcome is printed in input order.  ``--workers N`` shards the
-    databases over N workers behind a router; ``--threads N`` drains
-    one server from a thread pool instead.  Worker/pool failures are
-    appended as their own JSONL records after the outcomes.
+    "tenant"?, "deadline_s"?}``; ids must be unique (exit 2 otherwise).
+    Every request arrives at once and is replayed through the front
+    door until it resolves — one server, or with ``--workers N`` a
+    router over N shard workers — and one JSON line per outcome is
+    printed in input order.  ``--threads N`` drains one server from a
+    thread pool instead.  Worker/pool failures are appended as their
+    own JSONL records after the outcomes.
     """
     dataset = _build_dataset(args.dataset)
-    parser = CodeSParser(args.model)
-    if dataset.train:
-        parser.fit(pair_samples(dataset))
     handle = open(args.input, encoding="utf-8") if args.input else sys.stdin
     try:
         requests = []
@@ -443,40 +444,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if args.input:
             handle.close()
-    outcomes = []
+    ids = Counter(request.request_id for request in requests)
+    repeated = [request_id for request_id, n in ids.items() if n > 1]
+    if repeated:
+        print(f"repro serve: duplicate request id {repeated[0]!r}", file=sys.stderr)
+        return 2
+    parser = CodeSParser(args.model)
+    if dataset.train:
+        parser.fit(pair_samples(dataset))
+    arrivals = [Arrival(at=0.0, request=request) for request in requests]
     failures: list[dict] = []
-    metrics = None
     if args.workers > 1:
         router = _build_router(args, parser, dataset.databases)
         try:
-            for request in requests:
-                immediate = router.submit(request)
-                if immediate is not None:
-                    outcomes.append(immediate)
-            # Classify any already-crashed worker before draining:
-            # drain() skips down workers (a dead worker never acks),
-            # and the recovery loop below restarts them and finishes
-            # their re-dispatched work.
-            router.tick()
-            outcomes.extend(router.drain())
-            while router.has_work():
-                router.tick()
-                router.pump()
-                outcomes.extend(router.poll())
-                if router.has_work():
-                    router.clock.sleep(0.002)
+            outcomes = replay(router, arrivals)
             failures = list(router.failures)
-            if args.metrics:
-                metrics = router.metrics()
+            metrics = router.metrics() if args.metrics else None
         finally:
             router.shutdown()
     else:
         server = Server(parser, dataset.databases, config=_server_config(args))
-        for request in requests:
-            immediate = server.submit(request)
-            if immediate is not None:
-                outcomes.append(immediate)
         if args.threads > 0:
+            outcomes = [
+                immediate
+                for request in requests
+                if (immediate := server.submit(request)) is not None
+            ]
             pool = WorkerPool(
                 server, workers=args.threads, idle_wait_s=args.idle_wait_s
             )
@@ -485,9 +478,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             pool.stop()
             outcomes.extend(pool.results())
             failures = list(pool.failures)
-        outcomes.extend(server.drain())
-        if args.metrics:
-            metrics = server.metrics()
+            outcomes.extend(server.drain())
+        else:
+            outcomes = replay(server, arrivals)
+        metrics = server.metrics() if args.metrics else None
     by_id = {outcome.request.request_id: outcome for outcome in outcomes}
     for request in requests:
         print(_outcome_line(by_id[request.request_id]))

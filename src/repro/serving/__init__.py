@@ -52,8 +52,6 @@ from repro.serving.sharding import (
     ShardRouter,
     ShardWorker,
     default_worker_ids,
-    replay_sharded,
-    run_loadgen_sharded,
 )
 from repro.serving.worker import WorkerPool
 
@@ -94,7 +92,5 @@ __all__ = [
     "nearest_rank",
     "poisson_workload",
     "replay",
-    "replay_sharded",
     "run_loadgen",
-    "run_loadgen_sharded",
 ]

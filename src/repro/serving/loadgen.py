@@ -3,10 +3,11 @@
 The workload model is open-loop Poisson: inter-arrival gaps drawn from
 ``random.Random(seed).expovariate(rate)``, requests cycling through a
 dataset's dev examples.  :func:`replay` is a discrete-event loop over
-the server's (Fake)Clock — admit every arrival that is due, execute a
-batch if anything is queued, otherwise advance the clock to the next
-arrival.  Service time comes from the :class:`ServiceModel` (flat,
-per-tier simulated costs charged via ``clock.sleep``), so queue
+any front door's (Fake)Clock — admit every arrival that is due, make
+progress, then sleep to the next arrival or the front door's next due
+time (a clock jump on a FakeClock; a short poll while process shard
+workers hold work).  Service time comes from the :class:`ServiceModel`
+(flat, per-tier simulated costs charged via ``clock.sleep``), so queue
 buildup — and therefore watermark crossings, deadline expiry, and
 shedding — is a pure function of ``(workload, config, model)``.  Same
 seed, same report, byte for byte.
@@ -17,20 +18,38 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from repro.eval.reporting import format_serving_report, format_table
 from repro.serving.outcomes import ServeRequest
-from repro.serving.server import Server
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datasets.base import Text2SQLExample
+    from repro.reliability.clock import Clock
     from repro.serving.metrics import ServerMetrics
+
+
+class FrontDoor(Protocol):
+    """What :func:`replay` drives: a ``Server`` or a ``ShardRouter``.
+
+    ``submit`` returns ``None`` once admitted, else the immediate
+    outcome; ``step`` makes progress and returns newly resolved
+    outcomes; ``next_due`` is the clock time ``step`` must run again
+    (``None``: never).
+    """
+
+    clock: "Clock"
+
+    def submit(self, request: ServeRequest): ...
+    def step(self) -> list: ...
+    def has_work(self) -> bool: ...
+    def next_due(self) -> float | None: ...
+    def metrics(self) -> "ServerMetrics": ...
 
 
 @dataclass(frozen=True)
 class Arrival:
-    """One request and its scheduled arrival time (seconds from start)."""
+    """One request and its arrival time, in seconds after replay starts."""
 
     at: float
     request: ServeRequest
@@ -97,28 +116,35 @@ def poisson_workload(
     return arrivals
 
 
-def replay(server: Server, arrivals: Sequence[Arrival]) -> list:
-    """Feed ``arrivals`` through ``server`` as a discrete-event loop.
+def replay(front: FrontDoor, arrivals: Sequence[Arrival]) -> list:
+    """Feed ``arrivals`` through ``front`` until every request resolves.
 
-    Advances the server's clock between arrivals (``clock.sleep``, so a
-    FakeClock replay runs instantly) and drains the queue to empty.
+    Arrival offsets count from the clock reading when replay starts, so
+    a trace keeps its shape on any clock.  Between arrivals the loop
+    sleeps on ``front.clock`` (a FakeClock replay runs instantly), and
+    it exits only when neither arrivals nor unresolved work remain.
     Returns every terminal outcome in resolution order: immediate sheds
-    interleaved with batch results.
+    interleaved with completions.
     """
+    clock = front.clock
+    start = clock.now()
     pending = deque(sorted(arrivals, key=lambda arrival: arrival.at))
     outcomes: list = []
-    while pending or server.queue.depth > 0:
-        now = server.clock.now()
-        while pending and pending[0].at <= now:
-            outcome = server.submit(pending.popleft().request)
+    while pending or front.has_work():
+        now = clock.now()
+        while pending and start + pending[0].at <= now:
+            outcome = front.submit(pending.popleft().request)
             if outcome is not None:
                 outcomes.append(outcome)
-        if server.queue.depth > 0:
-            outcomes.extend(server.step())
-        elif pending:
-            gap = pending[0].at - server.clock.now()
-            if gap > 0:
-                server.clock.sleep(gap)
+        outcomes.extend(front.step())
+        due = [start + pending[0].at] if pending else []
+        if (next_due := front.next_due()) is not None:
+            due.append(next_due)
+        if not due:
+            break  # nothing left that could ever make progress
+        gap = min(due) - clock.now()
+        if gap > 0:
+            clock.sleep(gap)
     return outcomes
 
 
@@ -139,15 +165,19 @@ class LoadgenResult:
 
 
 def run_loadgen(
-    server: Server,
+    front: FrontDoor,
     arrivals: Sequence[Arrival],
     title: str = "loadgen",
 ) -> LoadgenResult:
-    """Replay ``arrivals`` and package the byte-stable report."""
-    started = server.clock.now()
-    outcomes = replay(server, arrivals)
-    makespan = server.clock.now() - started
-    metrics = server.metrics()
+    """Replay ``arrivals`` and package the byte-stable report.
+
+    Through a router the metrics section is the merged cluster
+    snapshot: router-side sheds plus every shard's counters.
+    """
+    started = front.clock.now()
+    outcomes = replay(front, arrivals)
+    makespan = front.clock.now() - started
+    metrics = front.metrics()
     summary_rows = [
         {
             "requests": len(arrivals),

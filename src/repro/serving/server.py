@@ -201,6 +201,14 @@ class Server:
             return []
         return self._execute_batch(batch)
 
+    def has_work(self) -> bool:
+        """Anything queued?"""
+        return self.queue.depth > 0
+
+    def next_due(self) -> float | None:
+        """When :meth:`step` must run again: now while work is queued."""
+        return self.clock.now() if self.queue.depth > 0 else None
+
     def drain(self) -> list:
         """Synchronously execute batches until the queue is empty."""
         outcomes: list = []

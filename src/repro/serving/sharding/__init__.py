@@ -10,11 +10,6 @@ metric snapshots fold into one cluster view via
 :meth:`~repro.serving.metrics.ServerMetrics.merge`.
 """
 
-from repro.serving.sharding.loadgen import (
-    PROCESS_POLL_S,
-    replay_sharded,
-    run_loadgen_sharded,
-)
 from repro.serving.sharding.messages import (
     Drain,
     Drained,
@@ -50,7 +45,6 @@ __all__ = [
     "InlineWorkerHandle",
     "MetricsMsg",
     "OutcomeMsg",
-    "PROCESS_POLL_S",
     "ProcessWorkerHandle",
     "ShardMap",
     "ShardMove",
@@ -65,7 +59,5 @@ __all__ = [
     "WorkerHandle",
     "default_worker_ids",
     "picklable_event",
-    "replay_sharded",
-    "run_loadgen_sharded",
     "worker_main",
 ]

@@ -51,6 +51,16 @@ from repro.serving.sharding.messages import (
 )
 from repro.serving.sharding.shardmap import ShardMap
 
+#: Real-time interval for re-checking process workers: replay polls for
+#: their outcomes, control waits poll for their acks and snapshots.
+POLL_INTERVAL_S = 0.002
+
+
+def _inline_worker(handle):
+    """The :class:`ShardWorker` an inline handle runs on this thread, or
+    ``None`` for a process handle — the router's one transport test."""
+    return getattr(handle, "worker", None)
+
 
 @dataclass(frozen=True)
 class ShardingConfig:
@@ -152,63 +162,74 @@ class ShardRouter:
 
         Mirrors :meth:`repro.serving.server.Server.submit`: ``None``
         means dispatched (the outcome arrives from a later
-        :meth:`poll`), anything else is the immediate shed/failure.
+        :meth:`poll`), anything else is the immediate shed/failure.  A
+        still-pending id fails: outcomes are keyed by request id.
         """
-        if request.db_id not in self.db_ids:
+        if request.request_id in self._pending:
+            outcome = Failed(
+                request=request,
+                error=f"duplicate request id {request.request_id!r} is still pending",
+                latency_s=0.0,
+            )
+        elif request.db_id not in self.db_ids:
             outcome = Failed(
                 request=request,
                 error=f"unknown database {request.db_id!r}",
                 latency_s=0.0,
             )
+        elif (
+            self.config.rate_per_tenant is not None
+            and not self._bucket_for(request.tenant).try_take()
+        ):
+            outcome = RateLimited(
+                request=request,
+                reason=f"tenant {request.tenant!r} exceeded "
+                f"{self.config.rate_per_tenant}/s",
+            )
+        else:
+            outcome = self._route(request, shed_depth=self.config.shed_depth)
+        if outcome is not None:
             self.metrics_aggregator.record(outcome)
-            return outcome
-        if self.config.rate_per_tenant is not None:
-            bucket = self._bucket_for(request.tenant)
-            if not bucket.try_take():
-                outcome = RateLimited(
-                    request=request,
-                    reason=f"tenant {request.tenant!r} exceeded "
-                    f"{self.config.rate_per_tenant}/s",
-                )
-                self.metrics_aggregator.record(outcome)
-                return outcome
+        return outcome
+
+    def _route(self, request: ServeRequest, shed_depth: int | None = None):
+        """Lost owner → ``Failed``; down owner → park, or ``Overloaded``
+        when the park buffer is full; up owner → dispatch (admission
+        also sheds at ``shed_depth``).  Returns the unrecorded outcome,
+        or ``None`` once the request is pending."""
         owner = self.shard_map.owner(request.db_id)
         state = self._states[owner]
         if state.lost:
-            outcome = Failed(
+            return Failed(
                 request=request,
                 error=f"worker {owner!r} exhausted its restart budget",
                 latency_s=0.0,
             )
-            self.metrics_aggregator.record(outcome)
-            return outcome
         if state.down:
             if len(state.parked) >= self.config.park_capacity:
-                outcome = Overloaded(
+                return Overloaded(
                     request=request,
                     reason=f"worker {owner!r} down and park buffer full "
                     f"({self.config.park_capacity})",
                 )
-                self.metrics_aggregator.record(outcome)
-                return outcome
             state.parked.append(request)
             self._pending[request.request_id] = (request, owner)
             return None
-        if (
-            self.config.shed_depth is not None
-            and state.depth >= self.config.shed_depth
-        ):
+        if shed_depth is not None and state.depth >= shed_depth:
             # Shard-aware shedding: only the hot shard's arrivals shed;
             # a cold shard's state.depth is low and admits normally.
-            outcome = Overloaded(
+            return Overloaded(
                 request=request,
                 reason=f"shard worker {owner!r} at depth {state.depth} "
-                f">= {self.config.shed_depth}",
+                f">= {shed_depth}",
             )
-            self.metrics_aggregator.record(outcome)
-            return outcome
         self._dispatch(owner, request)
         return None
+
+    def _resolve(self, outcome) -> None:
+        """Record and buffer an outcome the router itself produced."""
+        self.metrics_aggregator.record(outcome)
+        self._outcome_buffer.append(outcome)
 
     def _dispatch(self, worker_id: str, request: ServeRequest) -> None:
         self._pending[request.request_id] = (request, worker_id)
@@ -226,6 +247,12 @@ class ShardRouter:
         return bucket
 
     # -- event collection ----------------------------------------------------
+
+    def step(self) -> list:
+        """One replay-loop turn: supervise, pump inline workers, collect."""
+        self.tick()
+        self.pump()
+        return self.poll()
 
     def poll(self) -> list:
         """Collect worker events; returns newly resolved outcomes."""
@@ -388,34 +415,35 @@ class ShardRouter:
         ]
         for request_id in doomed:
             request, _ = self._pending.pop(request_id)
-            outcome = Failed(request=request, error=reason, latency_s=0.0)
-            self.metrics_aggregator.record(outcome)
-            self._outcome_buffer.append(outcome)
+            self._resolve(Failed(request=request, error=reason, latency_s=0.0))
         self._states[worker_id].parked = []
 
-    def next_timer_due(self) -> float | None:
-        """The earliest clock time supervision needs to run again.
+    def next_due(self) -> float | None:
+        """The clock time :meth:`step` must run again; ``None`` when idle.
 
-        Discrete-event replay loops advance a FakeClock to this time
-        when no arrivals are due — restarts and heartbeat deadlines
-        fire without any wall-clock waiting.
+        The earliest restart/heartbeat deadline, which a FakeClock
+        replay jumps straight to — but at most one real-time poll away
+        while a process worker, which finishes on its own cores, holds
+        any of the work.
         """
-        candidates: list[float] = []
-        for worker_id in sorted(self._states):
-            state = self._states[worker_id]
+        if not self._pending:
+            return None
+        due: list[float] = []
+        for state in self._states.values():
             if state.lost:
                 continue
             if state.down:
-                candidates.append(state.restart_due)
+                due.append(state.restart_due)
             elif state.hb_outstanding is not None:
-                candidates.append(
-                    state.hb_outstanding[1] + self.config.heartbeat_timeout_s
-                )
+                due.append(state.hb_outstanding[1] + self.config.heartbeat_timeout_s)
             else:
-                candidates.append(
-                    state.last_beat_at + self.config.heartbeat_interval_s
-                )
-        return min(candidates) if candidates else None
+                due.append(state.last_beat_at + self.config.heartbeat_interval_s)
+        if any(
+            _inline_worker(self.handles[owner]) is None
+            for _, owner in self._pending.values()
+        ):
+            due.append(self.clock.now() + POLL_INTERVAL_S)
+        return min(due, default=None)
 
     def has_work(self) -> bool:
         """Unresolved requests anywhere (dispatched or parked)?"""
@@ -448,23 +476,16 @@ class ShardRouter:
             moved_to.setdefault(move.target, []).append(move.db_id)
         # 1. Old owners finish their queued work (a down/dead owner
         #    cannot drain; its leftovers are re-homed in step 3).
-        sources = sorted(moved_from)
-        self._drain_acks.clear()
-        for worker_id in sources:
-            if self._drainable(worker_id):
-                self.handles[worker_id].send(
-                    Drain(db_ids=tuple(moved_from[worker_id]))
-                )
-        outcomes = self._await_drains(sources)
+        outcomes = self._drain_live(
+            {w: Drain(db_ids=tuple(dbs)) for w, dbs in moved_from.items()}
+        )
         # 2. Warm handoff: inline peers adopt the old owner's engines;
         #    process peers pre-build via the Warm command.
         for move in moves:
-            source = self.handles[move.source]
-            target = self.handles[move.target]
-            if hasattr(source, "worker") and hasattr(target, "worker"):
-                target.worker.server.adopt(
-                    move.db_id, source.worker.server.handoff(move.db_id)
-                )
+            source = _inline_worker(self.handles[move.source])
+            target = _inline_worker(self.handles[move.target])
+            if source is not None and target is not None:
+                target.server.adopt(move.db_id, source.server.handoff(move.db_id))
         for worker_id in sorted(moved_to):
             self.handles[worker_id].send(Warm(db_ids=tuple(moved_to[worker_id])))
         # 3. Swap; re-home any work a departing worker never resolved
@@ -497,32 +518,10 @@ class ShardRouter:
         ]
         self._states[worker_id].parked = []
         for request in leftovers:
-            owner = self.shard_map.owner(request.db_id)
-            state = self._states[owner]
-            if state.lost:
-                self._pending.pop(request.request_id, None)
-                outcome = Failed(
-                    request=request,
-                    error=f"worker {owner!r} exhausted its restart budget",
-                    latency_s=0.0,
-                )
-                self.metrics_aggregator.record(outcome)
-                self._outcome_buffer.append(outcome)
-            elif state.down:
-                if len(state.parked) >= self.config.park_capacity:
-                    self._pending.pop(request.request_id, None)
-                    outcome = Overloaded(
-                        request=request,
-                        reason=f"worker {owner!r} down and park buffer "
-                        f"full ({self.config.park_capacity})",
-                    )
-                    self.metrics_aggregator.record(outcome)
-                    self._outcome_buffer.append(outcome)
-                else:
-                    state.parked.append(request)
-                    self._pending[request.request_id] = (request, owner)
-            else:
-                self._dispatch(owner, request)
+            del self._pending[request.request_id]
+            outcome = self._route(request)
+            if outcome is not None:
+                self._resolve(outcome)
 
     def _drainable(self, worker_id: str) -> bool:
         """Can this worker receive a Drain and be expected to ack it?"""
@@ -533,34 +532,46 @@ class ShardRouter:
             and self.handles[worker_id].alive()
         )
 
-    def _await_drains(self, sources: list[str]) -> list:
-        """Pump/poll until every *live* source acked its drain.
+    def _drain_live(self, commands: dict[str, Drain]) -> list:
+        """Send each *live* worker its Drain; pump/poll until all acked.
 
-        A source that is down, lost, or dies mid-drain stops being
+        A worker that is down, lost, or dies mid-drain stops being
         awaited — a dead worker never acks, and waiting for one would
         burn the whole control timeout.  Its unresolved requests stay
         pending for supervision (or the caller) to recover.
         """
+        sources = sorted(commands)
+        self._drain_acks.clear()
+        for worker_id in sources:
+            if self._drainable(worker_id):
+                self.handles[worker_id].send(commands[worker_id])
         outcomes: list = []
-        deadline = self.clock.now() + self.config.control_timeout_s
-        while True:
+        waiting: list[str] = []
+
+        def acked() -> bool:
             self.pump()
             outcomes.extend(self.poll())
-            waiting = [
+            waiting[:] = [
                 w
                 for w in sources
                 if w not in self._drain_acks and self._drainable(w)
             ]
-            if not waiting:
-                return outcomes
+            return not waiting
+
+        if not self._await(acked):
+            raise ServingError(f"drain timed out waiting for workers {waiting}")
+        return outcomes
+
+    def _await(self, ready: Callable[[], bool]) -> bool:
+        """Re-check ``ready`` every poll interval; ``False`` after
+        ``control_timeout_s``.  Inline workers answer synchronously, so
+        a FakeClock never sleeps here unless a worker hangs."""
+        deadline = self.clock.now() + self.config.control_timeout_s
+        while not ready():
             if self.clock.now() >= deadline:
-                raise ServingError(
-                    f"drain timed out waiting for workers {waiting}"
-                )
-            # Process workers need real time to answer; inline workers
-            # acked synchronously above, so this never runs on FakeClock
-            # unless a worker genuinely hangs.
-            self.clock.sleep(0.002)
+                return False
+            self.clock.sleep(POLL_INTERVAL_S)
+        return True
 
     def drain(self) -> list:
         """Finish all queued work on every live worker; returns outcomes.
@@ -569,12 +580,7 @@ class ShardRouter:
         pending (or parked) and the caller decides whether to keep
         ticking until supervision restarts them or to shut down.
         """
-        workers = sorted(self.handles)
-        self._drain_acks.clear()
-        for worker_id in workers:
-            if self._drainable(worker_id):
-                self.handles[worker_id].send(Drain())
-        return self._await_drains(workers)
+        return self._drain_live({worker_id: Drain() for worker_id in self.handles})
 
     def shutdown(self) -> None:
         """Snapshot, then close every worker (clean Shutdown, bounded)."""
@@ -592,20 +598,18 @@ class ShardRouter:
     def _snapshot_worker(self, worker_id: str) -> ServerMetrics | None:
         """A fresh per-shard snapshot (synchronous inline, RPC process)."""
         handle = self.handles[worker_id]
-        if hasattr(handle, "worker"):  # inline: no round trip needed
-            return handle.worker.server.metrics()
+        if (inline := _inline_worker(handle)) is not None:  # no round trip
+            return inline.server.metrics()
         if not handle.alive():
             return self._worker_metrics.get(worker_id)
         self._worker_metrics.pop(worker_id, None)
         handle.send(SnapshotRequest())
-        deadline = self.clock.now() + self.config.control_timeout_s
-        while worker_id not in self._worker_metrics:
+
+        def answered() -> bool:
             self._collect()
-            if worker_id in self._worker_metrics:
-                break
-            if self.clock.now() >= deadline or not handle.alive():
-                return None
-            self.clock.sleep(0.002)
+            return worker_id in self._worker_metrics or not handle.alive()
+
+        self._await(answered)
         return self._worker_metrics.get(worker_id)
 
     def metrics(self) -> ServerMetrics:

@@ -1,9 +1,10 @@
 """Worker transports: inline (deterministic) and process (parallel).
 
 Both handle types speak the same message protocol from
-:mod:`repro.serving.sharding.messages`; the router never branches on
-transport except where physics differ (engine handoff only works
-in-process; real parallelism only exists cross-process).
+:mod:`repro.serving.sharding.messages`; the router's one transport test
+is whether a handle exposes the ``worker`` it runs in-thread, used only
+where physics differ (engine handoff only works in-process; real
+parallelism only exists cross-process, so replay polls for it).
 
 - :class:`InlineWorkerHandle` hosts the :class:`ShardWorker` on the
   caller's thread.  ``send`` processes the command synchronously and
@@ -65,8 +66,6 @@ class InlineWorkerHandle:
     like a dead process, without any real process to kill.
     """
 
-    transport = "inline"
-
     def __init__(self, worker_id: str, server_factory: Callable[[], object]):
         self.worker_id = worker_id
         self._server_factory = server_factory
@@ -125,8 +124,6 @@ class ProcessWorkerHandle:
     own database connections.  Where ``fork`` is unavailable the
     default context is used and the factory must be picklable.
     """
-
-    transport = "process"
 
     def __init__(
         self,

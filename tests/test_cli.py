@@ -58,6 +58,8 @@ class TestCLI:
             build_arg_parser().parse_args(["eval", "--model", "gpt-9"])
 
     def test_serve_jsonl_roundtrip(self, tmp_path, capsys):
+        # One server, a thread pool, and an inline shard router answer
+        # the same requests with the same SQL; latency is wall time.
         requests = tmp_path / "requests.jsonl"
         requests.write_text(
             json.dumps({"question": "How many clients are there?", "id": "a"})
@@ -65,16 +67,39 @@ class TestCLI:
             + json.dumps({"question": "List all districts", "id": "b"})
             + "\n"
         )
-        assert main([
-            "serve", "--dataset", "bank_financials", "--model", "codes-1b",
-            "--input", str(requests),
-        ]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
-        first, second = (json.loads(line) for line in lines)
+        answers = []
+        for flags in ([], ["--threads", "2"], ["--workers", "2", "--transport", "inline"]):
+            assert main([
+                "serve", "--dataset", "bank_financials", "--model", "codes-1b",
+                "--input", str(requests), *flags,
+            ]) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert len(lines) == 2, flags
+            answers.append([
+                {key: json.loads(line)[key] for key in ("id", "status", "sql", "tier")}
+                for line in lines
+            ])
+        first, second = answers[0]
         assert [first["id"], second["id"]] == ["a", "b"]  # input order
         assert first["status"] == "completed"
         assert "SELECT" in first["sql"]
+        assert answers[1] == answers[0]
+        assert answers[2] == answers[0]
+
+    def test_serve_rejects_duplicate_ids(self, tmp_path, capsys):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            "".join(
+                json.dumps({"question": question, "id": "a"}) + "\n"
+                for question in ("How many clients are there?", "List all districts")
+            )
+        )
+        assert main([
+            "serve", "--dataset", "bank_financials", "--input", str(requests),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duplicate request id 'a'" in captured.err
 
     def test_loadgen_seed_is_byte_stable(self, capsys):
         argv = [

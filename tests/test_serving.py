@@ -24,6 +24,7 @@ from repro.serving import (
     DeadlineShed,
     DegradationLadder,
     Failed,
+    InlineWorkerHandle,
     MetricsAggregator,
     Overloaded,
     RateLimited,
@@ -31,6 +32,8 @@ from repro.serving import (
     Server,
     ServerConfig,
     ServiceModel,
+    ShardMap,
+    ShardRouter,
     TokenBucket,
     WorkerPool,
     nearest_rank,
@@ -444,22 +447,39 @@ class TestBoundedCaches:
 # -- loadgen ------------------------------------------------------------------
 
 
+#: The front doors replay drives: one Server, or a router over three
+#: inline shard workers sharing the clock.
+FRONT_DOORS = ("server", "router")
+
+
 class TestLoadgen:
-    def _run(self, seed=7, n=40, rate=50.0):
-        clock = FakeClock()
+    def _run(self, front="server", seed=7, n=40, rate=50.0, start=0.0):
+        clock = FakeClock(start)
         databases = {"alpha": NamedDb("alpha"), "beta": NamedDb("beta")}
-        server = Server(
-            StubParser(),
-            databases,
-            config=ServerConfig(
-                queue_capacity=16,
-                batch_size=4,
-                skeleton_watermark=4,
-                sentinel_watermark=10,
-            ),
-            clock=clock,
-            service_model=ServiceModel(),
-        )
+
+        def build():
+            return Server(
+                StubParser(),
+                databases,
+                config=ServerConfig(
+                    queue_capacity=16,
+                    batch_size=4,
+                    skeleton_watermark=4,
+                    sentinel_watermark=10,
+                ),
+                clock=clock,
+                service_model=ServiceModel(),
+            )
+
+        if front == "server":
+            door = build()
+        else:
+            door = ShardRouter(
+                ShardMap(("w0", "w1", "w2")),
+                lambda worker_id: InlineWorkerHandle(worker_id, build),
+                databases,
+                clock=clock,
+            )
         examples = [
             type(
                 "Example",
@@ -469,28 +489,43 @@ class TestLoadgen:
             for index, db_id in enumerate(["alpha", "beta", "alpha"])
         ]
         arrivals = poisson_workload(examples, n=n, rate=rate, seed=seed)
-        return run_loadgen(server, arrivals)
+        return run_loadgen(door, arrivals), clock
 
     def test_seeded_report_is_reproducible(self):
-        first = self._run(seed=7)
-        second = self._run(seed=7)
-        assert first.report == second.report
-        assert first.makespan_s == second.makespan_s
+        for front in FRONT_DOORS:
+            first, _ = self._run(front, seed=7)
+            second, _ = self._run(front, seed=7)
+            assert first.report == second.report, front
+            assert first.makespan_s == second.makespan_s, front
 
     def test_different_seeds_change_the_workload(self):
-        assert self._run(seed=7).report != self._run(seed=8).report
+        assert self._run(seed=7)[0].report != self._run(seed=8)[0].report
 
     def test_every_request_resolves(self):
-        result = self._run()
-        metrics = result.metrics
-        assert metrics.completed + metrics.shed_total + metrics.failed == 40
-        assert result.metrics.queue_depth == 0
+        for front in FRONT_DOORS:
+            result, _ = self._run(front)
+            metrics = result.metrics
+            assert metrics.completed + metrics.shed_total + metrics.failed == 40
+            assert metrics.queue_depth == 0
+            resolved = [o.request.request_id for o in result.outcomes]
+            assert sorted(resolved) == [f"r{index:05d}" for index in range(40)]
 
     def test_replay_advances_only_the_fake_clock(self):
         # zero wall-clock sleeps anywhere: the clock is fake and every
         # gap between arrivals is charged to it explicitly.
-        result = self._run()
-        assert result.makespan_s > 0
+        for front in FRONT_DOORS:
+            result, clock = self._run(front)
+            assert result.makespan_s > 0, front
+            assert sum(clock.sleeps) == pytest.approx(result.makespan_s), front
+
+    @pytest.mark.parametrize("front", FRONT_DOORS)
+    def test_arrival_offsets_count_from_replay_start(self, front):
+        # Arrival.at is seconds after replay starts, whatever the clock
+        # read then: the same trace gives the same report at any origin.
+        at_zero, _ = self._run(front, rate=5.0)
+        at_thousand, _ = self._run(front, rate=5.0, start=1000.0)
+        assert at_zero.metrics.completed == 40
+        assert at_thousand.report == at_zero.report
 
     def test_workload_validation(self):
         with pytest.raises(ValueError):

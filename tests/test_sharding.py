@@ -35,8 +35,7 @@ from repro.serving import (
     ShardingConfig,
     default_worker_ids,
     nearest_rank,
-    replay_sharded,
-    run_loadgen_sharded,
+    replay,
 )
 from repro.serving.loadgen import Arrival
 from repro.serving.sharding import Heartbeat, HeartbeatAck, picklable_event
@@ -208,6 +207,24 @@ class TestRouting:
         outcomes = [router.submit(_request(index, db_id="db0")) for index in range(4)]
         assert outcomes[0] is None and outcomes[1] is None
         assert all(isinstance(outcome, RateLimited) for outcome in outcomes[2:])
+
+    def test_duplicate_pending_id_fails_and_resolves_once(self):
+        # Outcomes are keyed by request id: a second live request under
+        # a pending id would be admitted but could never resolve.
+        clock = FakeClock()
+        router, _ = _cluster(clock)
+        assert router.submit(_request(0, db_id=DB_IDS[0])) is None
+        duplicate = router.submit(_request(0, db_id=DB_IDS[1]))
+        assert isinstance(duplicate, Failed)
+        assert "duplicate request id 'r0'" in duplicate.error
+        outcomes = router.step()
+        assert [(o.request.request_id, o.status) for o in outcomes] == [
+            ("r0", "completed")
+        ]
+        metrics = router.metrics()
+        assert (metrics.completed, metrics.failed) == (1, 1)
+        # once resolved, the id is free again
+        assert router.submit(_request(0, db_id=DB_IDS[1])) is None
 
     def test_hot_shard_sheds_cold_shard_admits(self):
         clock = FakeClock()
@@ -460,9 +477,9 @@ class TestRebalance:
         assert "w3" in router.handles
         # post-rebalance traffic lands on the new owners
         moved = [m for m in ShardMap(("w0", "w1", "w2")).moves(new_map, DB_IDS)]
-        for move in moved:
+        for offset, move in enumerate(moved):
             assert router.shard_map.owner(move.db_id) == "w3"
-            assert router.submit(_request(100 + hash(move.db_id) % 50, db_id=move.db_id)) is None
+            assert router.submit(_request(100 + offset, db_id=move.db_id)) is None
         router.pump()
         assert all(isinstance(o, Completed) for o in router.poll())
 
@@ -682,24 +699,6 @@ class TestMergedMetrics:
 
 
 class TestShardedReplay:
-    def test_replay_completes_everything_with_zero_wall_sleeps(self):
-        clock = FakeClock()
-        router, _ = _cluster(clock)
-        result = run_loadgen_sharded(router, _arrivals(40))
-        assert result.metrics.completed == 40
-        assert result.metrics.failed == 0
-        assert result.metrics.shed_total == 0
-        # the whole cluster ran on the FakeClock: real time never passed
-        assert clock.sleeps  # the replay advanced via fake sleeps only
-
-    def test_replay_is_byte_stable(self):
-        reports = []
-        for _ in range(2):
-            clock = FakeClock()
-            router, _ = _cluster(clock)
-            reports.append(run_loadgen_sharded(router, _arrivals(40)).report)
-        assert reports[0] == reports[1]
-
     def test_replay_rides_through_a_mid_run_crash(self):
         clock = FakeClock()
         config = ShardingConfig(restart_backoff_s=0.2)
@@ -707,11 +706,15 @@ class TestShardedReplay:
         arrivals = _arrivals(20)
         victim = router.shard_map.owner(DB_IDS[0])
 
-        # crash the worker partway: feed half, kill, replay the rest
+        # crash the worker partway: feed half, kill, replay the rest at
+        # the same clock times (replay counts offsets from its start)
         first, second = arrivals[:10], arrivals[10:]
-        outcomes = replay_sharded(router, first)
+        outcomes = replay(router, first)
         handles[victim].kill()
-        outcomes += replay_sharded(router, second)
+        resumed = clock.now()
+        outcomes += replay(
+            router, [Arrival(a.at - resumed, a.request) for a in second]
+        )
         resolved = {o.request.request_id for o in outcomes}
         assert resolved == {f"r{index}" for index in range(20)}
         assert all(isinstance(o, Completed) for o in outcomes)
@@ -730,11 +733,9 @@ class TestShardedReplay:
             clock=single_clock,
             service_model=ServiceModel(),
         )
-        from repro.serving import replay as replay_single
-
         single = {
             o.request.request_id: o.sql
-            for o in replay_single(server, arrivals)
+            for o in replay(server, arrivals)
             if isinstance(o, Completed)
         }
 
@@ -742,7 +743,7 @@ class TestShardedReplay:
         router, _ = _cluster(clock)
         sharded = {
             o.request.request_id: o.sql
-            for o in replay_sharded(router, arrivals)
+            for o in replay(router, arrivals)
             if isinstance(o, Completed)
         }
         assert sharded == single
@@ -791,7 +792,7 @@ class TestProcessTransport:
         )
         try:
             arrivals = _arrivals(8, rate_spacing=0.0, db_ids=DB_IDS[:4])
-            outcomes = replay_sharded(router, arrivals)
+            outcomes = replay(router, arrivals)
             assert len(outcomes) == 8
             assert all(isinstance(o, Completed) for o in outcomes)
             metrics = router.metrics()
@@ -819,7 +820,7 @@ class TestProcessTransport:
             handle.kill()
             assert not handle.alive()
             assert router.submit(_request(0, db_id=DB_IDS[0])) is None
-            outcomes = replay_sharded(router, [])
+            outcomes = replay(router, [])
             assert len(outcomes) == 1
             assert isinstance(outcomes[0], Completed)
             assert any(f["kind"] == "restart" for f in router.failures)
