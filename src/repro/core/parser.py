@@ -56,7 +56,7 @@ from repro.sqlgen.ast import Query
 from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.serializer import serialize
 from repro.sqlgen.skeleton import skeleton_of_query
-from repro.text.embedder import HashedNgramEmbedder
+from repro.text.embedder import HashedNgramEmbedder, MemoizedEmbedder
 from repro.text.pattern import extract_pattern
 
 if TYPE_CHECKING:
@@ -397,17 +397,23 @@ class CodeSParser:
         return entries
 
     def _retrieve_templates(
-        self, question: str, entries: list[_IndexEntry], top_n: int
+        self,
+        question: str,
+        entries: list[_IndexEntry],
+        top_n: int,
+        embedder: MemoizedEmbedder,
     ) -> list[tuple[Query, float]]:
         """Top templates by Eq. 4 similarity, diversified by skeleton.
 
         Near-duplicate templates waste beam slots, so at most two
-        entries per SQL skeleton survive.
+        entries per SQL skeleton survive.  ``embedder`` embeds the
+        question and its pattern: the engine's per-database memo of
+        the parser's embedder, which linking has already filled.
         """
         if not entries:
             return []
-        question_vec = self.embedder.embed(question)
-        pattern_vec = self.embedder.embed(extract_pattern(question))
+        question_vec = embedder.embed(question)
+        pattern_vec = embedder.embed(extract_pattern(question))
         scored = []
         for entry in entries:
             sim = float(entry.question_vec @ question_vec)

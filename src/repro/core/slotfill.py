@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.db.schema import Column, Schema
 from repro.linking.classifier import SchemaScores
@@ -670,20 +670,21 @@ class FilledCandidate:
     ungrounded_literals: int
 
 
-def instantiate_template(
+def iter_fills(
     template: Query,
     ctx: InstantiationContext,
     serialize: Callable[[Query], str] = SQLITE_EMITTER.serialize,
-) -> list[FilledCandidate]:
-    """All candidate instantiations of ``template`` against the target.
+) -> Iterator[FilledCandidate]:
+    """The candidate instantiations of ``template``, one fill at a time.
 
-    Returns up to ``slot_depth * assignments`` candidates, deduplicated
+    Yields up to ``slot_depth * assignments`` candidates, deduplicated
     case-insensitively on their SQL, best-ranked table assignments
-    first.  ``serialize`` renders each fill exactly once (pass the
-    backend emitter's ``serialize`` to get SQL in its dialect).
+    first.  Each fill happens only when the next candidate is asked
+    for, so a caller that stops early skips the rest of the work.
+    ``serialize`` renders each fill exactly once (pass the backend
+    emitter's ``serialize`` to get SQL in its dialect).
     """
     template_tables = _template_tables(template)
-    candidates: list[FilledCandidate] = []
     seen: set[str] = set()
     for table_map in _table_assignments(ctx, template_tables):
         for variant in range(max(1, ctx.slot_depth)):
@@ -696,9 +697,15 @@ def instantiate_template(
             if key in seen:
                 continue
             seen.add(key)
-            candidates.append(
-                FilledCandidate(
-                    query=filled, sql=sql, ungrounded_literals=filler.ungrounded
-                )
+            yield FilledCandidate(
+                query=filled, sql=sql, ungrounded_literals=filler.ungrounded
             )
-    return candidates
+
+
+def instantiate_template(
+    template: Query,
+    ctx: InstantiationContext,
+    serialize: Callable[[Query], str] = SQLITE_EMITTER.serialize,
+) -> list[FilledCandidate]:
+    """All candidate instantiations of ``template``: ``list(iter_fills(...))``."""
+    return list(iter_fills(template, ctx, serialize))

@@ -18,9 +18,9 @@ together — edit the tuples, then regenerate this block)::
                     writes: filtered, schema, scores
     prompt_build    reads:  question, builder, filtered, matched, schema, scores
                     writes: prompt, inst_ctx
-    candidate_gen   reads:  question, demonstrations, effort, inst_ctx, database
+    candidate_gen   reads:  question, demonstrations, effort, inst_ctx, scores, matched, database
                     writes: templates, raw_candidates
-    rank            reads:  question, effort, raw_candidates, matched, scores, degrade, database
+    rank            reads:  question, effort, raw_candidates, degrade
                     writes: candidates, beam
     lint_gate       reads:  beam, database
                     writes: analyzer, ordered, lint, demoted
@@ -50,8 +50,10 @@ The stage bodies are line-for-line ports of the pre-refactor
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.catalog import SchemaCatalog
@@ -60,13 +62,14 @@ from repro.analysis.diagnostics import has_errors
 from repro.analysis.equivalence import canonical_key_sql
 from repro.core.ranking import (
     SENTINEL_SQL,
+    RequestFacts,
     blend_scores,
-    count_mismatch,
+    feature_ranges,
     lint_gated_order,
-    projection_filter_overlap,
-    value_bonus,
+    score_ceiling,
+    score_fill,
 )
-from repro.core.slotfill import InstantiationContext, instantiate_template
+from repro.core.slotfill import InstantiationContext, iter_fills
 from repro.core.structure import structure_prior
 from repro.db.backends.base import backend_dialect
 from repro.engine.context import InferenceContext
@@ -88,6 +91,7 @@ from repro.text.embedder import MemoizedEmbedder
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.parser import CodeSParser
     from repro.linking.classifier import SchemaItemClassifier
+    from repro.sqlgen.ast import Query
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,10 @@ class _LinkAssets:
     classifier scoring view around one :class:`MemoizedEmbedder` —
     resolved through the :class:`StageCache`, so scoped per database —
     makes the repeats free while producing bit-identical scores.
+    Template retrieval embeds the question through the same memo.
     """
 
+    embedder: MemoizedEmbedder
     extractor: SchemaFeatureExtractor
     lexical: LexicalSchemaScorer
     classifier: "SchemaItemClassifier | None"
@@ -149,9 +155,9 @@ def _link_assets(ctx: InferenceContext, parser: "CodeSParser") -> _LinkAssets:
     """The per-database linking assets, resolved through the cache."""
 
     def build() -> _LinkAssets:
+        embedder = MemoizedEmbedder(parser.embedder)
         extractor = MemoizedSchemaFeatureExtractor(
-            embedder=MemoizedEmbedder(parser.embedder),
-            use_comments=parser.options.include_comments,
+            embedder=embedder, use_comments=parser.options.include_comments
         )
         classifier = (
             parser.classifier.with_extractor(extractor)
@@ -159,6 +165,7 @@ def _link_assets(ctx: InferenceContext, parser: "CodeSParser") -> _LinkAssets:
             else None
         )
         return _LinkAssets(
+            embedder=embedder,
             extractor=extractor,
             lexical=LexicalSchemaScorer(extractor),
             classifier=classifier,
@@ -303,10 +310,19 @@ class CandidateGenStage(_ParserStage):
     incremental pre-training pays off at inference time).  The skeleton
     bank backs up sparse or weakly matching templates with the model's
     whole structural repertoire, ranked by question-cue fit.
+
+    Filling and scoring are one lazy loop (bound and prune).  Every
+    feature of the score declares its range, so each template has a
+    score ceiling before it is filled.  Filling stops, even mid-template,
+    once the beam-size-th best score reaches the highest ceiling among
+    the templates left, and a fill is LM-scored only if its other terms
+    leave it a chance to beat that score.  Only the tail of the fill
+    order is cut and ties go to the earlier candidate, so the beam is
+    the one an exhaustive fill, score and stable sort would cut.
     """
 
     name = "candidate_gen"
-    reads = ("question", "demonstrations", "effort", "inst_ctx", "database")
+    reads = ("question", "demonstrations", "effort", "inst_ctx", "scores", "matched", "database")
     writes = ("templates", "raw_candidates")
 
     def run(self, ctx: InferenceContext) -> None:
@@ -322,7 +338,9 @@ class CandidateGenStage(_ParserStage):
         else:
             entries = parser._index
         top_n = 2 + parser.config.slot_depth
-        templates = parser._retrieve_templates(ctx.question, entries, top_n)
+        templates = parser._retrieve_templates(
+            ctx.question, entries, top_n, _link_assets(ctx, parser).embedder
+        )
         if in_context_mode:
             templates = [
                 (template, sim if parser._knows_skeleton(template) else 0.35 * sim)
@@ -343,74 +361,83 @@ class CandidateGenStage(_ParserStage):
         # backend actually accepts.  On the default SQLite backend this
         # is byte-identical to the historical serializer.
         serialize = emitter_for(backend_dialect(ctx.database)).serialize
-        raw: list[tuple[str, object, float, int]] = []
-        seen: set[str] = set()
-        for template, retrieval_sim in templates:
-            for candidate in instantiate_template(template, ctx.inst_ctx, serialize):
-                key = candidate.sql.lower()
-                if key in seen:
-                    continue
-                seen.add(key)
-                raw.append(
-                    (
-                        candidate.sql,
-                        candidate.query,
-                        retrieval_sim,
-                        candidate.ungrounded_literals,
-                    )
-                )
-        ctx.raw_candidates = raw
+        lm_memo = _sql_memos(ctx, parser)["lm"]
+        facts = RequestFacts.of(
+            ctx.question,
+            ctx.scores,
+            ctx.matched,
+            lambda sql: lm_memo.get(sql, parser.router.score, sql),
+        )
+        ctx.raw_candidates = _fill_and_score(
+            templates, ctx.inst_ctx, serialize, facts, parser.config.beam_size
+        )
+
+
+def _fill_and_score(
+    templates: list,
+    inst_ctx: InstantiationContext,
+    serialize: "Callable[[Query], str]",
+    facts: RequestFacts,
+    beam_size: int,
+) -> list[tuple[str, float]]:
+    """(sql, score) of each distinct fill that could still reach the
+    beam when it was made, in fill order, stopping once none can."""
+    ranges = [feature_ranges(facts, sim) for _, sim in templates]
+    # reach[i]: the highest score any fill of templates[i:] can get.
+    reach = list(accumulate(map(score_ceiling, reversed(ranges)), max))[::-1]
+    # Min-heap of the best beam_size scores so far; once full, its root
+    # is the score a later fill has to beat (ties go to the earlier
+    # candidate, as in the stable sort of ``rank``).
+    best: list[float] = []
+    scored: list[tuple[str, float]] = []
+    seen: set[str] = set()
+
+    def settled(index: int) -> bool:
+        """No fill of ``templates[index:]`` can enter the beam any more."""
+        return len(best) == beam_size and best[0] >= reach[index]
+
+    for index, (template, sim) in enumerate(templates):
+        if settled(index):
+            break
+        for fill in iter_fills(template, inst_ctx, serialize):
+            key = fill.sql.lower()
+            if key in seen:
+                continue
+            seen.add(key)
+            floor = best[0] if len(best) == beam_size else None
+            score = score_fill(fill, sim, facts, ranges[index], floor)
+            if score is None:
+                continue
+            scored.append((fill.sql, score))
+            if floor is None:
+                heapq.heappush(best, score)
+            elif score > floor:
+                heapq.heapreplace(best, score)
+            if settled(index):
+                break
+    return scored
 
 
 class RankStage(_ParserStage):
-    """Score candidates (retrieval sim + linking + LM prior + heuristics)
-    and cut the beam."""
+    """Order the scored candidates best first and cut the beam.
+
+    The sort is stable, so equal scores keep generation order; this is
+    the order ``candidate_gen``'s pruning assumes.
+    """
 
     name = "rank"
-    reads = ("question", "effort", "raw_candidates", "matched", "scores", "degrade", "database")
+    reads = ("question", "effort", "raw_candidates", "degrade")
     writes = ("candidates", "beam")
 
     def run(self, ctx: InferenceContext) -> None:
         if ctx.effort != "full":
             return
-        parser = self.parser
-        scores = ctx.scores
-        lm_memo = _sql_memos(ctx, parser)["lm"]
-        candidates: list[tuple[str, float]] = []
-        for sql, filled, retrieval_sim, ungrounded in ctx.raw_candidates:
-            used = filled.columns_used()
-            link_quality = (
-                sum(scores.columns.get(col, 0.0) for col in used) / len(used)
-                if used
-                else 0.0
-            )
-            tables = filled.tables_used()
-            table_quality = (
-                sum(scores.tables.get(name, 0.0) for name in tables) / len(tables)
-                if tables
-                else 0.0
-            )
-            score = (
-                2.0 * retrieval_sim
-                + 0.5 * link_quality
-                + 0.4 * table_quality
-                # The LM prior flows through the provider router — the
-                # reliability boundary (failover, hedging, breakers)
-                # between the engine and whatever backs the model.
-                + 0.08 * lm_memo.get(sql, parser.router.score, sql)
-                + 0.25 * value_bonus(filled, ctx.matched)
-                - 0.1 * projection_filter_overlap(filled)
-                - 0.5 * count_mismatch(filled, ctx.question)
-                - 0.3 * ungrounded
-            )
-            candidates.append((sql, score))
-        if not candidates and not ctx.degrade:
+        if not ctx.raw_candidates and not ctx.degrade:
             raise GenerationError(
                 f"no SQL candidate could be built for question {ctx.question!r}"
             )
-        candidates.sort(key=lambda pair: -pair[1])
-        ctx.candidates = candidates
-        ctx.beam = [sql for sql, _ in candidates[: parser.config.beam_size]]
+        ctx.candidates = sorted(ctx.raw_candidates, key=lambda pair: -pair[1])
+        ctx.beam = [sql for sql, _ in ctx.candidates[: self.parser.config.beam_size]]
 
 
 class LintGateStage(_ParserStage):

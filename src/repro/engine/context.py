@@ -60,7 +60,11 @@ class InferenceContext:
     prompt: "DatabasePrompt | None" = field(default=None, repr=False)
     inst_ctx: "InstantiationContext | None" = field(default=None, repr=False)
     templates: list = field(default_factory=list, repr=False)
+    #: (sql, score) of every candidate ``candidate_gen`` scored in full,
+    #: in generation order: the fills bound-and-prune left a chance of
+    #: reaching the beam, not every candidate the templates could give.
     raw_candidates: list = field(default_factory=list, repr=False)
+    #: The same pairs, best first (stable: ties keep generation order).
     candidates: list = field(default_factory=list, repr=False)
     beam: list[str] = field(default_factory=list, repr=False)
     ordered: list[str] = field(default_factory=list, repr=False)

@@ -60,6 +60,10 @@ class GenerationError(ReproError):
     """Raised when the parser cannot produce any SQL candidate."""
 
 
+class ScoreRangeError(ReproError):
+    """Raised when a ranking feature's value lies outside its declared range."""
+
+
 class ProviderError(ReproError):
     """Base class for LM provider call failures (repro.lm.providers)."""
 

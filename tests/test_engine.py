@@ -30,12 +30,25 @@ from repro.engine import (
     StageLatencyInjector,
     TraceRecorder,
 )
-from repro.errors import GenerationError
+from repro.core.ranking import (
+    FEATURES,
+    RANGE_SLACK,
+    RequestFacts,
+    feature_ranges,
+    score_ceiling,
+    score_fill,
+)
+from repro.core.slotfill import instantiate_template
+from repro.datasets import build_spider
+from repro.datasets.spider import SpiderConfig
+from repro.db.backends.base import backend_dialect
+from repro.errors import GenerationError, ScoreRangeError
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.eval.reporting import format_stage_report
 from repro.core import slotfill
 from repro.linking.classifier import SchemaScores
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
+from repro.memo import Memo
 from repro.reliability.clock import FakeClock
 from repro.sqlgen.ast import identifier_key
 from repro.sqlgen.dialects import emitter_for
@@ -55,6 +68,23 @@ def bank():
     parser.fit(pair_samples(dataset))
     database = dataset.database_of(dataset.dev[0])
     return parser, dataset, database
+
+
+@pytest.fixture(scope="module")
+def spider_1b():
+    dataset = build_spider()
+    parser = CodeSParser("codes-1b")
+    parser.fit(pair_samples(dataset))
+    return parser, dataset
+
+
+@pytest.fixture(scope="module")
+def warm_spider_15b():
+    """The questions and model of the ``warm_15b_30ms`` benchmark workload."""
+    dataset = build_spider(SpiderConfig(n_dev_databases=3))
+    parser = CodeSParser("codes-15b")
+    parser.fit(pair_samples(dataset))
+    return parser, dataset
 
 
 # -- golden parity ------------------------------------------------------------
@@ -242,17 +272,10 @@ def test_repeat_questions_hit_the_per_database_cache(bank):
 # -- per-request work counts -------------------------------------------------
 
 
-def test_candidate_gen_does_request_invariant_work_once(bank, monkeypatch):
-    """Each fill is serialized once; each table's columns are ranked once.
-
-    Counts calls during one ``generate()`` on a golden-parity question,
-    so a return to per-slot recomputation or a second serialization of
-    every candidate fails here without any timing.
-    """
-    parser, dataset, database = bank
-    example = dataset.dev[0]
-    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert golden["datasets"]["bank_financials"][0]["question"] == example.question
+def _count_candidate_gen_work(parser, monkeypatch) -> tuple[Counter, list]:
+    """Count, from here on: successful top-level fills, serializations
+    by the stage's emitter, LM-memo lookups, and column rankings (as
+    (scores, table) pairs)."""
     counts: Counter = Counter()
 
     class CountingEmitter:
@@ -286,6 +309,15 @@ def test_candidate_gen_does_request_invariant_work_once(bank, monkeypatch):
 
     monkeypatch.setattr(slotfill._Filler, "fill", counting_fill)
 
+    memo_get = Memo.get
+
+    def counting_get(self, key, factory, *args):
+        if factory == parser.router.score:
+            counts["lm_lookups"] += 1
+        return memo_get(self, key, factory, *args)
+
+    monkeypatch.setattr(Memo, "get", counting_get)
+
     top_columns = SchemaScores.top_columns
     rankings: list[tuple[SchemaScores, str]] = []
 
@@ -294,14 +326,188 @@ def test_candidate_gen_does_request_invariant_work_once(bank, monkeypatch):
         return top_columns(self, table_name, k)
 
     monkeypatch.setattr(SchemaScores, "top_columns", counting_top_columns)
+    return counts, rankings
 
-    engine = parser.build_engine()
-    result = parser.generate(example.question, database, engine=engine)
-    assert result.sql == golden["datasets"]["bank_financials"][0]["sql"]
+
+def _assert_request_invariant_work_once(counts: Counter, rankings: list) -> None:
     assert counts["fills"] > 0
     assert counts["serialize"] == counts["fills"]
     per_table = Counter((id(scores), table) for scores, table in rankings)
     assert per_table and max(per_table.values()) == 1
+
+
+def test_candidate_gen_does_request_invariant_work_once(bank, monkeypatch):
+    """Each fill is serialized once; each table's columns are ranked once.
+
+    Counts calls during one ``generate()`` on a golden-parity question,
+    so a return to per-slot recomputation or a second serialization of
+    every candidate fails here without any timing.
+    """
+    parser, dataset, database = bank
+    example = dataset.dev[0]
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert golden["datasets"]["bank_financials"][0]["question"] == example.question
+    counts, rankings = _count_candidate_gen_work(parser, monkeypatch)
+    engine = parser.build_engine()
+    result = parser.generate(example.question, database, engine=engine)
+    assert result.sql == golden["datasets"]["bank_financials"][0]["sql"]
+    _assert_request_invariant_work_once(counts, rankings)
+
+
+# -- bound-and-prune candidate generation ---------------------------------------
+
+
+def _after(stage_name: str, action):
+    """Middleware running ``action(ctx)`` once ``stage_name`` has run."""
+
+    def middleware(stage, ctx, call_next):
+        call_next()
+        if stage.name == stage_name:
+            action(ctx)
+
+    return middleware
+
+
+def _exhaustive_scored(parser, ctx) -> list[tuple[str, float]]:
+    """Every distinct candidate of ``ctx.templates``, filled eagerly and
+    scored with the feature table, in generation order."""
+    serialize = emitter_for(backend_dialect(ctx.database)).serialize
+    facts = RequestFacts.of(ctx.question, ctx.scores, ctx.matched, parser.router.score)
+    scored: list[tuple[str, float]] = []
+    seen: set[str] = set()
+    for template, sim in ctx.templates:
+        ranges = feature_ranges(facts, sim)
+        for fill in instantiate_template(template, ctx.inst_ctx, serialize):
+            if fill.sql.lower() not in seen:
+                seen.add(fill.sql.lower())
+                scored.append((fill.sql, score_fill(fill, sim, facts, ranges)))
+    return scored
+
+
+def _exhaustive_beam(parser, ctx) -> list[str]:
+    ranked = sorted(_exhaustive_scored(parser, ctx), key=lambda pair: -pair[1])
+    return [sql for sql, _ in ranked[: parser.config.beam_size]]
+
+
+def _golden_examples(dataset, name: str):
+    rows = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["datasets"][name]
+    examples = dataset.dev[: len(rows)]
+    assert [e.question for e in examples] == [row["question"] for row in rows]
+    return examples
+
+
+@pytest.mark.parametrize("setup", ["bank_1b", "spider_1b", "warm_spider_15b"])
+def test_pruned_beam_equals_the_exhaustive_reference(setup, request):
+    """Pruning changes no beam: golden questions of two gold sets at
+    codes-1b and the benchmark's warm Spider questions at codes-15b."""
+    if setup == "bank_1b":
+        parser, dataset, _ = request.getfixturevalue("bank")
+        examples = _golden_examples(dataset, "bank_financials")
+    elif setup == "spider_1b":
+        parser, dataset = request.getfixturevalue("spider_1b")
+        examples = _golden_examples(dataset, "spider")
+    else:
+        parser, dataset = request.getfixturevalue("warm_spider_15b")
+        examples = dataset.dev
+    for example in examples:
+        database = dataset.database_of(example)
+        beams: dict[str, list[str]] = {}
+
+        def keep(ctx):
+            beams["pruned"] = list(ctx.beam)
+
+        def exhaustive(ctx):
+            ctx.beam = beams["reference"] = _exhaustive_beam(parser, ctx)
+
+        pruned = parser.generate(
+            example.question,
+            database,
+            engine=parser.build_engine(middleware=(_after("rank", keep),)),
+        )
+        reference = parser.generate(
+            example.question,
+            database,
+            engine=parser.build_engine(middleware=(_after("rank", exhaustive),)),
+        )
+        assert beams["pruned"] == beams["reference"], example.question
+        assert pruned.candidates == reference.candidates, example.question
+        assert (pruned.sql, pruned.tier) == (reference.sql, reference.tier)
+
+
+#: A golden bank_financials question on which the bound fires early.
+PRUNED_INDEX = 10
+
+
+def test_pruning_fills_and_scores_fewer_candidates_than_exhaustive(
+    bank, monkeypatch
+):
+    """Fewer fills and fewer LM-memo lookups than filling everything,
+    with each fill still serialized once and each table ranked once."""
+    parser, dataset, database = bank
+    example = _golden_examples(dataset, "bank_financials")[PRUNED_INDEX]
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    counts, rankings = _count_candidate_gen_work(parser, monkeypatch)
+    contexts: list[InferenceContext] = []
+    engine = parser.build_engine(middleware=(_after("rank", contexts.append),))
+    result = parser.generate(example.question, database, engine=engine)
+    assert result.sql == golden["datasets"]["bank_financials"][PRUNED_INDEX]["sql"]
+    _assert_request_invariant_work_once(counts, rankings)
+
+    pruned = dict(counts)
+    counts.clear()
+    ctx = contexts[0]
+    serialize = emitter_for(backend_dialect(database)).serialize
+    distinct = {
+        candidate.sql.lower()
+        for template, _ in ctx.templates
+        for candidate in instantiate_template(template, ctx.inst_ctx, serialize)
+    }
+    assert pruned["fills"] < counts["fills"]
+    assert pruned["lm_lookups"] < len(distinct)
+
+
+def _generated_contexts(parser, dataset, examples):
+    contexts: list[InferenceContext] = []
+    engine = parser.build_engine(middleware=(_after("rank", contexts.append),))
+    for example in examples:
+        parser.generate(example.question, dataset.database_of(example), engine=engine)
+    return contexts
+
+
+@pytest.mark.parametrize("setup", ["bank", "warm_spider_15b"])
+def test_every_feature_value_lies_in_its_declared_range(setup, request):
+    """On every candidate the templates generate — pruned or not — each
+    feature lies in its declared range and each score under its
+    template's ceiling."""
+    parser, dataset, *_ = request.getfixturevalue(setup)
+    checked = 0
+    for ctx in _generated_contexts(parser, dataset, dataset.dev[:24]):
+        facts = RequestFacts.of(
+            ctx.question, ctx.scores, ctx.matched, parser.router.score
+        )
+        serialize = emitter_for(backend_dialect(ctx.database)).serialize
+        for template, sim in ctx.templates:
+            ranges = feature_ranges(facts, sim)
+            ceiling = score_ceiling(ranges)
+            for fill in instantiate_template(template, ctx.inst_ctx, serialize):
+                for feature in FEATURES:
+                    lo, hi = feature.bounds(facts, sim)
+                    value = feature.value(fill, sim, facts)
+                    assert lo - RANGE_SLACK <= value <= hi + RANGE_SLACK, (
+                        feature.name,
+                        fill.sql,
+                    )
+                    checked += 1
+                assert score_fill(fill, sim, facts, ranges) <= ceiling
+    assert checked > 0
+
+
+@pytest.mark.parametrize("bogus", [0.5, float("nan")])
+def test_out_of_range_feature_raises_instead_of_pruning(bank, monkeypatch, bogus):
+    parser, _, database = bank
+    monkeypatch.setattr(parser.router, "score", lambda sql: bogus)
+    with pytest.raises(ScoreRangeError, match="lm_prior"):
+        parser.generate(QUESTION, database, engine=parser.build_engine())
 
 
 # -- fault injection as middleware --------------------------------------------

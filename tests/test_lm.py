@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import MODEL_REGISTRY
 from repro.errors import TrainingError
 from repro.lm import (
     CodeTokenizer,
@@ -17,6 +18,10 @@ from repro.lm import (
     pretrain_base_lm,
 )
 from repro.lm.corpus import code_corpus, nl2code_corpus, nl_corpus, sql_corpus
+from repro.lm.registry import DEFAULT_LM_REGISTRY
+
+#: Training-like SQL, so the property also hits well-predicted tokens.
+_SQL_TEXTS = sql_corpus(40, seed=3)
 
 
 class TestTokenizer:
@@ -121,6 +126,21 @@ class TestNgramLM:
         lm = NgramLanguageModel(order=2)
         lm.fit(["a b c"])
         assert np.isfinite(lm.log_prob(text))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=60),
+            st.sampled_from(_SQL_TEXTS),
+            st.lists(st.sampled_from(_SQL_TEXTS), min_size=2, max_size=3).map(" ".join),
+        )
+    )
+    def test_every_tier_mean_log_prob_is_never_positive(self, text):
+        """The ranking's LM-prior feature declares its range as <= 0;
+        candidate pruning is exact only if that holds on any text."""
+        for config in MODEL_REGISTRY.values():
+            lm = DEFAULT_LM_REGISTRY.lm_for(config)
+            assert lm.model.mean_log_prob(text) <= 0.0, config.name
 
 
 class TestTransformer:
