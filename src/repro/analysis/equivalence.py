@@ -51,7 +51,7 @@ from repro.sqlgen.ast import (
 )
 from repro.sqlgen.dialects import parse_dialect_sql
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize, serialize_condition
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.catalog import SchemaCatalog
@@ -227,7 +227,8 @@ def _canonical_condition(cond: Condition) -> Condition:
         # duplicates (``p AND p = p`` holds in three-valued logic too).
         unique: dict[str, Condition] = {}
         for sub in flattened:
-            unique.setdefault(serialize_condition(sub, parenthesize=True), sub)
+            key = SQLITE_EMITTER.serialize_condition(sub, parenthesize=True)
+            unique.setdefault(key, sub)
         ordered = [unique[key] for key in sorted(unique)]
         if len(ordered) == 1:
             return ordered[0]
@@ -422,7 +423,7 @@ def canonicalize(query: Query) -> Query:
             # UNION/INTERSECT are commutative, associative and
             # idempotent set operations (both emit distinct rows), so
             # arms sort and exact duplicates collapse.
-            unique = {serialize(arm): arm for arm in arms}
+            unique = {SQLITE_EMITTER.serialize(arm): arm for arm in arms}
             arms = [unique[key] for key in sorted(unique)]
             if len(arms) == 1:
                 # ``q UNION q`` (or INTERSECT) is the distinct rows of q.
@@ -461,7 +462,7 @@ def canonicalize(query: Query) -> Query:
 
 def canonical_key(query: Query) -> str:
     """Stable text identity of a query's canonical form."""
-    return serialize(canonicalize(query))
+    return SQLITE_EMITTER.serialize(canonicalize(query))
 
 
 def canonical_key_sql(sql: str, dialect: str = "sqlite") -> str:

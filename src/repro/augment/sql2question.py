@@ -19,7 +19,7 @@ from repro.datasets.generator import GeneratedDatabase
 from repro.datasets.templates import sample_question_sql, template_ids
 from repro.sqlgen.ast import Aggregation, ColumnRef, Query
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize_condition
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
 
 def templated_question(query: Query) -> str:
@@ -43,7 +43,7 @@ def templated_question(query: Query) -> str:
     for edge in query.joins:
         text += f" joined with {edge.table}"
     if query.where is not None:
-        text += f" where {serialize_condition(query.where).lower()}"
+        text += f" where {SQLITE_EMITTER.serialize_condition(query.where).lower()}"
     if query.group_by:
         text += f" grouped by {', '.join(col.column for col in query.group_by)}"
     if query.order_by:

@@ -70,7 +70,6 @@ from repro.serving import (
     ShardMap,
     ShardRouter,
     Shed,
-    WorkerPool,
     default_worker_ids,
     poisson_workload,
     replay,
@@ -93,6 +92,14 @@ def _build_dataset(name: str):
         return _BUILDERS[name]()
     except KeyError:
         sys.exit(f"unknown dataset {name!r}; choose from {sorted(_BUILDERS)}")
+
+
+def _fitted_parser(dataset, model: str, clock=None) -> CodeSParser:
+    """A ``model`` parser, fitted when ``dataset`` has a train split."""
+    parser = CodeSParser(model, clock=clock)
+    if dataset.train:
+        parser.fit(pair_samples(dataset))
+    return parser
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -163,9 +170,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_ask(args: argparse.Namespace) -> int:
     dataset = _build_dataset(args.dataset)
-    parser = CodeSParser(args.model)
-    if dataset.train:
-        parser.fit(pair_samples(dataset))
+    parser = _fitted_parser(dataset, args.model)
     db_id = args.db_id or next(iter(dataset.databases))
     database = dataset.databases[db_id]
     retry = (
@@ -202,9 +207,7 @@ def _cmd_ask(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Answer one question and print the per-stage engine trace."""
     dataset = _build_dataset(args.dataset)
-    parser = CodeSParser(args.model)
-    if dataset.train:
-        parser.fit(pair_samples(dataset))
+    parser = _fitted_parser(dataset, args.model)
     db_id = args.db_id or next(iter(dataset.databases))
     database = dataset.databases[db_id]
     result = parser.generate(args.question, database)
@@ -222,38 +225,43 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_targets(name: str) -> list[str]:
+def _lint_targets(name: str) -> list:
+    """The datasets ``name`` selects; ``dr-spider`` expands to every
+    perturbation set and ``all`` to every benchmark plus those."""
     if name == "all":
-        return [*_BUILDERS, "dr-spider"]
-    if name in _BUILDERS or name == "dr-spider":
-        return [name]
-    sys.exit(
-        f"unknown dataset {name!r}; choose from "
-        f"{sorted([*_BUILDERS, 'dr-spider', 'all'])}"
-    )
+        names = [*_BUILDERS, "dr-spider"]
+    elif name in _BUILDERS or name == "dr-spider":
+        names = [name]
+    else:
+        sys.exit(
+            f"unknown dataset {name!r}; choose from "
+            f"{sorted([*_BUILDERS, 'dr-spider', 'all'])}"
+        )
+    datasets = []
+    for target in names:
+        if target == "dr-spider":
+            spider = build_spider()
+            datasets.extend(
+                build_dr_spider(perturbation, spider=spider)
+                for perturbation in all_perturbation_names()
+            )
+        else:
+            datasets.append(_BUILDERS[target]())
+    return datasets
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     splits = tuple(args.splits.split(","))
     rows = []
     dirty = 0
-    for name in _lint_targets(args.dataset):
-        if name == "dr-spider":
-            spider = build_spider()
-            datasets = [
-                build_dr_spider(perturbation, spider=spider)
-                for perturbation in all_perturbation_names()
-            ]
-        else:
-            datasets = [_BUILDERS[name]()]
-        for dataset in datasets:
-            report = dataset.lint(splits=splits)
-            rows.append(report.as_row())
-            dirty += len(report.error_findings)
-            if report.findings and args.verbose:
-                print(format_lint_report(report, max_findings=args.max_findings))
-            elif report.error_findings:
-                print(format_lint_report(report, max_findings=args.max_findings))
+    for dataset in _lint_targets(args.dataset):
+        report = dataset.lint(splits=splits)
+        rows.append(report.as_row())
+        dirty += len(report.error_findings)
+        if report.findings and args.verbose:
+            print(format_lint_report(report, max_findings=args.max_findings))
+        elif report.error_findings:
+            print(format_lint_report(report, max_findings=args.max_findings))
     print(format_table(rows, title=f"Gold SQL lint audit (splits: {args.splits})"))
     if dirty:
         print(f"FAIL: {dirty} gold queries carry error-tier diagnostics")
@@ -304,17 +312,8 @@ def _equiv_report(dataset, splits: tuple[str, ...], max_pairs: int) -> dict[str,
 def _cmd_equiv(args: argparse.Namespace) -> int:
     splits = tuple(args.splits.split(","))
     rows = []
-    for name in _lint_targets(args.dataset):
-        if name == "dr-spider":
-            spider = build_spider()
-            datasets = [
-                build_dr_spider(perturbation, spider=spider)
-                for perturbation in all_perturbation_names()
-            ]
-        else:
-            datasets = [_BUILDERS[name]()]
-        for dataset in datasets:
-            rows.append(_equiv_report(dataset, splits, args.max_pairs))
+    for dataset in _lint_targets(args.dataset):
+        rows.append(_equiv_report(dataset, splits, args.max_pairs))
     print(
         format_table(
             rows,
@@ -411,19 +410,49 @@ def _build_router(args: argparse.Namespace, parser, databases) -> ShardRouter:
     )
 
 
+def _serve_request(line: str, index: int, default_db: str) -> ServeRequest:
+    """Parse one JSONL request line; ``ValueError`` says what is wrong."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg})") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    if "question" not in record:
+        raise ValueError('missing "question"')
+    if not isinstance(record["question"], str):
+        raise ValueError(f'"question" must be a string, got {record["question"]!r}')
+    deadline_s = record.get("deadline_s")
+    if deadline_s is not None and (
+        isinstance(deadline_s, bool)
+        or not isinstance(deadline_s, (int, float))
+        or deadline_s <= 0
+    ):
+        raise ValueError(
+            f'"deadline_s" must be a positive number, got {deadline_s!r}'
+        )
+    return ServeRequest(
+        request_id=str(record.get("id", f"q{index:04d}")),
+        question=record["question"],
+        db_id=record.get("db_id") or default_db,
+        tenant=record.get("tenant", "default"),
+        deadline_s=deadline_s,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """One-shot serving: JSONL requests in, JSONL outcomes out.
 
     Each input line is ``{"question": ..., "db_id": ..., "id"?,
-    "tenant"?, "deadline_s"?}``; ids must be unique (exit 2 otherwise).
-    Every request arrives at once and is replayed through the front
-    door until it resolves — one server, or with ``--workers N`` a
-    router over N shard workers — and one JSON line per outcome is
-    printed in input order.  ``--threads N`` drains one server from a
-    thread pool instead.  Worker/pool failures are appended as their
-    own JSONL records after the outcomes.
+    "tenant"?, "deadline_s"?}``; a malformed line or a repeated id
+    exits 2 before anything is served.  Every request arrives at once
+    and is replayed through the front door until it resolves — one
+    server, or with ``--workers N`` a router over N shard workers — and
+    one JSON line per outcome is printed in input order.  Router worker
+    failures are appended as their own JSONL records after the outcomes.
     """
     dataset = _build_dataset(args.dataset)
+    default_db = next(iter(dataset.databases))
     handle = open(args.input, encoding="utf-8") if args.input else sys.stdin
     try:
         requests = []
@@ -431,16 +460,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            requests.append(
-                ServeRequest(
-                    request_id=str(record.get("id", f"q{index:04d}")),
-                    question=record["question"],
-                    db_id=record.get("db_id") or next(iter(dataset.databases)),
-                    tenant=record.get("tenant", "default"),
-                    deadline_s=record.get("deadline_s"),
-                )
-            )
+            try:
+                requests.append(_serve_request(line, index, default_db))
+            except ValueError as exc:
+                print(f"repro serve: line {index + 1}: {exc}", file=sys.stderr)
+                return 2
     finally:
         if args.input:
             handle.close()
@@ -449,9 +473,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if repeated:
         print(f"repro serve: duplicate request id {repeated[0]!r}", file=sys.stderr)
         return 2
-    parser = CodeSParser(args.model)
-    if dataset.train:
-        parser.fit(pair_samples(dataset))
+    parser = _fitted_parser(dataset, args.model)
     arrivals = [Arrival(at=0.0, request=request) for request in requests]
     failures: list[dict] = []
     if args.workers > 1:
@@ -464,23 +486,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             router.shutdown()
     else:
         server = Server(parser, dataset.databases, config=_server_config(args))
-        if args.threads > 0:
-            outcomes = [
-                immediate
-                for request in requests
-                if (immediate := server.submit(request)) is not None
-            ]
-            pool = WorkerPool(
-                server, workers=args.threads, idle_wait_s=args.idle_wait_s
-            )
-            pool.start()
-            pool.wait_for(len(requests) - len(outcomes))
-            pool.stop()
-            outcomes.extend(pool.results())
-            failures = list(pool.failures)
-            outcomes.extend(server.drain())
-        else:
-            outcomes = replay(server, arrivals)
+        outcomes = replay(server, arrivals)
         metrics = server.metrics() if args.metrics else None
     by_id = {outcome.request.request_id: outcome for outcome in outcomes}
     for request in requests:
@@ -558,9 +564,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     """
     clock = FakeClock()
     dataset = _build_dataset(args.dataset)
-    parser = CodeSParser(args.model, clock=clock)
-    if dataset.train:
-        parser.fit(pair_samples(dataset))
+    parser = _fitted_parser(dataset, args.model, clock=clock)
     server = Server(
         parser,
         dataset.databases,
@@ -1011,16 +1015,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--metrics", action="store_true",
         help="print the server metrics snapshot to stderr after serving",
-    )
-    serve_parser.add_argument(
-        "--threads", type=int, default=0,
-        help="drain through a thread worker pool of this size "
-             "(0 = drain synchronously); pool failures are appended "
-             "to the JSONL output",
-    )
-    serve_parser.add_argument(
-        "--idle-wait-s", type=float, default=0.05,
-        help="idle park interval for --threads workers (seconds)",
     )
     _add_serving_flags(serve_parser)
     _add_sharding_flags(serve_parser)

@@ -54,7 +54,7 @@ from repro.promptgen.options import PromptOptions
 from repro.reliability.clock import SYSTEM_CLOCK, Clock
 from repro.sqlgen.ast import Query
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.skeleton import skeleton_of_query
 from repro.text.embedder import HashedNgramEmbedder, MemoizedEmbedder
 from repro.text.pattern import extract_pattern
@@ -314,7 +314,10 @@ class CodeSParser:
         if not self.fine_tuned:
             raise CheckpointError("cannot save a parser that was not fine-tuned")
         index_payload = [
-            {"question": entry.question, "sql": serialize(entry.template)}
+            {
+                "question": entry.question,
+                "sql": SQLITE_EMITTER.serialize(entry.template),
+            }
             for entry in self._index
         ]
         meta = {

@@ -35,7 +35,7 @@ from repro.db.backends.sqlite import Database
 from repro.db.schema import Column, ForeignKey, Schema, Table
 from repro.errors import DatasetError
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.transform import map_literals, rename_query
 
 #: Table-name synonyms for the schema-synonym perturbation.
@@ -232,7 +232,7 @@ def _build_db_perturbation(
             )
         return Text2SQLExample(
             question=example.question,
-            sql=serialize(query),
+            sql=SQLITE_EMITTER.serialize(query),
             db_id=example.db_id,
             external_knowledge=example.external_knowledge,
         )
@@ -282,7 +282,7 @@ def _fresh_value_examples(
             continue
         value_map = value_maps.get(db_id, {})
         query = map_literals(parse_sql(pair.sql), value_map)
-        rewritten = serialize(query)
+        rewritten = SQLITE_EMITTER.serialize(query)
         if rewritten == pair.sql:
             continue  # no mapped value involved; not a content-equivalence probe
         out.append(Text2SQLExample(question=pair.question, sql=rewritten, db_id=db_id))

@@ -35,7 +35,7 @@ from repro.sqlgen.ast import (
     Query,
     SelectItem,
 )
-from repro.sqlgen.serializer import serialize
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
 _NAMEISH = ("person_name", "title", "word", "city", "country")
 _TEXTUAL = ("person_name", "title", "word", "city", "country", "category",
@@ -153,7 +153,7 @@ def _t_count_all(ctx: _Context) -> QuestionSQL | None:
         select_items=(SelectItem(Aggregation("count", ColumnRef("", "*"))),),
         from_table=table.name,
     )
-    return QuestionSQL(question, serialize(query), "count_all")
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "count_all")
 
 
 def _t_select_where_text(ctx: _Context) -> QuestionSQL | None:
@@ -182,7 +182,9 @@ def _t_select_where_text(ctx: _Context) -> QuestionSQL | None:
         where=BinaryCondition(_col(table, filter_col), "=", Literal(value)),
     )
     return QuestionSQL(
-        question[0].upper() + question[1:], serialize(query), "select_where_text",
+        question[0].upper() + question[1:],
+        SQLITE_EMITTER.serialize(query),
+        "select_where_text",
         ctx.external_knowledge(),
     )
 
@@ -213,8 +215,8 @@ def _t_select_where_numeric(ctx: _Context) -> QuestionSQL | None:
         from_table=table.name,
         where=BinaryCondition(_col(table, num_col), op, Literal(threshold)),
     )
-    return QuestionSQL(question, serialize(query), "select_where_numeric",
-                       ctx.external_knowledge())
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query),
+                       "select_where_numeric", ctx.external_knowledge())
 
 
 def _t_count_where(ctx: _Context) -> QuestionSQL | None:
@@ -240,7 +242,7 @@ def _t_count_where(ctx: _Context) -> QuestionSQL | None:
         from_table=table.name,
         where=BinaryCondition(_col(table, filter_col), "=", Literal(value)),
     )
-    return QuestionSQL(question, serialize(query), "count_where",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "count_where",
                        ctx.external_knowledge())
 
 
@@ -266,7 +268,7 @@ def _t_aggregate(ctx: _Context) -> QuestionSQL | None:
         select_items=(SelectItem(Aggregation(func, _col(table, num_col))),),
         from_table=table.name,
     )
-    return QuestionSQL(question, serialize(query), "aggregate",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "aggregate",
                        ctx.external_knowledge())
 
 
@@ -306,7 +308,8 @@ def _t_top_k(ctx: _Context) -> QuestionSQL | None:
         order_by=(OrderItem(_col(table, num_col), descending=descending),),
         limit=k,
     )
-    return QuestionSQL(question, serialize(query), "top_k", ctx.external_knowledge())
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "top_k",
+                       ctx.external_knowledge())
 
 
 def _t_group_count(ctx: _Context) -> QuestionSQL | None:
@@ -334,7 +337,7 @@ def _t_group_count(ctx: _Context) -> QuestionSQL | None:
         from_table=table.name,
         group_by=(_col(table, group_col),),
     )
-    return QuestionSQL(question, serialize(query), "group_count",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "group_count",
                        ctx.external_knowledge())
 
 
@@ -361,7 +364,7 @@ def _t_group_having(ctx: _Context) -> QuestionSQL | None:
             Aggregation("count", ColumnRef("", "*")), ">", Literal(threshold)
         ),
     )
-    return QuestionSQL(question, serialize(query), "group_having",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "group_having",
                        ctx.external_knowledge())
 
 
@@ -411,7 +414,7 @@ def _t_join_select(ctx: _Context) -> QuestionSQL | None:
         ),
         where=BinaryCondition(_col(relation, filter_col), "=", Literal(value)),
     )
-    return QuestionSQL(question, serialize(query), "join_select",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "join_select",
                        ctx.external_knowledge())
 
 
@@ -446,7 +449,7 @@ def _t_join_count(ctx: _Context) -> QuestionSQL | None:
         ),
         group_by=(_col(entity, name_col),),
     )
-    return QuestionSQL(question, serialize(query), "join_count",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "join_count",
                        ctx.external_knowledge())
 
 
@@ -469,7 +472,7 @@ def _t_distinct(ctx: _Context) -> QuestionSQL | None:
         from_table=table.name,
         distinct=True,
     )
-    return QuestionSQL(question, serialize(query), "distinct",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "distinct",
                        ctx.external_knowledge())
 
 
@@ -496,7 +499,7 @@ def _t_between(ctx: _Context) -> QuestionSQL | None:
         from_table=table.name,
         where=BetweenCondition(_col(table, num_col), Literal(low), Literal(high)),
     )
-    return QuestionSQL(question, serialize(query), "between",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "between",
                        ctx.external_knowledge())
 
 
@@ -528,7 +531,7 @@ def _t_in_list(ctx: _Context) -> QuestionSQL | None:
             _col(table, filter_col), values=(Literal(first), Literal(second))
         ),
     )
-    return QuestionSQL(question, serialize(query), "in_list",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "in_list",
                        ctx.external_knowledge())
 
 
@@ -553,7 +556,7 @@ def _t_order_list(ctx: _Context) -> QuestionSQL | None:
         from_table=table.name,
         order_by=(OrderItem(_col(table, order_col), descending=False),),
     )
-    return QuestionSQL(question, serialize(query), "order_list",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "order_list",
                        ctx.external_knowledge())
 
 
@@ -577,7 +580,7 @@ def _t_count_distinct(ctx: _Context) -> QuestionSQL | None:
         ),
         from_table=table.name,
     )
-    return QuestionSQL(question, serialize(query), "count_distinct",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "count_distinct",
                        ctx.external_knowledge())
 
 
@@ -612,7 +615,7 @@ def _t_and_conditions(ctx: _Context) -> QuestionSQL | None:
             ),
         ),
     )
-    return QuestionSQL(question, serialize(query), "and_conditions",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "and_conditions",
                        ctx.external_knowledge())
 
 
@@ -645,7 +648,7 @@ def _t_or_conditions(ctx: _Context) -> QuestionSQL | None:
             ),
         ),
     )
-    return QuestionSQL(question, serialize(query), "or_conditions",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "or_conditions",
                        ctx.external_knowledge())
 
 
@@ -674,7 +677,7 @@ def _t_subquery_gt_avg(ctx: _Context) -> QuestionSQL | None:
         from_table=table.name,
         where=BinaryCondition(_col(table, num_col), ">", inner),
     )
-    return QuestionSQL(question, serialize(query), "subquery_gt_avg",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "subquery_gt_avg",
                        ctx.external_knowledge())
 
 
@@ -701,7 +704,7 @@ def _t_like_prefix(ctx: _Context) -> QuestionSQL | None:
         from_table=table.name,
         where=LikeCondition(_col(table, col), Literal(f"{prefix}%")),
     )
-    return QuestionSQL(question, serialize(query), "like_prefix",
+    return QuestionSQL(question, SQLITE_EMITTER.serialize(query), "like_prefix",
                        ctx.external_knowledge())
 
 

@@ -104,10 +104,11 @@ class Database:
         ``rows`` maps table names to lists of value tuples ordered like
         the table's columns.  Missing tables are created empty.
         """
-        # check_same_thread=False lets serving worker threads execute
-        # against a connection opened on the main thread; the serving
-        # layer serializes each database's batches behind a per-db
-        # lock, so the connection is never used concurrently.
+        # check_same_thread=False lets a host that calls Server.step
+        # from its own threads execute against a connection opened on
+        # another one; the server serializes each database's batches
+        # behind a per-db lock, so the connection is never used
+        # concurrently.
         connection = sqlite3.connect(path, check_same_thread=False)
         database = cls(schema, connection)
         for table in schema.tables:

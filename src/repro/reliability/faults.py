@@ -265,7 +265,7 @@ class BeamDuplicator:
             SelectItem,
         )
         from repro.sqlgen.parser import parse_sql
-        from repro.sqlgen.serializer import serialize
+        from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
         try:
             query = parse_sql(sql)
@@ -328,7 +328,7 @@ class BeamDuplicator:
 
         seen: list[str] = []
         for rewrite in rewrites:
-            text = serialize(rewrite)
+            text = SQLITE_EMITTER.serialize(rewrite)
             if text != sql and text not in seen:
                 seen.append(text)
         return seen[variant] if variant < len(seen) else None

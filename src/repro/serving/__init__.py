@@ -1,11 +1,13 @@
-"""Concurrent serving layer over the staged inference engine (PR 5).
+"""Serving layer over the staged inference engine.
 
 Admission control (bounded queue, per-tenant token buckets), a
 per-database micro-batching scheduler with a watermark degradation
-ladder, typed shed/completion outcomes, deterministic load generation,
-and a thread worker pool.  Everything timing-related reads an
-injectable Clock, so the whole layer runs — and is tested — on a
-FakeClock with zero wall-clock sleeps.
+ladder, typed shed/completion outcomes and deterministic load
+generation.  One synchronous :class:`Server` is driven by
+:func:`replay`; the shard router scales it across processes.
+Everything timing-related reads an injectable Clock, so the whole
+layer runs — and is tested — on a FakeClock with zero wall-clock
+sleeps.
 """
 
 from repro.serving.loadgen import (
@@ -53,7 +55,6 @@ from repro.serving.sharding import (
     ShardWorker,
     default_worker_ids,
 )
-from repro.serving.worker import WorkerPool
 
 __all__ = [
     "AdmissionQueue",
@@ -87,7 +88,6 @@ __all__ = [
     "Shed",
     "TIERS",
     "TokenBucket",
-    "WorkerPool",
     "default_worker_ids",
     "nearest_rank",
     "poisson_workload",

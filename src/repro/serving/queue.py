@@ -8,9 +8,11 @@ item plus up to ``max_size - 1`` younger items sharing its key — the
 per-database micro-batch.  Popping the oldest first guarantees
 progress (no key can starve) and keeps arrival order within a batch.
 
-All waiting uses ``Condition.wait`` with a timeout; there are no raw
-sleeps, so worker threads shut down promptly and FakeClock tests never
-block on wall time.
+Nothing here blocks or waits: the front door that drives the server
+(:func:`repro.serving.loadgen.replay`, or a shard worker's loop) polls
+``step`` and sleeps on the injectable clock between arrivals.  A lock
+still guards every operation, so ``submit`` and ``step`` stay safe to
+call from several threads.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ class AdmissionQueue:
         self.capacity = capacity
         self._items: deque = deque()
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
 
     @property
     def depth(self) -> int:
@@ -42,7 +43,6 @@ class AdmissionQueue:
             if len(self._items) >= self.capacity:
                 return False
             self._items.append(item)
-            self._not_empty.notify()
             return True
 
     def pop_group(
@@ -72,16 +72,3 @@ class AdmissionQueue:
             kept.extend(self._items)
             self._items = kept
             return group
-
-    def wait_nonempty(self, timeout: float) -> bool:
-        """Block up to ``timeout`` (real) seconds for an item to arrive.
-
-        Returns whether the queue is non-empty.  Used only by worker
-        threads idling between batches; deterministic tests drive the
-        server synchronously and never call this.
-        """
-        with self._lock:
-            if self._items:
-                return True
-            self._not_empty.wait(timeout)
-            return bool(self._items)

@@ -6,8 +6,9 @@ degradation ladder, per-database execution state (one warm ``Engine``
 + bounded ``StageCache`` and one ``CircuitBreaker`` per database), and
 the metrics aggregator.  It is deliberately synchronous at its core:
 :meth:`submit` admits or sheds, :meth:`step` executes one batch, and
-:meth:`drain` loops ``step`` until empty — the worker pool
-(:mod:`repro.serving.worker`) merely calls ``step`` from threads.
+:meth:`drain` loops ``step`` until empty.  In-process,
+:func:`repro.serving.loadgen.replay` drives it; under the shard router,
+each worker's message loop does.
 Every timing decision reads the injectable Clock, so the whole server
 runs deterministically on a FakeClock.
 

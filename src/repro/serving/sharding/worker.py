@@ -138,7 +138,7 @@ def worker_main(
                 break
             except Exception as exc:
                 # Classify instead of dying: the router folds these
-                # into its failure log, mirroring WorkerPool.failures.
+                # into its failure log.
                 failures = [f"{type(exc).__name__}: {exc}"]
                 conn.send(
                     WorkerFailure(worker_id=worker_id, error=failures[0])

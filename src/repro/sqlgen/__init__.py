@@ -20,10 +20,13 @@ from repro.sqlgen.ast import (
     SelectItem,
 )
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.normalizer import normalize_sql
 from repro.sqlgen.skeleton import extract_skeleton, skeleton_of_query
 from repro.sqlgen.spans import Span, identifier_span
+
+#: Canonical (SQLite) SQL text of a query.
+serialize = SQLITE_EMITTER.serialize
 
 __all__ = [
     "Aggregation",

@@ -1,9 +1,9 @@
 """Canonical SQLite dialect emitter.
 
 This is the reference dialect: bare identifiers, ``LIMIT n`` row limits
-and ``!=`` inequality — byte-identical to the historical
-``repro.sqlgen.serializer`` output, which every golden file, lint span
-and equivalence canonical key in the repository is pinned against.
+and ``!=`` inequality.  Its output is the canonical SQL text
+(``repro.sqlgen.serialize``) that every golden file, lint span and
+equivalence canonical key in the repository is pinned against.
 """
 
 from __future__ import annotations
@@ -20,5 +20,5 @@ class SQLiteEmitter(DialectEmitter):
     inequality = "!="
 
 
-#: Shared stateless instance used by the serializer facade.
+#: Shared stateless instance: the canonical serializer.
 SQLITE_EMITTER = SQLiteEmitter()

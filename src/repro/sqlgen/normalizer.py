@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.errors import SQLSyntaxError
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
 
 def normalize_sql(sql: str) -> str:
@@ -20,7 +20,7 @@ def normalize_sql(sql: str) -> str:
     outside the parser's supported subset, so the function is total.
     """
     try:
-        return serialize(parse_sql(sql)).lower()
+        return SQLITE_EMITTER.serialize(parse_sql(sql)).lower()
     except SQLSyntaxError:
         return " ".join(sql.split()).rstrip(";").lower()
 

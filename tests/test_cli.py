@@ -58,8 +58,8 @@ class TestCLI:
             build_arg_parser().parse_args(["eval", "--model", "gpt-9"])
 
     def test_serve_jsonl_roundtrip(self, tmp_path, capsys):
-        # One server, a thread pool, and an inline shard router answer
-        # the same requests with the same SQL; latency is wall time.
+        # One server and an inline shard router answer the same
+        # requests with the same SQL; latency is wall time.
         requests = tmp_path / "requests.jsonl"
         requests.write_text(
             json.dumps({"question": "How many clients are there?", "id": "a"})
@@ -68,7 +68,7 @@ class TestCLI:
             + "\n"
         )
         answers = []
-        for flags in ([], ["--threads", "2"], ["--workers", "2", "--transport", "inline"]):
+        for flags in ([], ["--workers", "2", "--transport", "inline"]):
             assert main([
                 "serve", "--dataset", "bank_financials", "--model", "codes-1b",
                 "--input", str(requests), *flags,
@@ -84,7 +84,6 @@ class TestCLI:
         assert first["status"] == "completed"
         assert "SELECT" in first["sql"]
         assert answers[1] == answers[0]
-        assert answers[2] == answers[0]
 
     def test_serve_rejects_duplicate_ids(self, tmp_path, capsys):
         requests = tmp_path / "requests.jsonl"
@@ -100,6 +99,43 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "duplicate request id 'a'" in captured.err
+
+    @pytest.mark.parametrize(
+        ("line", "reason"),
+        [
+            ("{not json", "not valid JSON"),
+            ('["How many clients are there?"]', "expected a JSON object, got list"),
+            ('{"id": "b"}', 'missing "question"'),
+            ('{"question": 5}', '"question" must be a string, got 5'),
+            (
+                '{"question": "List all districts", "deadline_s": "soon"}',
+                "\"deadline_s\" must be a positive number, got 'soon'",
+            ),
+            (
+                '{"question": "List all districts", "deadline_s": 0}',
+                '"deadline_s" must be a positive number, got 0',
+            ),
+        ],
+        ids=[
+            "not-json", "not-object", "no-question",
+            "question-type", "deadline-type", "deadline-zero",
+        ],
+    )
+    def test_serve_rejects_malformed_line(self, tmp_path, capsys, line, reason):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            json.dumps({"question": "How many clients are there?"})
+            + "\n\n"
+            + line
+            + "\n"
+        )
+        assert main([
+            "serve", "--dataset", "bank_financials", "--input", str(requests),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro serve: line 3: {reason}")
+        assert captured.err.count("\n") == 1  # one message, no traceback
 
     def test_loadgen_seed_is_byte_stable(self, capsys):
         argv = [

@@ -20,7 +20,7 @@ from repro.eval.harness import evaluate_parser, pair_samples
 from repro.linking.lexical import LexicalSchemaScorer
 from repro.retrieval import MatchedValue
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
 from tests.fixtures import bank_database
 
@@ -157,7 +157,7 @@ class TestSlotFill:
         match = MatchedValue("client", "district", "Jesenik", 1.0)
         ctx, db = self._ctx("names of clients living in Jesenik", [match])
         candidates = instantiate_template(template, ctx)
-        sqls = [serialize(c.query) for c in candidates]
+        sqls = [SQLITE_EMITTER.serialize(c.query) for c in candidates]
         assert any("client.district = 'Jesenik'" in sql for sql in sqls)
 
     def test_join_uses_foreign_key(self):
@@ -169,7 +169,7 @@ class TestSlotFill:
             "names of accounts that have a loan with status approved", [match]
         )
         candidates = instantiate_template(template, ctx)
-        sqls = [serialize(c.query) for c in candidates]
+        sqls = [SQLITE_EMITTER.serialize(c.query) for c in candidates]
         assert any(
             "JOIN" in sql and "loan.account_id = account.account_id" in sql
             for sql in sqls
@@ -180,7 +180,8 @@ class TestSlotFill:
         ctx, db = self._ctx("accounts with balance between 100 and 500")
         candidates = instantiate_template(template, ctx)
         assert any(
-            "BETWEEN 100 AND 500" in serialize(c.query) for c in candidates
+            "BETWEEN 100 AND 500" in SQLITE_EMITTER.serialize(c.query)
+            for c in candidates
         )
 
     def test_ungrounded_literals_tracked(self):
@@ -200,7 +201,7 @@ class TestSlotFill:
         template = parse_sql("SELECT t.a FROM t ORDER BY t.b DESC LIMIT 1")
         ctx, db = self._ctx("client with the highest balance")
         for candidate in instantiate_template(template, ctx):
-            assert db.is_executable(serialize(candidate.query))
+            assert db.is_executable(SQLITE_EMITTER.serialize(candidate.query))
 
 
 class TestCodeSParser:

@@ -55,7 +55,7 @@ from repro.sqlgen.dialects import (
     transpile,
 )
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from tests.fixtures import bank_database
 
 pytestmark = pytest.mark.dialects
@@ -92,7 +92,8 @@ class TestDialectRegistry:
     def test_sqlite_emitter_is_byte_identical_to_serializer(self):
         for _, sql in _gold_corpus():
             query = parse_sql(sql)
-            assert serialize_dialect(query, "sqlite") == serialize(query)
+            sql_text = SQLITE_EMITTER.serialize(query)
+            assert serialize_dialect(query, "sqlite") == sql_text
 
 
 class TestRoundTripProperty:
@@ -101,7 +102,7 @@ class TestRoundTripProperty:
     def test_sqlite_emission_round_trips_every_gold_query(self):
         for name, sql in _gold_corpus():
             query = parse_sql(sql)
-            again = parse_sql(serialize(query))
+            again = parse_sql(SQLITE_EMITTER.serialize(query))
             assert again == query, f"{name}: {sql!r}"
 
     def test_ansi_and_tsql_transpilations_parse_back_to_the_same_ast(self):
@@ -177,7 +178,8 @@ class TestSlotFillEmission:
                 for candidate in candidates:
                     assert candidate.sql == emitter.serialize(candidate.query)
                     if dialect == "sqlite":
-                        assert candidate.sql == serialize(candidate.query)
+                        sql = SQLITE_EMITTER.serialize(candidate.query)
+                        assert candidate.sql == sql
                 by_dialect[dialect] = [candidate.query for candidate in candidates]
                 checked += len(candidates)
             # Deduplicating on dialect SQL keeps the same candidates.

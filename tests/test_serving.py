@@ -3,8 +3,8 @@
 Every scheduler/shedding scenario runs on a :class:`FakeClock` with
 zero wall-clock sleeps: deadline expiry, watermark crossings, and
 queueing dynamics are all driven by explicit ``clock.advance`` /
-simulated service charges.  Only the worker-pool smoke test spawns
-real threads (over a stub parser, so it finishes in milliseconds).
+simulated service charges.  Only the race tests spawn real threads
+(over a stub parser, so they finish in milliseconds).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.ranking import SENTINEL_SQL
 from repro.engine import StageCache
-from repro.errors import GenerationError, ServingError
+from repro.errors import GenerationError
 from repro.reliability.clock import FakeClock
 from repro.serving import (
     AdmissionQueue,
@@ -35,7 +35,6 @@ from repro.serving import (
     ShardMap,
     ShardRouter,
     TokenBucket,
-    WorkerPool,
     nearest_rank,
     poisson_workload,
     run_loadgen,
@@ -534,43 +533,3 @@ class TestLoadgen:
             poisson_workload([object()], n=0, rate=1.0)
         with pytest.raises(ValueError):
             poisson_workload([object()], n=4, rate=0.0)
-
-
-# -- worker pool (real threads, stub work) ------------------------------------
-
-
-class TestWorkerPool:
-    def test_pool_drains_submitted_requests(self):
-        server = _server(FakeClock(), batch_size=2)
-        pool = WorkerPool(server, workers=2)
-        pool.start()
-        try:
-            for index, db_id in enumerate(
-                ["alpha", "beta", "alpha", "beta", "alpha", "beta"]
-            ):
-                assert server.submit(_request(index, db_id)) is None
-            assert pool.wait_for(6, timeout_s=10.0)
-        finally:
-            pool.stop()
-        outcomes = pool.results()
-        assert len(outcomes) == 6
-        assert all(isinstance(outcome, Completed) for outcome in outcomes)
-        assert pool.failures == []
-
-    def test_pool_restart_guard(self):
-        pool = WorkerPool(_server(FakeClock()), workers=1)
-        pool.start()
-        try:
-            with pytest.raises(ServingError):
-                pool.start()
-        finally:
-            pool.stop()
-
-    def test_idle_wait_is_per_pool(self):
-        server = _server(FakeClock())
-        pool = WorkerPool(server, workers=1, idle_wait_s=0.001)
-        assert pool.idle_wait_s == 0.001
-        # a fast idle wait keeps wait_for's polling granularity tight
-        assert not pool.wait_for(1, timeout_s=0.01)
-        with pytest.raises(ValueError):
-            WorkerPool(server, workers=1, idle_wait_s=0.0)
