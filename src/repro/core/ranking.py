@@ -186,7 +186,11 @@ def _span_with_zero(values) -> tuple[float, float]:
 
 
 def _mean_score(scores: dict[str, float], keys) -> float:
-    return sum(scores.get(key, 0.0) for key in keys) / len(keys) if keys else 0.0
+    """Mean score of ``keys``, summed in sorted order: ``keys`` is a set,
+    and float addition in hash order varies with ``PYTHONHASHSEED``."""
+    if not keys:
+        return 0.0
+    return sum(scores.get(key, 0.0) for key in sorted(keys)) / len(keys)
 
 
 @dataclass(frozen=True)

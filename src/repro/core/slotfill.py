@@ -217,6 +217,9 @@ class _Filler:
         #: Literal slots that had to fall back to template/DB defaults
         #: because nothing in the question grounded them.
         self.ungrounded = 0
+        #: Whether some select slot picked by ``variant`` had a column
+        #: left past its pick, i.e. ``variant + 1`` would choose another.
+        self.variant_matters = False
 
     # -- table / column mapping ----------------------------------------------
 
@@ -259,7 +262,10 @@ class _Filler:
         fresh = [c for c in candidates if f"{table_name}.{c.name.lower()}" not in
                  self._used_columns]
         pool = fresh or candidates
-        index = min(self.variant, len(pool) - 1) if role == "select" else 0
+        index = 0
+        if role == "select":
+            index = min(self.variant, len(pool) - 1)
+            self.variant_matters |= index < len(pool) - 1
         chosen = pool[index]
         ref = ColumnRef(table=table_name, column=chosen.name)
         self._used_columns.add(f"{table_name}.{chosen.name.lower()}")
@@ -679,10 +685,18 @@ def iter_fills(
 
     Yields up to ``slot_depth * assignments`` candidates, deduplicated
     case-insensitively on their SQL, best-ranked table assignments
-    first.  Each fill happens only when the next candidate is asked
-    for, so a caller that stops early skips the rest of the work.
-    ``serialize`` renders each fill exactly once (pass the backend
-    emitter's ``serialize`` to get SQL in its dialect).
+    first, and within one assignment ``variant`` 0, 1, ... in turn.
+    Each fill happens only when the next candidate is asked for, so a
+    caller that stops early skips the rest of the work.  ``serialize``
+    renders each fill exactly once (pass the backend emitter's
+    ``serialize`` to get SQL in its dialect).
+
+    Variant early exit: ``variant`` only picks a select slot's column,
+    so once a fill (finished or abandoned) read no select pool with a
+    column left past its pick, every later variant would make the same
+    choices in the same order and give the same query or the same
+    ``None``.  Those variants are skipped; the yielded sequence is the
+    one filling every variant would give.
     """
     template_tables = _template_tables(template)
     seen: set[str] = set()
@@ -690,16 +704,16 @@ def iter_fills(
         for variant in range(max(1, ctx.slot_depth)):
             filler = _Filler(ctx, table_map, variant)
             filled = filler.fill(template)
-            if filled is None:
-                continue
-            sql = serialize(filled)
-            key = sql.lower()
-            if key in seen:
-                continue
-            seen.add(key)
-            yield FilledCandidate(
-                query=filled, sql=sql, ungrounded_literals=filler.ungrounded
-            )
+            if filled is not None:
+                sql = serialize(filled)
+                key = sql.lower()
+                if key not in seen:
+                    seen.add(key)
+                    yield FilledCandidate(
+                        query=filled, sql=sql, ungrounded_literals=filler.ungrounded
+                    )
+            if not filler.variant_matters:
+                break
 
 
 def instantiate_template(

@@ -70,7 +70,7 @@ from repro.core.ranking import (
     score_fill,
 )
 from repro.core.slotfill import InstantiationContext, iter_fills
-from repro.core.structure import structure_prior
+from repro.core.structure import cue_structure_prior, question_cues
 from repro.db.backends.base import backend_dialect
 from repro.engine.context import InferenceContext
 from repro.errors import GenerationError
@@ -351,8 +351,9 @@ class CandidateGenStage(_ParserStage):
             bank_quota = max(1, parser.config.slot_depth)
         else:
             bank_quota = max(12, 6 * parser.config.slot_depth)
+        cues = question_cues(ctx.question)
         for template in parser._skeleton_bank[:bank_quota]:
-            prior = structure_prior(ctx.question, template)
+            prior = cue_structure_prior(cues, template)
             templates.append((template, 0.35 * prior))
         ctx.templates = templates
 

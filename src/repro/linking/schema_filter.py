@@ -114,12 +114,14 @@ class SchemaFilter:
 
         del question  # labels come from the SQL, not the question
         query = qualify_columns(parse_sql(gold_sql))
-        used_tables = [name for name in query.tables_used() if schema.has_table(name)]
         used_columns = query.columns_used()
         rng = random.Random(f"{seed}:{gold_sql}")
 
         all_tables = [t.name.lower() for t in schema.tables]
-        unused = [name for name in all_tables if name not in used_tables]
+        # Schema order: ``tables_used()`` is a set, iterated in hash order.
+        used = query.tables_used()
+        used_tables = [name for name in all_tables if name in used]
+        unused = [name for name in all_tables if name not in used]
         rng.shuffle(unused)
         tables = (used_tables + unused)[: max(self.top_k1, len(used_tables))]
 

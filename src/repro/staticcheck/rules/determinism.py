@@ -3,7 +3,7 @@
 Per the text-to-SQL benchmark-evaluation literature, nondeterministic
 predictions dominate error tails; this reproduction pins byte-identical
 outputs (golden engine parity, seeded loadgen), which one unseeded
-draw or one hash-order iteration silently breaks.  Three sub-checks:
+draw or one hash-order iteration silently breaks.  Four sub-checks:
 
 - **Unseeded module-level RNG** — calls on the ``random`` *module*
   (``random.random()``, ``random.choice()``, …), ``random.Random()`` /
@@ -13,6 +13,12 @@ draw or one hash-order iteration silently breaks.  Three sub-checks:
   pattern and stay legal.
 - **Entropy sources** — ``os.urandom``, ``uuid.uuid4``, and anything
   from ``secrets``: there is no such thing as seeding these.
+- **Builtin ``hash()`` outside a ``__hash__`` body** — string and
+  bytes hashes vary per process (``PYTHONHASHSEED``), so an id or
+  shard key derived from ``hash(name)`` differs between runs and
+  between a parent and its workers.  Derive it with ``zlib.crc32`` or
+  ``hashlib``; inside ``__hash__`` the value only has to agree with
+  ``__eq__`` within one process, so it stays legal there.
 - **Set-order iteration feeding ordered output** — iterating directly
   over a set literal / ``set(...)`` / set comprehension in a ``for``
   statement, list/generator comprehension, ``list()`` / ``tuple()`` /
@@ -59,10 +65,19 @@ class DeterminismRule(Rule):
 
     def check(self, module: ModuleContext) -> list[Finding]:
         imports = ImportTable.from_tree(module.tree)
+        in_dunder_hash = {
+            id(inner)
+            for node in ast.walk(module.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "__hash__"
+            for inner in ast.walk(node)
+        }
         findings: list[Finding] = []
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
-                findings.extend(self._check_call(module, imports, node))
+                findings.extend(
+                    self._check_call(module, imports, node, in_dunder_hash)
+                )
             elif isinstance(node, ast.For):
                 findings.extend(
                     self._check_set_iteration(module, node.iter, "for loop")
@@ -77,7 +92,11 @@ class DeterminismRule(Rule):
         return findings
 
     def _check_call(
-        self, module: ModuleContext, imports: ImportTable, node: ast.Call
+        self,
+        module: ModuleContext,
+        imports: ImportTable,
+        node: ast.Call,
+        in_dunder_hash: set[int],
     ) -> list[Finding]:
         findings: list[Finding] = []
         resolved = imports.resolve(node.func) or ""
@@ -145,6 +164,16 @@ class DeterminismRule(Rule):
             findings.append(
                 self.finding(
                     module, node, f"{resolved}() draws from OS entropy"
+                )
+            )
+        elif resolved == "hash" and id(node) not in in_dunder_hash:
+            findings.append(
+                self.finding(
+                    module,
+                    node,
+                    "builtin hash() varies with PYTHONHASHSEED across "
+                    "processes; derive stable values with zlib.crc32 or "
+                    "hashlib (it is legal only inside __hash__)",
                 )
             )
 

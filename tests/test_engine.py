@@ -11,6 +11,8 @@ from __future__ import annotations
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -38,7 +40,7 @@ from repro.core.ranking import (
     score_ceiling,
     score_fill,
 )
-from repro.core.slotfill import instantiate_template
+from repro.core.slotfill import FilledCandidate, iter_fills
 from repro.datasets import build_spider
 from repro.datasets.spider import SpiderConfig
 from repro.db.backends.base import backend_dialect
@@ -368,16 +370,39 @@ def _after(stage_name: str, action):
     return middleware
 
 
+def _every_variant_fills(template, inst_ctx, serialize) -> list[FilledCandidate]:
+    """``template``'s fills under every (table assignment, variant) pair,
+    deduplicated like ``iter_fills`` but with no early exit: the
+    reference the optimised enumeration has to reproduce."""
+    fills: list[FilledCandidate] = []
+    seen: set[str] = set()
+    table_maps = slotfill._table_assignments(
+        inst_ctx, slotfill._template_tables(template)
+    )
+    for table_map in table_maps:
+        for variant in range(max(1, inst_ctx.slot_depth)):
+            filler = slotfill._Filler(inst_ctx, table_map, variant)
+            filled = filler.fill(template)
+            if filled is None:
+                continue
+            sql = serialize(filled)
+            if sql.lower() in seen:
+                continue
+            seen.add(sql.lower())
+            fills.append(FilledCandidate(filled, sql, filler.ungrounded))
+    return fills
+
+
 def _exhaustive_scored(parser, ctx) -> list[tuple[str, float]]:
-    """Every distinct candidate of ``ctx.templates``, filled eagerly and
-    scored with the feature table, in generation order."""
+    """Every distinct candidate of ``ctx.templates``, filled eagerly under
+    every variant and scored with the feature table, in generation order."""
     serialize = emitter_for(backend_dialect(ctx.database)).serialize
     facts = RequestFacts.of(ctx.question, ctx.scores, ctx.matched, parser.router.score)
     scored: list[tuple[str, float]] = []
     seen: set[str] = set()
     for template, sim in ctx.templates:
         ranges = feature_ranges(facts, sim)
-        for fill in instantiate_template(template, ctx.inst_ctx, serialize):
+        for fill in _every_variant_fills(template, ctx.inst_ctx, serialize):
             if fill.sql.lower() not in seen:
                 seen.add(fill.sql.lower())
                 scored.append((fill.sql, score_fill(fill, sim, facts, ranges)))
@@ -396,19 +421,27 @@ def _golden_examples(dataset, name: str):
     return examples
 
 
-@pytest.mark.parametrize("setup", ["bank_1b", "spider_1b", "warm_spider_15b"])
+SETUPS = ["bank_1b", "spider_1b", "warm_spider_15b"]
+
+
+def _setup_examples(setup: str, request):
+    """(parser, dataset, examples): golden questions of two gold sets at
+    codes-1b, or the benchmark's warm Spider questions at codes-15b."""
+    if setup == "bank_1b":
+        parser, dataset, _ = request.getfixturevalue("bank")
+        return parser, dataset, _golden_examples(dataset, "bank_financials")
+    if setup == "spider_1b":
+        parser, dataset = request.getfixturevalue("spider_1b")
+        return parser, dataset, _golden_examples(dataset, "spider")
+    parser, dataset = request.getfixturevalue("warm_spider_15b")
+    return parser, dataset, dataset.dev
+
+
+@pytest.mark.parametrize("setup", SETUPS)
 def test_pruned_beam_equals_the_exhaustive_reference(setup, request):
     """Pruning changes no beam: golden questions of two gold sets at
     codes-1b and the benchmark's warm Spider questions at codes-15b."""
-    if setup == "bank_1b":
-        parser, dataset, _ = request.getfixturevalue("bank")
-        examples = _golden_examples(dataset, "bank_financials")
-    elif setup == "spider_1b":
-        parser, dataset = request.getfixturevalue("spider_1b")
-        examples = _golden_examples(dataset, "spider")
-    else:
-        parser, dataset = request.getfixturevalue("warm_spider_15b")
-        examples = dataset.dev
+    parser, dataset, examples = _setup_examples(setup, request)
     for example in examples:
         database = dataset.database_of(example)
         beams: dict[str, list[str]] = {}
@@ -460,7 +493,7 @@ def test_pruning_fills_and_scores_fewer_candidates_than_exhaustive(
     distinct = {
         candidate.sql.lower()
         for template, _ in ctx.templates
-        for candidate in instantiate_template(template, ctx.inst_ctx, serialize)
+        for candidate in _every_variant_fills(template, ctx.inst_ctx, serialize)
     }
     assert pruned["fills"] < counts["fills"]
     assert pruned["lm_lookups"] < len(distinct)
@@ -489,7 +522,7 @@ def test_every_feature_value_lies_in_its_declared_range(setup, request):
         for template, sim in ctx.templates:
             ranges = feature_ranges(facts, sim)
             ceiling = score_ceiling(ranges)
-            for fill in instantiate_template(template, ctx.inst_ctx, serialize):
+            for fill in _every_variant_fills(template, ctx.inst_ctx, serialize):
                 for feature in FEATURES:
                     lo, hi = feature.bounds(facts, sim)
                     value = feature.value(fill, sim, facts)
@@ -500,6 +533,84 @@ def test_every_feature_value_lies_in_its_declared_range(setup, request):
                     checked += 1
                 assert score_fill(fill, sim, facts, ranges) <= ceiling
     assert checked > 0
+
+
+@pytest.mark.parametrize("setup", SETUPS)
+def test_iter_fills_equals_every_variant_reference(setup, request, monkeypatch):
+    """Skipping variants that cannot change the fill yields, for every
+    template a request retrieves, exactly the every-variant reference's
+    fills (SQL and ungrounded count) in the same order, with no more
+    ``_Filler.fill`` calls, and strictly fewer on the warm set."""
+    parser, dataset, examples = _setup_examples(setup, request)
+    calls = Counter()
+    fill = slotfill._Filler.fill
+
+    def counting_fill(self, template):
+        calls[mode] += 1
+        return fill(self, template)
+
+    monkeypatch.setattr(slotfill._Filler, "fill", counting_fill)
+    mode = "generate"
+    for ctx in _generated_contexts(parser, dataset, examples):
+        serialize = emitter_for(backend_dialect(ctx.database)).serialize
+        for template, _ in ctx.templates:
+            mode = "iter_fills"
+            fills = [(f.sql, f.ungrounded_literals)
+                     for f in iter_fills(template, ctx.inst_ctx, serialize)]
+            mode = "reference"
+            reference = [
+                (f.sql, f.ungrounded_literals)
+                for f in _every_variant_fills(template, ctx.inst_ctx, serialize)
+            ]
+            assert fills == reference, (ctx.question, template)
+    assert 0 < calls["iter_fills"] <= calls["reference"]
+    if setup == "warm_spider_15b":
+        assert calls["iter_fills"] < calls["reference"]
+
+
+#: Prints ``raw_candidates`` for a golden bank_financials question whose
+#: link/table-quality means come out differently in different
+#: summation orders.
+_RAW_CANDIDATES_PROBE = """
+from repro.core import CodeSParser
+from repro.datasets import build_bank_financials
+from repro.eval.harness import pair_samples
+dataset = build_bank_financials()
+parser = CodeSParser("codes-1b")
+parser.fit(pair_samples(dataset))
+example = dataset.dev[9]
+raw = []
+
+def grab(stage, ctx, call_next):
+    call_next()
+    if stage.name == "candidate_gen":
+        raw.append(ctx.raw_candidates)
+
+engine = parser.build_engine(middleware=(grab,))
+parser.generate(example.question, dataset.database_of(example), engine=engine)
+print(repr(raw))
+"""
+
+
+def test_raw_candidate_scores_are_the_same_under_every_hash_seed():
+    """Link/table quality average set members; the float sum must not
+    follow ``PYTHONHASHSEED``'s iteration order."""
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = seed
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _RAW_CANDIDATES_PROBE],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("[[(")
 
 
 @pytest.mark.parametrize("bogus", [0.5, float("nan")])

@@ -1,5 +1,10 @@
 """Tests for schema linking: features, classifier, filter, lexical scorer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,21 @@ from repro.linking.lexical import LexicalSchemaScorer
 from repro.retrieval import MatchedValue
 
 from tests.fixtures import bank_database, bank_schema
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Prints the training filter's table order for a three-table JOIN.
+_KEPT_TABLES_PROBE = """
+from repro.linking import SchemaFilter
+from tests.fixtures import bank_schema
+print(SchemaFilter(top_k1=2, top_k2=2).filter_training(
+    "q", bank_schema(),
+    "SELECT loan.status FROM loan"
+    " JOIN account ON loan.account_id = account.account_id"
+    " JOIN client ON account.client_id = client.client_id"
+    " WHERE client.name = 'x'",
+).kept_tables)
+"""
 
 
 def _training_examples():
@@ -161,6 +181,27 @@ class TestSchemaFilter:
         assert len(filtered.kept_tables) == 2  # padded with one unused table
         kept_cols = {c.lower() for c in filtered.kept_columns["client"]}
         assert {"name", "district"} <= kept_cols
+
+    def test_training_filter_table_order_ignores_hash_seed(self):
+        """Used tables come in schema order, not in the per-process hash
+        order of the ``tables_used()`` set."""
+        outputs = set()
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", _KEPT_TABLES_PROBE],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=REPO_ROOT,
+                check=True,
+            )
+            outputs.add(proc.stdout)
+        assert outputs == {"('client', 'account', 'loan')\n"}
 
     def test_key_columns_survive_filtering(self):
         schema = bank_schema()

@@ -451,6 +451,23 @@ class TestDeterminism:
         assert _rules("import uuid\nx = uuid.uuid4()\n") == ["DET001"]
         assert _rules("import secrets\nx = secrets.token_hex()\n") == ["DET001"]
 
+    def test_builtin_hash_flagged(self):
+        assert _rules("request_id = hash(db_id) % 1000\n") == ["DET001"]
+        source = "def key(name):\n    return hash((name, 1))\n"
+        assert _rules(source) == ["DET001"]
+
+    def test_builtin_hash_inside_dunder_hash_legal(self):
+        source = textwrap.dedent(
+            """
+            class ShardMap:
+                def __hash__(self):
+                    return hash((self.workers, self.seed))
+            """
+        )
+        assert _rules(source) == []
+        # an imported ``hash`` is not the builtin
+        assert _rules("from hashlib import sha1 as hash\nx = hash(b'')\n") == []
+
     def test_for_over_set_literal_flagged(self):
         assert _rules("for x in {1, 2}:\n    out.append(x)\n") == ["DET001"]
 
