@@ -48,7 +48,6 @@ from repro.lm.pretrain import PretrainedLM
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.linking.classifier import LinkingExample, SchemaItemClassifier
 from repro.linking.features import SchemaFeatureExtractor
-from repro.linking.lexical import LexicalSchemaScorer
 from repro.promptgen.builder import DatabasePrompt
 from repro.promptgen.options import PromptOptions
 from repro.reliability.clock import SYSTEM_CLOCK, Clock
@@ -180,9 +179,9 @@ class CodeSParser:
         )
         self.classifier: SchemaItemClassifier | None = None
         self.seed = seed
-        self._lexical_scorer = LexicalSchemaScorer(self.extractor)
         self._index: list[_IndexEntry] = []
-        self._skeleton_bank: list[Query] = self._mine_skeleton_bank()
+        #: Shared with every parser over this LM at this capacity.
+        self._skeleton_bank = self.lm.skeleton_bank(self.config.skeleton_capacity)
         #: Per-database resources (builders, analyzers, estimators,
         #: linking scores), shared by every engine this parser builds.
         self.cache = StageCache()
@@ -215,22 +214,6 @@ class CodeSParser:
         return self._engine
 
     # -- pre-training knowledge ----------------------------------------------
-
-    def _mine_skeleton_bank(self) -> list[Query]:
-        """Distinct SQL skeletons the model absorbed during pre-training."""
-        counts: Counter[str] = Counter()
-        representative: dict[str, Query] = {}
-        for sql in self.lm.seen_sql:
-            try:
-                query = parse_sql(sql)
-            except SQLSyntaxError:
-                continue
-            skeleton = skeleton_of_query(query)
-            counts[skeleton] += 1
-            representative.setdefault(skeleton, query)
-        ranked = [skeleton for skeleton, _ in counts.most_common()]
-        capacity = self.config.skeleton_capacity
-        return [representative[skeleton] for skeleton in ranked[:capacity]]
 
     @property
     def skeleton_bank_size(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from repro.db.schema import Column, Schema
 from repro.linking.classifier import SchemaScores
@@ -57,6 +57,8 @@ _LETTER_RE = re.compile(
     r"\b(?:letter|beginning with|starts? with(?: the letter)?)\s+([A-Za-z])\b"
 )
 _CAPITALIZED_SPAN_RE = re.compile(r"(?<!^)(?<![.?!]\s)\b([A-Z][a-z]+(?: [A-Z][a-z]+)*)\b")
+
+_Cue = TypeVar("_Cue")
 
 _NUMERIC_TYPES = ("INTEGER", "REAL")
 _TEXT_TYPES = ("TEXT", "DATE")
@@ -130,9 +132,9 @@ class InstantiationContext:
     """Everything slot filling needs about the target question/database.
 
     One context serves one request.  The request-invariant facts every
-    fill reads (ranked tables, ranked column pools, question literals)
-    are computed on first use and memoized on the context, so they live
-    exactly as long as the request does.
+    fill reads (ranked tables, ranked column pools, question literals
+    and wording cues) are computed on first use and memoized on the
+    context, so they live exactly as long as the request does.
     """
 
     question: str
@@ -143,6 +145,9 @@ class InstantiationContext:
     slot_depth: int = 3
     representative: Optional[Callable[[str, str], list]] = None
     _column_pools: dict[tuple[str, str], tuple[Column, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _cues: dict[tuple[Callable, object], object] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -195,6 +200,30 @@ class InstantiationContext:
             if text not in strings:
                 strings.append(text)
         return tuple(strings)
+
+    def question_cue(self, cue: Callable[[str, _Cue], _Cue], default: _Cue) -> _Cue:
+        """``cue(question, default)``, read once per request per (cue, default).
+
+        ``cue`` is one of the module's wording readers
+        (:func:`question_order_direction`, :func:`question_aggregate`,
+        :func:`question_comparison_op`).
+        """
+        key = (cue, default)
+        if key not in self._cues:
+            self._cues[key] = cue(self.question, default)
+        return self._cues[key]
+
+    @cached_property
+    def question_top_k(self) -> int | None:
+        """The row count a "top 3"/"the 5 ..."/"3 most" question asks for."""
+        match = _TOPK_RE.search(self.question)
+        return int(next(g for g in match.groups() if g)) if match else None
+
+    @cached_property
+    def question_letter(self) -> str | None:
+        """The upper-cased letter a "starts with the letter x" question names."""
+        match = _LETTER_RE.search(self.question)
+        return match.group(1).upper() if match else None
 
 
 class _Filler:
@@ -413,16 +442,14 @@ class _Filler:
             expr = self._fill_order_expr(item.expr)
             if expr is None:
                 return None
-            descending = question_order_direction(
-                self.ctx.question, item.descending
+            descending = self.ctx.question_cue(
+                question_order_direction, item.descending
             )
             order_by.append(OrderItem(expr=expr, descending=descending))
 
         limit = template.limit
-        if limit is not None:
-            match = _TOPK_RE.search(self.ctx.question)
-            if match:
-                limit = int(next(g for g in match.groups() if g))
+        if limit is not None and self.ctx.question_top_k is not None:
+            limit = self.ctx.question_top_k
 
         # GROUP BY must group by the non-aggregated projection when the
         # template does — keep them aligned.
@@ -485,7 +512,7 @@ class _Filler:
             func = expr.func
             if func in ("avg", "max", "min", "sum"):
                 # Condition the aggregate on the question's wording.
-                func = question_aggregate(self.ctx.question, func)
+                func = self.ctx.question_cue(question_aggregate, func)
             kind = "numeric" if func in ("sum", "avg", "max", "min") else "any"
             arg = self.map_column(expr.arg, kind=kind, role="agg")
             if arg is None and kind == "numeric":
@@ -535,9 +562,9 @@ class _Filler:
             if column is None:
                 return None
             pattern = cond.pattern
-            letter = _LETTER_RE.search(self.ctx.question)
-            if letter:
-                pattern = Literal(f"{letter.group(1).upper()}%")
+            letter = self.ctx.question_letter
+            if letter is not None:
+                pattern = Literal(f"{letter}%")
             else:
                 self.ungrounded += 1
             return LikeCondition(expr=column, pattern=pattern, negated=cond.negated)
@@ -567,7 +594,7 @@ class _Filler:
             if isinstance(right, Literal) and isinstance(right.value, (int, float)):
                 right = self.next_number(right)
                 if op in (">", "<", ">=", "<="):
-                    op = question_comparison_op(self.ctx.question, op)
+                    op = self.ctx.question_cue(question_comparison_op, op)
             return BinaryCondition(left=agg, op=op, right=right)
         if not isinstance(cond.left, ColumnRef):
             return None
@@ -582,7 +609,7 @@ class _Filler:
                 return None
             op = cond.op
             if op in (">", "<", ">=", "<="):
-                op = question_comparison_op(self.ctx.question, op)
+                op = self.ctx.question_cue(question_comparison_op, op)
             return BinaryCondition(
                 left=column, op=op, right=self.next_number(cond.right)
             )

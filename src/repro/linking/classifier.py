@@ -15,10 +15,15 @@ import numpy as np
 from repro.db.schema import Schema
 from repro.errors import SQLSyntaxError, TrainingError
 from repro.eval.metrics import roc_auc
-from repro.linking.features import FEATURE_DIM, SchemaFeatureExtractor
+from repro.linking.features import (
+    FEATURE_DIM,
+    MemoizedSchemaFeatureExtractor,
+    SchemaFeatureExtractor,
+)
 from repro.nn.mlp import MLPClassifier
 from repro.retrieval.value_retriever import MatchedValue
 from repro.sqlgen.parser import parse_sql
+from repro.text.embedder import MemoizedEmbedder
 
 
 @dataclass(frozen=True)
@@ -115,16 +120,34 @@ class SchemaItemClassifier:
     def _build_training_matrix(
         self, examples: list[LinkingExample]
     ) -> tuple[np.ndarray, np.ndarray]:
+        """One feature row and label per (example, schema item), in order.
+
+        Every question meets every item of its schema, so the plain
+        extractor would embed each question once per item and each item
+        name once per question.  Rows are built instead through the
+        serving path's memoized extractor and embedder, whose features
+        are bit-identical, with a fresh memo for each contiguous run of
+        examples on one schema: each text is embedded once per run, and
+        the memo never holds more than one schema's texts.  Row order,
+        and with it the seeded training, is unchanged.
+        """
         rows: list[np.ndarray] = []
         labels: list[float] = []
+        schema = None
         for example in examples:
+            if example.schema is not schema:
+                schema = example.schema
+                extractor = MemoizedSchemaFeatureExtractor(
+                    embedder=MemoizedEmbedder(self.extractor.embedder),
+                    use_comments=self.extractor.use_comments,
+                )
             matched = list(example.matched_values)
             for table in example.schema.tables:
-                rows.append(self.extractor.table_features(example.question, table))
+                rows.append(extractor.table_features(example.question, table))
                 labels.append(float(table.name.lower() in example.gold_tables))
                 for column in table.columns:
                     rows.append(
-                        self.extractor.column_features(
+                        extractor.column_features(
                             example.question, table, column, matched
                         )
                     )

@@ -12,11 +12,15 @@ into a CodeS-tier model.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import TrainingError
+from repro.errors import SQLSyntaxError, TrainingError
 from repro.lm.corpus import CorpusConfig, PretrainCorpus, build_corpus
 from repro.lm.ngram import NgramLanguageModel
+from repro.sqlgen.ast import Query
+from repro.sqlgen.parser import parse_sql
+from repro.sqlgen.skeleton import skeleton_of_query
 
 #: Base-mix recipes per model family: fractions of (sql, nl, nl2code, code).
 FAMILY_MIXES: dict[str, tuple[float, float, float, float]] = {
@@ -47,7 +51,7 @@ class PretrainedLM:
     """An n-gram sequence prior plus its training provenance.
 
     ``seen_sql`` records the SQL documents the model was trained on —
-    the parser mines its skeleton bank (its "SQL knowledge") from this
+    the parser's skeleton bank (its "SQL knowledge") is mined from this
     list, so a SQL-heavier pre-training mix genuinely widens the bank.
     """
 
@@ -57,6 +61,36 @@ class PretrainedLM:
     incremental: bool = False
     history: list[str] = field(default_factory=list)
     seen_sql: list[str] = field(default_factory=list)
+    _skeleton_banks: dict[int, tuple[Query, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def skeleton_bank(self, capacity: int) -> tuple[Query, ...]:
+        """The ``capacity`` most frequent SQL skeletons in ``seen_sql``.
+
+        One representative query (the first seen) per skeleton, most
+        frequent first.  Mined once per capacity and shared by every
+        parser over this LM: tiers that share an LM recipe keep banks of
+        different sizes.  Only the truncated bank is kept, as a tuple of
+        frozen queries; ``seen_sql`` must not change once it is mined.
+        """
+        bank = self._skeleton_banks.get(capacity)
+        if bank is None:
+            counts: Counter[str] = Counter()
+            representative: dict[str, Query] = {}
+            for sql in self.seen_sql:
+                try:
+                    query = parse_sql(sql)
+                except SQLSyntaxError:
+                    continue
+                skeleton = skeleton_of_query(query)
+                counts[skeleton] += 1
+                representative.setdefault(skeleton, query)
+            ranked = [skeleton for skeleton, _ in counts.most_common()]
+            bank = self._skeleton_banks[capacity] = tuple(
+                representative[skeleton] for skeleton in ranked[:capacity]
+            )
+        return bank
 
     def score(self, text: str) -> float:
         """Length-normalized log probability (higher is more fluent)."""

@@ -1,5 +1,8 @@
 """Tests for the core parser: retriever, slot filling, generation modes."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.config import get_model_config
@@ -15,12 +18,13 @@ from repro.core.structure import question_cues, structure_prior
 from repro.datasets import build_spider
 from repro.datasets.base import Text2SQLExample
 from repro.datasets.spider import SpiderConfig
-from repro.errors import CheckpointError, TrainingError
+from repro.errors import CheckpointError, SQLSyntaxError, TrainingError
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.linking.lexical import LexicalSchemaScorer
 from repro.retrieval import MatchedValue
 from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
+from repro.sqlgen.skeleton import skeleton_of_query
 
 from tests.fixtures import bank_database
 
@@ -240,6 +244,31 @@ class TestCodeSParser:
         small = CodeSParser("codes-1b")
         large = CodeSParser("codes-15b")
         assert large.skeleton_bank_size > small.skeleton_bank_size
+
+    def test_skeleton_bank_is_mined_once_per_lm_and_capacity(self):
+        """codes-7b and codes-15b share one LM but keep their own banks,
+        each the head of a fresh mine; repeat parsers share the tuple."""
+        mid = CodeSParser("codes-7b")
+        large = CodeSParser("codes-15b")
+        assert mid.lm is large.lm
+        assert CodeSParser("codes-15b")._skeleton_bank is large._skeleton_bank
+        assert mid._skeleton_bank is not large._skeleton_bank
+        counts: Counter[str] = Counter()
+        first: dict[str, object] = {}
+        for sql in large.lm.seen_sql:
+            try:
+                query = parse_sql(sql)
+            except SQLSyntaxError:
+                continue
+            counts[skeleton_of_query(query)] += 1
+            first.setdefault(skeleton_of_query(query), query)
+        fresh = [first[skeleton] for skeleton, _ in counts.most_common()]
+        for parser in (mid, large):
+            capacity = parser.config.skeleton_capacity
+            assert parser._skeleton_bank == tuple(fresh[:capacity])
+        assert mid.skeleton_bank_size == 400 < large.skeleton_bank_size
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            large._skeleton_bank[0].limit = 1
 
     def test_incremental_pretraining_widens_bank(self):
         codes = CodeSParser("codes-7b")

@@ -356,6 +356,55 @@ def test_candidate_gen_does_request_invariant_work_once(bank, monkeypatch):
     _assert_request_invariant_work_once(counts, rankings)
 
 
+def test_question_cues_are_read_once_per_request(warm_spider_15b, monkeypatch):
+    """Each wording cue is read once per request per (cue, default).
+
+    The order-direction, aggregate and comparison readers and the top-k
+    and letter patterns are request-invariant; a fill that re-reads
+    them, instead of asking the request's ``InstantiationContext``,
+    counts twice here.
+    """
+    parser, dataset = warm_spider_15b
+    calls: Counter = Counter()
+
+    def counting(name, reader):
+        def cue(question, default):
+            calls[name, default] += 1
+            return reader(question, default)
+
+        return cue
+
+    class CountingPattern:
+        def __init__(self, name, pattern):
+            self.name, self.pattern = name, pattern
+
+        def search(self, text):
+            calls[self.name, None] += 1
+            return self.pattern.search(text)
+
+    for name in (
+        "question_order_direction", "question_aggregate", "question_comparison_op"
+    ):
+        monkeypatch.setattr(slotfill, name, counting(name, getattr(slotfill, name)))
+    for name in ("_TOPK_RE", "_LETTER_RE"):
+        monkeypatch.setattr(
+            slotfill, name, CountingPattern(name, getattr(slotfill, name))
+        )
+    engine = parser.build_engine()
+    seen: Counter = Counter()
+    for example in dataset.dev[:16]:
+        calls.clear()
+        parser.generate(
+            example.question, dataset.database_of(example), engine=engine
+        )
+        assert max(calls.values(), default=1) == 1, calls
+        seen.update(name for name, _ in calls)
+    assert set(seen) == {
+        "question_order_direction", "question_aggregate",
+        "question_comparison_op", "_TOPK_RE", "_LETTER_RE",
+    }
+
+
 # -- bound-and-prune candidate generation ---------------------------------------
 
 

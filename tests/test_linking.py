@@ -1,5 +1,6 @@
 """Tests for schema linking: features, classifier, filter, lexical scorer."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import CodeSParser
+from repro.datasets import (
+    SPIDER_VARIANTS,
+    build_aminer_simplified,
+    build_bank_financials,
+    build_bird,
+    build_spider,
+    build_spider_variant,
+)
 from repro.errors import TrainingError
+from repro.eval.harness import pair_samples
 from repro.linking import (
     FEATURE_DIM,
     SchemaFeatureExtractor,
@@ -16,12 +27,26 @@ from repro.linking import (
     SchemaItemClassifier,
 )
 from repro.linking.classifier import LinkingExample, SchemaScores
+from repro.linking.features import MemoizedSchemaFeatureExtractor
 from repro.linking.lexical import LexicalSchemaScorer
 from repro.retrieval import MatchedValue
+from repro.text.embedder import HashedNgramEmbedder, MemoizedEmbedder
 
 from tests.fixtures import bank_database, bank_schema
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Every dataset the package bundles (the CLI's ``--dataset`` choices).
+BUNDLED_DATASETS = {
+    "spider": build_spider,
+    "bird": build_bird,
+    **{
+        name: (lambda name=name: build_spider_variant(name))
+        for name in SPIDER_VARIANTS
+    },
+    "bank_financials": build_bank_financials,
+    "aminer_simplified": build_aminer_simplified,
+}
 
 #: Prints the training filter's table order for a three-table JOIN.
 _KEPT_TABLES_PROBE = """
@@ -101,6 +126,135 @@ class TestFeatures:
             schema.table("client").column("district"), [match],
         )
         assert feats[9] == 1.0
+
+
+def _item_texts(schema, use_comments=True):
+    """Every text a feature row embeds for ``schema``'s items."""
+    texts = []
+    for table in schema.tables:
+        for item in (table, *table.columns):
+            texts.append(item.name.replace("_", " "))
+            if use_comments and item.comment:
+                texts.append(item.comment)
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DATASETS))
+class TestMemoizedFeatures:
+    """The memoized extractor and embedder are bit-identical to the plain
+    ones, on every bundled dataset's schemas and dev questions, with the
+    memos shared across questions as serving and training share them."""
+
+    def test_memoized_embedder_vectors_equal_base(self, name):
+        dataset = BUNDLED_DATASETS[name]()
+        base = HashedNgramEmbedder(dim=96)
+        memo = MemoizedEmbedder(base)
+        texts = [example.question for example in dataset.dev]
+        for database in dataset.databases.values():
+            texts.extend(_item_texts(database.schema))
+        for text in texts + texts:
+            vec = memo.embed(text)
+            assert not vec.flags.writeable
+            assert vec.tobytes() == base.embed(text).tobytes()
+
+    def test_memoized_extractor_rows_equal_plain(self, name):
+        dataset = BUNDLED_DATASETS[name]()
+        plain = SchemaFeatureExtractor()
+        memo = MemoizedSchemaFeatureExtractor(embedder=MemoizedEmbedder(plain.embedder))
+        for example in dataset.dev:
+            schema = dataset.database_of(example).schema
+            for table in schema.tables:
+                assert (
+                    memo.table_features(example.question, table).tobytes()
+                    == plain.table_features(example.question, table).tobytes()
+                )
+                for column in table.columns:
+                    assert (
+                        memo.column_features(example.question, table, column).tobytes()
+                        == plain.column_features(example.question, table, column).tobytes()
+                    )
+
+
+def _plain_training_matrix(examples):
+    """The classifier's training matrix through the plain extractor."""
+    extractor = SchemaFeatureExtractor()
+    rows, labels = [], []
+    for example in examples:
+        for table in example.schema.tables:
+            rows.append(extractor.table_features(example.question, table))
+            labels.append(float(table.name.lower() in example.gold_tables))
+            for column in table.columns:
+                rows.append(extractor.column_features(
+                    example.question, table, column, list(example.matched_values)
+                ))
+                key = f"{table.name.lower()}.{column.name.lower()}"
+                labels.append(float(key in example.gold_columns))
+    return np.stack(rows), np.array(labels)
+
+
+def _spider_linking_examples(per_database):
+    """``per_database`` training examples of each Spider train schema,
+    grouped by database and round-robin across databases."""
+    dataset = build_spider()
+    groups = {}
+    for example in dataset.train:
+        group = groups.setdefault(example.db_id, [])
+        if len(group) < per_database:
+            schema = dataset.database_of(example).schema
+            group.append(LinkingExample.from_sql(
+                example.question, schema, example.sql,
+                matched_values=(MatchedValue(
+                    schema.tables[0].name, schema.tables[0].columns[0].name,
+                    "x", 0.5,
+                ),),
+            ))
+    grouped = [example for group in groups.values() for example in group]
+    interleaved = [
+        group[index] for index in range(per_database) for group in groups.values()
+    ]
+    return grouped, interleaved
+
+
+class TestClassifierFit:
+    @pytest.mark.parametrize("order", ["grouped", "interleaved"])
+    def test_fit_equals_training_on_the_plain_matrix(self, order):
+        grouped, interleaved = _spider_linking_examples(per_database=4)
+        examples = grouped if order == "grouped" else interleaved
+        assert len({id(example.schema) for example in examples}) > 1
+        classifier = SchemaItemClassifier(seed=3)
+        classifier.fit(examples, epochs=5, seed=3)
+        reference = SchemaItemClassifier(seed=3)
+        features, labels = _plain_training_matrix(examples)
+        reference.model.fit(features, labels, epochs=5, lr=0.01, seed=3)
+        fitted = classifier.model.state_dict()
+        expected = reference.model.state_dict()
+        assert fitted.keys() == expected.keys()
+        for key in expected:
+            assert fitted[key].tobytes() == expected[key].tobytes()
+
+    def test_fit_embeds_each_text_once_per_schema_run(self, monkeypatch):
+        """Parser fit embeds each question and item text at most once per
+        contiguous run of samples on one database, plus the SFT index's
+        question and pattern vectors."""
+        dataset = build_spider()
+        samples = pair_samples(dataset)
+        parser = CodeSParser("codes-1b")
+        bound = 0
+        for database, run in itertools.groupby(samples, key=lambda pair: pair[1]):
+            texts = set(_item_texts(database.schema, parser.options.include_comments))
+            texts.update(example.question for example, _ in run)
+            bound += len(texts)
+        embedded = []
+        embed = HashedNgramEmbedder.embed
+
+        def counting_embed(self, text):
+            embedded.append(text)
+            return embed(self, text)
+
+        monkeypatch.setattr(HashedNgramEmbedder, "embed", counting_embed)
+        parser.fit(samples)
+        index_embeds = 2 * len(parser._index)
+        assert len(embedded) <= index_embeds + bound
 
 
 class TestClassifier:
