@@ -70,12 +70,114 @@ def pretrained_lm_for(config: ModelConfig) -> PretrainedLM:
 
 @dataclass(frozen=True)
 class _IndexEntry:
-    """One retrievable template with its source question."""
+    """One retrievable template with its source question.
+
+    The vectors are row views of the owning :class:`TemplateIndex`'s
+    matrices; ``skeleton`` is the template's SQL skeleton key.
+    """
 
     question: str
     template: Query
-    question_vec: np.ndarray = field(repr=False, compare=False, default=None)
-    pattern_vec: np.ndarray = field(repr=False, compare=False, default=None)
+    skeleton: str
+    question_vec: np.ndarray = field(repr=False, compare=False)
+    pattern_vec: np.ndarray = field(repr=False, compare=False)
+
+
+class TemplateIndex:
+    """Retrievable templates over stacked question and pattern embeddings.
+
+    One per SFT fit or checkpoint load, and one per request built from
+    its demonstrations.  Row ``i`` of :attr:`question_matrix` /
+    :attr:`pattern_matrix` embeds entry ``i``'s question / question
+    pattern, and the entry holds views of those rows, not copies.
+    """
+
+    def __init__(
+        self,
+        pairs: Iterable[tuple[str, Query]],
+        embedder: "HashedNgramEmbedder | MemoizedEmbedder",
+    ):
+        pairs = list(pairs)
+        self.question_matrix = np.zeros((len(pairs), embedder.dim))
+        self.pattern_matrix = np.zeros((len(pairs), embedder.dim))
+        entries = []
+        for row, (question, template) in enumerate(pairs):
+            self.question_matrix[row] = embedder.embed(question)
+            self.pattern_matrix[row] = embedder.embed(extract_pattern(question))
+            entries.append(
+                _IndexEntry(
+                    question=question,
+                    template=template,
+                    skeleton=skeleton_of_query(template),
+                    question_vec=self.question_matrix[row],
+                    pattern_vec=self.pattern_matrix[row],
+                )
+            )
+        self.entries = tuple(entries)
+        # A dot product of d terms, summed in any order, is off by at
+        # most gamma_d = d*u/(1 - d*u) times the sum of |x_i*y_i|, which
+        # is at most 1 for unit vectors (and < 2 with their rounding).
+        # The screened and the exact similarity are each that close to
+        # the true one, hence to each other within 2 * 2 * gamma_d.
+        unit = 2.0**-53 * embedder.dim
+        self.slack = 4 * unit / (1 - unit)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def search(
+        self,
+        question_vec: np.ndarray,
+        pattern_vec: np.ndarray | None,
+        top_n: int,
+    ) -> list[tuple[_IndexEntry, float]]:
+        """The first ``top_n`` entries by Eq. 4 similarity, best first
+        (ties in index order), keeping at most two per skeleton.
+
+        ``pattern_vec`` None ranks by question similarity alone.  One
+        matrix product per matrix screens every entry; only a prefix of
+        the screened order gets the exact per-entry similarity the
+        ranking uses.  The prefix doubles until the walk has ``top_n``
+        entries and the next screened value, plus :attr:`slack`, falls
+        below the last pick's exact similarity: every entry left out
+        then sorts after the last pick, so the walk is the one over
+        every entry scored exactly.
+        """
+        if not self.entries:
+            return []
+        screen = self.question_matrix @ question_vec
+        if pattern_vec is not None:
+            screen = np.maximum(screen, self.pattern_matrix @ pattern_vec)
+        order = np.argsort(-screen, kind="stable").tolist()
+        exact: dict[int, float] = {}
+        size = min(len(order), max(1, 2 * top_n))
+        while True:
+            for row in order[len(exact):size]:
+                entry = self.entries[row]
+                sim = float(entry.question_vec @ question_vec)
+                if pattern_vec is not None:
+                    sim = max(sim, float(entry.pattern_vec @ pattern_vec))
+                exact[row] = sim
+            picked: list[tuple[_IndexEntry, float]] = []
+            per_skeleton: Counter[str] = Counter()
+            ranked = sorted(exact.items(), key=lambda item: (-item[1], item[0]))
+            for row, sim in ranked:
+                entry = self.entries[row]
+                if per_skeleton[entry.skeleton] >= 2:
+                    continue
+                per_skeleton[entry.skeleton] += 1
+                picked.append((entry, sim))
+                if len(picked) >= top_n:
+                    break
+            if size == len(order) or (
+                len(picked) >= top_n
+                and screen[order[size]] + self.slack < picked[-1][1]
+            ):
+                return picked
+            size = min(len(order), 2 * size)
 
 
 @dataclass(frozen=True)
@@ -179,7 +281,7 @@ class CodeSParser:
         )
         self.classifier: SchemaItemClassifier | None = None
         self.seed = seed
-        self._index: list[_IndexEntry] = []
+        self._index = TemplateIndex((), self.embedder)
         #: Shared with every parser over this LM at this capacity.
         self._skeleton_bank = self.lm.skeleton_bank(self.config.skeleton_capacity)
         #: Per-database resources (builders, analyzers, estimators,
@@ -219,14 +321,6 @@ class CodeSParser:
     def skeleton_bank_size(self) -> int:
         return len(self._skeleton_bank)
 
-    def _knows_skeleton(self, template: Query) -> bool:
-        """Did pre-training expose this SQL structure to the model?"""
-        if not hasattr(self, "_skeleton_set"):
-            self._skeleton_set = {
-                skeleton_of_query(query) for query in self._skeleton_bank
-            }
-        return skeleton_of_query(template) in self._skeleton_set
-
     # -- supervised fine-tuning ------------------------------------------------
 
     def fit(
@@ -238,7 +332,7 @@ class CodeSParser:
         """SFT: index the training templates and train the schema classifier."""
         if not samples:
             raise TrainingError("cannot fine-tune on an empty training set")
-        entries: list[_IndexEntry] = []
+        pairs: list[tuple[str, Query]] = []
         linking: list[LinkingExample] = []
         for example, database in samples:
             question = (
@@ -247,26 +341,18 @@ class CodeSParser:
                 else example.question
             )
             try:
-                template = parse_sql(example.sql)
+                pairs.append((question, parse_sql(example.sql)))
             except SQLSyntaxError:
                 continue
-            entries.append(
-                _IndexEntry(
-                    question=question,
-                    template=template,
-                    question_vec=self.embedder.embed(question),
-                    pattern_vec=self.embedder.embed(extract_pattern(question)),
-                )
-            )
             try:
                 linking.append(
                     LinkingExample.from_sql(question, database.schema, example.sql)
                 )
             except TrainingError:
                 continue
-        if not entries:
+        if not pairs:
             raise TrainingError("no parseable training SQL found")
-        self._index = entries
+        self._index = TemplateIndex(pairs, self.embedder)
         self.classifier = SchemaItemClassifier(
             extractor=self.extractor, seed=self.seed
         )
@@ -334,19 +420,13 @@ class CodeSParser:
             seed=int(meta["seed"]),
             use_pattern_similarity=bool(meta["use_pattern_similarity"]),
         )
-        entries: list[_IndexEntry] = []
-        for item in json.loads(str(archive["index"])):
-            template = parse_sql(item["sql"])
-            question = item["question"]
-            entries.append(
-                _IndexEntry(
-                    question=question,
-                    template=template,
-                    question_vec=parser.embedder.embed(question),
-                    pattern_vec=parser.embedder.embed(extract_pattern(question)),
-                )
-            )
-        parser._index = entries
+        parser._index = TemplateIndex(
+            (
+                (item["question"], parse_sql(item["sql"]))
+                for item in json.loads(str(archive["index"]))
+            ),
+            parser.embedder,
+        )
         parser.classifier = SchemaItemClassifier(
             extractor=parser.extractor, seed=parser.seed
         )
@@ -363,61 +443,39 @@ class CodeSParser:
 
     # -- template retrieval ------------------------------------------------------
 
-    def _entries_from(self, examples: list[Text2SQLExample]) -> list[_IndexEntry]:
-        entries = []
+    def _entries_from(
+        self, examples: list[Text2SQLExample], embedder: MemoizedEmbedder
+    ) -> TemplateIndex:
+        """The demonstrations' parseable templates, embedded by ``embedder``
+        (the engine's per-database memo of the parser's embedder)."""
+        pairs = []
         for example in examples:
             try:
-                template = parse_sql(example.sql)
+                pairs.append((example.question, parse_sql(example.sql)))
             except SQLSyntaxError:
                 continue
-            entries.append(
-                _IndexEntry(
-                    question=example.question,
-                    template=template,
-                    question_vec=self.embedder.embed(example.question),
-                    pattern_vec=self.embedder.embed(
-                        extract_pattern(example.question)
-                    ),
-                )
-            )
-        return entries
+        return TemplateIndex(pairs, embedder)
 
     def _retrieve_templates(
         self,
         question: str,
-        entries: list[_IndexEntry],
+        index: TemplateIndex,
         top_n: int,
         embedder: MemoizedEmbedder,
-    ) -> list[tuple[Query, float]]:
-        """Top templates by Eq. 4 similarity, diversified by skeleton.
+    ) -> list[tuple[_IndexEntry, float]]:
+        """Top entries by Eq. 4 similarity, diversified by skeleton.
 
         Near-duplicate templates waste beam slots, so at most two
         entries per SQL skeleton survive.  ``embedder`` embeds the
         question and its pattern: the engine's per-database memo of
         the parser's embedder, which linking has already filled.
         """
-        if not entries:
+        if not index:
             return []
-        question_vec = embedder.embed(question)
-        pattern_vec = embedder.embed(extract_pattern(question))
-        scored = []
-        for entry in entries:
-            sim = float(entry.question_vec @ question_vec)
-            if self.use_pattern_similarity:
-                sim = max(sim, float(entry.pattern_vec @ pattern_vec))
-            scored.append((entry.template, sim))
-        scored.sort(key=lambda pair: -pair[1])
-        diverse: list[tuple[Query, float]] = []
-        per_skeleton: Counter[str] = Counter()
-        for template, sim in scored:
-            skeleton = skeleton_of_query(template)
-            if per_skeleton[skeleton] >= 2:
-                continue
-            per_skeleton[skeleton] += 1
-            diverse.append((template, sim))
-            if len(diverse) >= top_n:
-                break
-        return diverse
+        pattern_vec = None
+        if self.use_pattern_similarity:
+            pattern_vec = embedder.embed(extract_pattern(question))
+        return index.search(embedder.embed(question), pattern_vec, top_n)
 
     # -- generation ----------------------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.analyzer import SemanticAnalyzer
@@ -206,6 +206,10 @@ class RequestFacts:
     #: scores, or the 0 of a query using none, lies within it.
     column_span: tuple[float, float]
     table_span: tuple[float, float]
+    #: Lower-cased tables of the retrieved values.
+    matched_tables: frozenset
+    #: Table -> span of 0 and its columns' scores, filled on first use.
+    _column_spans: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def of(
@@ -222,7 +226,42 @@ class RequestFacts:
             lm_score=lm_score,
             column_span=_span_with_zero(scores.columns.values()),
             table_span=_span_with_zero(scores.tables.values()),
+            matched_tables=frozenset(m.table.lower() for m in matched),
         )
+
+    def columns_span(self, tables) -> tuple[float, float]:
+        """Span of 0 and the column scores of ``tables`` (any table if None).
+
+        A column key starts with its table's key, so every column of a
+        table is among the keys carrying its prefix.
+        """
+        if tables is None:
+            return self.column_span
+        spans = []
+        for table in tables:
+            span = self._column_spans.get(table)
+            if span is None:
+                prefix = table + "."
+                span = self._column_spans[table] = _span_with_zero(
+                    score
+                    for key, score in self.scores.columns.items()
+                    if key.startswith(prefix)
+                )
+            spans.append(span)
+        return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+
+    def tables_span(self, tables) -> tuple[float, float]:
+        """The table-quality range: one value once ``tables`` is known."""
+        if tables is None:
+            return self.table_span
+        quality = _mean_score(self.scores.tables, tables)
+        return quality, quality
+
+    def value_cap(self, tables) -> float:
+        """1 when a retrieved value can bind in ``tables`` (any if None)."""
+        if tables is None:
+            return 1.0 if self.matched_keys else 0.0
+        return 1.0 if self.matched_tables & tables else 0.0
 
 
 @dataclass(frozen=True)
@@ -231,14 +270,18 @@ class Feature:
 
     ``value(fill, sim, facts)`` is the term's value for ``fill``, an
     instantiation of a template with retrieval similarity ``sim``;
-    ``bounds(facts, sim)`` is the range every such value lies in, known
-    before any fill.
+    ``bounds(facts, sims, tables)`` is the range every such value lies
+    in, known before any fill: ``sims`` spans the similarity and
+    ``tables`` is the fill's lower-cased table set (None when unknown).
     """
 
     name: str
     weight: float
     value: "Callable[[FilledCandidate, float, RequestFacts], float]"
-    bounds: Callable[[RequestFacts, float], tuple[float, float]]
+    bounds: Callable[
+        [RequestFacts, tuple[float, float], "frozenset[str] | None"],
+        tuple[float, float],
+    ]
     #: Computed last, and only for a fill the other terms leave a chance
     #: of reaching the beam.
     deferred: bool = False
@@ -249,21 +292,21 @@ FEATURES: tuple[Feature, ...] = (
     Feature(
         "retrieval", 2.0,
         lambda fill, sim, facts: sim,
-        lambda facts, sim: (sim, sim),
+        lambda facts, sims, tables: sims,
     ),
     Feature(
         "link_quality", 0.5,
         lambda fill, sim, facts: _mean_score(
             facts.scores.columns, fill.query.columns_used()
         ),
-        lambda facts, sim: facts.column_span,
+        lambda facts, sims, tables: facts.columns_span(tables),
     ),
     Feature(
         "table_quality", 0.4,
         lambda fill, sim, facts: _mean_score(
             facts.scores.tables, fill.query.tables_used()
         ),
-        lambda facts, sim: facts.table_span,
+        lambda facts, sims, tables: facts.tables_span(tables),
     ),
     # The LM prior flows through the provider router — the reliability
     # boundary (failover, hedging, breakers) between the engine and
@@ -271,38 +314,50 @@ FEATURES: tuple[Feature, ...] = (
     Feature(
         "lm_prior", 0.08,
         lambda fill, sim, facts: facts.lm_score(fill.sql),
-        lambda facts, sim: (-math.inf, 0.0),
+        lambda facts, sims, tables: (-math.inf, 0.0),
         deferred=True,
     ),
     Feature(
         "value_bonus", 0.25,
         lambda fill, sim, facts: value_bonus(fill.query, facts.matched_keys),
-        lambda facts, sim: (0.0, 1.0 if facts.matched_keys else 0.0),
+        lambda facts, sims, tables: (0.0, facts.value_cap(tables)),
     ),
     Feature(
         "projection_filter_overlap", -0.1,
         lambda fill, sim, facts: projection_filter_overlap(fill.query),
-        lambda facts, sim: (0.0, 1.0),
+        lambda facts, sims, tables: (0.0, 1.0),
     ),
     Feature(
         "count_mismatch", -0.5,
         lambda fill, sim, facts: count_mismatch(fill.query, facts.count_cue),
-        lambda facts, sim: (0.0, 0.0 if facts.count_cue else 1.0),
+        lambda facts, sims, tables: (0.0, 0.0 if facts.count_cue else 1.0),
     ),
     Feature(
         "ungrounded_literals", -0.3,
         lambda fill, sim, facts: fill.ungrounded_literals,
-        lambda facts, sim: (0.0, math.inf),
+        lambda facts, sims, tables: (0.0, math.inf),
     ),
 )
 
 
-def feature_ranges(facts: RequestFacts, sim: float) -> list[tuple[float, float]]:
+def feature_ranges(
+    facts: RequestFacts,
+    sim: float,
+    tables: "frozenset[str] | None" = None,
+    best_sim: float | None = None,
+) -> list[tuple[float, float]]:
     """Each feature's range for fills of a template with similarity
-    ``sim``, widened by :data:`RANGE_SLACK`."""
+    ``sim``, widened by :data:`RANGE_SLACK`.
+
+    ``tables`` narrows them to one table assignment, every fill of
+    which uses exactly those lower-cased tables.  ``best_sim`` (at
+    least ``sim``) raises the similarity's upper bound, so the ceiling
+    also covers the same SQL made again by a later, closer template.
+    """
+    sims = (sim, sim if best_sim is None else best_sim)
     return [
         (lo - RANGE_SLACK, hi + RANGE_SLACK)
-        for lo, hi in (feature.bounds(facts, sim) for feature in FEATURES)
+        for lo, hi in (feature.bounds(facts, sims, tables) for feature in FEATURES)
     ]
 
 

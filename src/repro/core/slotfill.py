@@ -712,35 +712,52 @@ def iter_fills(
 
     Yields up to ``slot_depth * assignments`` candidates, deduplicated
     case-insensitively on their SQL, best-ranked table assignments
-    first, and within one assignment ``variant`` 0, 1, ... in turn.
-    Each fill happens only when the next candidate is asked for, so a
-    caller that stops early skips the rest of the work.  ``serialize``
-    renders each fill exactly once (pass the backend emitter's
-    ``serialize`` to get SQL in its dialect).
+    first, each assignment's fills as :func:`assignment_fills` makes
+    them.  Each fill happens only when the next candidate is asked for,
+    so a caller that stops early skips the rest of the work.
+    ``serialize`` renders each fill exactly once (pass the backend
+    emitter's ``serialize`` to get SQL in its dialect).
+    """
+    seen: set[str] = set()
+    for table_map in _table_assignments(ctx, _template_tables(template)):
+        for candidate in assignment_fills(template, table_map, ctx, serialize):
+            key = candidate.sql.lower()
+            if key not in seen:
+                seen.add(key)
+                yield candidate
+
+
+def assignment_fills(
+    template: Query,
+    table_map: dict[str, str],
+    ctx: InstantiationContext,
+    serialize: Callable[[Query], str],
+) -> Iterator[FilledCandidate]:
+    """``template``'s fills under one table assignment: ``variant`` 0,
+    1, ... in turn, not deduplicated.
+
+    Every fill uses exactly the tables ``table_map`` assigns: FROM and
+    each join map through it (a join may not repeat a table), subqueries
+    map through the same filler, and compound arms are dropped.
 
     Variant early exit: ``variant`` only picks a select slot's column,
     so once a fill (finished or abandoned) read no select pool with a
     column left past its pick, every later variant would make the same
     choices in the same order and give the same query or the same
     ``None``.  Those variants are skipped; the yielded sequence is the
-    one filling every variant would give.
+    one filling every variant would give, less repeats.
     """
-    template_tables = _template_tables(template)
-    seen: set[str] = set()
-    for table_map in _table_assignments(ctx, template_tables):
-        for variant in range(max(1, ctx.slot_depth)):
-            filler = _Filler(ctx, table_map, variant)
-            filled = filler.fill(template)
-            if filled is not None:
-                sql = serialize(filled)
-                key = sql.lower()
-                if key not in seen:
-                    seen.add(key)
-                    yield FilledCandidate(
-                        query=filled, sql=sql, ungrounded_literals=filler.ungrounded
-                    )
-            if not filler.variant_matters:
-                break
+    for variant in range(max(1, ctx.slot_depth)):
+        filler = _Filler(ctx, table_map, variant)
+        filled = filler.fill(template)
+        if filled is not None:
+            yield FilledCandidate(
+                query=filled,
+                sql=serialize(filled),
+                ungrounded_literals=filler.ungrounded,
+            )
+        if not filler.variant_matters:
+            break
 
 
 def instantiate_template(

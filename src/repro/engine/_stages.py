@@ -69,7 +69,12 @@ from repro.core.ranking import (
     score_ceiling,
     score_fill,
 )
-from repro.core.slotfill import InstantiationContext, iter_fills
+from repro.core.slotfill import (
+    InstantiationContext,
+    _table_assignments,
+    _template_tables,
+    assignment_fills,
+)
 from repro.core.structure import cue_structure_prior, question_cues
 from repro.db.backends.base import backend_dialect
 from repro.engine.context import InferenceContext
@@ -85,6 +90,7 @@ from repro.promptgen.builder import (
     PromptBuilder,
     apply_schema_ablations,
 )
+from repro.sqlgen.ast import identifier_key
 from repro.sqlgen.dialects import emitter_for
 from repro.text.embedder import MemoizedEmbedder
 
@@ -312,13 +318,15 @@ class CandidateGenStage(_ParserStage):
     whole structural repertoire, ranked by question-cue fit.
 
     Filling and scoring are one lazy loop (bound and prune).  Every
-    feature of the score declares its range, so each template has a
-    score ceiling before it is filled.  Filling stops, even mid-template,
-    once the beam-size-th best score reaches the highest ceiling among
-    the templates left, and a fill is LM-scored only if its other terms
-    leave it a chance to beat that score.  Only the tail of the fill
-    order is cut and ties go to the earlier candidate, so the beam is
-    the one an exhaustive fill, score and stable sort would cut.
+    feature of the score declares its range, so each template, and
+    each of its table assignments, has a score ceiling before it is
+    filled.  Filling stops, even mid-template, once the beam-size-th
+    best score reaches the highest ceiling among the templates left; an
+    assignment whose own ceiling that score already reaches is skipped;
+    and a fill is LM-scored only if its other terms leave it a chance
+    to beat that score.  Only fills that could not enter the beam are
+    cut and ties go to the earlier candidate, so the beam is the one an
+    exhaustive fill, score and stable sort would cut.
     """
 
     name = "candidate_gen"
@@ -332,20 +340,21 @@ class CandidateGenStage(_ParserStage):
             # stage answers from the skeleton bank (or the sentinel).
             return
         parser = self.parser
+        embedder = _link_assets(ctx, parser).embedder
         in_context_mode = ctx.demonstrations is not None
         if in_context_mode:
-            entries = parser._entries_from(ctx.demonstrations)
+            index = parser._entries_from(ctx.demonstrations, embedder)
         else:
-            entries = parser._index
+            index = parser._index
         top_n = 2 + parser.config.slot_depth
-        templates = parser._retrieve_templates(
-            ctx.question, entries, top_n, _link_assets(ctx, parser).embedder
-        )
+        retrieved = parser._retrieve_templates(ctx.question, index, top_n, embedder)
         if in_context_mode:
-            templates = [
-                (template, sim if parser._knows_skeleton(template) else 0.35 * sim)
-                for template, sim in templates
+            known = parser.lm.known_skeletons(parser.config.skeleton_capacity)
+            retrieved = [
+                (entry, sim if entry.skeleton in known else 0.35 * sim)
+                for entry, sim in retrieved
             ]
+        templates = [(entry.template, sim) for entry, sim in retrieved]
         best_sim = max((sim for _, sim in templates), default=0.0)
         if templates and best_sim >= 0.45:
             bank_quota = max(1, parser.config.slot_depth)
@@ -382,10 +391,21 @@ def _fill_and_score(
     beam_size: int,
 ) -> list[tuple[str, float]]:
     """(sql, score) of each distinct fill that could still reach the
-    beam when it was made, in fill order, stopping once none can."""
-    ranges = [feature_ranges(facts, sim) for _, sim in templates]
-    # reach[i]: the highest score any fill of templates[i:] can get.
-    reach = list(accumulate(map(score_ceiling, reversed(ranges)), max))[::-1]
+    beam when it was made, in fill order, stopping once none can.
+
+    Table assignments are walked here, not through ``iter_fills``, so
+    that a whole assignment is skipped once the beam's floor reaches
+    its own ceiling (see :func:`feature_ranges`).  Its fills never
+    enter ``seen``; the same SQL made later has the same tables and a
+    similarity no higher than ``best_sim`` allowed for, so it loses to
+    the floor then too.
+    """
+    sims = [sim for _, sim in templates]
+    # best_sim[i] / reach[i]: the highest similarity of, and the
+    # highest score any fill can get from, templates[i:].
+    best_sim = list(accumulate(reversed(sims), max))[::-1]
+    ceilings = (score_ceiling(feature_ranges(facts, sim)) for sim in reversed(sims))
+    reach = list(accumulate(ceilings, max))[::-1]
     # Min-heap of the best beam_size scores so far; once full, its root
     # is the score a later fill has to beat (ties go to the earlier
     # candidate, as in the stable sort of ``rank``).
@@ -397,16 +417,27 @@ def _fill_and_score(
         """No fill of ``templates[index:]`` can enter the beam any more."""
         return len(best) == beam_size and best[0] >= reach[index]
 
+    def fills(index: int):
+        """templates[index]'s (fill, ranges), less beaten assignments."""
+        template, sim = templates[index]
+        for table_map in _table_assignments(inst_ctx, _template_tables(template)):
+            tables = frozenset(map(identifier_key, table_map.values()))
+            ranges = feature_ranges(facts, sim, tables, best_sim[index])
+            if len(best) == beam_size and best[0] >= score_ceiling(ranges):
+                continue
+            for fill in assignment_fills(template, table_map, inst_ctx, serialize):
+                yield fill, ranges
+
     for index, (template, sim) in enumerate(templates):
         if settled(index):
             break
-        for fill in iter_fills(template, inst_ctx, serialize):
+        for fill, ranges in fills(index):
             key = fill.sql.lower()
             if key in seen:
                 continue
             seen.add(key)
             floor = best[0] if len(best) == beam_size else None
-            score = score_fill(fill, sim, facts, ranges[index], floor)
+            score = score_fill(fill, sim, facts, ranges, floor)
             if score is None:
                 continue
             scored.append((fill.sql, score))

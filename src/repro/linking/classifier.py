@@ -117,6 +117,21 @@ class SchemaItemClassifier:
 
     # -- training -----------------------------------------------------------
 
+    def _per_schema_run(self, examples: list[LinkingExample]):
+        """(extractor, example) pairs: a fresh memoized extractor over
+        this classifier's embedder for each contiguous run of examples
+        on one schema, so each text is embedded once per run and the
+        memo never holds more than one schema's texts."""
+        schema = None
+        for example in examples:
+            if example.schema is not schema:
+                schema = example.schema
+                extractor = MemoizedSchemaFeatureExtractor(
+                    embedder=MemoizedEmbedder(self.extractor.embedder),
+                    use_comments=self.extractor.use_comments,
+                )
+            yield extractor, example
+
     def _build_training_matrix(
         self, examples: list[LinkingExample]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,21 +141,13 @@ class SchemaItemClassifier:
         extractor would embed each question once per item and each item
         name once per question.  Rows are built instead through the
         serving path's memoized extractor and embedder, whose features
-        are bit-identical, with a fresh memo for each contiguous run of
-        examples on one schema: each text is embedded once per run, and
-        the memo never holds more than one schema's texts.  Row order,
-        and with it the seeded training, is unchanged.
+        are bit-identical, one memo per schema run
+        (:meth:`_per_schema_run`).  Row order, and with it the seeded
+        training, is unchanged.
         """
         rows: list[np.ndarray] = []
         labels: list[float] = []
-        schema = None
-        for example in examples:
-            if example.schema is not schema:
-                schema = example.schema
-                extractor = MemoizedSchemaFeatureExtractor(
-                    embedder=MemoizedEmbedder(self.extractor.embedder),
-                    use_comments=self.extractor.use_comments,
-                )
+        for extractor, example in self._per_schema_run(examples):
             matched = list(example.matched_values)
             for table in example.schema.tables:
                 rows.append(extractor.table_features(example.question, table))
@@ -202,13 +209,18 @@ class SchemaItemClassifier:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate_auc(self, examples: list[LinkingExample]) -> tuple[float, float]:
-        """(table AUC, column AUC) on held-out examples — Table 3's metric."""
+        """(table AUC, column AUC) on held-out examples — Table 3's metric.
+
+        Scores through a view over each schema run's memoized extractor,
+        as training does: bit-identical scores, each text embedded once
+        per run.
+        """
         table_labels: list[int] = []
         table_scores: list[float] = []
         column_labels: list[int] = []
         column_scores: list[float] = []
-        for example in examples:
-            scores = self.score_schema(
+        for extractor, example in self._per_schema_run(examples):
+            scores = self.with_extractor(extractor).score_schema(
                 example.question, example.schema, list(example.matched_values)
             )
             for name, score in scores.tables.items():

@@ -64,6 +64,9 @@ class PretrainedLM:
     _skeleton_banks: dict[int, tuple[Query, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _known_skeletons: dict[int, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def skeleton_bank(self, capacity: int) -> tuple[Query, ...]:
         """The ``capacity`` most frequent SQL skeletons in ``seen_sql``.
@@ -91,6 +94,16 @@ class PretrainedLM:
                 representative[skeleton] for skeleton in ranked[:capacity]
             )
         return bank
+
+    def known_skeletons(self, capacity: int) -> frozenset[str]:
+        """The skeleton keys of :meth:`skeleton_bank`, derived once per
+        capacity on first use: only few-shot requests read them."""
+        known = self._known_skeletons.get(capacity)
+        if known is None:
+            known = self._known_skeletons[capacity] = frozenset(
+                map(skeleton_of_query, self.skeleton_bank(capacity))
+            )
+        return known
 
     def score(self, text: str) -> float:
         """Length-normalized log probability (higher is more fluent)."""

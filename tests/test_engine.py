@@ -8,6 +8,7 @@ behavioural drift in the decomposition shows up as a golden mismatch.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import inspect
 import json
@@ -17,12 +18,20 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import CodeSParser
-from repro.core.parser import pretrained_lm_for
+from repro.core.parser import TemplateIndex, pretrained_lm_for
 from repro.config import get_model_config
-from repro.datasets import build_bank_financials
+from repro.datasets import (
+    SPIDER_VARIANTS,
+    build_aminer_simplified,
+    build_bank_financials,
+    build_bird,
+    build_spider,
+    build_spider_variant,
+)
 from repro.engine import (
     STAGE_NAMES,
     Engine,
@@ -32,6 +41,7 @@ from repro.engine import (
     StageLatencyInjector,
     TraceRecorder,
 )
+from repro.engine._stages import _fill_and_score
 from repro.core.ranking import (
     FEATURES,
     RANGE_SLACK,
@@ -41,7 +51,6 @@ from repro.core.ranking import (
     score_fill,
 )
 from repro.core.slotfill import FilledCandidate, iter_fills
-from repro.datasets import build_spider
 from repro.datasets.spider import SpiderConfig
 from repro.db.backends.base import backend_dialect
 from repro.errors import GenerationError, ScoreRangeError
@@ -54,6 +63,10 @@ from repro.memo import Memo
 from repro.reliability.clock import FakeClock
 from repro.sqlgen.ast import identifier_key
 from repro.sqlgen.dialects import emitter_for
+from repro.sqlgen.parser import parse_sql
+from repro.sqlgen.skeleton import skeleton_of_query
+from repro.text.embedder import MemoizedEmbedder
+from repro.text.pattern import extract_pattern
 
 pytestmark = pytest.mark.engine
 
@@ -516,6 +529,33 @@ def test_pruned_beam_equals_the_exhaustive_reference(setup, request):
         assert (pruned.sql, pruned.tier) == (reference.sql, reference.tier)
 
 
+def test_pruned_beam_is_exact_when_a_later_template_repeats_fills_closer(bank):
+    """Each request's templates twice, first far (0.2·sim), then close
+    (sim + 0.5): every fill of the close copy repeats a far one, which
+    the exhaustive reference scores first.  Skipping a beaten far
+    assignment must not let the close copy score its SQL instead."""
+    parser, dataset, _ = bank
+    beam_size = parser.config.beam_size
+    contexts = _generated_contexts(
+        parser, dataset, _golden_examples(dataset, "bank_financials")
+    )
+    for ctx in contexts:
+        ctx.templates = [(t, 0.2 * sim) for t, sim in ctx.templates] + [
+            (t, sim + 0.5) for t, sim in ctx.templates
+        ]
+        serialize = emitter_for(backend_dialect(ctx.database)).serialize
+        facts = RequestFacts.of(
+            ctx.question, ctx.scores, ctx.matched, parser.router.score
+        )
+        pruned = _fill_and_score(
+            ctx.templates, ctx.inst_ctx, serialize, facts, beam_size
+        )
+        reference = _exhaustive_scored(parser, ctx)
+        assert sorted(pruned, key=lambda pair: -pair[1])[:beam_size] == sorted(
+            reference, key=lambda pair: -pair[1]
+        )[:beam_size], ctx.question
+
+
 #: A golden bank_financials question on which the bound fires early.
 PRUNED_INDEX = 10
 
@@ -556,32 +596,211 @@ def _generated_contexts(parser, dataset, examples):
     return contexts
 
 
+def _assert_in_ranges(fill, sim, facts, ranges) -> None:
+    for feature, (lo, hi) in zip(FEATURES, ranges):
+        value = feature.value(fill, sim, facts)
+        assert lo <= value <= hi, (feature.name, fill.sql, value, lo, hi)
+    assert score_fill(fill, sim, facts, ranges) <= score_ceiling(ranges)
+
+
 @pytest.mark.parametrize("setup", ["bank", "warm_spider_15b"])
 def test_every_feature_value_lies_in_its_declared_range(setup, request):
     """On every candidate the templates generate — pruned or not — each
     feature lies in its declared range and each score under its
-    template's ceiling."""
+    template's ceiling; and under every table assignment, each fill
+    uses exactly the assigned tables, lies in the assignment's
+    tightened ranges and scores under the assignment's ceiling."""
     parser, dataset, *_ = request.getfixturevalue(setup)
+    lm_score = functools.cache(parser.router.score)
     checked = 0
     for ctx in _generated_contexts(parser, dataset, dataset.dev[:24]):
-        facts = RequestFacts.of(
-            ctx.question, ctx.scores, ctx.matched, parser.router.score
-        )
+        facts = RequestFacts.of(ctx.question, ctx.scores, ctx.matched, lm_score)
         serialize = emitter_for(backend_dialect(ctx.database)).serialize
-        for template, sim in ctx.templates:
+        sims = [sim for _, sim in ctx.templates]
+        for index, (template, sim) in enumerate(ctx.templates):
             ranges = feature_ranges(facts, sim)
-            ceiling = score_ceiling(ranges)
-            for fill in _every_variant_fills(template, ctx.inst_ctx, serialize):
-                for feature in FEATURES:
-                    lo, hi = feature.bounds(facts, sim)
-                    value = feature.value(fill, sim, facts)
-                    assert lo - RANGE_SLACK <= value <= hi + RANGE_SLACK, (
-                        feature.name,
-                        fill.sql,
+            assert ranges == [
+                (lo - RANGE_SLACK, hi + RANGE_SLACK)
+                for lo, hi in (f.bounds(facts, (sim, sim), None) for f in FEATURES)
+            ]
+            # Every (assignment, variant) fill: a superset of
+            # _every_variant_fills, which drops repeats.
+            table_maps = slotfill._table_assignments(
+                ctx.inst_ctx, slotfill._template_tables(template)
+            )
+            for table_map in table_maps:
+                tables = frozenset(map(identifier_key, table_map.values()))
+                tight = feature_ranges(facts, sim, tables, max(sims[index:]))
+                for variant in range(max(1, ctx.inst_ctx.slot_depth)):
+                    filler = slotfill._Filler(ctx.inst_ctx, table_map, variant)
+                    filled = filler.fill(template)
+                    if filled is None:
+                        continue
+                    assert filled.tables_used() == tables
+                    fill = FilledCandidate(
+                        filled, serialize(filled), filler.ungrounded
                     )
+                    _assert_in_ranges(fill, sim, facts, ranges)
+                    _assert_in_ranges(fill, sim, facts, tight)
                     checked += 1
-                assert score_fill(fill, sim, facts, ranges) <= ceiling
     assert checked > 0
+
+
+def test_warm_questions_fill_and_score_within_budget(warm_spider_15b, monkeypatch):
+    """On the benchmark's warm questions at codes-15b, skipping beaten
+    table assignments keeps ``_Filler.fill`` calls (subquery fills
+    included) at most 2400 and ``score_fill`` calls at most 1700,
+    against 3494 and 2522 with one ceiling per template."""
+    parser, dataset = warm_spider_15b
+    calls: Counter = Counter()
+    fill = slotfill._Filler.fill
+    score = score_fill
+
+    def counting_fill(self, template):
+        calls["fill"] += 1
+        return fill(self, template)
+
+    def counting_score(*args):
+        calls["score_fill"] += 1
+        return score(*args)
+
+    monkeypatch.setattr(slotfill._Filler, "fill", counting_fill)
+    monkeypatch.setattr("repro.engine._stages.score_fill", counting_score)
+    engine = parser.build_engine()
+    for example in dataset.dev:
+        parser.generate(example.question, dataset.database_of(example), engine=engine)
+    assert 0 < calls["fill"] <= 2400, calls
+    assert 0 < calls["score_fill"] <= 1700, calls
+
+
+# -- screened template retrieval ---------------------------------------------------
+
+
+def _retrieve_reference(parser, question, index, top_n, embedder):
+    """Template retrieval as one exact dot product per entry, a stable
+    sort on similarity and the two-per-skeleton walk."""
+    question_vec = embedder.embed(question)
+    pattern_vec = embedder.embed(extract_pattern(question))
+    scored = []
+    for entry in index:
+        sim = float(entry.question_vec @ question_vec)
+        if parser.use_pattern_similarity:
+            sim = max(sim, float(entry.pattern_vec @ pattern_vec))
+        scored.append((entry, sim))
+    scored.sort(key=lambda pair: -pair[1])
+    diverse = []
+    per_skeleton: Counter = Counter()
+    for entry, sim in scored:
+        skeleton = skeleton_of_query(entry.template)
+        if per_skeleton[skeleton] >= 2:
+            continue
+        per_skeleton[skeleton] += 1
+        diverse.append((entry, sim))
+        if len(diverse) >= top_n:
+            break
+    return diverse
+
+
+def _assert_retrieval_exact(parser, question, index, top_n, embedder):
+    screened = parser._retrieve_templates(question, index, top_n, embedder)
+    reference = _retrieve_reference(parser, question, index, top_n, embedder)
+    position = {id(entry): row for row, entry in enumerate(index)}
+    assert [(position[id(e)], s.hex()) for e, s in screened] == [
+        (position[id(e)], s.hex()) for e, s in reference
+    ], question
+
+
+#: The datasets ``repro eval --dataset`` offers.
+CLI_DATASETS = {
+    "spider": build_spider,
+    "bird": build_bird,
+    **{
+        name: (lambda name=name: build_spider_variant(name))
+        for name in SPIDER_VARIANTS
+    },
+    "bank_financials": build_bank_financials,
+    "aminer_simplified": build_aminer_simplified,
+}
+
+
+@pytest.fixture(scope="module")
+def cli_datasets():
+    return {name: build() for name, build in CLI_DATASETS.items()}
+
+
+@pytest.mark.parametrize("model", ["codes-1b", "codes-3b", "codes-7b", "codes-15b"])
+def test_screened_retrieval_equals_the_per_entry_reference(model, cli_datasets):
+    """Every dev question of every CLI dataset retrieves, from the SFT
+    index and from a window of demonstrations, exactly the entries and
+    similarity bits of one exact dot product per entry."""
+    parser = CodeSParser(model)
+    top_n = 2 + parser.config.slot_depth
+    embedder = MemoizedEmbedder(parser.embedder)
+    for dataset in cli_datasets.values():
+        train = dataset.train
+        index = TemplateIndex(
+            ((e.question, parse_sql(e.sql)) for e in train), embedder
+        )
+        for number, example in enumerate(dataset.dev):
+            _assert_retrieval_exact(parser, example.question, index, top_n, embedder)
+            start = 7 * number % len(train)
+            demonstrations = parser._entries_from(
+                (train + train)[start : start + 2 * top_n + 2], embedder
+            )
+            _assert_retrieval_exact(
+                parser, example.question, demonstrations, top_n, embedder
+            )
+
+
+class _NearEmbedder:
+    """Unit vectors within ``scale`` of a few shared directions, so exact
+    similarities tie or differ by less than the screen's slack."""
+
+    dim = 320
+
+    def __init__(self, scale: float, directions: int):
+        rng = np.random.default_rng(7)
+        self.bases = rng.standard_normal((directions, self.dim))
+        self.scale = scale
+
+    def embed(self, text: str) -> np.ndarray:
+        rng = np.random.default_rng(sum(map(ord, text)) * 131 + len(text))
+        vec = self.bases[len(text) % len(self.bases)] + self.scale * (
+            rng.standard_normal(self.dim)
+        )
+        return vec / np.linalg.norm(vec)
+
+
+_ADVERSARIAL_SQL = [
+    "SELECT name FROM t",
+    "SELECT count(*) FROM t",
+    "SELECT name FROM t WHERE id = 1",
+    "SELECT name FROM t ORDER BY id DESC LIMIT 1",
+]
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-16, 1e-14, 1e-12, 1e-3])
+def test_screened_retrieval_is_exact_on_adversarial_indexes(scale):
+    """Duplicated entries tie exactly and keep index order; entries whose
+    similarities differ by less than the slack come out as the
+    reference orders them."""
+    embedder = _NearEmbedder(scale, directions=3)
+    questions = [f"question number {i} {'x' * (i % 5)}" for i in range(60)]
+    pairs = [
+        (question, parse_sql(_ADVERSARIAL_SQL[i % len(_ADVERSARIAL_SQL)]))
+        for i, question in enumerate(questions)
+    ]
+    duplicated = TemplateIndex(pairs * 3, embedder)
+    distinct = TemplateIndex(pairs, embedder)
+    assert distinct.slack < 1e-12
+    for parser in (
+        CodeSParser("codes-1b"),
+        CodeSParser("codes-1b", use_pattern_similarity=False),
+    ):
+        for index in (duplicated, distinct):
+            for question in questions[:12] + ["an unseen question"]:
+                for top_n in (1, 4, 7, 400):
+                    _assert_retrieval_exact(parser, question, index, top_n, embedder)
 
 
 @pytest.mark.parametrize("setup", SETUPS)
@@ -622,7 +841,13 @@ def test_iter_fills_equals_every_variant_reference(setup, request, monkeypatch):
 #: summation orders.
 _RAW_CANDIDATES_PROBE = """
 from repro.core import CodeSParser
-from repro.datasets import build_bank_financials
+from repro.datasets import (
+    SPIDER_VARIANTS,
+    build_aminer_simplified,
+    build_bank_financials,
+    build_bird,
+    build_spider_variant,
+)
 from repro.eval.harness import pair_samples
 dataset = build_bank_financials()
 parser = CodeSParser("codes-1b")

@@ -20,6 +20,7 @@ from repro.datasets import (
 )
 from repro.errors import TrainingError
 from repro.eval.harness import pair_samples
+from repro.eval.metrics import roc_auc
 from repro.linking import (
     FEATURE_DIM,
     SchemaFeatureExtractor,
@@ -255,6 +256,52 @@ class TestClassifierFit:
         parser.fit(samples)
         index_embeds = 2 * len(parser._index)
         assert len(embedded) <= index_embeds + bound
+
+    def test_evaluate_auc_equals_the_plain_path_with_fewer_embeds(
+        self, monkeypatch
+    ):
+        """AUCs over Spider dev are bit-identical to scoring every example
+        through the plain extractor, and each text is embedded at most
+        once per contiguous run of examples on one schema."""
+        dataset = build_spider()
+        examples = [
+            LinkingExample.from_sql(
+                example.question, dataset.database_of(example).schema, example.sql
+            )
+            for example in dataset.dev
+        ]
+        classifier = SchemaItemClassifier(seed=0)
+        classifier.fit(_spider_linking_examples(per_database=2)[0], epochs=3)
+        bound = 0
+        for schema, run in itertools.groupby(examples, key=lambda e: id(e.schema)):
+            run = list(run)
+            texts = set(_item_texts(run[0].schema))
+            texts.update(example.question for example in run)
+            bound += len(texts)
+        embedded = []
+        embed = HashedNgramEmbedder.embed
+
+        def counting_embed(self, text):
+            embedded.append(text)
+            return embed(self, text)
+
+        monkeypatch.setattr(HashedNgramEmbedder, "embed", counting_embed)
+        aucs = classifier.evaluate_auc(examples)
+        memoized_embeds = len(embedded)
+        embedded.clear()
+        labels, scores = ([], []), ([], [])
+        for example in examples:
+            plain = classifier.score_schema(example.question, example.schema)
+            for side, (items, gold) in enumerate((
+                (plain.tables, example.gold_tables),
+                (plain.columns, example.gold_columns),
+            )):
+                for key, score in items.items():
+                    labels[side].append(int(key in gold))
+                    scores[side].append(score)
+        plain_aucs = tuple(map(roc_auc, labels, scores))
+        assert aucs == plain_aucs
+        assert memoized_embeds <= bound < len(embedded) / 4
 
 
 class TestClassifier:
