@@ -150,9 +150,7 @@ def test_shard_scaling(benchmark, report):
             )
             router = ShardRouter(
                 shard_map,
-                lambda worker_id: ProcessWorkerHandle(
-                    worker_id, server_factory, idle_poll_s=0.002
-                ),
+                lambda worker_id: ProcessWorkerHandle(worker_id, server_factory),
                 db_ids,
                 config=SHARDING_CONFIG,
             )

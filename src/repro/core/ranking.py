@@ -210,6 +210,8 @@ class RequestFacts:
     matched_tables: frozenset
     #: Table -> span of 0 and its columns' scores, filled on first use.
     _column_spans: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Table set (or None) -> :func:`table_ranges`, filled on first use.
+    _table_ranges: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def of(
@@ -285,6 +287,9 @@ class Feature:
     #: Computed last, and only for a fill the other terms leave a chance
     #: of reaching the beam.
     deferred: bool = False
+    #: ``bounds`` reads ``sims``; every other feature's bounds depend on
+    #: the request and table set only, and are computed once per set.
+    by_sim: bool = False
 
 
 #: The candidate score, term by term, in summation order.
@@ -293,6 +298,7 @@ FEATURES: tuple[Feature, ...] = (
         "retrieval", 2.0,
         lambda fill, sim, facts: sim,
         lambda facts, sims, tables: sims,
+        by_sim=True,
     ),
     Feature(
         "link_quality", 0.5,
@@ -354,11 +360,31 @@ def feature_ranges(
     least ``sim``) raises the similarity's upper bound, so the ceiling
     also covers the same SQL made again by a later, closer template.
     """
+    ranges = facts._table_ranges.get(tables)
+    if ranges is None:
+        ranges = facts._table_ranges[tables] = table_ranges(facts, tables)
+    ranges = list(ranges)
     sims = (sim, sim if best_sim is None else best_sim)
+    for index in _BY_SIM:
+        ranges[index] = _widened(FEATURES[index].bounds(facts, sims, tables))
+    return ranges
+
+
+def table_ranges(facts: RequestFacts, tables) -> list:
+    """The widened range of each feature not bounded by similarity
+    (None in the ``by_sim`` slots) for fills using ``tables``."""
     return [
-        (lo - RANGE_SLACK, hi + RANGE_SLACK)
-        for lo, hi in (feature.bounds(facts, sims, tables) for feature in FEATURES)
+        None if feature.by_sim else _widened(feature.bounds(facts, None, tables))
+        for feature in FEATURES
     ]
+
+
+def _widened(span: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = span
+    return lo - RANGE_SLACK, hi + RANGE_SLACK
+
+
+_BY_SIM = tuple(i for i, feature in enumerate(FEATURES) if feature.by_sim)
 
 
 def weighted_score(values) -> float:

@@ -41,6 +41,8 @@ class NgramLanguageModel:
         self._counts: list[dict[tuple[str, ...], Counter[str]]] = [
             defaultdict(Counter) for _ in range(order)
         ]
+        # totals[k] memoizes sum(counts[k][context].values()); fit resets it.
+        self._totals: list[dict[tuple[str, ...], int]] = [{} for _ in range(order)]
         self._vocab: set[str] = set()
         self._trained_tokens = 0
 
@@ -56,6 +58,8 @@ class NgramLanguageModel:
         if weight < 1:
             raise TrainingError(f"weight must be at least 1, got {weight}")
         consumed = 0
+        for totals in self._totals:
+            totals.clear()
         for text in texts:
             tokens = [BOS, *self.tokenizer.tokenize(text), EOS]
             consumed += len(tokens)
@@ -90,7 +94,9 @@ class NgramLanguageModel:
             counter = self._counts[k].get(ctx)
             if counter is None:
                 continue
-            total = sum(counter.values())
+            total = self._totals[k].get(ctx)
+            if total is None:
+                total = self._totals[k][ctx] = sum(counter.values())
             if total == 0:
                 continue
             mle = counter.get(token, 0) / total
@@ -99,7 +105,10 @@ class NgramLanguageModel:
 
     def log_prob(self, text: str) -> float:
         """Total natural-log probability of ``text``."""
-        tokens = [BOS, *self.tokenizer.tokenize(text), EOS]
+        return self._log_prob(self.tokenizer.tokenize(text))
+
+    def _log_prob(self, body: list[str]) -> float:
+        tokens = [BOS, *body, EOS]
         total = 0.0
         for position in range(1, len(tokens)):
             context = tokens[max(0, position - self.order + 1):position]
@@ -111,7 +120,7 @@ class NgramLanguageModel:
         tokens = self.tokenizer.tokenize(text)
         if not tokens:
             return 0.0
-        return self.log_prob(text) / (len(tokens) + 1)
+        return self._log_prob(tokens) / (len(tokens) + 1)
 
     def perplexity(self, texts: Iterable[str]) -> float:
         """Corpus perplexity under this model."""
@@ -119,7 +128,7 @@ class NgramLanguageModel:
         total_tokens = 0
         for text in texts:
             tokens = self.tokenizer.tokenize(text)
-            total_log += self.log_prob(text)
+            total_log += self._log_prob(tokens)
             total_tokens += len(tokens) + 1
         if total_tokens == 0:
             raise TrainingError("cannot compute perplexity on an empty corpus")

@@ -49,6 +49,9 @@ from repro.reliability.sync import new_lock
 
 #: Bounded routing-event history (oldest dropped first).
 MAX_EVENTS = 512
+#: Effective latencies kept for :meth:`ProviderRouter.latency_quantile`
+#: (the newest; every routed call adds one).
+MAX_LATENCIES = 4096
 
 
 @dataclass
@@ -377,6 +380,8 @@ class ProviderRouter:
 
     def _charge(self, effective_s: float) -> None:
         self.effective_latencies.append(effective_s)
+        if len(self.effective_latencies) > MAX_LATENCIES:
+            del self.effective_latencies[0]
         if effective_s > 0:
             self._clock.sleep(effective_s)
 

@@ -25,6 +25,7 @@ parallelism only exists cross-process, so replay polls for it).
 from __future__ import annotations
 
 import multiprocessing
+import select
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.errors import ServingError
@@ -123,17 +124,17 @@ class ProcessWorkerHandle:
     parsers; the factory still *runs* post-fork, giving the child its
     own database connections.  Where ``fork`` is unavailable the
     default context is used and the factory must be picklable.
+
+    Each incarnation's pipe and exit sentinel are registered in a
+    ``select.poll`` object once, at spawn: :meth:`poll` and
+    :meth:`alive` are then one non-blocking ``poll(2)`` each, where
+    ``Connection.poll(0)`` would build, register and close a selector
+    on every call of the router's loop.
     """
 
-    def __init__(
-        self,
-        worker_id: str,
-        server_factory: Callable[[], object],
-        idle_poll_s: float = 0.005,
-    ):
+    def __init__(self, worker_id: str, server_factory: Callable[[], object]):
         self.worker_id = worker_id
         self._server_factory = server_factory
-        self._idle_poll_s = idle_poll_s
         methods = multiprocessing.get_all_start_methods()
         self._ctx = (
             multiprocessing.get_context("fork")
@@ -149,7 +150,6 @@ class ProcessWorkerHandle:
         process = self._ctx.Process(
             target=worker_main,
             args=(child_conn, self._server_factory, self.worker_id),
-            kwargs={"idle_poll_s": self._idle_poll_s},
             name=f"shard-{self.worker_id}",
             daemon=True,
         )
@@ -157,6 +157,10 @@ class ProcessWorkerHandle:
         child_conn.close()  # the child owns its end now
         self._conn = parent_conn
         self._process = process
+        self._readable = select.poll()
+        self._readable.register(parent_conn.fileno(), select.POLLIN)
+        self._exited = select.poll()
+        self._exited.register(process.sentinel, select.POLLIN)
 
     def send(self, command) -> None:
         if not self.alive():
@@ -169,7 +173,7 @@ class ProcessWorkerHandle:
     def poll(self) -> list:
         events: list = []
         try:
-            while self._conn is not None and self._conn.poll(0):
+            while self._conn is not None and self._readable.poll(0):
                 events.append(self._conn.recv())
         except (EOFError, OSError):
             pass  # worker exited; remaining events already collected
@@ -179,7 +183,12 @@ class ProcessWorkerHandle:
         """No-op: process workers drain their own queues autonomously."""
 
     def alive(self) -> bool:
-        return self._process is not None and self._process.is_alive()
+        """True until the child exits.  Reads the exit sentinel; only
+        once it turns readable does ``is_alive()`` (a waitpid, which
+        reaps the child) run."""
+        if self._process is None:
+            return False
+        return not self._exited.poll(0) or self._process.is_alive()
 
     def kill(self) -> None:
         """Chaos hook: hard-kill the child (crash, not clean shutdown)."""

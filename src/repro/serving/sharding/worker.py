@@ -97,7 +97,6 @@ def worker_main(
     conn,
     server_factory: Callable[[], object],
     worker_id: str,
-    idle_poll_s: float = 0.005,
 ) -> None:
     """Child-process entry: build the server, pump the pipe until Shutdown.
 
@@ -105,9 +104,11 @@ def worker_main(
     worker owns fresh database connections and engines — nothing
     half-shared with the parent.  Commands take priority over queued
     work; when the pipe is quiet the worker drains its own queue one
-    micro-batch at a time, streaming outcome events back.  Unexpected
-    errors are classified into :class:`WorkerFailure` events instead of
-    killing the loop silently.
+    micro-batch at a time, streaming outcome events back.  With an
+    empty queue it blocks on the pipe: every reason to wake (a command,
+    a heartbeat, ``Shutdown``, the router's EOF) arrives there, so an
+    idle worker spends no CPU.  Unexpected errors are classified into
+    :class:`WorkerFailure` events instead of killing the loop silently.
     """
     try:
         worker = ShardWorker(worker_id, server_factory())
@@ -122,16 +123,16 @@ def worker_main(
         while not worker.stopping:
             busy = worker.queue_depth > 0
             try:
-                has_command = conn.poll(0 if busy else idle_poll_s)
+                has_command = conn.poll(0 if busy else None)
             except (EOFError, OSError):
                 break  # router went away; nothing left to serve
             try:
+                # A blocking poll only returns once the pipe is readable,
+                # so no command means there is queued work.
                 if has_command:
                     events = worker.handle(conn.recv())
-                elif busy:
-                    events = worker.step()
                 else:
-                    continue
+                    events = worker.step()
                 for event in events:
                     conn.send(picklable_event(event))
             except (EOFError, OSError):

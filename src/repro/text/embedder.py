@@ -28,10 +28,28 @@ MEMO_CAPACITY = 4096
 
 
 def _stable_hash(token: str, salt: int) -> int:
+    """``token``'s salted 64-bit hash: salt 1 picks a feature's slot,
+    salt 2 its sign."""
     digest = hashlib.blake2b(
         token.encode("utf-8"), digest_size=8, salt=salt.to_bytes(8, "little")
     ).digest()
     return int.from_bytes(digest, "little")
+
+
+_SLOT_HASHER = hashlib.blake2b(digest_size=8, salt=(1).to_bytes(8, "little"))
+_SIGN_HASHER = hashlib.blake2b(digest_size=8, salt=(2).to_bytes(8, "little"))
+
+
+def _salted_digests(token: str) -> tuple[bytes, bytes]:
+    """The digests behind ``_stable_hash(token, 1)`` and ``(token, 2)``,
+    from copies of pre-salted states: cheaper than building a salted
+    hasher per call, and the same bytes hashed give the same digest."""
+    data = token.encode("utf-8")
+    slot = _SLOT_HASHER.copy()
+    slot.update(data)
+    sign = _SIGN_HASHER.copy()
+    sign.update(data)
+    return slot.digest(), sign.digest()
 
 
 class HashedNgramEmbedder:
@@ -76,9 +94,10 @@ class HashedNgramEmbedder:
         """
         vec = np.zeros(self.dim, dtype=np.float64)
         for feat in self._features(text):
-            index = _stable_hash(feat, salt=1) % self.dim
-            sign = 1.0 if _stable_hash(feat, salt=2) % 2 == 0 else -1.0
-            vec[index] += sign
+            slot, sign = _salted_digests(feat)
+            index = int.from_bytes(slot, "little") % self.dim
+            # A little-endian integer's parity is its first byte's.
+            vec[index] += 1.0 if sign[0] % 2 == 0 else -1.0
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm

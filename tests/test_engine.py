@@ -56,7 +56,7 @@ from repro.db.backends.base import backend_dialect
 from repro.errors import GenerationError, ScoreRangeError
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.eval.reporting import format_stage_report
-from repro.core import slotfill
+from repro.core import ranking, slotfill
 from repro.linking.classifier import SchemaScores
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.memo import Memo
@@ -671,6 +671,40 @@ def test_warm_questions_fill_and_score_within_budget(warm_spider_15b, monkeypatc
         parser.generate(example.question, dataset.database_of(example), engine=engine)
     assert 0 < calls["fill"] <= 2400, calls
     assert 0 < calls["score_fill"] <= 1700, calls
+
+
+def test_table_bounds_are_computed_once_per_table_set(warm_spider_15b, monkeypatch):
+    """``candidate_gen`` computes the table-dependent feature bounds once
+    per (request, table set) and reuses them across templates; every
+    range it builds equals each feature's widened bounds, bit for bit."""
+    parser, dataset = warm_spider_15b
+    computed: list = []
+    asked = 0
+    table_bounds = ranking.table_ranges
+    ranges_of = feature_ranges
+
+    def counting_bounds(facts, tables):
+        computed.append((facts, tables))
+        return table_bounds(facts, tables)
+
+    def checked_ranges(facts, sim, tables=None, best_sim=None):
+        nonlocal asked
+        asked += 1
+        sims = (sim, sim if best_sim is None else best_sim)
+        ranges = ranges_of(facts, sim, tables, best_sim)
+        assert ranges == [
+            (lo - RANGE_SLACK, hi + RANGE_SLACK)
+            for lo, hi in (f.bounds(facts, sims, tables) for f in FEATURES)
+        ]
+        return ranges
+
+    monkeypatch.setattr(ranking, "table_ranges", counting_bounds)
+    monkeypatch.setattr("repro.engine._stages.feature_ranges", checked_ranges)
+    engine = parser.build_engine()
+    for example in dataset.dev[:24]:
+        parser.generate(example.question, dataset.database_of(example), engine=engine)
+    distinct = {(id(facts), tables) for facts, tables in computed}
+    assert 0 < len(computed) == len(distinct) < asked
 
 
 # -- screened template retrieval ---------------------------------------------------

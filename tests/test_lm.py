@@ -1,10 +1,14 @@
 """Tests for the LM stack: tokenizer, vocab, n-gram LM, transformer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import MODEL_REGISTRY
+from repro.datasets import build_spider
+from repro.datasets.spider import SpiderConfig
 from repro.errors import TrainingError
 from repro.lm import (
     CodeTokenizer,
@@ -19,6 +23,7 @@ from repro.lm import (
 )
 from repro.lm.corpus import code_corpus, nl2code_corpus, nl_corpus, sql_corpus
 from repro.lm.registry import DEFAULT_LM_REGISTRY
+from repro.lm.vocab import BOS, EOS
 
 #: Training-like SQL, so the property also hits well-predicted tokens.
 _SQL_TEXTS = sql_corpus(40, seed=3)
@@ -73,7 +78,48 @@ class TestVocabulary:
         assert "y" not in vocab
 
 
+def _reference_mean_log_prob(lm, text):
+    """The n-gram score with every context total summed afresh."""
+    body = lm.tokenizer.tokenize(text)
+    if not body:
+        return 0.0
+    tokens = [BOS, *body, EOS]
+    total = 0.0
+    for position in range(1, len(tokens)):
+        context = tokens[max(0, position - lm.order + 1):position]
+        prob = 1.0 / (lm.vocab_size + 1)
+        for k in range(min(lm.order, len(context) + 1)):
+            counter = lm._counts[k].get(tuple(context[len(context) - k:]) if k else ())
+            if counter is None:
+                continue
+            mle = counter.get(tokens[position], 0) / sum(counter.values())
+            prob = (1.0 - lm.interpolation) * prob + lm.interpolation * mle
+        total += math.log(prob)
+    return total / (len(body) + 1)
+
+
+@pytest.fixture(scope="module")
+def warm_gold_sql():
+    """Gold SQL of the ``warm_15b_30ms`` benchmark's databases."""
+    return [example.sql for example in build_spider(SpiderConfig(n_dev_databases=3)).dev]
+
+
 class TestNgramLM:
+    def test_scores_equal_the_reference_formula(self, warm_gold_sql):
+        lm = DEFAULT_LM_REGISTRY.lm_for(MODEL_REGISTRY["codes-15b"]).model
+        for _ in range(2):  # the second pass reads memoized totals
+            for sql in warm_gold_sql:
+                assert lm.mean_log_prob(sql) == _reference_mean_log_prob(lm, sql)
+
+    def test_a_second_fit_moves_the_scores(self, warm_gold_sql):
+        lm = NgramLanguageModel(order=3)
+        lm.fit(warm_gold_sql[::2])
+        before = [lm.mean_log_prob(sql) for sql in warm_gold_sql]
+        lm.fit(sql_corpus(60, seed=5))
+        after = [lm.mean_log_prob(sql) for sql in warm_gold_sql]
+        assert after == [_reference_mean_log_prob(lm, sql) for sql in warm_gold_sql]
+        assert all(new != old for new, old in zip(after, before))
+
     def test_fit_and_score(self):
         lm = NgramLanguageModel(order=3)
         lm.fit(["select a from t"] * 20)

@@ -33,6 +33,7 @@ from repro.lm.providers import (
     build_router,
     local_router,
 )
+from repro.lm.providers import router as provider_router
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.reliability import FakeClock, FaultDecider, FlakyLLM, RetryPolicy
 from repro.reliability.breaker import OPEN
@@ -248,6 +249,16 @@ class TestRetriesAndFailover:
             pytest.approx(0.05 + 0.1 + 0.01)
         ]
         assert clock.sleeps == [pytest.approx(0.16)]
+
+    def test_effective_latencies_keep_exactly_the_newest(self, monkeypatch):
+        monkeypatch.setattr(provider_router, "MAX_LATENCIES", 8)
+        script = [0.001 * (index + 1) for index in range(11)]
+        router = ProviderRouter(
+            [_ScriptedProvider("p", script)], clock=FakeClock()
+        )
+        for _ in script:
+            router.score(SQL)
+        assert router.effective_latencies == script[3:]
 
     def test_failover_to_backup_on_exhausted_retries(self, lm):
         clock = FakeClock()

@@ -38,8 +38,16 @@ from repro.serving import (
     replay,
 )
 from repro.serving.loadgen import Arrival
+from repro.reliability.clock import SYSTEM_CLOCK
 from repro.serving.sharding import Heartbeat, HeartbeatAck, picklable_event
-from repro.serving.sharding.messages import OutcomeMsg
+from repro.serving.sharding.messages import (
+    MetricsMsg,
+    OutcomeMsg,
+    Shutdown,
+    SnapshotRequest,
+    Submit,
+)
+from repro.serving.sharding.worker import worker_main
 
 pytestmark = pytest.mark.sharding
 
@@ -777,6 +785,77 @@ class TestMessages:
 # -- process transport (real forks, kept small) -------------------------------
 
 
+class ScriptedConn:
+    """A worker's pipe end driven by a script, recording every poll.
+
+    ``inbox`` commands are waiting from the start; each ``later``
+    command arrives while the worker blocks on an idle pipe, one per
+    blocking poll.  Each poll records its timeout and checks it against
+    the worker's queue depth, failing at once rather than letting a
+    wrong loop spin.  A blocking poll with nothing left to arrive would
+    hang on a real pipe, so it fails the test too.
+    """
+
+    def __init__(self, inbox, later, queue_depth):
+        self.inbox = list(inbox)
+        self.later = list(later)
+        self.queue_depth = queue_depth
+        self.timeouts: list = []
+        self.sent: list = []
+        self.closed = False
+
+    def poll(self, timeout):
+        self.timeouts.append(timeout)
+        depth = self.queue_depth()
+        # Block exactly when idle; never block with work queued.
+        assert (timeout is None) == (depth == 0), (timeout, depth)
+        if timeout is None and not self.inbox:
+            assert self.later, "an idle worker blocked on a silent pipe"
+            self.inbox.append(self.later.pop(0))
+        return bool(self.inbox)
+
+    def recv(self):
+        return self.inbox.pop(0)
+
+    def send(self, event):
+        self.sent.append(event)
+
+    def close(self):
+        self.closed = True
+
+
+def _await_event(handle, kind, timeout_s=10.0):
+    """Poll a process handle until it yields a ``kind`` event."""
+    deadline = SYSTEM_CLOCK.now() + timeout_s
+    while SYSTEM_CLOCK.now() < deadline:
+        for event in handle.poll():
+            if isinstance(event, kind):
+                return event
+        SYSTEM_CLOCK.sleep(0.002)
+    raise AssertionError(f"no {kind.__name__} within {timeout_s}s")
+
+
+class TestWorkerLoop:
+    def test_idle_polls_block_busy_polls_do_not_and_shutdown_exits(self):
+        servers = []
+
+        def build():
+            servers.append(Server(StubParser(), _databases(DB_IDS[:1])))
+            return servers[-1]
+
+        conn = ScriptedConn(
+            [Submit(request=_request(index, db_id=DB_IDS[0])) for index in range(3)],
+            [Heartbeat(seq=1), Shutdown()],
+            lambda: servers[0].queue.depth,
+        )
+        worker_main(conn, build, "w0")
+        assert conn.closed and not conn.inbox and not conn.later
+        assert conn.timeouts[0] is None and 0 in conn.timeouts
+        outcomes = [e for e in conn.sent if isinstance(e, OutcomeMsg)]
+        assert sorted(e.outcome.request.request_id for e in outcomes) == ["r0", "r1", "r2"]
+        assert isinstance(conn.sent[-1], HeartbeatAck) and conn.sent[-1].seq == 1
+
+
 class TestProcessTransport:
     def test_forked_cluster_serves_and_merges_metrics(self):
         databases = _databases(DB_IDS[:4])
@@ -817,12 +896,63 @@ class TestProcessTransport:
         )
         try:
             handle = router.handles["w0"]
+            old_pid, old_conn = handle._process.pid, handle._conn
             handle.kill()
             assert not handle.alive()
+            # Record which incarnation's pipe each event came over.
+            delivered = []
+            poll = handle.poll
+
+            def recording_poll():
+                events = poll()
+                delivered.extend((handle._process.pid, event) for event in events)
+                return events
+
+            handle.poll = recording_poll
             assert router.submit(_request(0, db_id=DB_IDS[0])) is None
             outcomes = replay(router, [])
             assert len(outcomes) == 1
             assert isinstance(outcomes[0], Completed)
             assert any(f["kind"] == "restart" for f in router.failures)
+            assert router.handles["w0"] is handle and handle._process.pid != old_pid
+            assert old_conn.closed and handle._conn is not old_conn
+            assert [
+                pid for pid, event in delivered if isinstance(event, OutcomeMsg)
+            ] == [handle._process.pid]
         finally:
             router.shutdown()
+
+    def test_a_worker_blocked_while_idle_answers_a_heartbeat(self):
+        databases = _databases(DB_IDS[:1])
+        handle = ProcessWorkerHandle(
+            "w0", lambda: Server(StubParser(), databases, config=ServerConfig())
+        )
+        try:
+            handle.send(SnapshotRequest())
+            _await_event(handle, MetricsMsg)  # built, looping, queue empty
+            SYSTEM_CLOCK.sleep(0.05)  # long enough to be blocked on the pipe
+            handle.send(Heartbeat(seq=7))
+            assert _await_event(handle, HeartbeatAck).seq == 7
+        finally:
+            handle.close()
+        assert not handle.alive()
+
+    def test_kill_is_seen_through_the_exit_sentinel(self, monkeypatch):
+        databases = _databases(DB_IDS[:1])
+        handle = ProcessWorkerHandle(
+            "w0", lambda: Server(StubParser(), databases, config=ServerConfig())
+        )
+        process = handle._process
+
+        def no_waitpid():
+            raise AssertionError("waitpid on a child whose sentinel is quiet")
+
+        try:
+            monkeypatch.setattr(process, "is_alive", no_waitpid)
+            assert handle.alive()  # a quiet sentinel alone says alive
+            monkeypatch.undo()
+            handle.kill()
+            assert handle._exited.poll(0)  # the sentinel turned readable
+            assert not handle.alive()
+        finally:
+            handle.close()

@@ -15,6 +15,7 @@ from repro.text import (
     token_overlap,
     word_tokens,
 )
+from repro.text.embedder import _salted_digests, _stable_hash
 from repro.text.tokenize import character_ngrams
 
 
@@ -88,6 +89,24 @@ class TestEmbedder:
         embedder = HashedNgramEmbedder(dim=64)
         norm = float(np.linalg.norm(embedder.embed(text)))
         assert norm == pytest.approx(0.0) or norm == pytest.approx(1.0)
+
+    @given(st.text(max_size=24))
+    def test_presalted_digests_equal_the_salted_hash(self, feature):
+        slot, sign = _salted_digests(feature)
+        assert int.from_bytes(slot, "little") == _stable_hash(feature, salt=1)
+        assert int.from_bytes(sign, "little") == _stable_hash(feature, salt=2)
+
+    @given(st.text(max_size=40))
+    def test_embedding_is_bit_identical_to_the_salted_hash_reference(self, text):
+        embedder = HashedNgramEmbedder(dim=97)
+        reference = np.zeros(97)
+        for feature in embedder._features(text):
+            index = _stable_hash(feature, salt=1) % 97
+            reference[index] += 1.0 if _stable_hash(feature, salt=2) % 2 == 0 else -1.0
+        norm = float(np.linalg.norm(reference))
+        if norm > 0.0:
+            reference /= norm
+        assert embedder.embed(text).tobytes() == reference.tobytes()
 
     @given(st.text(max_size=30), st.text(max_size=30))
     def test_similarity_bounded(self, left, right):
