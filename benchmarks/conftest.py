@@ -9,6 +9,7 @@ as well as stdout, so results survive pytest's output capturing.
 from __future__ import annotations
 
 import os
+import statistics
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,18 @@ class ParserCache:
         return DemonstrationRetriever(
             dataset.train, embedder=parser.embedder, mode=mode
         )
+
+
+@pytest.fixture(scope="session")
+def median_iqr():
+    """Median and interquartile range of repeated wall-clock readings
+    (the quartiles ``perfbench`` uses)."""
+
+    def _median_iqr(values: list[float]) -> tuple[float, float]:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        return statistics.median(values), q3 - q1
+
+    return _median_iqr
 
 
 @pytest.fixture(scope="session")

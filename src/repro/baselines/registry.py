@@ -61,7 +61,6 @@ class BaselineSpec:
     make_parser: Callable[[], CodeSParser] = field(repr=False)
     mode: str = "fewshot"  # "sft" | "fewshot"
     shots: int = 0
-    retriever_mode: str = "pattern-aware"
     simulated_api_latency_s: float = 0.0
     notes: str = ""
 
@@ -202,9 +201,7 @@ def evaluate_baseline(
         )
     retriever = None
     if spec.shots > 0:
-        retriever = DemonstrationRetriever(
-            dataset.train, embedder=parser.embedder, mode=spec.retriever_mode
-        )
+        retriever = DemonstrationRetriever(dataset.train, embedder=parser.embedder)
     return evaluate_parser(
         parser, dataset, name=spec.name, limit=limit,
         demonstrations_per_question=spec.shots,

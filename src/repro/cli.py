@@ -119,6 +119,13 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.mode == "fewshot" and args.shots < 1:
+        print(
+            f"repro eval: --mode fewshot needs --shots >= 1, got {args.shots} "
+            "(use --mode zeroshot for no demonstrations)",
+            file=sys.stderr,
+        )
+        return 2
     if args.dialect != "sqlite":
         from repro.db.backends import backend_for_dialect
         from repro.errors import ExecutionError

@@ -22,15 +22,13 @@ capacity and slot depth — see :mod:`repro.config`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
-
-import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.config import ModelConfig, get_model_config
 from repro.core.ranking import SENTINEL_SQL, lint_gated_order  # noqa: F401 - re-export
+from repro.core.retriever import TemplateIndex
 from repro.datasets.base import Text2SQLExample
 from repro.db.backends.sqlite import Database
 from repro.engine import (
@@ -43,7 +41,7 @@ from repro.engine import (
     TraceRecorder,
     build_default_engine,
 )
-from repro.errors import CheckpointError, SQLSyntaxError, TrainingError
+from repro.errors import CheckpointError, TrainingError
 from repro.lm.pretrain import PretrainedLM
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.linking.classifier import LinkingExample, SchemaItemClassifier
@@ -51,12 +49,8 @@ from repro.linking.features import SchemaFeatureExtractor
 from repro.promptgen.builder import DatabasePrompt
 from repro.promptgen.options import PromptOptions
 from repro.reliability.clock import SYSTEM_CLOCK, Clock
-from repro.sqlgen.ast import Query
-from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
-from repro.sqlgen.skeleton import skeleton_of_query
-from repro.text.embedder import HashedNgramEmbedder, MemoizedEmbedder
-from repro.text.pattern import extract_pattern
+from repro.text.embedder import HashedNgramEmbedder
 
 if TYPE_CHECKING:
     from repro.lm.providers.config import RouterConfig
@@ -66,118 +60,6 @@ from repro.core.slotfill import InstantiationContext, instantiate_template
 def pretrained_lm_for(config: ModelConfig) -> PretrainedLM:
     """The pre-trained LM for a model tier, from the default registry."""
     return DEFAULT_LM_REGISTRY.lm_for(config)
-
-
-@dataclass(frozen=True)
-class _IndexEntry:
-    """One retrievable template with its source question.
-
-    The vectors are row views of the owning :class:`TemplateIndex`'s
-    matrices; ``skeleton`` is the template's SQL skeleton key.
-    """
-
-    question: str
-    template: Query
-    skeleton: str
-    question_vec: np.ndarray = field(repr=False, compare=False)
-    pattern_vec: np.ndarray = field(repr=False, compare=False)
-
-
-class TemplateIndex:
-    """Retrievable templates over stacked question and pattern embeddings.
-
-    One per SFT fit or checkpoint load, and one per request built from
-    its demonstrations.  Row ``i`` of :attr:`question_matrix` /
-    :attr:`pattern_matrix` embeds entry ``i``'s question / question
-    pattern, and the entry holds views of those rows, not copies.
-    """
-
-    def __init__(
-        self,
-        pairs: Iterable[tuple[str, Query]],
-        embedder: "HashedNgramEmbedder | MemoizedEmbedder",
-    ):
-        pairs = list(pairs)
-        self.question_matrix = np.zeros((len(pairs), embedder.dim))
-        self.pattern_matrix = np.zeros((len(pairs), embedder.dim))
-        entries = []
-        for row, (question, template) in enumerate(pairs):
-            self.question_matrix[row] = embedder.embed(question)
-            self.pattern_matrix[row] = embedder.embed(extract_pattern(question))
-            entries.append(
-                _IndexEntry(
-                    question=question,
-                    template=template,
-                    skeleton=skeleton_of_query(template),
-                    question_vec=self.question_matrix[row],
-                    pattern_vec=self.pattern_matrix[row],
-                )
-            )
-        self.entries = tuple(entries)
-        # A dot product of d terms, summed in any order, is off by at
-        # most gamma_d = d*u/(1 - d*u) times the sum of |x_i*y_i|, which
-        # is at most 1 for unit vectors (and < 2 with their rounding).
-        # The screened and the exact similarity are each that close to
-        # the true one, hence to each other within 2 * 2 * gamma_d.
-        unit = 2.0**-53 * embedder.dim
-        self.slack = 4 * unit / (1 - unit)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def search(
-        self,
-        question_vec: np.ndarray,
-        pattern_vec: np.ndarray | None,
-        top_n: int,
-    ) -> list[tuple[_IndexEntry, float]]:
-        """The first ``top_n`` entries by Eq. 4 similarity, best first
-        (ties in index order), keeping at most two per skeleton.
-
-        ``pattern_vec`` None ranks by question similarity alone.  One
-        matrix product per matrix screens every entry; only a prefix of
-        the screened order gets the exact per-entry similarity the
-        ranking uses.  The prefix doubles until the walk has ``top_n``
-        entries and the next screened value, plus :attr:`slack`, falls
-        below the last pick's exact similarity: every entry left out
-        then sorts after the last pick, so the walk is the one over
-        every entry scored exactly.
-        """
-        if not self.entries:
-            return []
-        screen = self.question_matrix @ question_vec
-        if pattern_vec is not None:
-            screen = np.maximum(screen, self.pattern_matrix @ pattern_vec)
-        order = np.argsort(-screen, kind="stable").tolist()
-        exact: dict[int, float] = {}
-        size = min(len(order), max(1, 2 * top_n))
-        while True:
-            for row in order[len(exact):size]:
-                entry = self.entries[row]
-                sim = float(entry.question_vec @ question_vec)
-                if pattern_vec is not None:
-                    sim = max(sim, float(entry.pattern_vec @ pattern_vec))
-                exact[row] = sim
-            picked: list[tuple[_IndexEntry, float]] = []
-            per_skeleton: Counter[str] = Counter()
-            ranked = sorted(exact.items(), key=lambda item: (-item[1], item[0]))
-            for row, sim in ranked:
-                entry = self.entries[row]
-                if per_skeleton[entry.skeleton] >= 2:
-                    continue
-                per_skeleton[entry.skeleton] += 1
-                picked.append((entry, sim))
-                if len(picked) >= top_n:
-                    break
-            if size == len(order) or (
-                len(picked) >= top_n
-                and screen[order[size]] + self.slack < picked[-1][1]
-            ):
-                return picked
-            size = min(len(order), 2 * size)
 
 
 @dataclass(frozen=True)
@@ -332,7 +214,7 @@ class CodeSParser:
         """SFT: index the training templates and train the schema classifier."""
         if not samples:
             raise TrainingError("cannot fine-tune on an empty training set")
-        pairs: list[tuple[str, Query]] = []
+        pairs: list[tuple[str, str]] = []
         linking: list[LinkingExample] = []
         for example, database in samples:
             question = (
@@ -340,19 +222,17 @@ class CodeSParser:
                 if use_external_knowledge
                 else example.question
             )
-            try:
-                pairs.append((question, parse_sql(example.sql)))
-            except SQLSyntaxError:
-                continue
+            pairs.append((question, example.sql))
             try:
                 linking.append(
                     LinkingExample.from_sql(question, database.schema, example.sql)
                 )
             except TrainingError:
                 continue
-        if not pairs:
+        index = TemplateIndex(pairs, self.embedder)
+        self._index = index.subset(range(len(index)))
+        if not self._index:
             raise TrainingError("no parseable training SQL found")
-        self._index = TemplateIndex(pairs, self.embedder)
         self.classifier = SchemaItemClassifier(
             extractor=self.extractor, seed=self.seed
         )
@@ -387,7 +267,7 @@ class CodeSParser:
                 "question": entry.question,
                 "sql": SQLITE_EMITTER.serialize(entry.template),
             }
-            for entry in self._index
+            for entry in self._index.entries
         ]
         meta = {
             "model": self.config.name,
@@ -422,11 +302,13 @@ class CodeSParser:
         )
         parser._index = TemplateIndex(
             (
-                (item["question"], parse_sql(item["sql"]))
+                (item["question"], item["sql"])
                 for item in json.loads(str(archive["index"]))
             ),
             parser.embedder,
         )
+        if any(entry.template is None for entry in parser._index.entries):
+            raise CheckpointError(f"checkpoint {path!r} holds unparseable SQL")
         parser.classifier = SchemaItemClassifier(
             extractor=parser.extractor, seed=parser.seed
         )
@@ -441,49 +323,13 @@ class CodeSParser:
         parser.cache.clear()
         return parser
 
-    # -- template retrieval ------------------------------------------------------
-
-    def _entries_from(
-        self, examples: list[Text2SQLExample], embedder: MemoizedEmbedder
-    ) -> TemplateIndex:
-        """The demonstrations' parseable templates, embedded by ``embedder``
-        (the engine's per-database memo of the parser's embedder)."""
-        pairs = []
-        for example in examples:
-            try:
-                pairs.append((example.question, parse_sql(example.sql)))
-            except SQLSyntaxError:
-                continue
-        return TemplateIndex(pairs, embedder)
-
-    def _retrieve_templates(
-        self,
-        question: str,
-        index: TemplateIndex,
-        top_n: int,
-        embedder: MemoizedEmbedder,
-    ) -> list[tuple[_IndexEntry, float]]:
-        """Top entries by Eq. 4 similarity, diversified by skeleton.
-
-        Near-duplicate templates waste beam slots, so at most two
-        entries per SQL skeleton survive.  ``embedder`` embeds the
-        question and its pattern: the engine's per-database memo of
-        the parser's embedder, which linking has already filled.
-        """
-        if not index:
-            return []
-        pattern_vec = None
-        if self.use_pattern_similarity:
-            pattern_vec = embedder.embed(extract_pattern(question))
-        return index.search(embedder.embed(question), pattern_vec, top_n)
-
     # -- generation ----------------------------------------------------------------
 
     def generate(
         self,
         question: str,
         database: Database,
-        demonstrations: list[Text2SQLExample] | None = None,
+        demonstrations: TemplateIndex | list[Text2SQLExample] | None = None,
         external_knowledge: str = "",
         degrade: bool = True,
         engine: Engine | None = None,
@@ -499,7 +345,9 @@ class CodeSParser:
         With ``demonstrations`` the engine runs in few-shot ICL mode
         (templates come from the demonstrations plus the pre-training
         skeleton bank); otherwise it uses the SFT index built by
-        :meth:`fit`.
+        :meth:`fit`.  Demonstrations are a retriever's per-request index
+        (:meth:`DemonstrationRetriever.templates_for`) or a plain example
+        list (``[]`` for zero-shot).
 
         With ``degrade`` (the default) generation never raises for an
         unanswerable question: it falls through the beam to the

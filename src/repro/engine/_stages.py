@@ -69,6 +69,7 @@ from repro.core.ranking import (
     score_ceiling,
     score_fill,
 )
+from repro.core.retriever import TemplateIndex
 from repro.core.slotfill import (
     InstantiationContext,
     _table_assignments,
@@ -342,12 +343,23 @@ class CandidateGenStage(_ParserStage):
         parser = self.parser
         embedder = _link_assets(ctx, parser).embedder
         in_context_mode = ctx.demonstrations is not None
-        if in_context_mode:
-            index = parser._entries_from(ctx.demonstrations, embedder)
-        else:
+        if not in_context_mode:
             index = parser._index
-        top_n = 2 + parser.config.slot_depth
-        retrieved = parser._retrieve_templates(ctx.question, index, top_n, embedder)
+        elif isinstance(ctx.demonstrations, TemplateIndex):
+            index = ctx.demonstrations
+        else:
+            pool = TemplateIndex(
+                ((e.question, e.sql) for e in ctx.demonstrations), embedder
+            )
+            index = pool.subset(range(len(pool)))
+        # The engine's per-database memo of the parser's embedder, which
+        # linking has already filled, embeds the question and its pattern.
+        retrieved = index.search(
+            ctx.question,
+            embedder,
+            parser.use_pattern_similarity,
+            top_n=2 + parser.config.slot_depth,
+        )
         if in_context_mode:
             known = parser.lm.known_skeletons(parser.config.skeleton_capacity)
             retrieved = [

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.analyzer import SemanticAnalyzer
     from repro.analysis.diagnostics import Diagnostic
+    from repro.core.retriever import TemplateIndex
     from repro.core.slotfill import InstantiationContext
     from repro.db.backends.sqlite import Database
     from repro.datasets.base import Text2SQLExample
@@ -32,7 +33,9 @@ class InferenceContext:
     # -- request (set by the caller, read-only for stages) -------------------
     question: str
     database: "Database"
-    demonstrations: "list[Text2SQLExample] | None" = None
+    #: A per-request template index or a plain example list (few-shot);
+    #: None runs on the SFT index.
+    demonstrations: "TemplateIndex | list[Text2SQLExample] | None" = None
     external_knowledge: str = ""
     degrade: bool = True
     #: Effort tier requested by the caller: ``"full"`` runs the whole

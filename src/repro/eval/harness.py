@@ -245,6 +245,11 @@ def evaluate_parser(
             f"dialect, not {dialect!r}"
         )
     fewshot = demonstrations_per_question is not None
+    if fewshot and demonstrations_per_question < 0:
+        raise ValueError(
+            "demonstrations_per_question must be >= 0, "
+            f"got {demonstrations_per_question}"
+        )
     if fewshot and demonstrations_per_question > 0 and demonstration_retriever is None:
         raise ValueError("few-shot evaluation needs a demonstration retriever")
     if max_retries is not None and max_retries < 0:
@@ -313,10 +318,11 @@ def evaluate_parser(
             kwargs["external_knowledge"] = example.external_knowledge
         if fewshot:
             if demonstrations_per_question > 0:
-                scored = demonstration_retriever.retrieve(
+                # Rows of the retriever's pool index: the engine searches
+                # them as they are, with no re-parse and no re-embed.
+                kwargs["demonstrations"] = demonstration_retriever.templates_for(
                     example.question, k=demonstrations_per_question
                 )
-                kwargs["demonstrations"] = [entry.example for entry in scored]
             else:
                 kwargs["demonstrations"] = []
 

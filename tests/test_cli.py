@@ -29,6 +29,16 @@ class TestCLI:
         ]) == 0
         assert "codes-1b" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("shots", ["0", "-2"])
+    def test_eval_fewshot_without_shots_exits_2(self, shots, capsys):
+        assert main([
+            "eval", "--dataset", "spider", "--model", "codes-1b",
+            "--mode", "fewshot", "--shots", shots, "--limit", "4",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "--shots" in captured.err
+        assert captured.out == ""
+
     def test_ask_command(self, capsys):
         assert main([
             "ask", "--dataset", "bank_financials", "--model", "codes-1b",

@@ -1,6 +1,7 @@
 """Tests for the core parser: retriever, slot filling, generation modes."""
 
 import dataclasses
+import sys
 from collections import Counter
 
 import pytest
@@ -22,9 +23,12 @@ from repro.errors import CheckpointError, SQLSyntaxError, TrainingError
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.linking.lexical import LexicalSchemaScorer
 from repro.retrieval import MatchedValue
+import repro.sqlgen.parser as sqlgen_parser
 from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.skeleton import skeleton_of_query
+from repro.text.embedder import HashedNgramEmbedder
+from repro.text.pattern import extract_pattern
 
 from tests.fixtures import bank_database
 
@@ -33,6 +37,10 @@ _CONFIG = SpiderConfig(
     n_train_databases=2, n_dev_databases=1,
     train_per_database=15, dev_per_database=10, rows_per_table=25,
 )
+
+
+#: The width the retriever tests were written against.
+_EMBEDDER = HashedNgramEmbedder(dim=192)
 
 
 @pytest.fixture(scope="module")
@@ -60,35 +68,102 @@ class TestDemonstrationRetriever:
         ]
 
     def test_pattern_mode_matches_structure(self):
-        retriever = DemonstrationRetriever(self._pool(), mode="pattern-aware")
+        retriever = DemonstrationRetriever(self._pool(), _EMBEDDER, mode="pattern-aware")
         hits = retriever.retrieve("Show singers born in 1948 or 1949", k=1)
         assert "either" in hits[0].example.question
 
     def test_question_only_mode(self):
-        retriever = DemonstrationRetriever(self._pool(), mode="question-only")
+        retriever = DemonstrationRetriever(self._pool(), _EMBEDDER, mode="question-only")
         hits = retriever.retrieve("How many accounts are there?", k=1)
         assert "How many" in hits[0].example.question
 
     def test_random_mode_is_seeded(self):
-        first = DemonstrationRetriever(self._pool(), mode="random", seed=1)
-        second = DemonstrationRetriever(self._pool(), mode="random", seed=1)
+        first = DemonstrationRetriever(self._pool(), _EMBEDDER, mode="random", seed=1)
+        second = DemonstrationRetriever(self._pool(), _EMBEDDER, mode="random", seed=1)
         assert [h.example.question for h in first.retrieve("q", k=2)] == [
             h.example.question for h in second.retrieve("q", k=2)
         ]
 
     def test_k_zero(self):
-        retriever = DemonstrationRetriever(self._pool())
+        retriever = DemonstrationRetriever(self._pool(), _EMBEDDER)
         assert retriever.retrieve("anything", k=0) == []
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
-            DemonstrationRetriever(self._pool(), mode="bogus")
+            DemonstrationRetriever(self._pool(), _EMBEDDER, mode="bogus")
 
     def test_scores_descending(self):
-        retriever = DemonstrationRetriever(self._pool())
+        retriever = DemonstrationRetriever(self._pool(), _EMBEDDER)
         hits = retriever.retrieve("How many clients are there?", k=3)
         scores = [hit.score for hit in hits]
         assert scores == sorted(scores, reverse=True)
+
+    def test_unparseable_rows_are_selected_but_give_no_template(self):
+        pool = self._pool() + [
+            Text2SQLExample("How many clients are there at all?", "SELEC nonsense", "db")
+        ]
+        retriever = DemonstrationRetriever(pool, _EMBEDDER, mode="question-only")
+        question = "How many clients are there at all?"
+        assert retriever.retrieve(question, k=1)[0].example is pool[-1]
+        rows = [hit.row for hit in retriever.retrieve(question, k=4)]
+        assert rows[0] == 3 and retriever.index.entries[3].template is None
+        templates = retriever.templates_for(question, k=4)
+        assert [entry.question for entry in templates.entries] == [
+            pool[row].question for row in rows[1:]
+        ]
+
+    def test_an_index_of_another_width_is_rejected(self):
+        parser = CodeSParser("codes-1b")
+        retriever = DemonstrationRetriever(self._pool(), _EMBEDDER)
+        assert _EMBEDDER.dim != parser.embedder.dim
+        question = "How many clients are there?"
+        with pytest.raises(ValueError, match="width"):
+            parser.generate(
+                question,
+                bank_database(),
+                demonstrations=retriever.templates_for(question, k=2),
+            )
+
+    def test_fewshot_eval_parses_and_embeds_no_pool_text(self, monkeypatch):
+        """Once the retriever is built, a 3-shot evaluation parses no
+        pool SQL and embeds no pool question or pattern: each request
+        searches rows of the pool's index as they are."""
+        dataset = build_spider()
+        parser = CodeSParser("codes-1b")
+        retriever = DemonstrationRetriever(dataset.train, parser.embedder)
+        parsed: list[str] = []
+        embedded: list[str] = []
+        parse = sqlgen_parser.parse_sql
+        embed = HashedNgramEmbedder.embed
+
+        def counting_parse(sql, *args, **kwargs):
+            parsed.append(sql)
+            return parse(sql, *args, **kwargs)
+
+        def counting_embed(self, text):
+            embedded.append(text)
+            return embed(self, text)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "parse_sql", None) is parse:
+                monkeypatch.setattr(module, "parse_sql", counting_parse)
+        monkeypatch.setattr(HashedNgramEmbedder, "embed", counting_embed)
+        evaluate_parser(
+            parser, dataset,
+            demonstrations_per_question=3, demonstration_retriever=retriever,
+        )
+
+        def texts(examples):
+            questions = {example.question for example in examples}
+            return questions | {extract_pattern(question) for question in questions}
+
+        pool_sql = {example.sql for example in dataset.train}
+        pool_only = texts(dataset.train) - texts(dataset.dev)
+        # The gold and predicted SQL are parsed and the dev questions
+        # embedded, so the counters are live.
+        assert parsed and embedded
+        assert [sql for sql in parsed if sql in pool_sql] == []
+        assert [text for text in embedded if text in pool_only] == []
 
 
 class TestQuestionCueHelpers:

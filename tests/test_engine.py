@@ -13,6 +13,7 @@ import importlib.util
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -22,7 +23,8 @@ import numpy as np
 import pytest
 
 from repro.core import CodeSParser
-from repro.core.parser import TemplateIndex, pretrained_lm_for
+from repro.core.parser import pretrained_lm_for
+from repro.core.retriever import DemonstrationRetriever, TemplateIndex
 from repro.config import get_model_config
 from repro.datasets import (
     SPIDER_VARIANTS,
@@ -51,9 +53,10 @@ from repro.core.ranking import (
     score_fill,
 )
 from repro.core.slotfill import FilledCandidate, iter_fills
+from repro.datasets.base import Text2SQLExample
 from repro.datasets.spider import SpiderConfig
 from repro.db.backends.base import backend_dialect
-from repro.errors import GenerationError, ScoreRangeError
+from repro.errors import GenerationError, ScoreRangeError, SQLSyntaxError
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.eval.reporting import format_stage_report
 from repro.core import ranking, slotfill
@@ -63,9 +66,10 @@ from repro.memo import Memo
 from repro.reliability.clock import FakeClock
 from repro.sqlgen.ast import identifier_key
 from repro.sqlgen.dialects import emitter_for
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.skeleton import skeleton_of_query
-from repro.text.embedder import MemoizedEmbedder
+from repro.text.embedder import HashedNgramEmbedder, MemoizedEmbedder
 from repro.text.pattern import extract_pattern
 
 pytestmark = pytest.mark.engine
@@ -716,10 +720,10 @@ def _retrieve_reference(parser, question, index, top_n, embedder):
     question_vec = embedder.embed(question)
     pattern_vec = embedder.embed(extract_pattern(question))
     scored = []
-    for entry in index:
-        sim = float(entry.question_vec @ question_vec)
+    for row, entry in enumerate(index.entries):
+        sim = float(index.question_matrix[row] @ question_vec)
         if parser.use_pattern_similarity:
-            sim = max(sim, float(entry.pattern_vec @ pattern_vec))
+            sim = max(sim, float(index.pattern_matrix[row] @ pattern_vec))
         scored.append((entry, sim))
     scored.sort(key=lambda pair: -pair[1])
     diverse = []
@@ -736,9 +740,9 @@ def _retrieve_reference(parser, question, index, top_n, embedder):
 
 
 def _assert_retrieval_exact(parser, question, index, top_n, embedder):
-    screened = parser._retrieve_templates(question, index, top_n, embedder)
+    screened = index.search(question, embedder, parser.use_pattern_similarity, top_n)
     reference = _retrieve_reference(parser, question, index, top_n, embedder)
-    position = {id(entry): row for row, entry in enumerate(index)}
+    position = {id(entry): row for row, entry in enumerate(index.entries)}
     assert [(position[id(e)], s.hex()) for e, s in screened] == [
         (position[id(e)], s.hex()) for e, s in reference
     ], question
@@ -762,28 +766,134 @@ def cli_datasets():
     return {name: build() for name, build in CLI_DATASETS.items()}
 
 
+def _window(number: int, size: int, pool_size: int) -> list[int]:
+    """Pool rows of the demonstration window for dev question ``number``."""
+    start = 7 * number % pool_size
+    return [row % pool_size for row in range(start, min(start + size, 2 * pool_size))]
+
+
 @pytest.mark.parametrize("model", ["codes-1b", "codes-3b", "codes-7b", "codes-15b"])
 def test_screened_retrieval_equals_the_per_entry_reference(model, cli_datasets):
     """Every dev question of every CLI dataset retrieves, from the SFT
-    index and from a window of demonstrations, exactly the entries and
-    similarity bits of one exact dot product per entry."""
+    index and from a window of demonstrations (a row subset of the
+    pool's index), exactly the entries and similarity bits of one exact
+    dot product per entry."""
     parser = CodeSParser(model)
     top_n = 2 + parser.config.slot_depth
     embedder = MemoizedEmbedder(parser.embedder)
     for dataset in cli_datasets.values():
         train = dataset.train
-        index = TemplateIndex(
-            ((e.question, parse_sql(e.sql)) for e in train), embedder
-        )
+        index = TemplateIndex(((e.question, e.sql) for e in train), embedder)
+        pool = TemplateIndex(((e.question, e.sql) for e in train), parser.embedder)
         for number, example in enumerate(dataset.dev):
             _assert_retrieval_exact(parser, example.question, index, top_n, embedder)
-            start = 7 * number % len(train)
-            demonstrations = parser._entries_from(
-                (train + train)[start : start + 2 * top_n + 2], embedder
-            )
+            demonstrations = pool.subset(_window(number, 2 * top_n + 2, len(train)))
             _assert_retrieval_exact(
                 parser, example.question, demonstrations, top_n, embedder
             )
+
+
+def _entries_from(examples, embedder) -> TemplateIndex:
+    """The per-request index as each few-shot request once built it: the
+    demonstrations' parseable templates, parsed and embedded anew."""
+    pairs = []
+    for example in examples:
+        try:
+            parse_sql(example.sql)
+        except SQLSyntaxError:
+            continue
+        pairs.append((example.question, example.sql))
+    return TemplateIndex(pairs, embedder)
+
+
+def _index_bits(index: TemplateIndex) -> list[tuple]:
+    return [
+        (
+            entry.question,
+            SQLITE_EMITTER.serialize(entry.template),
+            entry.skeleton,
+            index.question_matrix[row].tobytes(),
+            index.pattern_matrix[row].tobytes(),
+        )
+        for row, entry in enumerate(index.entries)
+    ] + [(index.question_matrix.shape, index.slack)]
+
+
+def test_pool_subsets_equal_the_per_request_reference(cli_datasets):
+    """A row subset of the pool's index holds exactly the questions,
+    template SQL, skeleton keys and vector bits of an index parsed and
+    embedded from those demonstrations, skipping an unparseable one."""
+    parser = CodeSParser("codes-7b")
+    embedder = MemoizedEmbedder(parser.embedder)
+    for dataset in cli_datasets.values():
+        train = list(dataset.train)
+        broken = Text2SQLExample(train[3].question + " again", "SELEC nope", train[3].db_id)
+        train.insert(5, broken)
+        pool = TemplateIndex(((e.question, e.sql) for e in train), parser.embedder)
+        assert pool.entries[5].template is None and pool.entries[5].skeleton is None
+        windows = [_window(number, 12, len(train)) for number in range(len(dataset.dev))]
+        assert any(5 in rows for rows in windows)
+        for rows in windows:
+            reference = _entries_from([train[row] for row in rows], embedder)
+            assert _index_bits(pool.subset(rows)) == _index_bits(reference)
+
+
+class _ReferenceRetriever:
+    """Demonstration selection as the retriever once computed it: its own
+    question and pattern matrices and a mergesort on Eq. 4."""
+
+    def __init__(self, pool, embedder, mode, seed=0):
+        self.pool = list(pool)
+        self.embedder = embedder
+        self.mode = mode
+        self._rng = random.Random(seed)
+        self._question_matrix = embedder.embed_batch([e.question for e in self.pool])
+        self._pattern_matrix = embedder.embed_batch(
+            [extract_pattern(e.question) for e in self.pool]
+        )
+
+    def _select_reference(self, question, k):
+        if k <= 0 or not self.pool:
+            return []
+        if self.mode == "random":
+            return [(e, 0.0) for e in self._rng.sample(self.pool, min(k, len(self.pool)))]
+        question_sims = self._question_matrix @ self.embedder.embed(question)
+        if self.mode == "pattern-aware":
+            pattern_vec = self.embedder.embed(extract_pattern(question))
+            sims = np.maximum(question_sims, self._pattern_matrix @ pattern_vec)
+        else:
+            sims = question_sims
+        order = np.argsort(-sims, kind="mergesort")[:k]
+        return [(self.pool[index], float(sims[index])) for index in order]
+
+
+@pytest.mark.parametrize("model", ["codes-1b", "codes-3b", "codes-7b", "codes-15b"])
+def test_selection_equals_the_reference_retriever(model, cli_datasets):
+    """On every dev question of every CLI dataset, both ranked modes pick
+    the reference's rows with its score bits for k in 1, 3, 5 and 8, and
+    seeded random mode draws the reference's sequence."""
+    embedder = MemoizedEmbedder(CodeSParser(model).embedder)
+    for dataset in cli_datasets.values():
+        for mode in ("pattern-aware", "question-only"):
+            retriever = DemonstrationRetriever(dataset.train, embedder, mode=mode)
+            reference = _ReferenceRetriever(dataset.train, embedder, mode)
+            for example in dataset.dev:
+                for k in (1, 3, 5, 8):
+                    picked = [
+                        (retriever.pool[hit.row], hit.score.hex())
+                        for hit in retriever.retrieve(example.question, k)
+                    ]
+                    expected = [
+                        (e, score.hex())
+                        for e, score in reference._select_reference(example.question, k)
+                    ]
+                    assert picked == expected, (mode, k, example.question)
+        retriever = DemonstrationRetriever(dataset.train, embedder, mode="random", seed=5)
+        reference = _ReferenceRetriever(dataset.train, embedder, "random", seed=5)
+        for k in (1, 3, 5, 8) * 5:
+            assert [e for e, _ in reference._select_reference("q", k)] == [
+                hit.example for hit in retriever.retrieve("q", k)
+            ]
 
 
 class _NearEmbedder:
@@ -821,7 +931,7 @@ def test_screened_retrieval_is_exact_on_adversarial_indexes(scale):
     embedder = _NearEmbedder(scale, directions=3)
     questions = [f"question number {i} {'x' * (i % 5)}" for i in range(60)]
     pairs = [
-        (question, parse_sql(_ADVERSARIAL_SQL[i % len(_ADVERSARIAL_SQL)]))
+        (question, _ADVERSARIAL_SQL[i % len(_ADVERSARIAL_SQL)])
         for i, question in enumerate(questions)
     ]
     duplicated = TemplateIndex(pairs * 3, embedder)

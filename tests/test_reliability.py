@@ -563,6 +563,13 @@ class TestFaultTolerantHarness:
         with pytest.raises(ValueError):
             evaluate_parser(StubParser([COUNT_CLIENTS]), dataset, max_retries=-1)
 
+    def test_negative_demonstrations_per_question_rejected(self):
+        dataset = _dataset(bank_database(), [COUNT_CLIENTS])
+        with pytest.raises(ValueError, match="demonstrations_per_question"):
+            evaluate_parser(
+                StubParser([COUNT_CLIENTS]), dataset, demonstrations_per_question=-2
+            )
+
     def test_failure_report_rendering(self):
         dataset = _dataset(
             bank_database(), [COUNT_CLIENTS, "SELECT nope FROM nothing"]
