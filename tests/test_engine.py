@@ -69,7 +69,7 @@ from repro.sqlgen.dialects import emitter_for
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.skeleton import skeleton_of_query
-from repro.text.embedder import HashedNgramEmbedder, MemoizedEmbedder
+from repro.text.embedder import MemoizedEmbedder
 from repro.text.pattern import extract_pattern
 
 pytestmark = pytest.mark.engine
