@@ -321,10 +321,6 @@ def _erase_aliases(query: Query) -> Query:
     )
 
 
-def _has_aggregate(query: Query) -> bool:
-    return any(isinstance(item.expr, Aggregation) for item in query.select_items)
-
-
 def _canonical_simple(query: Query) -> Query:
     """Canonicalize one SELECT level (no compound handling)."""
     query = _erase_aliases(query)

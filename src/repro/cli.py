@@ -119,9 +119,17 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    if args.mode == "fewshot" and args.shots < 1:
+    if args.mode != "fewshot" and args.shots is not None:
         print(
-            f"repro eval: --mode fewshot needs --shots >= 1, got {args.shots} "
+            f"repro eval: --shots applies only to --mode fewshot, "
+            f"not --mode {args.mode}",
+            file=sys.stderr,
+        )
+        return 2
+    shots = 3 if args.shots is None else args.shots
+    if args.mode == "fewshot" and shots < 1:
+        print(
+            f"repro eval: --mode fewshot needs --shots >= 1, got {shots} "
             "(use --mode zeroshot for no demonstrations)",
             file=sys.stderr,
         )
@@ -147,7 +155,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     elif args.mode == "fewshot":
         retriever = DemonstrationRetriever(dataset.train, embedder=parser.embedder)
         kwargs = {
-            "demonstrations_per_question": args.shots,
+            "demonstrations_per_question": shots,
             "demonstration_retriever": retriever,
         }
     else:  # zeroshot
@@ -911,7 +919,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     eval_parser.add_argument(
         "--mode", default="sft", choices=("sft", "fewshot", "zeroshot")
     )
-    eval_parser.add_argument("--shots", type=int, default=3)
+    eval_parser.add_argument(
+        "--shots", type=int, default=None,
+        help="demonstrations per question, --mode fewshot only (default 3)",
+    )
     eval_parser.add_argument("--ek", action="store_true",
                              help="use external knowledge (BIRD)")
     eval_parser.add_argument("--ts", action="store_true",

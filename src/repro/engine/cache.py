@@ -11,7 +11,9 @@ through :meth:`get`, hit/miss counters feed the per-stage trace, and
 Long serving runs touch many ``(database, question)`` keys, so the
 cache can be bounded: with a ``capacity`` it evicts in LRU order and
 counts evictions, keeping one engine's working set from growing
-without limit.
+without limit.  A cache belongs to one engine and is never merged into
+another: a shard worker that gains a database builds its own (the
+sharding layer's ``Warm`` command).
 """
 
 from __future__ import annotations
@@ -57,40 +59,6 @@ class StageCache:
     def clear(self) -> None:
         """Drop every cached resource (counters included)."""
         self._memo = Memo(self._memo.capacity)
-
-    def absorb(self, other: "StageCache") -> int:
-        """Copy ``other``'s entries into this cache; returns how many.
-
-        Existing keys keep their local value (this cache's entries are
-        fresher by definition — it is the one serving traffic), and
-        absorbed entries enter at the *LRU* end for the same reason:
-        under later capacity pressure the donor's cold entries evict
-        before anything this cache was actively using.  Absorbing
-        never evicts local entries — when capacity is short, only the
-        donor's most recently used entries are taken and the rest are
-        dropped.  Used by the sharding layer's warm handoff: when a
-        shard moves between in-process workers, the new owner absorbs
-        the old owner's warm per-database resources instead of
-        rebuilding them.
-        """
-        entries = self._memo.entries
-        fresh = {
-            full_key: value
-            for full_key, value in other._memo.entries.items()
-            if full_key not in entries
-        }
-        capacity = self._memo.capacity
-        if capacity is not None:
-            room = capacity - len(entries)
-            if room <= 0:
-                return 0
-            if len(fresh) > room:
-                fresh = dict(list(fresh.items())[-room:])
-        if fresh:
-            merged = dict(fresh)
-            merged.update(entries)
-            self._memo.entries = merged
-        return len(fresh)
 
     def clear_kind(self, kind: str) -> int:
         """Evict all entries of one resource kind; returns how many."""

@@ -217,9 +217,6 @@ class PretrainCorpus:
     nl2code: list[str] = field(default_factory=list)
     base_code: list[str] = field(default_factory=list)
 
-    def all_documents(self) -> list[str]:
-        return [*self.sql, *self.nl, *self.nl2code, *self.base_code]
-
 
 def build_corpus(config: CorpusConfig | None = None) -> PretrainCorpus:
     """Generate all corpus slices for ``config``."""

@@ -44,7 +44,6 @@ class NgramLanguageModel:
         # totals[k] memoizes sum(counts[k][context].values()); fit resets it.
         self._totals: list[dict[tuple[str, ...], int]] = [{} for _ in range(order)]
         self._vocab: set[str] = set()
-        self._trained_tokens = 0
 
     # -- training -----------------------------------------------------------
 
@@ -71,12 +70,7 @@ class NgramLanguageModel:
                         break
                     context = tuple(tokens[position - k:position])
                     self._counts[k][context][token] += weight
-        self._trained_tokens += consumed * weight
         return consumed
-
-    @property
-    def trained_tokens(self) -> int:
-        return self._trained_tokens
 
     @property
     def vocab_size(self) -> int:

@@ -192,19 +192,6 @@ class ProviderRouter:
                 )
             entry.healthy = report.healthy
 
-    def probe_now(self) -> list[HealthReport]:
-        """Force a probe of every provider, returning the reports."""
-        with self._lock:
-            reports = []
-            now = self._clock.now()
-            for entry in self.entries:
-                report = entry.provider.health()
-                entry.last_report = report
-                entry.last_probe_at = now
-                entry.healthy = report.healthy
-                reports.append(report)
-            return reports
-
     def _candidates(self, op: str) -> list[RoutedProvider]:
         """Admissible providers for ``op``, healthy-first then priority."""
         supported = [

@@ -20,7 +20,7 @@ class Memo:
     with ``factory(*args)`` on a miss.  Any value is cached, ``None``
     included.  ``capacity`` bounds the entry count; ``None`` means
     unbounded.  ``entries`` is the backing dict, oldest entry first,
-    for owners that move entries in bulk.
+    for owners that inspect or evict entries in bulk.
     """
 
     def __init__(self, capacity: int | None = None) -> None:

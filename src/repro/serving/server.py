@@ -322,7 +322,7 @@ class Server:
             trace=getattr(result, "trace", None),
         )
 
-    # -- warm / drain handoff (sharding support) -----------------------------
+    # -- warm (sharding support) ----------------------------------------------
 
     def warm(self, db_id: str) -> None:
         """Eagerly build the per-database execution state for ``db_id``.
@@ -337,37 +337,6 @@ class Server:
         self._engine_for(db_id)
         self._breaker_for(db_id)
         self._db_lock_for(db_id)
-
-    def handoff(self, db_id: str):
-        """Release and return the warm engine for ``db_id`` (or ``None``).
-
-        The old shard owner gives up its engine after draining; an
-        inline-transport peer can :meth:`adopt` it, keeping the stage
-        cache warm across the ownership change.  The breaker stays
-        behind — its failure history describes *this* worker's view of
-        the database and is folded into metrics instead of migrating.
-        """
-        with self._resources_lock:
-            return self._engines.pop(db_id, None)
-
-    def adopt(self, db_id: str, engine) -> None:
-        """Install a handed-off warm engine for ``db_id``.
-
-        If this server already built its own engine for the database,
-        the warmer of the two caches wins by absorbing the other's
-        entries (see :meth:`repro.engine.StageCache.absorb`).
-        """
-        if engine is None:
-            return
-        with self._resources_lock:
-            existing = self._engines.get(db_id)
-            if existing is None:
-                self._engines[db_id] = engine
-                return
-            mine = getattr(existing, "cache", None)
-            theirs = getattr(engine, "cache", None)
-            if mine is not None and theirs is not None:
-                mine.absorb(theirs)
 
     # -- per-resource state --------------------------------------------------
 

@@ -7,6 +7,9 @@ records, frozen metric snapshots), so the same protocol pickles across
 the process boundary and stays trivially deterministic in inline mode.
 
 Commands flow router → worker; events flow worker → router.  The
+router reaches a worker through these messages alone — it warms new
+owners with :class:`Warm`, reads metrics with :class:`SnapshotRequest`,
+drains with :class:`Drain` — on either transport.  The
 ``Completed.trace`` field is stripped before an outcome crosses a real
 process boundary (traces hold live engine objects); inline transport
 keeps it.
@@ -47,12 +50,9 @@ class Warm:
 class Drain:
     """Finish all queued work, then acknowledge with :class:`Drained`.
 
-    ``db_ids`` names the shards being moved away (bookkeeping for the
-    ack); the worker drains its whole queue either way — queued work is
-    never abandoned mid-rebalance.
+    The worker drains its whole queue — queued work is never abandoned
+    mid-rebalance.
     """
-
-    db_ids: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,10 @@ class OutcomeMsg:
 
 @dataclass(frozen=True)
 class HeartbeatAck:
-    """Liveness answer, carrying the worker's current queue depth."""
+    """Liveness answer to the :class:`Heartbeat` numbered ``seq``."""
 
     worker_id: str
     seq: int
-    queue_depth: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,6 @@ class Drained:
     """All queued work finished after a :class:`Drain` command."""
 
     worker_id: str
-    db_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,25 @@ genuinely parallel with process handles.
 Supervision: the router probes workers with sequenced heartbeats; a
 worker that reports dead (``handle.alive()``) or misses its ack
 deadline is classified into :attr:`failures` and scheduled for a
-breaker-style backoff restart.  Requests already dispatched to the
-dead worker stay *pending* — they are re-dispatched after the restart
-(at-least-once; duplicate outcomes are deduplicated by request id) —
-and new arrivals for its shards park at the router until the worker
-returns.  A worker that exhausts its restart budget fails its pending
-requests with typed ``Failed`` outcomes: nothing resolves silently.
+breaker-style backoff restart.  A restart always builds a new handle
+through ``handle_factory`` (so callers re-read :attr:`handles`).
+Requests already dispatched to the dead worker stay *pending* — they
+are re-dispatched after the restart (at-least-once; duplicate outcomes
+are deduplicated by request id) — and new arrivals for its shards park
+at the router until the worker returns.  A worker that exhausts its
+restart budget fails its pending requests with typed ``Failed``
+outcomes: nothing resolves silently.
 
 Rebalance: :meth:`rebalance` diffs the old and new maps, tells each
-old owner to drain (it finishes every queued request and acks), hands
-warm engines to inline peers / sends ``Warm`` to process peers, then
-swaps the map.  No request is dropped: queued work completes on the
-old owner, and arrivals during the swap follow the old map until the
-swap is atomic-ly (single-threaded control loop) replaced.
+old owner to drain (it finishes every queued request and acks), sends
+``Warm`` to every new owner, then swaps the map.  No request is
+dropped: queued work completes on the old owner, and arrivals during
+the swap follow the old map until the swap is atomic-ly
+(single-threaded control loop) replaced.
+
+Both transports answer the same messages: metrics snapshots arrive as
+``MetricsMsg`` replies to ``SnapshotRequest`` whatever the handle, so a
+dead worker reports its last snapshot, never a live server.
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ POLL_INTERVAL_S = 0.002
 
 def _inline_worker(handle):
     """The :class:`ShardWorker` an inline handle runs on this thread, or
-    ``None`` for a process handle — the router's one transport test."""
+    ``None`` for a process handle — the router's one transport test,
+    used only for :meth:`ShardRouter.next_due`'s poll cap."""
     return getattr(handle, "worker", None)
 
 
@@ -379,13 +386,10 @@ class ShardRouter:
 
     def _restart(self, worker_id: str) -> None:
         handle = self.handles[worker_id]
-        if handle.alive() or not hasattr(handle, "restart"):
-            # An unkillable zombie (no kill hook) or a transport with
-            # no in-place restart: abandon the old handle and build a
-            # fresh one — restart() on a live handle would raise.
-            self.handles[worker_id] = self._handle_factory(worker_id)
-        else:
-            handle.restart()
+        if not handle.alive():
+            handle.close()
+        # else an unkillable zombie (no kill hook): abandon it as is.
+        self.handles[worker_id] = self._handle_factory(worker_id)
         state = self._states[worker_id]
         state.down = False
         state.hb_outstanding = None
@@ -455,12 +459,12 @@ class ShardRouter:
         """Move to ``new_map`` without dropping a request.
 
         Old owners drain (finishing all queued work — those outcomes
-        are returned), new owners warm, inline peers hand off warm
-        engines, and only then does the map swap.  Workers leaving the
-        cluster are snapshotted into the retired-metrics fold and shut
-        down; anything they failed to resolve (a down owner cannot
-        drain) is re-homed to the new owners first, so no request is
-        left mapped to a departed worker.
+        are returned), new owners warm, and only then does the map
+        swap.  Workers leaving the cluster are snapshotted into the
+        retired-metrics fold and shut down; anything they failed to
+        resolve (a down owner cannot drain) is re-homed to the new
+        owners first, so no request is left mapped to a departed
+        worker.
         """
         moves = self.shard_map.moves(new_map, self.db_ids)
         added = [w for w in new_map.workers if w not in self.handles]
@@ -469,23 +473,13 @@ class ShardRouter:
         for worker_id in added:
             self.handles[worker_id] = self._handle_factory(worker_id)
             self._states[worker_id] = _WorkerState(last_beat_at=now)
-        moved_from: dict[str, list[str]] = {}
         moved_to: dict[str, list[str]] = {}
         for move in moves:
-            moved_from.setdefault(move.source, []).append(move.db_id)
             moved_to.setdefault(move.target, []).append(move.db_id)
         # 1. Old owners finish their queued work (a down/dead owner
         #    cannot drain; its leftovers are re-homed in step 3).
-        outcomes = self._drain_live(
-            {w: Drain(db_ids=tuple(dbs)) for w, dbs in moved_from.items()}
-        )
-        # 2. Warm handoff: inline peers adopt the old owner's engines;
-        #    process peers pre-build via the Warm command.
-        for move in moves:
-            source = _inline_worker(self.handles[move.source])
-            target = _inline_worker(self.handles[move.target])
-            if source is not None and target is not None:
-                target.server.adopt(move.db_id, source.server.handoff(move.db_id))
+        outcomes = self._drain_live({move.source for move in moves})
+        # 2. New owners pre-build their moved databases.
         for worker_id in sorted(moved_to):
             self.handles[worker_id].send(Warm(db_ids=tuple(moved_to[worker_id])))
         # 3. Swap; re-home any work a departing worker never resolved
@@ -532,19 +526,19 @@ class ShardRouter:
             and self.handles[worker_id].alive()
         )
 
-    def _drain_live(self, commands: dict[str, Drain]) -> list:
-        """Send each *live* worker its Drain; pump/poll until all acked.
+    def _drain_live(self, workers: set[str]) -> list:
+        """Send each *live* worker a Drain; pump/poll until all acked.
 
         A worker that is down, lost, or dies mid-drain stops being
         awaited — a dead worker never acks, and waiting for one would
         burn the whole control timeout.  Its unresolved requests stay
         pending for supervision (or the caller) to recover.
         """
-        sources = sorted(commands)
+        sources = sorted(workers)
         self._drain_acks.clear()
         for worker_id in sources:
             if self._drainable(worker_id):
-                self.handles[worker_id].send(commands[worker_id])
+                self.handles[worker_id].send(Drain())
         outcomes: list = []
         waiting: list[str] = []
 
@@ -580,7 +574,7 @@ class ShardRouter:
         pending (or parked) and the caller decides whether to keep
         ticking until supervision restarts them or to shut down.
         """
-        return self._drain_live({worker_id: Drain() for worker_id in self.handles})
+        return self._drain_live(set(self.handles))
 
     def shutdown(self) -> None:
         """Snapshot, then close every worker (clean Shutdown, bounded)."""
@@ -596,10 +590,10 @@ class ShardRouter:
     # -- observability -------------------------------------------------------
 
     def _snapshot_worker(self, worker_id: str) -> ServerMetrics | None:
-        """A fresh per-shard snapshot (synchronous inline, RPC process)."""
+        """A fresh per-shard snapshot over ``SnapshotRequest`` (an inline
+        worker answers inside ``send``); a dead worker's last one, or
+        ``None`` if it never answered."""
         handle = self.handles[worker_id]
-        if (inline := _inline_worker(handle)) is not None:  # no round trip
-            return inline.server.metrics()
         if not handle.alive():
             return self._worker_metrics.get(worker_id)
         self._worker_metrics.pop(worker_id, None)

@@ -1,17 +1,19 @@
 """Worker transports: inline (deterministic) and process (parallel).
 
 Both handle types speak the same message protocol from
-:mod:`repro.serving.sharding.messages`; the router's one transport test
-is whether a handle exposes the ``worker`` it runs in-thread, used only
-where physics differ (engine handoff only works in-process; real
-parallelism only exists cross-process, so replay polls for it).
+:mod:`repro.serving.sharding.messages` and have the same lifecycle: the
+router warms, snapshots and drains a worker with messages only, and
+restarts it by closing the dead handle and building a new one.  Its one
+transport test is whether a handle exposes the ``worker`` it runs
+in-thread, used only where physics differ: real parallelism only
+exists cross-process, so replay polls for it.
 
 - :class:`InlineWorkerHandle` hosts the :class:`ShardWorker` on the
   caller's thread.  ``send`` processes the command synchronously and
   buffers the replies; ``pump`` drains the worker's queue.  On a
   FakeClock the whole cluster is a deterministic discrete-event
-  system — the configuration every ``tests/test_sharding.py`` scenario
-  runs, with zero wall-clock sleeps.
+  model of the process transport — the configuration every
+  ``tests/test_sharding.py`` scenario runs, with zero wall-clock sleeps.
 
 - :class:`ProcessWorkerHandle` forks a child running
   :func:`~repro.serving.sharding.worker.worker_main` and talks to it
@@ -28,7 +30,6 @@ import multiprocessing
 import select
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.errors import ServingError
 from repro.reliability.clock import SYSTEM_CLOCK
 from repro.serving.sharding.messages import Shutdown
 from repro.serving.sharding.worker import ShardWorker, worker_main
@@ -69,7 +70,6 @@ class InlineWorkerHandle:
 
     def __init__(self, worker_id: str, server_factory: Callable[[], object]):
         self.worker_id = worker_id
-        self._server_factory = server_factory
         self.worker = ShardWorker(worker_id, server_factory())
         self._events: list = []
         self._dead = False
@@ -101,16 +101,6 @@ class InlineWorkerHandle:
         self._dead = True
         self._events = []
 
-    def restart(self) -> None:
-        """Replace the dead worker with a fresh one from the factory."""
-        if self.alive():
-            raise ServingError(
-                f"worker {self.worker_id!r} is alive; refusing to restart"
-            )
-        self.worker = ShardWorker(self.worker_id, self._server_factory())
-        self._events = []
-        self._dead = False
-
     def close(self) -> None:
         if not self._dead:
             self.worker.handle(Shutdown())
@@ -125,42 +115,35 @@ class ProcessWorkerHandle:
     own database connections.  Where ``fork`` is unavailable the
     default context is used and the factory must be picklable.
 
-    Each incarnation's pipe and exit sentinel are registered in a
-    ``select.poll`` object once, at spawn: :meth:`poll` and
-    :meth:`alive` are then one non-blocking ``poll(2)`` each, where
-    ``Connection.poll(0)`` would build, register and close a selector
-    on every call of the router's loop.
+    The pipe and the exit sentinel are registered in a ``select.poll``
+    object once, at spawn: :meth:`poll` and :meth:`alive` are then one
+    non-blocking ``poll(2)`` each, where ``Connection.poll(0)`` would
+    build, register and close a selector on every call of the router's
+    loop.  A handle is one child for life; the router restarts a worker
+    by building a new handle.
     """
 
     def __init__(self, worker_id: str, server_factory: Callable[[], object]):
         self.worker_id = worker_id
-        self._server_factory = server_factory
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = (
+        ctx = (
             multiprocessing.get_context("fork")
-            if "fork" in methods
+            if "fork" in multiprocessing.get_all_start_methods()
             else multiprocessing.get_context()
         )
-        self._conn = None
-        self._process = None
-        self._spawn()
-
-    def _spawn(self) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
+        parent_conn, child_conn = ctx.Pipe()
+        self._process = ctx.Process(
             target=worker_main,
-            args=(child_conn, self._server_factory, self.worker_id),
-            name=f"shard-{self.worker_id}",
+            args=(child_conn, server_factory, worker_id),
+            name=f"shard-{worker_id}",
             daemon=True,
         )
-        process.start()
+        self._process.start()
         child_conn.close()  # the child owns its end now
         self._conn = parent_conn
-        self._process = process
         self._readable = select.poll()
         self._readable.register(parent_conn.fileno(), select.POLLIN)
         self._exited = select.poll()
-        self._exited.register(process.sentinel, select.POLLIN)
+        self._exited.register(self._process.sentinel, select.POLLIN)
 
     def send(self, command) -> None:
         if not self.alive():
@@ -186,30 +169,15 @@ class ProcessWorkerHandle:
         """True until the child exits.  Reads the exit sentinel; only
         once it turns readable does ``is_alive()`` (a waitpid, which
         reaps the child) run."""
-        if self._process is None:
-            return False
         return not self._exited.poll(0) or self._process.is_alive()
 
     def kill(self) -> None:
         """Chaos hook: hard-kill the child (crash, not clean shutdown)."""
-        if self._process is not None:
-            self._process.terminate()
-            self._process.join(timeout=5.0)
-
-    def restart(self) -> None:
-        """Replace a dead child with a fresh one (same factory)."""
-        if self.alive():
-            raise ServingError(
-                f"worker {self.worker_id!r} is alive; refusing to restart"
-            )
-        if self._conn is not None:
-            self._conn.close()
-        self._spawn()
+        self._process.terminate()
+        self._process.join(timeout=5.0)
 
     def close(self, timeout_s: float = 10.0) -> None:
         """Clean shutdown: Shutdown command, bounded join, then terminate."""
-        if self._process is None:
-            return
         if self._process.is_alive():
             self.send(Shutdown())
         deadline = SYSTEM_CLOCK.now() + timeout_s

@@ -62,18 +62,10 @@ class ShardWorker:
                 OutcomeMsg(worker_id=self.worker_id, outcome=outcome)
                 for outcome in self.server.drain()
             ]
-            events.append(
-                Drained(worker_id=self.worker_id, db_ids=command.db_ids)
-            )
+            events.append(Drained(worker_id=self.worker_id))
             return events
         if isinstance(command, Heartbeat):
-            return [
-                HeartbeatAck(
-                    worker_id=self.worker_id,
-                    seq=command.seq,
-                    queue_depth=self.queue_depth,
-                )
-            ]
+            return [HeartbeatAck(worker_id=self.worker_id, seq=command.seq)]
         if isinstance(command, SnapshotRequest):
             return [
                 MetricsMsg(

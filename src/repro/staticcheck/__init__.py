@@ -35,7 +35,6 @@ from repro.staticcheck.cache import (
 from repro.staticcheck.cfg import CFG, Block, build_cfg, function_nodes
 from repro.staticcheck.dataflow import (
     liveness,
-    reaching_definitions,
     solve,
 )
 from repro.staticcheck.emit import render_json, render_sarif, render_text
@@ -90,6 +89,5 @@ __all__ = [
     "function_nodes",
     "solve",
     "liveness",
-    "reaching_definitions",
     "apply_fixes",
 ]

@@ -9,8 +9,6 @@ boundary value.
 
 Shipped analyses:
 
-- :func:`reaching_definitions` — forward; facts are ``(name, line)``
-  definition sites.
 - :func:`liveness` — backward; facts are variable names live at a
   program point.  :func:`live_after` replays one block to recover the
   per-element live-out sets.
@@ -215,25 +213,6 @@ def element_uses_defs(element: ast.AST) -> tuple[set[str], set[str]]:
     # plus any stores they contain (walrus, except-as has no AST name
     # node so it is invisible here).
     return _names_loaded(element), _names_stored(element)
-
-
-# ---------------------------------------------------------------------------
-# reaching definitions (forward)
-
-
-def reaching_definitions(cfg: CFG) -> Solution:
-    """Facts are ``(name, line)`` pairs: definitions that may reach."""
-
-    def transfer(element: ast.AST, facts: frozenset) -> frozenset:
-        _, defs = element_uses_defs(element)
-        if not defs:
-            return facts
-        line = getattr(element, "lineno", 0)
-        kept = {fact for fact in facts if fact[0] not in defs}
-        kept.update((name, line) for name in defs)
-        return frozenset(kept)
-
-    return solve(cfg, transfer, direction=FORWARD)
 
 
 # ---------------------------------------------------------------------------

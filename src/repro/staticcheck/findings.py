@@ -42,13 +42,6 @@ class SourceSpan:
             end_col=getattr(node, "end_col_offset", None),
         )
 
-    def snippet(self, source: str) -> str:
-        """The first source line the span covers (stripped)."""
-        lines = source.splitlines()
-        if 1 <= self.line <= len(lines):
-            return lines[self.line - 1].strip()
-        return ""
-
 
 @dataclass(frozen=True)
 class Finding:

@@ -103,12 +103,6 @@ class HashedNgramEmbedder:
             vec /= norm
         return vec
 
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        """Embed a list of texts into a ``(len(texts), dim)`` matrix."""
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack([self.embed(text) for text in texts])
-
     def similarity(self, left: str, right: str) -> float:
         """Cosine similarity between two texts under this embedder."""
         return float(np.dot(self.embed(left), self.embed(right)))
@@ -148,11 +142,6 @@ class MemoizedEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         return self._memo.get(text, self._embed_frozen, text)
-
-    def embed_batch(self, texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        return np.stack([self.embed(text) for text in texts])
 
     def similarity(self, left: str, right: str) -> float:
         return float(np.dot(self.embed(left), self.embed(right)))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_arg_parser, main
 
 
@@ -34,6 +35,20 @@ class TestCLI:
         assert main([
             "eval", "--dataset", "spider", "--model", "codes-1b",
             "--mode", "fewshot", "--shots", shots, "--limit", "4",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "--shots" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("mode,shots", [("zeroshot", "7"), ("sft", "-4")])
+    def test_eval_rejects_shots_outside_fewshot(self, mode, shots, capsys, monkeypatch):
+        def no_dataset(name):
+            raise AssertionError("a dataset was built before the flag check")
+
+        monkeypatch.setattr(cli, "_build_dataset", no_dataset)
+        assert main([
+            "eval", "--dataset", "spider", "--model", "codes-1b",
+            "--mode", mode, "--shots", shots, "--limit", "4",
         ]) == 2
         captured = capsys.readouterr()
         assert "--shots" in captured.err

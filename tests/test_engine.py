@@ -244,40 +244,6 @@ def test_stage_cache_counts_hits_and_misses():
     assert len(cache) == 0
 
 
-def test_stage_cache_absorb_never_evicts_local_entries():
-    # Warm handoff must not cannibalise the working set: the receiving
-    # cache's own entries are the ones serving traffic, so absorb
-    # takes only what fits and files donor entries at the LRU end.
-    local = StageCache(capacity=3)
-    local.get("kind", "a", lambda: "local-a")
-    local.get("kind", "b", lambda: "local-b")
-    donor = StageCache()
-    donor.get("kind", "a", lambda: "donor-a")  # duplicate: local wins
-    donor.get("kind", "c", lambda: "donor-c")
-    donor.get("kind", "d", lambda: "donor-d")  # donor's MRU entry
-    assert local.absorb(donor) == 1  # room for one; donor's MRU taken
-    assert local.get("kind", "a", lambda: "rebuilt") == "local-a"
-    assert ("kind", "b") in local
-    assert ("kind", "d") in local
-    assert len(local) == 3
-    assert local.evictions == 0
-    # under later pressure the absorbed entry evicts before local ones
-    local.get("kind", "e", lambda: "local-e")
-    assert ("kind", "d") not in local
-    assert ("kind", "a") in local and ("kind", "b") in local
-
-
-def test_stage_cache_absorb_into_a_full_cache_is_a_no_op():
-    local = StageCache(capacity=2)
-    local.get("kind", "a", lambda: "local-a")
-    local.get("kind", "b", lambda: "local-b")
-    donor = StageCache()
-    donor.get("kind", "c", lambda: "donor-c")
-    assert local.absorb(donor) == 0
-    assert ("kind", "c") not in local
-    assert ("kind", "a") in local and ("kind", "b") in local
-
-
 def test_repeat_questions_hit_the_per_database_cache(bank):
     parser, _, database = bank
     engine = parser.build_engine()
@@ -847,9 +813,9 @@ class _ReferenceRetriever:
         self.embedder = embedder
         self.mode = mode
         self._rng = random.Random(seed)
-        self._question_matrix = embedder.embed_batch([e.question for e in self.pool])
-        self._pattern_matrix = embedder.embed_batch(
-            [extract_pattern(e.question) for e in self.pool]
+        self._question_matrix = np.stack([embedder.embed(e.question) for e in self.pool])
+        self._pattern_matrix = np.stack(
+            [embedder.embed(extract_pattern(e.question)) for e in self.pool]
         )
 
     def _select_reference(self, question, k):

@@ -15,7 +15,6 @@ import pytest
 
 from tests.test_serving import NamedDb, StubParser, _request
 
-from repro.errors import ServingError
 from repro.reliability.clock import FakeClock
 from repro.serving import (
     Completed,
@@ -55,7 +54,7 @@ DB_IDS = tuple(f"db{index}" for index in range(8))
 
 
 class StubEngine:
-    """Just enough engine surface for warm-handoff assertions."""
+    """Just enough engine surface for warm-engine assertions."""
 
     def __init__(self, cache=None):
         self.cache = cache
@@ -297,19 +296,18 @@ class TestSupervision:
     def test_missed_heartbeats_fence_and_restart_a_zombie(self):
         # A worker whose process is alive but wedged: it answers
         # nothing, so the heartbeat deadline — not alive() — fells it.
-        # The router must *kill* the still-alive process before the
-        # backoff restart, or restart() refuses a live worker and the
-        # supervision loop crashes.
+        # The router must *kill* the still-alive process at crash time,
+        # then close the dead handle and build a new one at restart.
         clock = FakeClock()
+        built = []
 
         class ZombieHandle:
-            transport = "inline"
-            worker_id = "w0"
-
-            def __init__(self):
+            def __init__(self, worker_id):
+                self.worker_id = worker_id
                 self.commands = []
                 self.killed = False
-                self.restarted = False
+                self.closed = False
+                built.append(self)
 
             def send(self, command):
                 self.commands.append(command)
@@ -326,18 +324,13 @@ class TestSupervision:
             def kill(self):
                 self.killed = True
 
-            def restart(self):
-                assert self.killed, "restart() on a live worker raises"
-                self.restarted = True
-                self.killed = False
-
             def close(self):
-                pass
+                assert self.killed, "a live worker is fenced before close"
+                self.closed = True
 
-        zombie = ZombieHandle()
         router = ShardRouter(
             ShardMap(("w0",)),
-            lambda worker_id: zombie,
+            ZombieHandle,
             DB_IDS,
             config=ShardingConfig(
                 heartbeat_interval_s=1.0,
@@ -348,7 +341,6 @@ class TestSupervision:
         )
         clock.advance(1.0)
         router.tick()  # heartbeat probe goes out
-        assert any(isinstance(c, Heartbeat) for c in zombie.commands)
         clock.advance(1.9)
         router.tick()  # deadline not yet passed
         assert not router._states["w0"].down
@@ -356,10 +348,13 @@ class TestSupervision:
         router.tick()  # 2.1s unacked >= 2.0s timeout
         assert router._states["w0"].down
         assert "heartbeat" in router.failures[0]["error"]
+        zombie = built[0]
+        assert any(isinstance(c, Heartbeat) for c in zombie.commands)
         assert zombie.killed  # fenced at crash time, not left running
         clock.advance(0.5)
-        router.tick()  # backoff expired: restart must not raise
-        assert zombie.restarted
+        router.tick()  # backoff expired: the factory rebuilds the handle
+        assert zombie.closed
+        assert len(built) == 2 and router.handles["w0"] is built[-1]
         assert not router._states["w0"].down
         assert any(f["kind"] == "restart" for f in router.failures)
 
@@ -371,8 +366,6 @@ class TestSupervision:
         built = []
 
         class StubbornZombie:
-            transport = "inline"
-
             def __init__(self, worker_id):
                 self.worker_id = worker_id
                 built.append(self)
@@ -389,11 +382,8 @@ class TestSupervision:
             def alive(self):
                 return True
 
-            def restart(self):
-                raise AssertionError("a live handle must never be restart()ed")
-
             def close(self):
-                pass
+                raise AssertionError("an unkillable zombie is abandoned")
 
         router = ShardRouter(
             ShardMap(("w0",)),
@@ -412,7 +402,7 @@ class TestSupervision:
         router.tick()  # deadline: marked crashed, cannot be killed
         assert router._states["w0"].down
         clock.advance(0.5)
-        router.tick()  # restart: factory replacement, no ServingError
+        router.tick()  # restart: factory replacement, the zombie abandoned
         assert len(built) == 2
         assert router.handles["w0"] is built[-1]
         assert not router._states["w0"].down
@@ -459,11 +449,6 @@ class TestSupervision:
         outcome = router.submit(_request(1, db_id=victim_db))
         assert isinstance(outcome, Failed)
 
-    def test_inline_restart_refuses_a_live_worker(self):
-        router, handles = _cluster(FakeClock())
-        with pytest.raises(ServingError):
-            handles["w0"].restart()
-
 
 # -- drain and rebalance ------------------------------------------------------
 
@@ -491,11 +476,17 @@ class TestRebalance:
         router.pump()
         assert all(isinstance(o, Completed) for o in router.poll())
 
-    def test_rebalance_hands_off_warm_engines_inline(self):
+    def test_rebalance_warms_every_new_owner(self):
         clock = FakeClock()
-        router, handles = _cluster(clock, parser_factory=EngineStubParser)
+        builds = []  # (parser, the router's map when it built an engine)
+
+        class CountingParser(EngineStubParser):
+            def build_engine(self, cache=None):
+                builds.append((self, router.shard_map))
+                return super().build_engine(cache=cache)
+
+        router, handles = _cluster(clock, parser_factory=CountingParser)
         old_map = router.shard_map
-        # warm every shard by serving traffic once
         for index, db_id in enumerate(DB_IDS):
             router.submit(_request(index, db_id=db_id))
         router.pump()
@@ -503,13 +494,19 @@ class TestRebalance:
         new_map = old_map.add_worker("w3")
         moves = old_map.moves(new_map, DB_IDS)
         assert moves  # the scenario must actually move something
+        assert {move.target for move in moves} == {"w3"}
         router.rebalance(new_map)
-        for move in moves:
-            source_server = handles[move.source].worker.server
-            target_server = router.handles[move.target].worker.server
-            # the old owner released its engine; the new owner holds it
-            assert source_server.handoff(move.db_id) is None
-            assert target_server.handoff(move.db_id) is not None
+        parser = router.handles["w3"].worker.server.parser
+        # one engine per moved database, every one built before the swap
+        assert [m for p, m in builds if p is parser] == [old_map] * len(moves)
+        before = len(builds)
+        for offset, move in enumerate(moves):
+            assert router.submit(_request(100 + offset, db_id=move.db_id)) is None
+        router.pump()
+        outcomes = router.poll()
+        assert len(outcomes) == len(moves)
+        assert all(isinstance(o, Completed) for o in outcomes)
+        assert len(builds) == before  # post-swap requests build nothing
 
     def test_removing_a_worker_retires_its_metrics(self):
         clock = FakeClock()
@@ -702,6 +699,32 @@ class TestMergedMetrics:
         assert metrics.completed == 1  # from the worker shard
         assert metrics.shed == {"rate_limited": 1}  # from the router
 
+    @pytest.mark.parametrize("snapshot_first", [False, True])
+    def test_a_dead_inline_worker_reports_its_last_snapshot(self, snapshot_first):
+        # A killed worker reports what it last answered, as a dead
+        # process does: nothing if it never answered a SnapshotRequest,
+        # else that snapshot — never its live server's later counters.
+        clock = FakeClock()
+        router, handles = _cluster(clock)
+        victim = router.shard_map.owner(DB_IDS[0])
+        on_victim = sum(router.shard_map.owner(db_id) == victim for db_id in DB_IDS)
+
+        def serve_round(start):
+            for index, db_id in enumerate(DB_IDS):
+                assert router.submit(_request(start + index, db_id=db_id)) is None
+            router.pump()
+            assert len(router.poll()) == len(DB_IDS)
+
+        serve_round(0)
+        if snapshot_first:
+            assert router.metrics().completed == len(DB_IDS)
+        serve_round(len(DB_IDS))
+        handles[victim].kill()
+        counted = 2 * len(DB_IDS) - on_victim
+        if not snapshot_first:
+            counted -= on_victim  # never snapshotted: absent from the fold
+        assert router.metrics().completed == counted
+
 
 # -- sharded replay -----------------------------------------------------------
 
@@ -778,7 +801,7 @@ class TestMessages:
         pickle.dumps(event)  # must not raise
 
     def test_non_outcome_events_pass_through(self):
-        ack = HeartbeatAck(worker_id="w0", seq=1, queue_depth=0)
+        ack = HeartbeatAck(worker_id="w0", seq=1)
         assert picklable_event(ack) is ack
 
 
@@ -881,12 +904,24 @@ class TestProcessTransport:
 
     def test_killed_child_is_restarted_and_work_replays(self):
         databases = _databases(DB_IDS[:2])
+        built = []
+        delivered = []  # (handle, event) for every event each handle polled
 
         def handle_factory(worker_id):
             def build():
                 return Server(StubParser(), databases, config=ServerConfig())
 
-            return ProcessWorkerHandle(worker_id, build)
+            handle = ProcessWorkerHandle(worker_id, build)
+            poll = handle.poll
+
+            def recording_poll():
+                events = poll()
+                delivered.extend((handle, event) for event in events)
+                return events
+
+            handle.poll = recording_poll
+            built.append(handle)
+            return handle
 
         router = ShardRouter(
             ShardMap(("w0",)),
@@ -895,30 +930,22 @@ class TestProcessTransport:
             config=ShardingConfig(restart_backoff_s=0.01),
         )
         try:
-            handle = router.handles["w0"]
-            old_pid, old_conn = handle._process.pid, handle._conn
-            handle.kill()
-            assert not handle.alive()
-            # Record which incarnation's pipe each event came over.
-            delivered = []
-            poll = handle.poll
-
-            def recording_poll():
-                events = poll()
-                delivered.extend((handle._process.pid, event) for event in events)
-                return events
-
-            handle.poll = recording_poll
+            old = router.handles["w0"]
+            old_pid, old_conn = old._process.pid, old._conn
+            old.kill()
+            assert not old.alive()
             assert router.submit(_request(0, db_id=DB_IDS[0])) is None
             outcomes = replay(router, [])
             assert len(outcomes) == 1
             assert isinstance(outcomes[0], Completed)
             assert any(f["kind"] == "restart" for f in router.failures)
-            assert router.handles["w0"] is handle and handle._process.pid != old_pid
-            assert old_conn.closed and handle._conn is not old_conn
+            new = router.handles["w0"]
+            assert built == [old, new]
+            assert new._process.pid != old_pid
+            assert old_conn.closed
             assert [
-                pid for pid, event in delivered if isinstance(event, OutcomeMsg)
-            ] == [handle._process.pid]
+                handle for handle, event in delivered if isinstance(event, OutcomeMsg)
+            ] == [new]
         finally:
             router.shutdown()
 

@@ -23,7 +23,6 @@ from repro.staticcheck import (
     content_hash,
     liveness,
     parse_module,
-    reaching_definitions,
     render_json,
     render_sarif,
     rules_fingerprint,
@@ -210,28 +209,6 @@ class TestCFG:
 
 
 class TestDataflow:
-    def test_reaching_definitions_join_at_merge(self):
-        cfg = _fn_cfg(
-            """
-            def f(flag):
-                if flag:
-                    x = 1
-                else:
-                    x = 2
-                return x
-            """
-        )
-        solution = reaching_definitions(cfg)
-        return_block = next(
-            block.index
-            for block in cfg.blocks
-            if any(isinstance(el, ast.Return) for el in block.elements)
-        )
-        lines = sorted(
-            line for name, line in solution.block_in[return_block] if name == "x"
-        )
-        assert len(lines) == 2  # both definitions may reach the return
-
     def test_liveness_sees_later_use(self):
         cfg = _fn_cfg(
             """

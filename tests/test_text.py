@@ -66,15 +66,6 @@ class TestEmbedder:
         embedder = HashedNgramEmbedder(dim=64)
         assert np.allclose(embedder.embed(""), 0.0)
 
-    def test_embed_batch_shape(self):
-        embedder = HashedNgramEmbedder(dim=32)
-        matrix = embedder.embed_batch(["a", "b", "c"])
-        assert matrix.shape == (3, 32)
-
-    def test_embed_batch_empty(self):
-        embedder = HashedNgramEmbedder(dim=32)
-        assert embedder.embed_batch([]).shape == (0, 32)
-
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):
             HashedNgramEmbedder(dim=0)
