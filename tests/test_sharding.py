@@ -485,8 +485,9 @@ class TestRebalance:
                 builds.append((self, router.shard_map))
                 return super().build_engine(cache=cache)
 
-        router, handles = _cluster(clock, parser_factory=CountingParser)
+        router, _ = _cluster(clock, parser_factory=CountingParser)
         old_map = router.shard_map
+        # every old owner builds its engines by serving traffic once
         for index, db_id in enumerate(DB_IDS):
             router.submit(_request(index, db_id=db_id))
         router.pump()
