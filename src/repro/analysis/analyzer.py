@@ -16,7 +16,7 @@ compound arms each resolve independently.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.catalog import CatalogColumn, SchemaCatalog
 from repro.analysis.diagnostics import (
@@ -89,15 +89,19 @@ class SemanticAnalyzer:
 
     # -- public API ----------------------------------------------------------
 
-    def analyze_sql(self, sql: str) -> list[Diagnostic]:
+    def analyze_sql(
+        self, sql: str, parse: Callable[[str, str], Query] = parse_dialect_sql
+    ) -> list[Diagnostic]:
         """Parse and analyze ``sql``; spans point into the given text.
 
         SQL outside the parseable subset yields a single warning-tier
         ``parse-error`` diagnostic: it may be perfectly valid SQLite,
-        the analyzer just cannot vouch for it.
+        the analyzer just cannot vouch for it.  ``parse`` stands in for
+        :func:`parse_dialect_sql` (a caller sharing one parse per SQL);
+        it must return the same tree or raise the same error.
         """
         try:
-            query = parse_dialect_sql(sql, self.dialect)
+            query = parse(sql, self.dialect)
         except SQLSyntaxError as exc:
             return [
                 Diagnostic(

@@ -15,7 +15,7 @@ first, so relative order matters and absolute numbers do not.
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Callable, Union
 
 from repro.analysis.catalog import CatalogColumn, SchemaCatalog
 from repro.errors import SQLSyntaxError
@@ -166,12 +166,18 @@ class CostEstimator:
         """Estimated cost of executing ``query`` (relative units)."""
         return self._estimate_simple_chain(query)
 
-    def estimate_sql(self, sql: Union[str, Query]) -> float:
+    def estimate_sql(
+        self,
+        sql: Union[str, Query],
+        parse: Callable[[str, str], Query] = parse_dialect_sql,
+    ) -> float:
         """Estimated cost of raw SQL (in this estimator's dialect);
-        unparseable text sorts last."""
+        unparseable text sorts last.  ``parse`` stands in for
+        :func:`parse_dialect_sql` as in
+        :meth:`~repro.analysis.analyzer.SemanticAnalyzer.analyze_sql`."""
         if isinstance(sql, Query):
             return self.estimate(sql)
         try:
-            return self.estimate(parse_dialect_sql(sql, self.dialect))
+            return self.estimate(parse(sql, self.dialect))
         except SQLSyntaxError:
             return UNPARSEABLE_COST

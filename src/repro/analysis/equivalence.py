@@ -26,7 +26,7 @@ against real execution on every bundled gold set by
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.errors import SQLSyntaxError
 from repro.sqlgen.ast import (
@@ -461,7 +461,11 @@ def canonical_key(query: Query) -> str:
     return SQLITE_EMITTER.serialize(canonicalize(query))
 
 
-def canonical_key_sql(sql: str, dialect: str = "sqlite") -> str:
+def canonical_key_sql(
+    sql: str,
+    dialect: str = "sqlite",
+    parse: Callable[[str, str], Query] = parse_dialect_sql,
+) -> str:
     """Canonical key for raw SQL text written in ``dialect``.
 
     The key itself is always rendered in the canonical SQLite dialect,
@@ -469,10 +473,12 @@ def canonical_key_sql(sql: str, dialect: str = "sqlite") -> str:
     key.  Unparseable SQL (outside the sqlgen subset) falls back to
     whitespace normalization with original casing kept — string
     literals are case-sensitive, so the fallback must not merge texts
-    that could execute differently.
+    that could execute differently.  ``parse`` stands in for
+    :func:`parse_dialect_sql` as in
+    :meth:`~repro.analysis.analyzer.SemanticAnalyzer.analyze_sql`.
     """
     try:
-        return canonical_key(parse_dialect_sql(sql, dialect))
+        return canonical_key(parse(sql, dialect))
     except SQLSyntaxError:
         return " ".join(sql.split()).rstrip(";").rstrip()
 

@@ -41,7 +41,7 @@ from repro.engine import (
     TraceRecorder,
     build_default_engine,
 )
-from repro.errors import CheckpointError, TrainingError
+from repro.errors import CheckpointError, SQLSyntaxError, TrainingError
 from repro.lm.pretrain import PretrainedLM
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.linking.classifier import LinkingExample, SchemaItemClassifier
@@ -49,7 +49,9 @@ from repro.linking.features import SchemaFeatureExtractor
 from repro.promptgen.builder import DatabasePrompt
 from repro.promptgen.options import PromptOptions
 from repro.reliability.clock import SYSTEM_CLOCK, Clock
+from repro.sqlgen.ast import Query
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
+from repro.sqlgen.parser import parse_sql
 from repro.text.embedder import HashedNgramEmbedder
 
 if TYPE_CHECKING:
@@ -214,7 +216,9 @@ class CodeSParser:
         """SFT: index the training templates and train the schema classifier."""
         if not samples:
             raise TrainingError("cannot fine-tune on an empty training set")
-        pairs: list[tuple[str, str]] = []
+        # Each training SQL is parsed once, for its template and its
+        # schema-linking labels; one that does not parse gives neither.
+        templates: list[tuple[str, Query]] = []
         linking: list[LinkingExample] = []
         for example, database in samples:
             question = (
@@ -222,17 +226,17 @@ class CodeSParser:
                 if use_external_knowledge
                 else example.question
             )
-            pairs.append((question, example.sql))
             try:
-                linking.append(
-                    LinkingExample.from_sql(question, database.schema, example.sql)
-                )
-            except TrainingError:
+                template = parse_sql(example.sql)
+            except SQLSyntaxError:
                 continue
-        index = TemplateIndex(pairs, self.embedder)
-        self._index = index.subset(range(len(index)))
-        if not self._index:
+            templates.append((question, template))
+            linking.append(
+                LinkingExample.from_sql(question, database.schema, template)
+            )
+        if not templates:
             raise TrainingError("no parseable training SQL found")
+        self._index = TemplateIndex(templates, self.embedder)
         self.classifier = SchemaItemClassifier(
             extractor=self.extractor, seed=self.seed
         )

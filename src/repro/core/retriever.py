@@ -52,7 +52,8 @@ def _query_vectors(question: str, embedder, use_pattern: bool):
 class TemplateIndex:
     """Questions and templates over stacked question and pattern embeddings.
 
-    Built from (question, SQL) pairs, parsing each SQL once; an entry
+    Built from (question, SQL) pairs, parsing each SQL text once (an
+    already parsed :class:`Query` is taken as the template); an entry
     whose SQL does not parse keeps its row but has no template.  One per
     SFT fit or checkpoint load, and one per training pool; a few-shot
     request searches a :meth:`subset` of its pool's index.  Row ``i`` of
@@ -62,7 +63,7 @@ class TemplateIndex:
 
     def __init__(
         self,
-        pairs: Iterable[tuple[str, str]],
+        pairs: Iterable[tuple[str, str | Query]],
         embedder: "HashedNgramEmbedder | MemoizedEmbedder",
     ):
         pairs = list(pairs)
@@ -73,10 +74,13 @@ class TemplateIndex:
         for row, (question, sql) in enumerate(pairs):
             self.question_matrix[row] = embedder.embed(question)
             self.pattern_matrix[row] = embedder.embed(extract_pattern(question))
-            try:
-                template = parse_sql(sql)
-            except SQLSyntaxError:
-                template = None
+            if isinstance(sql, Query):
+                template = sql
+            else:
+                try:
+                    template = parse_sql(sql)
+                except SQLSyntaxError:
+                    template = None
             skeleton = None if template is None else skeleton_of_query(template)
             entries.append(_IndexEntry(question, template, skeleton))
         self.entries = tuple(entries)

@@ -22,9 +22,9 @@ together — edit the tuples, then regenerate this block)::
                     writes: templates, raw_candidates
     rank            reads:  question, effort, raw_candidates, degrade
                     writes: candidates, beam
-    lint_gate       reads:  beam, database
+    lint_gate       reads:  beam, parsed, database
                     writes: analyzer, ordered, lint, demoted
-    equiv_dedup     reads:  ordered, analyzer, database
+    equiv_dedup     reads:  ordered, analyzer, parsed, database
                     writes: analyzer, estimator, groups, representatives, beam_deduped
     execute_beam    reads:  groups, representatives, ordered, beam_deduped, database
                     writes: chosen, tier, executions_used, executed, dedup_avoided
@@ -34,6 +34,8 @@ together — edit the tuples, then regenerate this block)::
 ``database`` appears in most read sets because the per-database memo
 helpers key their caches on ``id(ctx.database)``; ``ctx.cache`` and
 ``ctx.trace`` are engine plumbing and ambient (never declared).
+``parsed`` is a per-request memo that the stages reading it also add
+to, so each beam SQL is parsed at most once per request.
 Reading your own write (``degrade`` re-reading ``chosen``) needs no
 read declaration unless, as for ``degrade``, the *incoming* value from
 an earlier stage is itself an input.
@@ -79,7 +81,7 @@ from repro.core.slotfill import (
 from repro.core.structure import cue_structure_prior, question_cues
 from repro.db.backends.base import backend_dialect
 from repro.engine.context import InferenceContext
-from repro.errors import GenerationError
+from repro.errors import GenerationError, SQLSyntaxError
 from repro.linking.features import (
     MemoizedSchemaFeatureExtractor,
     SchemaFeatureExtractor,
@@ -92,7 +94,7 @@ from repro.promptgen.builder import (
     apply_schema_ablations,
 )
 from repro.sqlgen.ast import identifier_key
-from repro.sqlgen.dialects import emitter_for
+from repro.sqlgen.dialects import emitter_for, parse_dialect_sql
 from repro.text.embedder import MemoizedEmbedder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -494,7 +496,7 @@ class LintGateStage(_ParserStage):
     """
 
     name = "lint_gate"
-    reads = ("beam", "database")
+    reads = ("beam", "parsed", "database")
     writes = ("analyzer", "ordered", "lint", "demoted")
 
     def run(self, ctx: InferenceContext) -> None:
@@ -504,11 +506,12 @@ class LintGateStage(_ParserStage):
             ctx.analyzer = _analyzer(ctx)
             lint_memo = _sql_memos(ctx, parser)["lint"]
             analyzer = ctx.analyzer
+            parse = _request_parse(ctx)
             ctx.ordered, ctx.lint = lint_gated_order(
                 ctx.beam,
                 analyzer,
                 analyze=lambda sql: lint_memo.get(
-                    sql, lambda: tuple(analyzer.analyze_sql(sql))
+                    sql, lambda: tuple(analyzer.analyze_sql(sql, parse))
                 ),
             )
         else:
@@ -528,7 +531,7 @@ class EquivDedupStage(_ParserStage):
     """
 
     name = "equiv_dedup"
-    reads = ("ordered", "analyzer", "database")
+    reads = ("ordered", "analyzer", "parsed", "database")
     writes = ("analyzer", "estimator", "groups", "representatives", "beam_deduped")
 
     def run(self, ctx: InferenceContext) -> None:
@@ -544,10 +547,13 @@ class EquivDedupStage(_ParserStage):
             memos = _sql_memos(ctx, parser)
             key_memo, cost_memo = memos["key"], memos["cost"]
             estimator = ctx.estimator
+            parse = _request_parse(ctx)
             groups: list[list[str]] = []
             group_of: dict[str, int] = {}
             for sql in ctx.ordered:
-                group_key = key_memo.get(sql, canonical_key_sql, sql, dialect)
+                group_key = key_memo.get(
+                    sql, canonical_key_sql, sql, dialect, parse
+                )
                 if group_key in group_of:
                     groups[group_of[group_key]].append(sql)
                 else:
@@ -558,7 +564,9 @@ class EquivDedupStage(_ParserStage):
             ctx.representatives = [
                 min(
                     group,
-                    key=lambda sql: cost_memo.get(sql, estimator.estimate_sql, sql),
+                    key=lambda sql: cost_memo.get(
+                        sql, estimator.estimate_sql, sql, parse
+                    ),
                 )
                 for group in groups
             ]
@@ -634,6 +642,28 @@ class DegradeStage(_ParserStage):
                 if sql in ctx.demoted and sql not in ctx.executed
             )
         ctx.executions_avoided += ctx.dedup_avoided
+
+
+def _request_parse(ctx: InferenceContext) -> "Callable[[str, str], Query]":
+    """:func:`parse_dialect_sql` memoized in ``ctx.parsed``: the lint,
+    key and cost of one SQL share a parse (the trees are frozen, so no
+    consumer can change another's), and an unparseable SQL raises the
+    same error to each consumer, which applies its own fallback."""
+    parsed = ctx.parsed
+
+    def parse(sql: str, dialect: str) -> "Query":
+        outcome = parsed.get((sql, dialect))
+        if outcome is None:
+            try:
+                outcome = parse_dialect_sql(sql, dialect)
+            except SQLSyntaxError as exc:
+                outcome = exc
+            parsed[(sql, dialect)] = outcome
+        if isinstance(outcome, SQLSyntaxError):
+            raise outcome
+        return outcome
+
+    return parse
 
 
 def _analyzer(ctx: InferenceContext) -> SemanticAnalyzer:

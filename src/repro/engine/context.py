@@ -20,10 +20,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datasets.base import Text2SQLExample
     from repro.engine.cache import StageCache
     from repro.engine.trace import InferenceTrace
+    from repro.errors import SQLSyntaxError
     from repro.linking.classifier import SchemaScores
     from repro.linking.schema_filter import FilteredSchema
     from repro.promptgen.builder import DatabasePrompt, PromptBuilder
     from repro.retrieval.value_retriever import MatchedValue
+    from repro.sqlgen.ast import Query
 
 
 @dataclass
@@ -71,6 +73,12 @@ class InferenceContext:
     candidates: list = field(default_factory=list, repr=False)
     beam: list[str] = field(default_factory=list, repr=False)
     ordered: list[str] = field(default_factory=list, repr=False)
+    #: (SQL, dialect) -> its parse tree, or the error parsing raised.
+    #: Lint, canonical keys and costs of one beam SQL share one parse
+    #: through it; it dies with the request, so no tree outlives it.
+    parsed: "dict[tuple[str, str], Query | SQLSyntaxError]" = field(
+        default_factory=dict, repr=False
+    )
     lint: "dict[str, tuple[Diagnostic, ...]]" = field(
         default_factory=dict, repr=False
     )

@@ -22,6 +22,7 @@ from repro.linking.features import (
 )
 from repro.nn.mlp import MLPClassifier
 from repro.retrieval.value_retriever import MatchedValue
+from repro.sqlgen.ast import Query
 from repro.sqlgen.parser import parse_sql
 from repro.text.embedder import MemoizedEmbedder
 
@@ -41,16 +42,20 @@ class LinkingExample:
         cls,
         question: str,
         schema: Schema,
-        sql: str,
+        sql: "str | Query",
         matched_values: tuple[MatchedValue, ...] = (),
     ) -> "LinkingExample":
-        """Derive gold table/column labels from the gold SQL query."""
+        """Derive gold table/column labels from the gold SQL query, given
+        as text or already parsed."""
         from repro.sqlgen.transform import qualify_columns
 
-        try:
-            query = qualify_columns(parse_sql(sql))
-        except SQLSyntaxError as exc:
-            raise TrainingError(f"gold SQL unparseable: {sql!r}") from exc
+        if isinstance(sql, Query):
+            query = qualify_columns(sql)
+        else:
+            try:
+                query = qualify_columns(parse_sql(sql))
+            except SQLSyntaxError as exc:
+                raise TrainingError(f"gold SQL unparseable: {sql!r}") from exc
         return cls(
             question=question,
             schema=schema,

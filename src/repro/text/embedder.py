@@ -27,23 +27,18 @@ from repro.text.tokenize import character_ngrams, sentence_tokens
 MEMO_CAPACITY = 4096
 
 
-def _stable_hash(token: str, salt: int) -> int:
-    """``token``'s salted 64-bit hash: salt 1 picks a feature's slot,
-    salt 2 its sign."""
-    digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, salt=salt.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest, "little")
-
-
 _SLOT_HASHER = hashlib.blake2b(digest_size=8, salt=(1).to_bytes(8, "little"))
 _SIGN_HASHER = hashlib.blake2b(digest_size=8, salt=(2).to_bytes(8, "little"))
 
+#: Distinct features one embedder keeps a signed slot for.
+SLOT_TABLE_CAPACITY = 1 << 15
+
 
 def _salted_digests(token: str) -> tuple[bytes, bytes]:
-    """The digests behind ``_stable_hash(token, 1)`` and ``(token, 2)``,
-    from copies of pre-salted states: cheaper than building a salted
-    hasher per call, and the same bytes hashed give the same digest."""
+    """``token``'s 8-byte blake2b digests salted with 1 (its slot) and
+    2 (its sign), from copies of pre-salted states: cheaper than
+    building a salted hasher per call, and the same bytes hashed give
+    the same digest."""
     data = token.encode("utf-8")
     slot = _SLOT_HASHER.copy()
     slot.update(data)
@@ -76,6 +71,11 @@ class HashedNgramEmbedder:
         self.dim = dim
         self.orders = orders
         self.use_words = use_words
+        # feature -> slot + 1, negated when the feature's sign is -1.
+        # Insert-only and capped (never evicted), so threads embedding
+        # at once only ever add the same value under a key, and a
+        # feature met past the cap is hashed on every embed instead.
+        self._slots: dict[str, int] = {}
 
     def _features(self, text: str) -> list[str]:
         if not text.strip():
@@ -87,17 +87,35 @@ class HashedNgramEmbedder:
             feats.extend(f"w:{tok}" for tok in sentence_tokens(text))
         return feats
 
+    def _signed_slot(self, feat: str) -> int:
+        slot, sign = _salted_digests(feat)
+        code = int.from_bytes(slot, "little") % self.dim + 1
+        # A little-endian integer's parity is its first byte's.
+        if sign[0] % 2:
+            code = -code
+        if len(self._slots) < SLOT_TABLE_CAPACITY:
+            self._slots[feat] = code
+        return code
+
     def embed(self, text: str) -> np.ndarray:
         """Embed ``text`` into a unit-norm ``dim``-vector.
 
-        The empty string maps to the zero vector.
+        The empty string maps to the zero vector.  Each feature adds
+        its sign to its slot; every term is +-1, so the counts, and
+        the vector, are exact whatever the order of the sum.
         """
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for feat in self._features(text):
-            slot, sign = _salted_digests(feat)
-            index = int.from_bytes(slot, "little") % self.dim
-            # A little-endian integer's parity is its first byte's.
-            vec[index] += 1.0 if sign[0] % 2 == 0 else -1.0
+        feats = self._features(text)
+        if not feats:
+            return np.zeros(self.dim, dtype=np.float64)
+        slots = self._slots
+        codes = np.fromiter(
+            (slots.get(feat) or self._signed_slot(feat) for feat in feats),
+            dtype=np.intp,
+            count=len(feats),
+        )
+        vec = np.bincount(
+            np.abs(codes) - 1, weights=np.sign(codes), minlength=self.dim
+        )
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm

@@ -67,8 +67,10 @@ from repro.reliability.clock import FakeClock
 from repro.sqlgen.ast import identifier_key
 from repro.sqlgen.dialects import emitter_for
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
+from repro.sqlgen import parser as sqlgen_parser
 from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.skeleton import skeleton_of_query
+from repro.sqlgen.transform import qualify_columns
 from repro.text.embedder import MemoizedEmbedder
 from repro.text.pattern import extract_pattern
 
@@ -386,6 +388,66 @@ def test_question_cues_are_read_once_per_request(warm_spider_15b, monkeypatch):
         "question_order_direction", "question_aggregate",
         "question_comparison_op", "_TOPK_RE", "_LETTER_RE",
     }
+
+
+def _count_parses(monkeypatch) -> Counter:
+    """Counts each SQL text handed to the sqlgen parser, from now on."""
+    parses: Counter = Counter()
+    init = sqlgen_parser._Parser.__init__
+
+    def counting(self, tokens, sql):
+        parses[sql] += 1
+        init(self, tokens, sql)
+
+    monkeypatch.setattr(sqlgen_parser._Parser, "__init__", counting)
+    return parses
+
+
+def test_first_sight_parses_each_beam_sql_once(warm_spider_15b, monkeypatch):
+    """Lint, canonical key and cost of a beam SQL share one parse.
+
+    On a fresh cache the first request parses every beam SQL exactly
+    once; later first sights parse only beam SQL the per-database memos
+    have not seen, each once; a repeated request parses nothing.
+    """
+    parser, dataset = warm_spider_15b
+    engine = parser.build_engine(cache=StageCache())
+    parses = _count_parses(monkeypatch)
+    examples = dataset.dev[:12]
+    for number, example in enumerate(examples):
+        parses.clear()
+        ctx = engine.run(
+            InferenceContext(
+                question=example.question, database=dataset.database_of(example)
+            )
+        )
+        assert max(parses.values(), default=1) == 1, parses.most_common(3)
+        assert set(parses) <= set(ctx.beam)
+        if number == 0:
+            assert ctx.beam and set(parses) == set(ctx.beam)
+    for example in examples:
+        parses.clear()
+        engine.run(
+            InferenceContext(
+                question=example.question, database=dataset.database_of(example)
+            )
+        )
+        assert not parses
+
+
+def test_fit_parses_each_training_sql_once(warm_spider_15b, monkeypatch):
+    """The SFT index and the classifier's labels share one parse per SQL."""
+    _, dataset = warm_spider_15b
+    samples = pair_samples(dataset)
+    for example, _ in samples:
+        # Sharing is sound only if deriving labels leaves the tree as is.
+        query = parse_sql(example.sql)
+        qualify_columns(query)
+        assert query == parse_sql(example.sql)
+    parser = CodeSParser("codes-1b")
+    parses = _count_parses(monkeypatch)
+    parser.fit(samples, classifier_epochs=1)
+    assert parses == Counter(example.sql for example, _ in samples)
 
 
 # -- bound-and-prune candidate generation ---------------------------------------

@@ -1,5 +1,7 @@
 """Tests for BM25, LCS, and the coarse-to-fine value retriever."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,34 @@ from repro.retrieval import (
 )
 
 from tests.fixtures import bank_database
+
+
+def _dp_longest_common_substring(left: str, right: str) -> str:
+    """The textbook O(len(left) * len(right)) dynamic program: the
+    reference ``longest_common_substring`` must agree with exactly."""
+    if not left or not right:
+        return ""
+    low_left = left.lower()
+    low_right = right.lower()
+    best_len = 0
+    best_end = 0
+    previous = [0] * (len(low_left) + 1)
+    for j in range(1, len(low_right) + 1):
+        current = [0] * (len(low_left) + 1)
+        right_char = low_right[j - 1]
+        for i in range(1, len(low_left) + 1):
+            if low_left[i - 1] == right_char:
+                current[i] = previous[i - 1] + 1
+                if current[i] > best_len:
+                    best_len = current[i]
+                    best_end = j
+        previous = current
+    return right[best_end - best_len:best_end]
+
+
+#: Few letters, so texts share long runs; both casings, a space, and
+#: letters whose lowercase is longer ("İ" -> "i̇") or which fold to one.
+_LCS_TEXT = st.text(alphabet="abAB iIİı", max_size=16)
 
 
 class TestBM25:
@@ -124,6 +154,49 @@ class TestLCS:
     @given(st.text(min_size=1, max_size=20))
     def test_degree_identity(self, text):
         assert lcs_match_degree(text, text) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LCS_TEXT, _LCS_TEXT)
+    def test_equals_the_dynamic_program(self, left, right):
+        # Same text: casing from ``right``, earliest-ending tie.
+        assert longest_common_substring(left, right) == (
+            _dp_longest_common_substring(left, right)
+        )
+        assert lcs_match_degree(left, right) == (
+            len(_dp_longest_common_substring(left, right)) / len(right)
+            if right
+            else 0.0
+        )
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("abXab", "zzab ab"),  # tie: earliest end in right wins
+            ("İstanbul", "istanbul"),  # lowering lengthens the left
+            ("istanbul", "İstanbul"),  # ... and the right: slice of right
+            ("clients in Graz", "City of Graz"),
+        ],
+    )
+    def test_equals_the_dynamic_program_on_edge_cases(self, left, right):
+        assert longest_common_substring(left, right) == (
+            _dp_longest_common_substring(left, right)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(alphabet="GrazCity of gİ", max_size=20),
+        st.text(alphabet="GrazCity of gİ", max_size=12),
+    )
+    def test_entity_containment_reads_the_dynamic_programs_casing(
+        self, question, value
+    ):
+        shared = _dp_longest_common_substring(question, value).strip()
+        expected = (
+            len(shared) >= 3
+            and shared[0].isupper()
+            and bool(re.search(rf"\b{re.escape(shared)}\b", question))
+        )
+        assert ValueRetriever._entity_containment(question, value) == expected
 
 
 class TestValueRetriever:

@@ -1,5 +1,7 @@
 """Tests for repro.text: tokenization, embedding, patterns, similarity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +17,35 @@ from repro.text import (
     token_overlap,
     word_tokens,
 )
-from repro.text.embedder import _salted_digests, _stable_hash
+from repro.config import MODEL_REGISTRY
+from repro.text import embedder as embedder_module
+from repro.text.embedder import _salted_digests
 from repro.text.tokenize import character_ngrams
+
+#: Every model tier's embedding width.
+TIER_DIMS = sorted({config.embed_dim for config in MODEL_REGISTRY.values()})
+
+
+def _stable_hash(token: str, salt: int) -> int:
+    """``token``'s salted 64-bit hash: salt 1 picks a feature's slot,
+    salt 2 its sign."""
+    digest = hashlib.blake2b(
+        token.encode("utf-8"), digest_size=8, salt=salt.to_bytes(8, "little")
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
+def _reference_embed(embedder: HashedNgramEmbedder, text: str) -> np.ndarray:
+    """The embedding as one blake2 pair per feature, summed in a loop:
+    the reference the slot table and bincount must reproduce."""
+    vec = np.zeros(embedder.dim)
+    for feature in embedder._features(text):
+        index = _stable_hash(feature, salt=1) % embedder.dim
+        vec[index] += 1.0 if _stable_hash(feature, salt=2) % 2 == 0 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 class TestTokenize:
@@ -62,9 +91,10 @@ class TestEmbedder:
         assert close > 0.7
         assert close > far + 0.3
 
-    def test_empty_string_zero_vector(self):
+    @pytest.mark.parametrize("text", ["", " ", " \t\n "])
+    def test_empty_string_zero_vector(self, text):
         embedder = HashedNgramEmbedder(dim=64)
-        assert np.allclose(embedder.embed(""), 0.0)
+        assert embedder.embed(text).tobytes() == np.zeros(64).tobytes()
 
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):
@@ -87,17 +117,31 @@ class TestEmbedder:
         assert int.from_bytes(slot, "little") == _stable_hash(feature, salt=1)
         assert int.from_bytes(sign, "little") == _stable_hash(feature, salt=2)
 
-    @given(st.text(max_size=40))
-    def test_embedding_is_bit_identical_to_the_salted_hash_reference(self, text):
-        embedder = HashedNgramEmbedder(dim=97)
-        reference = np.zeros(97)
-        for feature in embedder._features(text):
-            index = _stable_hash(feature, salt=1) % 97
-            reference[index] += 1.0 if _stable_hash(feature, salt=2) % 2 == 0 else -1.0
-        norm = float(np.linalg.norm(reference))
-        if norm > 0.0:
-            reference /= norm
-        assert embedder.embed(text).tobytes() == reference.tobytes()
+    @given(st.lists(st.text(max_size=40), max_size=4))
+    def test_embedding_is_bit_identical_to_the_salted_hash_reference(self, texts):
+        # Repeated texts and shared n-grams embed from the slot table.
+        for dim in [97, *TIER_DIMS]:
+            embedder = HashedNgramEmbedder(dim=dim)
+            for text in texts + texts:
+                expected = _reference_embed(embedder, text)
+                assert embedder.embed(text).tobytes() == expected.tobytes()
+
+    def test_embedders_share_no_slot_table(self):
+        first, second = HashedNgramEmbedder(dim=48), HashedNgramEmbedder(dim=320)
+        first.embed("accounts in Jesenik")
+        assert first._slots and not second._slots
+        text = "accounts in Jesenik"
+        assert second.embed(text).tobytes() == _reference_embed(second, text).tobytes()
+
+    def test_full_slot_table_stops_growing_and_stays_exact(self, monkeypatch):
+        monkeypatch.setattr(embedder_module, "SLOT_TABLE_CAPACITY", 10)
+        embedder = HashedNgramEmbedder(dim=96)
+        texts = ["how many clients live in Jesenik", "list all papers", "#ab#"]
+        for text in texts + texts:
+            assert embedder.embed(text).tobytes() == _reference_embed(
+                embedder, text
+            ).tobytes()
+            assert len(embedder._slots) == 10
 
     @given(st.text(max_size=30), st.text(max_size=30))
     def test_similarity_bounded(self, left, right):
