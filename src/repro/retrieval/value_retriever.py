@@ -6,7 +6,7 @@ Stage 2 (fine): the longest-common-substring match degree re-ranks the
 candidates and keeps only confident matches.
 
 The retriever also supports an ``exhaustive`` mode that skips BM25 and
-runs LCS against every value — the quadratic baseline the paper
+runs LCS against every value — the exhaustive baseline the paper
 explicitly rejects, kept here for the speed benchmark.
 """
 
@@ -69,7 +69,7 @@ class ValueRetriever:
         return self._fine_rank(question, candidates)
 
     def retrieve_exhaustive(self, question: str) -> list[MatchedValue]:
-        """LCS over every indexed value — the quadratic baseline."""
+        """LCS over every indexed value — the exhaustive baseline."""
         return self._fine_rank(question, iter(self._values))
 
     def _fine_rank(self, question, candidates) -> list[MatchedValue]:

@@ -64,10 +64,10 @@ from repro.linking.classifier import SchemaScores
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.memo import Memo
 from repro.reliability.clock import FakeClock
+from repro.sqlgen import parser as sqlgen_parser
 from repro.sqlgen.ast import identifier_key
 from repro.sqlgen.dialects import emitter_for
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
-from repro.sqlgen import parser as sqlgen_parser
 from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.skeleton import skeleton_of_query
 from repro.sqlgen.transform import qualify_columns

@@ -91,10 +91,10 @@ class TestEmbedder:
         assert close > 0.7
         assert close > far + 0.3
 
-    @pytest.mark.parametrize("text", ["", " ", " \t\n "])
-    def test_empty_string_zero_vector(self, text):
+    def test_empty_string_zero_vector(self):
         embedder = HashedNgramEmbedder(dim=64)
-        assert embedder.embed(text).tobytes() == np.zeros(64).tobytes()
+        for text in ("", " ", " \t\n "):
+            assert embedder.embed(text).tobytes() == np.zeros(64).tobytes()
 
     def test_rejects_nonpositive_dim(self):
         with pytest.raises(ValueError):
@@ -127,10 +127,10 @@ class TestEmbedder:
                 assert embedder.embed(text).tobytes() == expected.tobytes()
 
     def test_embedders_share_no_slot_table(self):
-        first, second = HashedNgramEmbedder(dim=48), HashedNgramEmbedder(dim=320)
-        first.embed("accounts in Jesenik")
-        assert first._slots and not second._slots
         text = "accounts in Jesenik"
+        first, second = HashedNgramEmbedder(dim=48), HashedNgramEmbedder(dim=320)
+        first.embed(text)
+        assert first._slots and not second._slots
         assert second.embed(text).tobytes() == _reference_embed(second, text).tobytes()
 
     def test_full_slot_table_stops_growing_and_stays_exact(self, monkeypatch):
