@@ -167,7 +167,7 @@ def test_zero_sql_drift_under_flaky_primary(benchmark, spider, report):
             "requests": len(examples),
             "succeeded": succeeded,
             "drifted": drifted,
-            "injected failures": router_stats["providers"][0]["failures"],
+            "injected failures": router_stats["providers"][0]["fail"],
             "router retries": router_stats["retries"],
             "failovers": router_stats["failovers"],
         }

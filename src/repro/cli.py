@@ -39,15 +39,7 @@ from repro.analysis import (
 from repro.augment import augment_domain
 from repro.config import MODEL_REGISTRY
 from repro.core import CodeSParser, DemonstrationRetriever
-from repro.datasets import (
-    build_aminer_simplified,
-    build_bank_financials,
-    build_bird,
-    build_dr_spider,
-    build_spider,
-    build_spider_variant,
-)
-from repro.datasets.drspider import all_perturbation_names
+from repro.datasets import DATASET_BUILDERS
 from repro.errors import DeadlineExceededError, ReproError
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.eval.reporting import (
@@ -76,22 +68,11 @@ from repro.serving import (
     run_loadgen,
 )
 
-_BUILDERS = {
-    "spider": build_spider,
-    "bird": build_bird,
-    "spider-syn": lambda: build_spider_variant("spider-syn"),
-    "spider-realistic": lambda: build_spider_variant("spider-realistic"),
-    "spider-dk": lambda: build_spider_variant("spider-dk"),
-    "bank_financials": build_bank_financials,
-    "aminer_simplified": build_aminer_simplified,
-}
-
-
 def _build_dataset(name: str):
     try:
-        return _BUILDERS[name]()
+        return DATASET_BUILDERS[name]()
     except KeyError:
-        sys.exit(f"unknown dataset {name!r}; choose from {sorted(_BUILDERS)}")
+        sys.exit(f"unknown dataset {name!r}; choose from {sorted(DATASET_BUILDERS)}")
 
 
 def _fitted_parser(dataset, model: str, clock=None) -> CodeSParser:
@@ -104,7 +85,7 @@ def _fitted_parser(dataset, model: str, clock=None) -> CodeSParser:
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
     rows = []
-    for name, builder in _BUILDERS.items():
+    for name, builder in DATASET_BUILDERS.items():
         dataset = builder()
         rows.append(
             {
@@ -242,27 +223,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _lint_targets(name: str) -> list:
     """The datasets ``name`` selects; ``dr-spider`` expands to every
-    perturbation set and ``all`` to every benchmark plus those."""
+    perturbation set and ``all`` to every bundled set."""
     if name == "all":
-        names = [*_BUILDERS, "dr-spider"]
-    elif name in _BUILDERS or name == "dr-spider":
+        names = list(DATASET_BUILDERS)
+    elif name == "dr-spider":
+        names = [n for n in DATASET_BUILDERS if n.startswith("dr-spider-")]
+    elif name in DATASET_BUILDERS:
         names = [name]
     else:
         sys.exit(
             f"unknown dataset {name!r}; choose from "
-            f"{sorted([*_BUILDERS, 'dr-spider', 'all'])}"
+            f"{sorted([*DATASET_BUILDERS, 'dr-spider', 'all'])}"
         )
-    datasets = []
-    for target in names:
-        if target == "dr-spider":
-            spider = build_spider()
-            datasets.extend(
-                build_dr_spider(perturbation, spider=spider)
-                for perturbation in all_perturbation_names()
-            )
-        else:
-            datasets.append(_BUILDERS[target]())
-    return datasets
+    return [DATASET_BUILDERS[target]() for target in names]
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

@@ -335,7 +335,6 @@ class CodeSParser:
         database: Database,
         demonstrations: TemplateIndex | list[Text2SQLExample] | None = None,
         external_knowledge: str = "",
-        degrade: bool = True,
         engine: Engine | None = None,
         effort: str = "full",
     ) -> GenerationResult:
@@ -353,12 +352,10 @@ class CodeSParser:
         (:meth:`DemonstrationRetriever.templates_for`) or a plain example
         list (``[]`` for zero-shot).
 
-        With ``degrade`` (the default) generation never raises for an
-        unanswerable question: it falls through the beam to the
-        skeleton-bank fallback and finally the safe sentinel, reporting
-        the answering tier on :attr:`GenerationResult.tier`.  Pass
-        ``degrade=False`` to restore the strict behaviour that raises
-        :class:`GenerationError` when no candidate can be built.
+        Generation never raises for an unanswerable question: it falls
+        through the beam to the skeleton-bank fallback and finally the
+        safe sentinel, reporting the answering tier on
+        :attr:`GenerationResult.tier`.
 
         ``engine`` routes the run through a caller-held engine (the
         batch harness keeps one per database); defaults to the
@@ -369,21 +366,16 @@ class CodeSParser:
         ``"skeleton"`` skips candidate generation and ranking so the
         degradation ladder answers from the pre-training skeleton bank
         directly — the serving layer requests this under overload.
-        Reduced effort requires ``degrade=True`` (there is no beam to
-        surface when degradation is off).
         """
         if effort not in ("full", "skeleton"):
             raise ValueError(
                 f"effort must be 'full' or 'skeleton', got {effort!r}"
             )
-        if effort != "full" and not degrade:
-            raise ValueError("reduced effort requires degrade=True")
         ctx = InferenceContext(
             question=question,
             database=database,
             demonstrations=demonstrations,
             external_knowledge=external_knowledge,
-            degrade=degrade,
             effort=effort,
         )
         (engine or self._engine).run(ctx)

@@ -20,7 +20,7 @@ together — edit the tuples, then regenerate this block)::
                     writes: prompt, inst_ctx
     candidate_gen   reads:  question, demonstrations, effort, inst_ctx, scores, matched, database
                     writes: templates, raw_candidates
-    rank            reads:  question, effort, raw_candidates, degrade
+    rank            reads:  effort, raw_candidates
                     writes: candidates, beam
     lint_gate       reads:  beam, parsed, database
                     writes: analyzer, ordered, lint, demoted
@@ -28,7 +28,7 @@ together — edit the tuples, then regenerate this block)::
                     writes: analyzer, estimator, groups, representatives, beam_deduped
     execute_beam    reads:  groups, representatives, ordered, beam_deduped, database
                     writes: chosen, tier, executions_used, executed, dedup_avoided
-    degrade         reads:  chosen, tier, degrade, inst_ctx, beam, demoted, ordered, executed, dedup_avoided, database
+    degrade         reads:  chosen, tier, inst_ctx, beam, demoted, executed, dedup_avoided, database
                     writes: chosen, tier, executions_avoided
 
 ``database`` appears in most read sets because the per-database memo
@@ -81,7 +81,7 @@ from repro.core.slotfill import (
 from repro.core.structure import cue_structure_prior, question_cues
 from repro.db.backends.base import backend_dialect
 from repro.engine.context import InferenceContext
-from repro.errors import GenerationError, SQLSyntaxError
+from repro.errors import SQLSyntaxError
 from repro.linking.features import (
     MemoizedSchemaFeatureExtractor,
     SchemaFeatureExtractor,
@@ -472,16 +472,12 @@ class RankStage(_ParserStage):
     """
 
     name = "rank"
-    reads = ("question", "effort", "raw_candidates", "degrade")
+    reads = ("effort", "raw_candidates")
     writes = ("candidates", "beam")
 
     def run(self, ctx: InferenceContext) -> None:
         if ctx.effort != "full":
             return
-        if not ctx.raw_candidates and not ctx.degrade:
-            raise GenerationError(
-                f"no SQL candidate could be built for question {ctx.question!r}"
-            )
         ctx.candidates = sorted(ctx.raw_candidates, key=lambda pair: -pair[1])
         ctx.beam = [sql for sql, _ in ctx.candidates[: self.parser.config.beam_size]]
 
@@ -617,23 +613,17 @@ class DegradeStage(_ParserStage):
     """
 
     name = "degrade"
-    reads = ("chosen", "tier", "degrade", "inst_ctx", "beam", "demoted", "ordered", "executed", "dedup_avoided", "database")
+    reads = ("chosen", "tier", "inst_ctx", "beam", "demoted", "executed", "dedup_avoided", "database")
     writes = ("chosen", "tier", "executions_avoided")
 
     def run(self, ctx: InferenceContext) -> None:
         parser = self.parser
-        if ctx.chosen is None and ctx.degrade:
+        if ctx.chosen is None:
             ctx.chosen = parser._skeleton_fallback(ctx.database, ctx.inst_ctx)
             ctx.tier = "skeleton"
         if ctx.chosen is None:
-            if ctx.degrade:
-                ctx.chosen = SENTINEL_SQL
-                ctx.tier = "sentinel"
-            else:
-                # Legacy behaviour: surface the best-ranked candidate
-                # even though it does not execute.
-                ctx.chosen = ctx.ordered[0]
-                ctx.tier = "beam"
+            ctx.chosen = SENTINEL_SQL
+            ctx.tier = "sentinel"
         ctx.executions_avoided = 0
         if ctx.tier == "beam" and ctx.chosen in ctx.beam:
             ctx.executions_avoided = sum(

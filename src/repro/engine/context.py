@@ -39,12 +39,11 @@ class InferenceContext:
     #: None runs on the SFT index.
     demonstrations: "TemplateIndex | list[Text2SQLExample] | None" = None
     external_knowledge: str = ""
-    degrade: bool = True
     #: Effort tier requested by the caller: ``"full"`` runs the whole
     #: beam pipeline; ``"skeleton"`` skips candidate generation and
     #: ranking so the degrade stage answers from the skeleton bank —
     #: the serving layer's load-shedding ladder picks this under
-    #: overload.  Requires ``degrade=True``.
+    #: overload.
     effort: str = "full"
 
     # -- engine plumbing (set by Engine.run) ---------------------------------

@@ -27,15 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.datasets import (
-    DR_SPIDER_PERTURBATIONS,
-    build_aminer_simplified,
-    build_bank_financials,
-    build_bird,
-    build_dr_spider,
-    build_spider,
-    build_spider_variant,
-)
+from repro.datasets import DATASET_BUILDERS
 from repro.datasets.base import Text2SQLDataset
 from repro.db.backends import available_backends, backend_dialect, create_backend
 from repro.errors import ExecutionError, SQLSyntaxError
@@ -49,27 +41,9 @@ REFERENCE_BACKEND = "sqlite"
 
 
 def bundled_dataset_builders() -> dict[str, Callable[[], Text2SQLDataset]]:
-    """Every bundled gold set, keyed by name, in reporting order.
-
-    Covers the two benchmarks, the two domain corpora, the three Spider
-    variants, and all seventeen Dr.Spider perturbations.
-    """
-    builders: dict[str, Callable[[], Text2SQLDataset]] = {
-        "spider": build_spider,
-        "bird": build_bird,
-        "bank-financials": build_bank_financials,
-        "aminer-simplified": build_aminer_simplified,
-    }
-    for variant in ("spider-syn", "spider-realistic", "spider-dk"):
-        builders[variant] = (
-            lambda v=variant: build_spider_variant(v)
-        )
-    for names in DR_SPIDER_PERTURBATIONS.values():
-        for perturbation in names:
-            builders[f"dr-spider-{perturbation}"] = (
-                lambda p=perturbation: build_dr_spider(p)
-            )
-    return builders
+    """Every bundled gold set, keyed by name, in reporting order
+    (:data:`repro.datasets.DATASET_BUILDERS`)."""
+    return dict(DATASET_BUILDERS)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from repro.errors import AllProvidersOpenError, ProviderError, ProviderTimeoutError
 from repro.lm.providers.base import HealthReport, Provider, ProviderResponse
-from repro.reliability.breaker import BreakerStats, CircuitBreaker
+from repro.reliability.breaker import CircuitBreaker
 from repro.reliability.clock import Clock, SYSTEM_CLOCK
 from repro.reliability.retry import RetryPolicy
 from repro.reliability.sync import new_lock
@@ -68,19 +68,6 @@ class RoutedProvider:
     failures: int = 0
     retries: int = 0
     hedge_calls: int = 0
-
-    def stats_dict(self) -> dict[str, object]:
-        """Plain-data stats for layers that must not import providers."""
-        return {
-            "name": self.provider.name,
-            "priority": self.priority,
-            "healthy": self.healthy,
-            "successes": self.successes,
-            "failures": self.failures,
-            "retries": self.retries,
-            "hedge_calls": self.hedge_calls,
-            "breaker": self.breaker.stats.as_dict(),
-        }
 
 
 @dataclass
@@ -382,9 +369,6 @@ class ProviderRouter:
 
     # -- observability --------------------------------------------------------
 
-    def breaker_stats(self) -> list[BreakerStats]:
-        return [entry.breaker.stats for entry in self.entries]
-
     def latency_quantile(self, q: float) -> float:
         """Empirical ``q``-quantile of effective request latencies."""
         if not self.effective_latencies:
@@ -394,10 +378,10 @@ class ProviderRouter:
         return ordered[index]
 
     def stats_dict(self) -> dict[str, object]:
-        """Plain-data snapshot for the serving layer (no provider imports)."""
+        """Plain-data export for layers that must not import providers:
+        the request-level counters plus ``providers`` = :meth:`as_rows`."""
         with self._lock:
             return {
-                "name": self.name,
                 "requests": self.requests,
                 "failovers": self.failovers,
                 "retries": self.total_retries,
@@ -405,8 +389,7 @@ class ProviderRouter:
                 "hedge_wins": self.hedge_wins,
                 "hedge_discarded": self.hedge_discarded,
                 "all_open_sheds": self.all_open_sheds,
-                "hedge_delay_s": self.hedge_delay_s,
-                "providers": [entry.stats_dict() for entry in self.entries],
+                "providers": self.as_rows(),
             }
 
     def as_rows(self) -> list[dict[str, object]]:

@@ -52,18 +52,6 @@ class BreakerStats:
     #: until the first trip).
     last_transition_at: float
 
-    def as_dict(self) -> dict[str, object]:
-        """Plain-data form for layers that must not import this module."""
-        return {
-            "name": self.name,
-            "state": self.state,
-            "consecutive_failures": self.consecutive_failures,
-            "open_count": self.open_count,
-            "total_failures": self.total_failures,
-            "total_rejections": self.total_rejections,
-            "last_transition_at": self.last_transition_at,
-        }
-
 
 class CircuitBreaker:
     """Consecutive-failure circuit breaker with timed recovery."""

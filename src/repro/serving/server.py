@@ -382,27 +382,24 @@ class Server:
     # -- observability -------------------------------------------------------
 
     def metrics(self) -> ServerMetrics:
-        """A frozen snapshot of counters, latencies, and cache traffic.
+        """A frozen snapshot of counters, latencies, caches and breakers.
 
-        Provider-router statistics come in as plain dicts via the
-        parser's duck-typed ``router.stats_dict()`` — serving never
-        imports ``repro.lm.providers`` (ARCH006); stub parsers without
-        a router simply report no provider rows.
+        Provider counters come from the parser's duck-typed
+        ``router.stats_dict()`` — serving never imports
+        ``repro.lm.providers`` (ARCH006); stub parsers without a router
+        report none.
         """
         with self._resources_lock:
-            cache_stats = [
+            caches = [
                 engine.cache.stats
                 for engine in self._engines.values()
                 if getattr(engine, "cache", None) is not None
             ]
-            breaker_stats = [
-                breaker.stats.as_dict() for breaker in self._breakers.values()
-            ]
+            breakers = [breaker.stats for breaker in self._breakers.values()]
         router = getattr(self.parser, "router", None)
-        router_stats = router.stats_dict() if router is not None else None
         return self.metrics_aggregator.snapshot(
-            queue_depth=self.queue.depth,
-            cache_stats=cache_stats,
-            router_stats=router_stats,
-            breaker_stats=breaker_stats,
+            self.queue.depth,
+            caches,
+            router.stats_dict() if router is not None else None,
+            breakers,
         )

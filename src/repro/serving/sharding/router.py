@@ -30,12 +30,14 @@ the swap follow the old map until the swap is atomic-ly
 
 Both transports answer the same messages: metrics snapshots arrive as
 ``MetricsMsg`` replies to ``SnapshotRequest`` whatever the handle, so a
-dead worker reports its last snapshot, never a live server.
+dead worker reports its last snapshot, never a live server.  The router
+counts every outcome it delivers itself; worker snapshots add only the
+worker-side counters (:meth:`ShardRouter.metrics`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from repro.errors import ServingError
@@ -195,7 +197,9 @@ class ShardRouter:
             )
         else:
             outcome = self._route(request, shed_depth=self.config.shed_depth)
-        if outcome is not None:
+        if outcome is None:
+            self.metrics_aggregator.record_admitted()
+        else:
             self.metrics_aggregator.record(outcome)
         return outcome
 
@@ -234,7 +238,7 @@ class ShardRouter:
         return None
 
     def _resolve(self, outcome) -> None:
-        """Record and buffer an outcome the router itself produced."""
+        """Record and buffer an outcome for delivery."""
         self.metrics_aggregator.record(outcome)
         self._outcome_buffer.append(outcome)
 
@@ -287,7 +291,7 @@ class ShardRouter:
             state = self._states.get(worker_id)
             if state is not None:
                 state.depth = max(0, state.depth - 1)
-            self._outcome_buffer.append(event.outcome)
+            self._resolve(event.outcome)
         elif isinstance(event, HeartbeatAck):
             state = self._states.get(worker_id)
             if state is None:
@@ -390,6 +394,13 @@ class ShardRouter:
             handle.close()
         # else an unkillable zombie (no kill hook): abandon it as is.
         self.handles[worker_id] = self._handle_factory(worker_id)
+        # The dead incarnation's work stays in the fold; its queue died
+        # with it (those requests are re-dispatched below).
+        last = self._worker_metrics.pop(worker_id, None)
+        if last is not None:
+            self._retired_metrics.append(
+                replace(last, counters={**last.counters, "queue_depth": 0})
+            )
         state = self._states[worker_id]
         state.down = False
         state.hb_outstanding = None
@@ -607,18 +618,26 @@ class ShardRouter:
         return self._worker_metrics.get(worker_id)
 
     def metrics(self) -> ServerMetrics:
-        """One merged cluster snapshot: router sheds + every shard.
+        """One merged cluster snapshot: the router's outcomes + every shard.
 
-        Counters merge exactly and percentiles are recomputed from the
-        pooled latency samples (:meth:`ServerMetrics.merge`) — never
-        averaged.  Retired workers' final snapshots stay in the fold,
-        so a rebalance does not lose history.
+        The router counts every outcome it delivers and every request
+        it admits, once, whatever crashed and re-ran along the way;
+        worker snapshots add only what the router cannot see (batches,
+        caches, provider counters, breakers, stage wall time and queue
+        depth — :meth:`ServerMetrics.split`).  Percentiles come from the
+        delivered outcomes' latencies, never averaged.  Retired and
+        crashed workers' final snapshots stay in the fold, so neither a
+        rebalance nor a restart loses history.
         """
         parked = sum(len(state.parked) for state in self._states.values())
-        own = self.metrics_aggregator.snapshot(queue_depth=parked)
-        shards = [
+        live = [
             snapshot
             for worker_id in sorted(self.handles)
             if (snapshot := self._snapshot_worker(worker_id)) is not None
         ]
-        return ServerMetrics.merge(own, *shards, *self._retired_metrics)
+        outcomes, _ = self.metrics_aggregator.snapshot().split()
+        return ServerMetrics.merge(
+            ServerMetrics({"queue_depth": parked}),
+            outcomes,
+            *(shard.split()[1] for shard in live + self._retired_metrics),
+        )

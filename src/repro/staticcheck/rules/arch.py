@@ -9,8 +9,9 @@ instead of matching surface receiver names.
 Six of the rules (ARCH001, ARCH004–ARCH008) are one check — "this
 module or call is confined to that package" — so they are data: each
 is a :class:`ContainmentRule` carrying a table of :class:`Ban`
-clauses.  Every path exemption, here and in the other path-scoped
-rules, goes through :func:`~repro.staticcheck.rules._util.in_scope`.
+clauses; DET001 keeps its entropy-source bans in the same table.
+Every path exemption, here and in the other path-scoped rules, goes
+through :func:`~repro.staticcheck.rules._util.in_scope`.
 """
 
 from __future__ import annotations

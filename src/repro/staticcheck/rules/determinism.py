@@ -11,8 +11,10 @@ draw or one hash-order iteration silently breaks.  Four sub-checks:
   ``numpy.random.*`` module-level draw.  Seeded instances
   (``random.Random(seed)``, ``default_rng(seed)``) are the sanctioned
   pattern and stay legal.
-- **Entropy sources** — ``os.urandom``, ``uuid.uuid4``, and anything
-  from ``secrets``: there is no such thing as seeding these.
+- **Entropy sources** — ``os.urandom``, ``uuid.uuid1``/``uuid4``,
+  ``random.SystemRandom`` and anything from ``secrets``: there is no
+  such thing as seeding these.  They are :class:`Ban` clauses of the
+  containment table the ARCH rules use.
 - **Builtin ``hash()`` outside a ``__hash__`` body** — string and
   bytes hashes vary per process (``PYTHONHASHSEED``), so an id or
   shard key derived from ``hash(name)`` differs between runs and
@@ -38,8 +40,14 @@ import ast
 
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.module import ModuleContext
-from repro.staticcheck.registry import Rule, register
+from repro.staticcheck.registry import register
 from repro.staticcheck.rules._util import ImportTable
+from repro.staticcheck.rules.arch import Ban, ContainmentRule
+
+#: Calls that draw from OS entropy: no seed can make them repeatable.
+_ENTROPY_CALLS = frozenset(
+    {"os.urandom", "uuid.uuid1", "uuid.uuid4", "random.SystemRandom"}
+)
 
 #: ordered consumers whose argument must not be a bare set expression.
 _ORDERED_BUILTIN_CONSUMERS = ("list", "tuple", "enumerate")
@@ -56,12 +64,25 @@ def _is_set_expr(node: ast.expr) -> bool:
 
 
 @register
-class DeterminismRule(Rule):
+class DeterminismRule(ContainmentRule):
     __doc__ = __doc__
 
     id = "DET001"
     severity = "error"
     title = "unseeded randomness or hash-order-dependent iteration"
+
+    clauses = (
+        Ban(
+            calls=_ENTROPY_CALLS,
+            message="{name}() draws from OS entropy and cannot be seeded; "
+            "derive values from seeded or content-addressed state",
+        ),
+        Ban(
+            modules=("secrets",),
+            message="{name} import: secrets draws from OS entropy and "
+            "cannot be seeded",
+        ),
+    )
 
     def check(self, module: ModuleContext) -> list[Finding]:
         imports = ImportTable.from_tree(module.tree)
@@ -72,7 +93,7 @@ class DeterminismRule(Rule):
             and node.name == "__hash__"
             for inner in ast.walk(node)
         }
-        findings: list[Finding] = []
+        findings = super().check(module)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Call):
                 findings.extend(
@@ -111,13 +132,11 @@ class DeterminismRule(Rule):
                         "entropy; pass an explicit seed",
                     )
                 )
-        elif resolved == "random.SystemRandom":
-            findings.append(
-                self.finding(
-                    module, node, "random.SystemRandom cannot be seeded"
-                )
-            )
-        elif resolved.startswith("random.") and resolved.count(".") == 1:
+        elif (
+            resolved.startswith("random.")
+            and resolved.count(".") == 1
+            and resolved not in _ENTROPY_CALLS
+        ):
             findings.append(
                 self.finding(
                     module,
@@ -145,25 +164,6 @@ class DeterminismRule(Rule):
                     node,
                     f"module-level {resolved}() draws from numpy's global "
                     "unseeded RNG; use numpy.random.default_rng(seed)",
-                )
-            )
-        elif resolved == "os.urandom":
-            findings.append(
-                self.finding(module, node, "os.urandom is pure OS entropy")
-            )
-        elif resolved in ("uuid.uuid1", "uuid.uuid4"):
-            findings.append(
-                self.finding(
-                    module,
-                    node,
-                    f"{resolved}() is nondeterministic; derive ids from "
-                    "seeded or content-addressed state",
-                )
-            )
-        elif resolved.startswith("secrets."):
-            findings.append(
-                self.finding(
-                    module, node, f"{resolved}() draws from OS entropy"
                 )
             )
         elif resolved == "hash" and id(node) not in in_dunder_hash:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.datasets import (
+    DATASET_BUILDERS,
     DR_SPIDER_PERTURBATIONS,
     SPIDER_VARIANTS,
     build_aminer_simplified,
@@ -255,3 +256,10 @@ class TestDomains:
         assert "writes" in {t.name for t in
                             next(iter(aminer.databases.values())).schema.tables}
         aminer.validate()
+
+
+class TestDatasetTable:
+    def test_every_builder_is_keyed_by_its_datasets_name(self):
+        assert len(DATASET_BUILDERS) == 4 + len(SPIDER_VARIANTS) + 17
+        for name, build in DATASET_BUILDERS.items():
+            assert build().name == name

@@ -403,7 +403,7 @@ class TestConformanceSuite:
         register_backend(
             "row-dropper", _RowDroppingBackend.from_database, dialect="ansi"
         )
-        datasets = [bundled_dataset_builders()["bank-financials"]()]
+        datasets = [bundled_dataset_builders()["bank_financials"]()]
         report = run_conformance(datasets=datasets, backends=["row-dropper"])
         assert not report.ok
         dropper = report.reports["row-dropper"]
@@ -414,7 +414,7 @@ class TestConformanceSuite:
 
 class TestConformanceCLI:
     def test_exit_zero_when_conformant(self, capsys):
-        assert cli.main(["conformance", "--dataset", "bank-financials"]) == 0
+        assert cli.main(["conformance", "--dataset", "bank_financials"]) == 0
         out = capsys.readouterr().out
         assert "OK" in out and "columnar" in out
 
@@ -435,7 +435,7 @@ class TestConformanceCLI:
             [
                 "conformance",
                 "--dataset",
-                "bank-financials",
+                "bank_financials",
                 "--backend",
                 "row-dropper",
             ]
@@ -471,7 +471,7 @@ class TestHarnessDialect:
     def test_evaluate_parser_scores_full_marks_on_the_ansi_backend(self):
         from repro.eval.harness import evaluate_parser
 
-        dataset = bundled_dataset_builders()["bank-financials"]()
+        dataset = bundled_dataset_builders()["bank_financials"]()
         by_question = {
             example.question: example.sql for example in dataset.dev
         }
@@ -483,7 +483,7 @@ class TestHarnessDialect:
     def test_non_sqlite_dialect_rejects_ts_and_ves(self):
         from repro.eval.harness import evaluate_parser
 
-        dataset = bundled_dataset_builders()["bank-financials"]()
+        dataset = bundled_dataset_builders()["bank_financials"]()
         parser = _EchoGoldParser({}, "ansi")
         with pytest.raises(ValueError, match="sqlite"):
             evaluate_parser(parser, dataset, dialect="ansi", compute_ts=True)
@@ -530,7 +530,7 @@ class TestEngineOnColumnarBackend:
         from repro.core import CodeSParser
         from repro.eval.harness import pair_samples
 
-        dataset = bundled_dataset_builders()["bank-financials"]()
+        dataset = bundled_dataset_builders()["bank_financials"]()
         parser = CodeSParser("codes-1b")
         parser.fit(pair_samples(dataset))
         database = dataset.database_of(dataset.dev[0])

@@ -517,7 +517,7 @@ class TestServingIntegration:
         parser.router.score(SQL)
         metrics = server.metrics()
         assert metrics.provider_requests >= 1
-        assert metrics.providers[0]["breaker"]["state"] == "closed"
+        assert metrics.providers[0]["breaker"] == "closed"
         rows = metrics.as_rows()
         assert any(row["metric"].startswith("provider ") for row in rows)
 

@@ -705,6 +705,8 @@ class TestMergedMetrics:
         # A killed worker reports what it last answered, as a dead
         # process does: nothing if it never answered a SnapshotRequest,
         # else that snapshot — never its live server's later counters.
+        # Outcomes are the router's own count; worker-side counters
+        # (one batch per database per round here) come from snapshots.
         clock = FakeClock()
         router, handles = _cluster(clock)
         victim = router.shard_map.owner(DB_IDS[0])
@@ -718,13 +720,15 @@ class TestMergedMetrics:
 
         serve_round(0)
         if snapshot_first:
-            assert router.metrics().completed == len(DB_IDS)
+            assert router.metrics().batches == len(DB_IDS)
         serve_round(len(DB_IDS))
         handles[victim].kill()
         counted = 2 * len(DB_IDS) - on_victim
         if not snapshot_first:
             counted -= on_victim  # never snapshotted: absent from the fold
-        assert router.metrics().completed == counted
+        metrics = router.metrics()
+        assert metrics.batches == counted
+        assert metrics.completed == 2 * len(DB_IDS)
 
 
 # -- sharded replay -----------------------------------------------------------
@@ -751,6 +755,11 @@ class TestShardedReplay:
         assert resolved == {f"r{index}" for index in range(20)}
         assert all(isinstance(o, Completed) for o in outcomes)
         assert any(f["kind"] == "restart" for f in router.failures)
+        # The merged view agrees with what was delivered, across the
+        # restart, and keeps the dead incarnation's batches.
+        metrics = router.metrics()
+        assert (metrics.completed, metrics.admitted) == (20, 20)
+        assert metrics.batches >= 20 / ServerConfig().batch_size
 
     def test_sharded_sql_matches_single_server_byte_for_byte(self):
         # Zero drift: the sharded cluster must emit exactly the SQL the
