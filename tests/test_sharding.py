@@ -746,7 +746,9 @@ class TestShardedReplay:
         # the same clock times (replay counts offsets from its start)
         first, second = arrivals[:10], arrivals[10:]
         outcomes = replay(router, first)
-        handles[victim].kill()
+        router.metrics()  # every worker answers one snapshot before the crash
+        dead = handles[victim]
+        dead.kill()
         resumed = clock.now()
         outcomes += replay(
             router, [Arrival(a.at - resumed, a.request) for a in second]
@@ -759,7 +761,8 @@ class TestShardedReplay:
         # restart, and keeps the dead incarnation's batches.
         metrics = router.metrics()
         assert (metrics.completed, metrics.admitted) == (20, 20)
-        assert metrics.batches >= 20 / ServerConfig().batch_size
+        servers = [dead.worker.server] + [h.worker.server for h in handles.values()]
+        assert metrics.batches == sum(server.metrics().batches for server in servers)
 
     def test_sharded_sql_matches_single_server_byte_for_byte(self):
         # Zero drift: the sharded cluster must emit exactly the SQL the
