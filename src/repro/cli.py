@@ -675,21 +675,16 @@ CONFORMANCE_USAGE = 2
 def _cmd_conformance(args: argparse.Namespace) -> int:
     """Run the cross-dialect conformance suite and print the report."""
     from repro.db.backends import available_backends
-    from repro.eval.conformance import (
-        REFERENCE_BACKEND,
-        bundled_dataset_builders,
-        run_conformance,
-    )
+    from repro.eval.conformance import REFERENCE_BACKEND, run_conformance
 
-    builders = bundled_dataset_builders()
     if args.dataset == "all":
         datasets = None
-    elif args.dataset in builders:
-        datasets = [builders[args.dataset]()]
+    elif args.dataset in DATASET_BUILDERS:
+        datasets = [DATASET_BUILDERS[args.dataset]()]
     else:
         print(
             f"repro conformance: unknown dataset {args.dataset!r}; choose "
-            f"from {sorted([*builders, 'all'])}",
+            f"from {sorted([*DATASET_BUILDERS, 'all'])}",
             file=sys.stderr,
         )
         return CONFORMANCE_USAGE

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.config import ModelConfig, get_model_config
-from repro.core.ranking import SENTINEL_SQL, lint_gated_order  # noqa: F401 - re-export
 from repro.core.retriever import TemplateIndex
 from repro.datasets.base import Text2SQLExample
 from repro.db.backends.sqlite import Database
@@ -94,7 +93,6 @@ class GenerationResult:
     """
 
     sql: str
-    executable: bool
     candidates: tuple[str, ...]
     prompt: DatabasePrompt
     tier: str = "beam"
@@ -381,7 +379,6 @@ class CodeSParser:
         (engine or self._engine).run(ctx)
         return GenerationResult(
             sql=ctx.chosen,
-            executable=database.is_executable(ctx.chosen),
             candidates=tuple(ctx.ordered),
             prompt=ctx.prompt,
             tier=ctx.tier,

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.diagnostics import Diagnostic, has_errors
 from repro.errors import ScoreRangeError
-from repro.linking.classifier import SchemaScores
 from repro.sqlgen.ast import (
     Aggregation,
     BinaryCondition,
@@ -34,6 +33,7 @@ from repro.sqlgen.ast import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.slotfill import FilledCandidate
+    from repro.linking.classifier import SchemaScores
 
 #: Last-resort SQL when every generation tier fails (always executable).
 SENTINEL_SQL = "SELECT 1"
@@ -70,7 +70,8 @@ def blend_scores(learned: SchemaScores, lexical: SchemaScores) -> SchemaScores:
     def squash(value: float) -> float:
         return 1.0 / (1.0 + math.exp(-(value - 1.2)))
 
-    return SchemaScores(
+    return replace(
+        learned,
         tables={
             name: max(score, squash(lexical.tables.get(name, 0.0)))
             for name, score in learned.tables.items()

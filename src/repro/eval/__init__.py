@@ -15,7 +15,6 @@ from repro.eval.conformance import (
     ConformanceReport,
     DialectReport,
     Divergence,
-    bundled_dataset_builders,
     run_conformance,
 )
 from repro.eval.testsuite import TestSuite, test_suite_accuracy
@@ -44,7 +43,6 @@ __all__ = [
     "PREDICTION_TIMEOUT",
     "PREDICTION_UNEXECUTABLE",
     "TestSuite",
-    "bundled_dataset_builders",
     "evaluate_parser",
     "run_conformance",
     "execution_accuracy",

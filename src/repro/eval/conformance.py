@@ -25,7 +25,7 @@ Outcome classes per (example, backend):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.datasets import DATASET_BUILDERS
 from repro.datasets.base import Text2SQLDataset
@@ -38,12 +38,6 @@ from repro.sqlgen.dialects import transpile
 
 #: Reference backend every other backend is compared against.
 REFERENCE_BACKEND = "sqlite"
-
-
-def bundled_dataset_builders() -> dict[str, Callable[[], Text2SQLDataset]]:
-    """Every bundled gold set, keyed by name, in reporting order
-    (:data:`repro.datasets.DATASET_BUILDERS`)."""
-    return dict(DATASET_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -160,14 +154,14 @@ def run_conformance(
     """Run the cross-dialect conformance suite.
 
     ``datasets`` defaults to every bundled gold set
-    (:func:`bundled_dataset_builders`); ``backends`` to every registered
-    backend except the reference.  ``deadline_s``, when set, bounds each
-    backend-side execution.  At most ``max_divergences_kept``
-    divergence records are retained per backend (tallies always count
-    everything).
+    (:data:`repro.datasets.DATASET_BUILDERS`); ``backends`` to every
+    registered backend except the reference.  ``deadline_s``, when set,
+    bounds each backend-side execution.  At most
+    ``max_divergences_kept`` divergence records are retained per
+    backend (tallies always count everything).
     """
     if datasets is None:
-        datasets = [build() for build in bundled_dataset_builders().values()]
+        datasets = [build() for build in DATASET_BUILDERS.values()]
     if backends is None:
         backends = tuple(
             name for name in available_backends() if name != REFERENCE_BACKEND

@@ -20,6 +20,7 @@ from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.catalog import SchemaCatalog
 from repro.analysis.diagnostics import has_errors
 from repro.analysis.equivalence import Verdict, prove_equivalent
+from repro.core.ranking import SENTINEL_SQL
 from repro.datasets.base import Text2SQLDataset, Text2SQLExample
 from repro.db.backends import backend_for_dialect, create_backend
 from repro.db.backends.sqlite import Database
@@ -56,9 +57,6 @@ FAILURE_CLASSES = (
     GOLD_UNEXECUTABLE,
     GOLD_TIMEOUT,
 )
-
-#: SQL served when every generation tier fails (always executable).
-SENTINEL_SQL = "SELECT 1"
 
 
 class SQLGenerator(Protocol):

@@ -8,7 +8,8 @@ plus the two bounded sample rings, the provider router's table rows and
 the per-database ``BreakerStats``; every attribute a reader asks for is
 derived from them.  Percentiles are nearest-rank over end-to-end
 latencies (queue wait + service on the server's clock); the stage
-counters sum each request's ``TraceRecorder`` walls.
+counters sum the ``TraceRecorder`` walls of each delivered outcome's
+trace.
 
 Snapshots merge: counters add exactly, rows concatenate, and
 percentiles are recomputed from the pooled samples — never averaged
@@ -33,10 +34,14 @@ from repro.serving.outcomes import Completed, Failed, Shed
 #: while every counter and mean stays exact.
 SAMPLE_CAPACITY = 4096
 
-#: Counters a request's outcome alone determines (names or ``prefix.``).
-#: A shard router counts these from the outcomes it delivers and takes
-#: only the other counters from its workers (:meth:`ServerMetrics.split`).
-OUTCOME_COUNTERS = ("admitted", "completed", "failed", "queue_s", "shed.", "tier.")
+#: Counters a request's outcome alone determines (names or ``prefix.``),
+#: stage walls included, since a ``Completed`` keeps its trace on both
+#: shard transports.  A shard router counts these from the outcomes it
+#: delivers and takes only the other counters from its workers
+#: (:meth:`ServerMetrics.split`).
+OUTCOME_COUNTERS = (
+    "admitted", "completed", "failed", "queue_s", "shed.", "stage_wall_s.", "tier."
+)
 
 
 def nearest_rank(values: "Iterable[float]", percentile: float) -> float:
@@ -102,6 +107,7 @@ class ServerMetrics:
     queue_wait_samples: tuple[float, ...] = ()
     #: The provider router's ``as_rows()``, plain dicts (serving never
     #: imports repro.lm.providers — ARCH006); empty without a router.
+    #: A shard router adds each row's ``worker`` id.
     providers: tuple[dict, ...] = ()
     database_breakers: tuple[BreakerStats, ...] = ()
 
@@ -208,7 +214,9 @@ class ServerMetrics:
             ]
             rows += [
                 (
-                    f"provider {p['provider']}",
+                    f"provider {p['worker']} {p['provider']}"
+                    if "worker" in p
+                    else f"provider {p['provider']}",
                     f"ok={p['ok']} fail={p['fail']} breaker={p['breaker']}",
                 )
                 for p in self.providers

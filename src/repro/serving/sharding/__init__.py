@@ -22,7 +22,6 @@ from repro.serving.sharding.messages import (
     Submit,
     Warm,
     WorkerFailure,
-    picklable_event,
 )
 from repro.serving.sharding.router import ShardingConfig, ShardRouter
 from repro.serving.sharding.shardmap import (
@@ -58,6 +57,5 @@ __all__ = [
     "WorkerFailure",
     "WorkerHandle",
     "default_worker_ids",
-    "picklable_event",
     "worker_main",
 ]

@@ -9,15 +9,15 @@ the process boundary and stays trivially deterministic in inline mode.
 Commands flow router → worker; events flow worker → router.  The
 router reaches a worker through these messages alone — it warms new
 owners with :class:`Warm`, reads metrics with :class:`SnapshotRequest`,
-drains with :class:`Drain` — on either transport.  The
-``Completed.trace`` field is stripped before an outcome crosses a real
-process boundary (traces hold live engine objects); inline transport
-keeps it.
+drains with :class:`Drain` — on either transport.  An outcome is the
+same record on both: a ``Completed`` keeps its ``InferenceTrace`` (a
+list of frozen ``StageTrace`` rows), so it pickles across the pipe as
+it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,12 +113,3 @@ class WorkerFailure:
     worker_id: str
     error: str
 
-
-def picklable_event(event: object) -> object:
-    """Strip live objects (traces) from an event before pickling it."""
-    if isinstance(event, OutcomeMsg) and getattr(event.outcome, "trace", None) is not None:
-        return OutcomeMsg(
-            worker_id=event.worker_id,
-            outcome=replace(event.outcome, trace=None),
-        )
-    return event

@@ -31,7 +31,8 @@ the swap follow the old map until the swap is atomic-ly
 Both transports answer the same messages: metrics snapshots arrive as
 ``MetricsMsg`` replies to ``SnapshotRequest`` whatever the handle, so a
 dead worker reports its last snapshot, never a live server.  The router
-counts every outcome it delivers itself; worker snapshots add only the
+counts every outcome it delivers itself, stage walls from each
+``Completed``'s trace included; worker snapshots add only the
 worker-side counters (:meth:`ShardRouter.metrics`).
 """
 
@@ -303,7 +304,13 @@ class ShardRouter:
                 state.hb_outstanding = None
             state.last_beat_at = self.clock.now()
         elif isinstance(event, MetricsMsg):
-            self._worker_metrics[worker_id] = event.snapshot
+            # Tag provider rows now, so a retired snapshot keeps its
+            # worker's name in the merged table.
+            rows = event.snapshot.providers
+            self._worker_metrics[worker_id] = replace(
+                event.snapshot,
+                providers=tuple({**row, "worker": worker_id} for row in rows),
+            )
         elif isinstance(event, Drained):
             self._drain_acks.add(worker_id)
         elif isinstance(event, WorkerFailure):
@@ -621,10 +628,11 @@ class ShardRouter:
         """One merged cluster snapshot: the router's outcomes + every shard.
 
         The router counts every outcome it delivers and every request
-        it admits, once, whatever crashed and re-ran along the way;
-        worker snapshots add only what the router cannot see (batches,
-        caches, provider counters, breakers, stage wall time and queue
-        depth — :meth:`ServerMetrics.split`).  Percentiles come from the
+        it admits, once, whatever crashed and re-ran along the way,
+        and sums stage wall time from the delivered traces; worker
+        snapshots add only what the router cannot see (batches,
+        caches, provider counters, breakers and queue depth —
+        :meth:`ServerMetrics.split`).  Percentiles come from the
         delivered outcomes' latencies, never averaged.  Retired and
         crashed workers' final snapshots stay in the fold, so neither a
         rebalance nor a restart loses history.

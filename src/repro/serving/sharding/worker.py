@@ -30,7 +30,6 @@ from repro.serving.sharding.messages import (
     Submit,
     Warm,
     WorkerFailure,
-    picklable_event,
 )
 
 
@@ -126,7 +125,7 @@ def worker_main(
                 else:
                     events = worker.step()
                 for event in events:
-                    conn.send(picklable_event(event))
+                    conn.send(event)
             except (EOFError, OSError):
                 break
             except Exception as exc:

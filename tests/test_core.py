@@ -308,12 +308,26 @@ class TestCodeSParser:
         assert len(result.candidates) <= fitted_parser.config.beam_size
         assert result.prompt.text
 
-    def test_chosen_sql_is_executable_when_flagged(self, spider, fitted_parser):
+    def test_a_beam_answer_executes_only_inside_its_stages(
+        self, spider, fitted_parser, monkeypatch
+    ):
+        # Every execution a request spends is one the trace accounts
+        # for: no re-run of the chosen SQL after the engine finishes.
         example = spider.dev[1]
         database = spider.database_of(example)
+        executed = []
+        is_executable = database.is_executable
+
+        def counting(sql, *args, **kwargs):
+            executed.append(sql)
+            return is_executable(sql, *args, **kwargs)
+
+        monkeypatch.setattr(database, "is_executable", counting)
         result = fitted_parser.generate(example.question, database)
-        if result.executable:
-            assert database.is_executable(result.sql)
+        assert result.tier == "beam"
+        assert result.executions_used >= 1
+        assert len(executed) == result.executions_used
+        assert executed[-1] == result.sql
 
     def test_bigger_tier_has_bigger_bank(self):
         small = CodeSParser("codes-1b")

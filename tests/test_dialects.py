@@ -22,7 +22,7 @@ from repro.analysis import SchemaCatalog
 from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.diagnostics import DIALECT_CASE_FOLD
 from repro.core.slotfill import InstantiationContext, instantiate_template
-from repro.datasets import build_bank_financials
+from repro.datasets import DATASET_BUILDERS, build_bank_financials
 from repro.db import Database
 from repro.db.backends import (
     COLUMNAR_CAPABILITIES,
@@ -42,10 +42,7 @@ from repro.errors import (
     SQLSyntaxError,
 )
 from repro.linking.lexical import LexicalSchemaScorer
-from repro.eval.conformance import (
-    bundled_dataset_builders,
-    run_conformance,
-)
+from repro.eval.conformance import run_conformance
 from repro.reliability import Deadline, FakeClock
 from repro.sqlgen.dialects import (
     available_dialects,
@@ -67,7 +64,7 @@ def _gold_corpus():
     """Every bundled gold SQL string, deduplicated, with its set name."""
     corpus = []
     seen = set()
-    for name, build in bundled_dataset_builders().items():
+    for name, build in DATASET_BUILDERS.items():
         dataset = build()
         for split in (dataset.train, dataset.dev):
             for example in split:
@@ -403,7 +400,7 @@ class TestConformanceSuite:
         register_backend(
             "row-dropper", _RowDroppingBackend.from_database, dialect="ansi"
         )
-        datasets = [bundled_dataset_builders()["bank_financials"]()]
+        datasets = [DATASET_BUILDERS["bank_financials"]()]
         report = run_conformance(datasets=datasets, backends=["row-dropper"])
         assert not report.ok
         dropper = report.reports["row-dropper"]
@@ -471,7 +468,7 @@ class TestHarnessDialect:
     def test_evaluate_parser_scores_full_marks_on_the_ansi_backend(self):
         from repro.eval.harness import evaluate_parser
 
-        dataset = bundled_dataset_builders()["bank_financials"]()
+        dataset = DATASET_BUILDERS["bank_financials"]()
         by_question = {
             example.question: example.sql for example in dataset.dev
         }
@@ -483,7 +480,7 @@ class TestHarnessDialect:
     def test_non_sqlite_dialect_rejects_ts_and_ves(self):
         from repro.eval.harness import evaluate_parser
 
-        dataset = bundled_dataset_builders()["bank_financials"]()
+        dataset = DATASET_BUILDERS["bank_financials"]()
         parser = _EchoGoldParser({}, "ansi")
         with pytest.raises(ValueError, match="sqlite"):
             evaluate_parser(parser, dataset, dialect="ansi", compute_ts=True)
@@ -530,7 +527,7 @@ class TestEngineOnColumnarBackend:
         from repro.core import CodeSParser
         from repro.eval.harness import pair_samples
 
-        dataset = bundled_dataset_builders()["bank_financials"]()
+        dataset = DATASET_BUILDERS["bank_financials"]()
         parser = CodeSParser("codes-1b")
         parser.fit(pair_samples(dataset))
         database = dataset.database_of(dataset.dev[0])

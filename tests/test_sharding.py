@@ -11,10 +11,14 @@ milliseconds while proving the pipe transport end to end.
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from tests.test_serving import NamedDb, StubParser, _request
 
+from repro.engine import InferenceTrace, StageTrace
 from repro.reliability.clock import FakeClock
 from repro.serving import (
     Completed,
@@ -38,7 +42,7 @@ from repro.serving import (
 )
 from repro.serving.loadgen import Arrival
 from repro.reliability.clock import SYSTEM_CLOCK
-from repro.serving.sharding import Heartbeat, HeartbeatAck, picklable_event
+from repro.serving.sharding import Heartbeat, HeartbeatAck
 from repro.serving.sharding.messages import (
     MetricsMsg,
     OutcomeMsg,
@@ -65,6 +69,29 @@ class EngineStubParser(StubParser):
 
     def build_engine(self, cache=None):
         return StubEngine(cache=cache)
+
+
+#: What a traced engine run returns: frozen ``StageTrace`` rows.
+STUB_TRACE = InferenceTrace(
+    [StageTrace("schema_link", 0.002), StageTrace("candidate_gen", 0.004)]
+)
+
+
+class TracedStubParser(StubParser):
+    """A stub parser whose every result carries :data:`STUB_TRACE`."""
+
+    def generate(self, question, database, engine=None, effort="full"):
+        result = super().generate(question, database, engine=engine, effort=effort)
+        return replace(result, trace=STUB_TRACE)
+
+
+def _stage_sums(outcomes):
+    """Per-stage wall time summed over the delivered outcomes' traces."""
+    sums: dict[str, float] = {}
+    for outcome in outcomes:
+        for stage in outcome.trace.stages:
+            sums[stage.stage] = sums.get(stage.stage, 0.0) + stage.wall_s
+    return sums
 
 
 def _databases(db_ids=DB_IDS):
@@ -700,6 +727,30 @@ class TestMergedMetrics:
         assert metrics.completed == 1  # from the worker shard
         assert metrics.shed == {"rate_limited": 1}  # from the router
 
+    def test_merged_provider_rows_name_their_worker(self):
+        # Two workers each run a provider called "local"; the merged
+        # table tells them apart, and a retired worker keeps its tag.
+        class OneProviderRouter:
+            def stats_dict(self):
+                row = {"provider": "local", "ok": 1, "fail": 0, "breaker": "closed"}
+                return {"requests": 1, "providers": [row]}
+
+        class RoutedStubParser(StubParser):
+            router = OneProviderRouter()
+
+        clock = FakeClock()
+        router, _ = _cluster(
+            clock, workers=("w0", "w1"), parser_factory=RoutedStubParser
+        )
+        labels = {
+            row["metric"] for row in router.metrics().as_rows()
+            if row["metric"].startswith("provider ")
+        }
+        assert {"provider w0 local", "provider w1 local"} <= labels
+        router.rebalance(router.shard_map.remove_worker("w1"))
+        rows = router.metrics().providers
+        assert sorted(row["worker"] for row in rows) == ["w0", "w1"]
+
     @pytest.mark.parametrize("snapshot_first", [False, True])
     def test_a_dead_inline_worker_reports_its_last_snapshot(self, snapshot_first):
         # A killed worker reports what it last answered, as a dead
@@ -735,10 +786,15 @@ class TestMergedMetrics:
 
 
 class TestShardedReplay:
-    def test_replay_rides_through_a_mid_run_crash(self):
+    @staticmethod
+    def _replay_across_a_crash(snapshot_first):
+        """20 arrivals on the traced stub cluster; the owner of ``db0``
+        is killed after the first 10 and restarted."""
         clock = FakeClock()
         config = ShardingConfig(restart_backoff_s=0.2)
-        router, handles = _cluster(clock, sharding=config)
+        router, handles = _cluster(
+            clock, sharding=config, parser_factory=TracedStubParser
+        )
         arrivals = _arrivals(20)
         victim = router.shard_map.owner(DB_IDS[0])
 
@@ -746,7 +802,8 @@ class TestShardedReplay:
         # the same clock times (replay counts offsets from its start)
         first, second = arrivals[:10], arrivals[10:]
         outcomes = replay(router, first)
-        router.metrics()  # every worker answers one snapshot before the crash
+        if snapshot_first:
+            router.metrics()  # every worker answers one snapshot
         dead = handles[victim]
         dead.kill()
         resumed = clock.now()
@@ -757,12 +814,25 @@ class TestShardedReplay:
         assert resolved == {f"r{index}" for index in range(20)}
         assert all(isinstance(o, Completed) for o in outcomes)
         assert any(f["kind"] == "restart" for f in router.failures)
+        return router, handles, dead, outcomes
+
+    def test_replay_rides_through_a_mid_run_crash(self):
+        router, handles, dead, _ = self._replay_across_a_crash(snapshot_first=True)
         # The merged view agrees with what was delivered, across the
         # restart, and keeps the dead incarnation's batches.
         metrics = router.metrics()
         assert (metrics.completed, metrics.admitted) == (20, 20)
         servers = [dead.worker.server] + [h.worker.server for h in handles.values()]
         assert metrics.batches == sum(server.metrics().batches for server in servers)
+
+    def test_cluster_stage_walls_are_the_delivered_traces(self):
+        # No snapshot before the kill: the dead incarnation's counters
+        # never reach the router, yet every delivered trace is counted.
+        router, _, _, outcomes = self._replay_across_a_crash(snapshot_first=False)
+        metrics = router.metrics()
+        assert (metrics.completed, metrics.admitted) == (20, 20)
+        assert metrics.stage_wall_s == pytest.approx(_stage_sums(outcomes))
+        assert metrics.stage_wall_s["candidate_gen"] == pytest.approx(20 * 0.004)
 
     def test_sharded_sql_matches_single_server_byte_for_byte(self):
         # Zero drift: the sharded cluster must emit exactly the SQL the
@@ -797,25 +867,31 @@ class TestShardedReplay:
 
 
 class TestMessages:
-    def test_picklable_event_strips_traces(self):
-        outcome = Completed(
-            request=_request(0),
-            sql="SELECT 1",
-            tier="full",
-            latency_s=0.1,
-            queue_s=0.0,
-            trace=object(),  # unpicklable stand-in
+    def test_a_traced_outcome_pickles_equal_to_itself(self):
+        # An outcome crosses the process pipe as it is: the engine's
+        # trace is plain data, so nothing is stripped on the way.
+        from repro.core import CodeSParser
+        from tests.fixtures import bank_database
+
+        database = bank_database()
+        result = CodeSParser("codes-1b").generate(
+            "How many clients are there?", database, demonstrations=[]
         )
-        event = picklable_event(OutcomeMsg(worker_id="w0", outcome=outcome))
-        assert event.outcome.trace is None
-        assert event.outcome.sql == "SELECT 1"
-        import pickle
-
-        pickle.dumps(event)  # must not raise
-
-    def test_non_outcome_events_pass_through(self):
-        ack = HeartbeatAck(worker_id="w0", seq=1)
-        assert picklable_event(ack) is ack
+        assert result.trace is not None and result.trace.stages
+        event = OutcomeMsg(
+            worker_id="w0",
+            outcome=Completed(
+                request=_request(0),
+                sql=result.sql,
+                tier=result.tier,
+                latency_s=0.1,
+                queue_s=0.0,
+                trace=result.trace,
+            ),
+        )
+        loaded = pickle.loads(pickle.dumps(event))
+        assert loaded == event
+        assert loaded.outcome.trace == event.outcome.trace  # compare=False field
 
 
 # -- process transport (real forks, kept small) -------------------------------
@@ -912,6 +988,29 @@ class TestProcessTransport:
             assert all(isinstance(o, Completed) for o in outcomes)
             metrics = router.metrics()
             assert metrics.completed == 8
+        finally:
+            router.shutdown()
+
+    def test_completed_outcomes_carry_their_trace_across_the_pipe(self):
+        databases = _databases(DB_IDS[:2])
+
+        def handle_factory(worker_id):
+            def build():
+                return Server(TracedStubParser(), databases, config=ServerConfig())
+
+            return ProcessWorkerHandle(worker_id, build)
+
+        router = ShardRouter(ShardMap(("w0", "w1")), handle_factory, DB_IDS[:2])
+        try:
+            outcomes = replay(
+                router, _arrivals(4, rate_spacing=0.0, db_ids=DB_IDS[:2])
+            )
+            assert len(outcomes) == 4
+            assert all(isinstance(o, Completed) for o in outcomes)
+            assert all(o.trace == STUB_TRACE for o in outcomes)
+            assert router.metrics().stage_wall_s == pytest.approx(
+                _stage_sums(outcomes)
+            )
         finally:
             router.shutdown()
 
