@@ -112,4 +112,3 @@ class WorkerFailure:
 
     worker_id: str
     error: str
-
