@@ -121,7 +121,13 @@ def test_staged_engine_matches_prerefactor_goldens():
     spec.loader.exec_module(module)
 
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    fresh = module.generate_golden()
+    fresh, raw = module.generate_golden()
+    raw_golden = json.loads(module.RAW_PATH.read_text(encoding="utf-8"))
+    for block in ("datasets", "few_shot"):
+        for name, digests in raw_golden[block].items():
+            for index, (old, new) in enumerate(zip(digests, raw[block][name])):
+                assert new == old, f"{block} {name}[{index}]: raw candidates drifted"
+    assert raw == raw_golden
     assert fresh["model"] == golden["model"]
     assert set(fresh["datasets"]) == set(golden["datasets"])
     for name, rows in golden["datasets"].items():
