@@ -29,6 +29,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.config import ModelConfig, get_model_config
 from repro.core.retriever import TemplateIndex
 from repro.datasets.base import Text2SQLExample
+from repro.db.backends.base import backend_dialect
 from repro.db.backends.sqlite import Database
 from repro.engine import (
     BeamPerturbMiddleware,
@@ -49,13 +50,15 @@ from repro.promptgen.builder import DatabasePrompt
 from repro.promptgen.options import PromptOptions
 from repro.reliability.clock import SYSTEM_CLOCK, Clock
 from repro.sqlgen.ast import Query
+from repro.sqlgen.dialects import emitter_for
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.parser import parse_sql
 from repro.text.embedder import HashedNgramEmbedder
 
 if TYPE_CHECKING:
     from repro.lm.providers.config import RouterConfig
-from repro.core.slotfill import InstantiationContext, instantiate_template
+from repro.core.fillcontext import InstantiationContext
+from repro.core.slotfill import PlannedTemplate, iter_fills
 
 
 def pretrained_lm_for(config: ModelConfig) -> PretrainedLM:
@@ -166,6 +169,8 @@ class CodeSParser:
         self._index = TemplateIndex((), self.embedder)
         #: Shared with every parser over this LM at this capacity.
         self._skeleton_bank = self.lm.skeleton_bank(self.config.skeleton_capacity)
+        #: The bank's templates with their fill plans (compiled lazily).
+        self._skeleton_plans = tuple(map(PlannedTemplate, self._skeleton_bank))
         #: Per-database resources (builders, analyzers, estimators,
         #: linking scores), shared by every engine this parser builds.
         self.cache = StageCache()
@@ -397,10 +402,12 @@ class CodeSParser:
 
         The graceful-degradation middle tier: when no beam candidate
         executes, fall back on the model's structural repertoire alone
-        and return the first instantiation the database accepts.
+        and return the first instantiation the database accepts, in the
+        database's own dialect.
         """
-        for template in self._skeleton_bank[:max_templates]:
-            for candidate in instantiate_template(template, ctx):
+        emitter = emitter_for(backend_dialect(database))
+        for template in self._skeleton_plans[:max_templates]:
+            for candidate in iter_fills(template.plan(emitter), ctx):
                 if database.is_executable(candidate.sql):
                     return candidate.sql
         return None

@@ -21,16 +21,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.diagnostics import Diagnostic, has_errors
 from repro.errors import ScoreRangeError
-from repro.sqlgen.ast import (
-    Aggregation,
-    BinaryCondition,
-    ColumnRef,
-    CompoundCondition,
-    InCondition,
-    Literal,
-    Query,
-)
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.slotfill import FilledCandidate
     from repro.linking.classifier import SchemaScores
@@ -83,34 +73,6 @@ def blend_scores(learned: SchemaScores, lexical: SchemaScores) -> SchemaScores:
     )
 
 
-def predicate_bindings(query: Query) -> list[tuple[str, object]]:
-    """(column key, literal value) pairs of equality/IN predicates."""
-    bindings: list[tuple[str, object]] = []
-
-    def visit(cond) -> None:
-        if isinstance(cond, BinaryCondition):
-            if (
-                cond.op == "="
-                and isinstance(cond.left, ColumnRef)
-                and isinstance(cond.right, Literal)
-            ):
-                bindings.append((cond.left.key(), cond.right.value))
-        elif isinstance(cond, InCondition):
-            if isinstance(cond.expr, ColumnRef):
-                for value in cond.values:
-                    bindings.append((cond.expr.key(), value.value))
-        elif isinstance(cond, CompoundCondition):
-            for sub in cond.conditions:
-                visit(sub)
-
-    current = query
-    while current is not None:
-        if current.where is not None:
-            visit(current.where)
-        current = current.compound_query
-    return bindings
-
-
 def matched_value_keys(matched) -> frozenset[tuple[str, object]]:
     """(lower-cased ``table.column``, value) of each retrieved value."""
     return frozenset(
@@ -118,13 +80,14 @@ def matched_value_keys(matched) -> frozenset[tuple[str, object]]:
     )
 
 
-def value_bonus(query: Query, matched_keys) -> float:
+def value_bonus(bindings, matched_keys) -> float:
     """Reward candidates whose predicates bind a retrieved value to the
-    column it was actually found in (``matched_keys`` as built by
+    column it was actually found in (``bindings`` as
+    :attr:`FilledCandidate.bindings`, ``matched_keys`` as built by
     :func:`matched_value_keys`)."""
     if not matched_keys:
         return 0.0
-    for binding in predicate_bindings(query):
+    for binding in bindings:
         if binding in matched_keys:
             return 1.0
     return 0.0
@@ -138,7 +101,7 @@ def has_count_cue(question: str) -> bool:
     return bool(_COUNT_CUES.search(question))
 
 
-def count_mismatch(query: Query, count_cue: bool) -> float:
+def count_mismatch(bare_count: bool, count_cue: bool) -> float:
     """1.0 when the candidate is a bare COUNT but the question has no
     counting cue (``count_cue`` from :func:`has_count_cue`).
 
@@ -147,30 +110,7 @@ def count_mismatch(query: Query, count_cue: bool) -> float:
     counting question answered by a non-count, or by a count riding
     along a GROUP BY, scores 0.
     """
-    is_bare_count = (
-        len(query.select_items) == 1
-        and isinstance(query.select_items[0].expr, Aggregation)
-        and query.select_items[0].expr.func == "count"
-        and not query.group_by
-    )
-    if is_bare_count and not count_cue:
-        return 1.0
-    return 0.0
-
-
-def projection_filter_overlap(query: Query) -> float:
-    """1.0 when a projected column is also equality-filtered.
-
-    Users rarely ask to display the very attribute they constrained to a
-    single value, so such candidates are slightly demoted.
-    """
-    projected = {
-        item.expr.key()
-        for item in query.select_items
-        if isinstance(item.expr, ColumnRef) and item.expr.column != "*"
-    }
-    filtered = {column_key for column_key, _ in predicate_bindings(query)}
-    return float(bool(projected & filtered))
+    return 1.0 if bare_count and not count_cue else 0.0
 
 
 # -- the candidate score: a table of weighted, range-declared features --------
@@ -213,6 +153,9 @@ class RequestFacts:
     _column_spans: dict = field(default_factory=dict, repr=False, compare=False)
     #: Table set (or None) -> :func:`table_ranges`, filled on first use.
     _table_ranges: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Column (table) key set -> its mean score, filled on first use.
+    _column_means: dict = field(default_factory=dict, repr=False, compare=False)
+    _table_means: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def of(
@@ -257,8 +200,24 @@ class RequestFacts:
         """The table-quality range: one value once ``tables`` is known."""
         if tables is None:
             return self.table_span
-        quality = _mean_score(self.scores.tables, tables)
+        quality = self.table_quality(tables)
         return quality, quality
+
+    def link_quality(self, columns: frozenset) -> float:
+        """Mean score of the ``columns`` keys, once per key set."""
+        quality = self._column_means.get(columns)
+        if quality is None:
+            quality = self._column_means[columns] = _mean_score(
+                self.scores.columns, columns
+            )
+        return quality
+
+    def table_quality(self, tables: frozenset) -> float:
+        """Mean score of the ``tables`` keys, once per key set."""
+        quality = self._table_means.get(tables)
+        if quality is None:
+            quality = self._table_means[tables] = _mean_score(self.scores.tables, tables)
+        return quality
 
     def value_cap(self, tables) -> float:
         """1 when a retrieved value can bind in ``tables`` (any if None)."""
@@ -303,16 +262,12 @@ FEATURES: tuple[Feature, ...] = (
     ),
     Feature(
         "link_quality", 0.5,
-        lambda fill, sim, facts: _mean_score(
-            facts.scores.columns, fill.query.columns_used()
-        ),
+        lambda fill, sim, facts: facts.link_quality(fill.columns),
         lambda facts, sims, tables: facts.columns_span(tables),
     ),
     Feature(
         "table_quality", 0.4,
-        lambda fill, sim, facts: _mean_score(
-            facts.scores.tables, fill.query.tables_used()
-        ),
+        lambda fill, sim, facts: facts.table_quality(fill.tables),
         lambda facts, sims, tables: facts.tables_span(tables),
     ),
     # The LM prior flows through the provider router — the reliability
@@ -326,17 +281,19 @@ FEATURES: tuple[Feature, ...] = (
     ),
     Feature(
         "value_bonus", 0.25,
-        lambda fill, sim, facts: value_bonus(fill.query, facts.matched_keys),
+        lambda fill, sim, facts: value_bonus(fill.bindings, facts.matched_keys),
         lambda facts, sims, tables: (0.0, facts.value_cap(tables)),
     ),
+    # Users rarely ask to display the very attribute they constrained
+    # to a single value, so such candidates are slightly demoted.
     Feature(
         "projection_filter_overlap", -0.1,
-        lambda fill, sim, facts: projection_filter_overlap(fill.query),
+        lambda fill, sim, facts: float(fill.overlap),
         lambda facts, sims, tables: (0.0, 1.0),
     ),
     Feature(
         "count_mismatch", -0.5,
-        lambda fill, sim, facts: count_mismatch(fill.query, facts.count_cue),
+        lambda fill, sim, facts: count_mismatch(fill.bare_count, facts.count_cue),
         lambda facts, sims, tables: (0.0, 0.0 if facts.count_cue else 1.0),
     ),
     Feature(
@@ -388,17 +345,15 @@ def _widened(span: tuple[float, float]) -> tuple[float, float]:
 _BY_SIM = tuple(i for i, feature in enumerate(FEATURES) if feature.by_sim)
 
 
+_WEIGHTS = tuple(feature.weight for feature in FEATURES)
+
+
 def weighted_score(values) -> float:
     """The weighted sum of one value per feature, in table order."""
     total = 0.0
-    for feature, value in zip(FEATURES, values):
-        total += feature.weight * value
+    for weight, value in zip(_WEIGHTS, values):
+        total += weight * value
     return total
-
-
-def _best_bound(feature: Feature, span: tuple[float, float]) -> float:
-    lo, hi = span
-    return hi if feature.weight > 0 else lo
 
 
 def score_ceiling(ranges) -> float:
@@ -409,7 +364,9 @@ def score_ceiling(ranges) -> float:
     :func:`weighted_score` sums bounds every score it computes from
     in-range values, rounding included.
     """
-    return weighted_score(map(_best_bound, FEATURES, ranges))
+    return weighted_score([
+        hi if weight > 0 else lo for weight, (lo, hi) in zip(_WEIGHTS, ranges)
+    ])
 
 
 _DEFERRED = tuple(i for i, feature in enumerate(FEATURES) if feature.deferred)
@@ -431,24 +388,26 @@ def score_fill(
     wrong declaration fails loudly instead of pruning a real candidate.
     """
     values = []
-    for feature, span in zip(FEATURES, ranges):
+    for feature, (lo, hi) in zip(FEATURES, ranges):
         if feature.deferred:
-            values.append(_best_bound(feature, span))
-        else:
-            values.append(_checked(feature, fill, sim, facts, span))
+            values.append(hi if feature.weight > 0 else lo)
+            continue
+        value = feature.value(fill, sim, facts)
+        if not lo <= value <= hi:
+            raise _out_of_range(feature, value, lo, hi, fill)
+        values.append(value)
     if floor is not None and floor >= weighted_score(values):
         return None
     for index in _DEFERRED:
-        values[index] = _checked(FEATURES[index], fill, sim, facts, ranges[index])
+        feature, (lo, hi) = FEATURES[index], ranges[index]
+        value = values[index] = feature.value(fill, sim, facts)
+        if not lo <= value <= hi:
+            raise _out_of_range(feature, value, lo, hi, fill)
     return weighted_score(values)
 
 
-def _checked(feature: Feature, fill, sim: float, facts: RequestFacts, span) -> float:
-    value = feature.value(fill, sim, facts)
-    lo, hi = span
-    if not lo <= value <= hi:
-        raise ScoreRangeError(
-            f"feature {feature.name!r} = {value!r} lies outside its declared "
-            f"range [{lo!r}, {hi!r}] for {fill.sql!r}"
-        )
-    return value
+def _out_of_range(feature: Feature, value, lo, hi, fill) -> ScoreRangeError:
+    return ScoreRangeError(
+        f"feature {feature.name!r} = {value!r} lies outside its declared "
+        f"range [{lo!r}, {hi!r}] for {fill.sql!r}"
+    )

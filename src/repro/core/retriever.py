@@ -13,11 +13,12 @@ from __future__ import annotations
 import copy
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.core.slotfill import PlannedTemplate
 from repro.datasets.base import Text2SQLExample
 from repro.errors import SQLSyntaxError
 from repro.sqlgen.ast import Query
@@ -33,13 +34,15 @@ if TYPE_CHECKING:
 class _IndexEntry:
     """One indexed question with its template.
 
-    ``skeleton`` is the template's SQL skeleton key.  A pool example
-    whose SQL does not parse has neither template nor skeleton.
+    ``skeleton`` is the template's SQL skeleton key and ``plans`` holds
+    its fill plans, compiled per dialect on first use.  A pool example
+    whose SQL does not parse has neither template, skeleton nor plans.
     """
 
     question: str
     template: Query | None
     skeleton: str | None
+    plans: PlannedTemplate | None = field(default=None, repr=False, compare=False)
 
 
 def _query_vectors(question: str, embedder, use_pattern: bool):
@@ -81,8 +84,13 @@ class TemplateIndex:
                     template = parse_sql(sql)
                 except SQLSyntaxError:
                     template = None
-            skeleton = None if template is None else skeleton_of_query(template)
-            entries.append(_IndexEntry(question, template, skeleton))
+            if template is None:
+                entries.append(_IndexEntry(question, None, None))
+            else:
+                entries.append(_IndexEntry(
+                    question, template, skeleton_of_query(template),
+                    PlannedTemplate(template),
+                ))
         self.entries = tuple(entries)
         # A dot product of d terms, summed in any order, is off by at
         # most gamma_d = d*u/(1 - d*u) times the sum of |x_i*y_i|, which

@@ -2,7 +2,7 @@
 
 Given a template SQL AST (from a retrieved demonstration, an SFT
 training example, or the model's pre-training skeleton bank), this
-module produces concrete candidate queries for the *target* database:
+module produces concrete candidate SQL for the *target* database:
 
 - template tables map to the highest-scoring target tables (schema
   linking scores from the classifier or the lexical scorer);
@@ -18,709 +18,701 @@ Each knob failure mode is a real error mode of the system: a missing
 foreign key loses the join path, a missed value match produces a
 predicate with the wrong surface form, a mis-ranked column selects the
 wrong projection.
+
+A template is compiled, once per dialect, into a :class:`FillPlan`: its
+slots in fill order (select items, FROM/JOIN, WHERE, GROUP BY, HAVING,
+ORDER BY, LIMIT, subqueries in place) with the dialect text between
+them rendered by the backend's
+:class:`~repro.sqlgen.dialects.base.DialectEmitter`.  A fill chooses a
+target for each slot from the request's
+:class:`~repro.core.fillcontext.InstantiationContext`, assembles the
+SQL text and collects the feature inputs its choices imply, so no fill
+builds an AST; :attr:`FilledCandidate.query` parses the SQL on demand.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterator, Optional, TypeVar
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple
 
-from repro.db.schema import Column, Schema
-from repro.linking.classifier import SchemaScores
-from repro.retrieval.value_retriever import MatchedValue
+from repro.core.fillcontext import (
+    InstantiationContext,
+    _Col,
+    _literal,
+    _Value,
+    question_aggregate,
+    question_comparison_op,
+    question_order_direction,
+)
+from repro.core.structure import StructureProfile, profile_query
 from repro.sqlgen.ast import (
     Aggregation,
     BetweenCondition,
     BinaryCondition,
     ColumnRef,
     CompoundCondition,
-    Condition,
-    Expression,
     InCondition,
-    JoinEdge,
     LikeCondition,
     Literal,
     NullCondition,
-    OrderItem,
     Query,
-    SelectItem,
     identifier_key,
 )
+from repro.sqlgen.dialects import DialectEmitter, parse_dialect_sql
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
-_QUOTED_RE = re.compile(r"'([^']*)'|\"([^\"]*)\"")
-_TOPK_RE = re.compile(r"\btop (\d+)\b|\bthe (\d+) \b|\b(\d+) most\b", re.IGNORECASE)
-_LETTER_RE = re.compile(
-    r"\b(?:letter|beginning with|starts? with(?: the letter)?)\s+([A-Za-z])\b"
-)
-_CAPITALIZED_SPAN_RE = re.compile(r"(?<!^)(?<![.?!]\s)\b([A-Z][a-z]+(?: [A-Z][a-z]+)*)\b")
 
-_Cue = TypeVar("_Cue")
+class _Bound(NamedTuple):
+    """A plan under one table assignment: what all its variants share."""
 
-_NUMERIC_TYPES = ("INTEGER", "REAL")
-_TEXT_TYPES = ("TEXT", "DATE")
-
-_GREATER_CUES = re.compile(
-    r"\b(more than|greater|above|over|exceed\w*|higher|bigger|larger)\b", re.IGNORECASE
-)
-_GEQ_CUES = re.compile(r"\b(at least|no less than|or more)\b", re.IGNORECASE)
-_LESS_CUES = re.compile(
-    r"\b(less than|below|under|fewer|smaller|lower)\b", re.IGNORECASE
-)
-_DESC_PHRASES = re.compile(
-    r"\b(largest to smallest|highest to lowest|biggest to smallest|"
-    r"descending|decreasing)\b",
-    re.IGNORECASE,
-)
-_ASC_PHRASES = re.compile(
-    r"\b(smallest to largest|lowest to highest|ascending|increasing)\b",
-    re.IGNORECASE,
-)
-_DESC_CUES = re.compile(
-    r"\b(highest|largest|greatest|most|biggest|top)\b", re.IGNORECASE
-)
-_ASC_CUES = re.compile(r"\b(lowest|smallest|least|fewest)\b", re.IGNORECASE)
-_AGG_CUES = (
-    (re.compile(r"\b(average|mean)\b", re.IGNORECASE), "avg"),
-    (re.compile(r"\b(maximum|highest|largest|greatest|biggest)\b", re.IGNORECASE), "max"),
-    (re.compile(r"\b(minimum|lowest|smallest|least)\b", re.IGNORECASE), "min"),
-    (re.compile(r"\b(total|sum|overall)\b", re.IGNORECASE), "sum"),
-)
+    #: Lower-cased template table ("" too, for a one-table template) ->
+    #: target table.
+    targets: dict[str, str]
+    #: Each query level's text with its FROM/JOIN and LIMIT formatted
+    #: in: a format string over the level's slots.
+    forms: tuple[str, ...]
+    #: Join columns and the template's own fixed column references.
+    columns: frozenset[str]
+    tables: frozenset[str]
+    pools: dict
 
 
-def question_comparison_op(question: str, default: str) -> str:
-    """Comparison operator implied by the question's wording."""
-    if _GEQ_CUES.search(question):
-        return ">="
-    if _GREATER_CUES.search(question):
-        return ">"
-    if _LESS_CUES.search(question):
-        return "<"
-    return default
+class _Unfillable(Exception):
+    """A template node no fill gets past."""
 
 
-def question_order_direction(question: str, default: bool) -> bool:
-    """True for DESC, judged from superlative cues.
-
-    Explicit multi-word order phrases ("smallest to largest") are
-    checked before single superlatives, whose words they contain.
-    """
-    if _ASC_PHRASES.search(question):
-        return False
-    if _DESC_PHRASES.search(question):
-        return True
-    if _DESC_CUES.search(question):
-        return True
-    if _ASC_CUES.search(question):
-        return False
-    return default
+_BY_DEGREE = attrgetter("degree")
+_COMPARISONS = (">", "<", ">=", "<=")
+#: A level's pieces its table assignment fixes, by position in
+#: (head limit text, FROM/JOIN text, tail limit text).
+_HEAD, _FROM, _TAIL = range(3)
 
 
-def question_aggregate(question: str, default: str) -> str:
-    """Aggregation function implied by the question (avg/max/min/sum)."""
-    for pattern, func in _AGG_CUES:
-        if pattern.search(question):
-            return func
-    return default
+class _Fill:
+    """One fill's state: its slot choices so far and the feature inputs
+    they imply."""
 
-
-@dataclass
-class InstantiationContext:
-    """Everything slot filling needs about the target question/database.
-
-    One context serves one request.  The request-invariant facts every
-    fill reads (ranked tables, ranked column pools, question literals
-    and wording cues) are computed on first use and memoized on the
-    context, so they live exactly as long as the request does.
-    """
-
-    question: str
-    schema: Schema
-    scores: SchemaScores
-    matched_values: list[MatchedValue] = field(default_factory=list)
-    use_types: bool = True
-    slot_depth: int = 3
-    representative: Optional[Callable[[str, str], list]] = None
-    _column_pools: dict[tuple[str, str], tuple[Column, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _cues: dict[tuple[Callable, object], object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    __slots__ = (
+        "ctx", "emitter", "pools", "targets", "forms", "variant", "chosen", "used",
+        "number", "string", "values", "ungrounded", "variant_matters",
+        "columns", "projected", "bindings",
     )
 
-    @cached_property
-    def ranked_tables(self) -> tuple[str, ...]:
-        ranked = self.scores.top_tables(len(self.schema.tables))
-        return tuple(name for name in ranked if self.schema.has_table(name))
-
-    def column_pool(self, table_name: str, kind: str) -> tuple[Column, ...]:
-        """``table_name``'s columns, best-ranked first, filtered by ``kind``.
-
-        ``kind`` is ``"numeric"``, ``"text"`` or ``"any"``; the type
-        filter is skipped when column types are ablated away.
-        """
-        if not self.use_types or kind not in ("numeric", "text"):
-            kind = "any"
-        key = (identifier_key(table_name), kind)
-        pool = self._column_pools.get(key)
-        if pool is None:
-            if kind == "any":
-                table = self.schema.table(table_name)
-                ranked = self.scores.top_columns(table_name, len(table.columns))
-                pool = tuple(table.column(name) for name in ranked)
-            else:
-                types = _NUMERIC_TYPES if kind == "numeric" else _TEXT_TYPES
-                pool = tuple(
-                    column
-                    for column in self.column_pool(table_name, "any")
-                    if column.type.upper() in types
-                )
-            self._column_pools[key] = pool
-        return pool
-
-    @cached_property
-    def question_numbers(self) -> tuple[float | int, ...]:
-        """Numbers mentioned in the question, in mention order."""
-        return tuple(
-            float(raw) if "." in raw else int(raw)
-            for raw in _NUMBER_RE.findall(self.question)
-        )
-
-    @cached_property
-    def question_strings(self) -> tuple[str, ...]:
-        """Literal string candidates in mention order (quoted, then entities)."""
-        strings: list[str] = []
-        for quoted in _QUOTED_RE.finditer(self.question):
-            strings.append(quoted.group(1) or quoted.group(2))
-        for span in _CAPITALIZED_SPAN_RE.finditer(self.question):
-            text = span.group(1)
-            if text not in strings:
-                strings.append(text)
-        return tuple(strings)
-
-    def question_cue(self, cue: Callable[[str, _Cue], _Cue], default: _Cue) -> _Cue:
-        """``cue(question, default)``, read once per request per (cue, default).
-
-        ``cue`` is one of the module's wording readers
-        (:func:`question_order_direction`, :func:`question_aggregate`,
-        :func:`question_comparison_op`).
-        """
-        key = (cue, default)
-        if key not in self._cues:
-            self._cues[key] = cue(self.question, default)
-        return self._cues[key]
-
-    @cached_property
-    def question_top_k(self) -> int | None:
-        """The row count a "top 3"/"the 5 ..."/"3 most" question asks for."""
-        match = _TOPK_RE.search(self.question)
-        return int(next(g for g in match.groups() if g)) if match else None
-
-    @cached_property
-    def question_letter(self) -> str | None:
-        """The upper-cased letter a "starts with the letter x" question names."""
-        match = _LETTER_RE.search(self.question)
-        return match.group(1).upper() if match else None
-
-
-class _Filler:
-    """Fills one template under one (table assignment, variant) choice."""
-
-    def __init__(
-        self,
-        ctx: InstantiationContext,
-        table_map: dict[str, str],
-        variant: int,
-    ):
-        self.ctx = ctx
-        self.table_map = table_map
-        self.variant = variant
-        self._column_cache: dict[tuple[str, str], ColumnRef | None] = {}
-        self._numbers = list(ctx.question_numbers)
-        self._strings = list(ctx.question_strings)
-        self._available_values = list(ctx.matched_values)
-        self._used_columns: set[str] = set()
+    def __init__(self, ctx: InstantiationContext, emitter, bound: _Bound, variant: int):
+        self.ctx, self.emitter, self.variant = ctx, emitter, variant
+        self.pools, self.targets, self.forms = bound.pools, bound.targets, bound.forms
+        self.chosen: dict[str, _Col | None] = {}
+        self.used: set[str] = set()
+        self.number = self.string = 0
+        #: The retrieved values not bound yet (None: all of them).
+        self.values: list[_Value] | None = None
         #: Literal slots that had to fall back to template/DB defaults
         #: because nothing in the question grounded them.
         self.ungrounded = 0
         #: Whether some select slot picked by ``variant`` had a column
         #: left past its pick, i.e. ``variant + 1`` would choose another.
         self.variant_matters = False
+        #: Keys of the columns chosen (the bound's come on top), of the
+        #: projected ones, and the WHERE's (column key, value) bindings.
+        self.columns: list[str] = []
+        self.projected: list[str] = []
+        self.bindings: list[tuple[str, object]] = []
 
-    # -- table / column mapping ----------------------------------------------
-
-    def _target_table(self, template_table: str) -> str | None:
-        if template_table:
-            return self.table_map.get(template_table.lower())
-        # Unqualified columns belong to the template's only table.
-        if len(self.table_map) == 1:
-            return next(iter(self.table_map.values()))
-        return None
-
-    def map_column(
-        self, template_col: ColumnRef, kind: str = "any", role: str = ""
-    ) -> ColumnRef | None:
+    def column(self, slot: tuple) -> _Col | None:
         """Assign a target column to a template column slot.
 
-        The cache is keyed by the template column alone so the same
+        The choice is keyed by the template column alone so the same
         template column always maps to the same target column, no
         matter where it re-appears (SELECT vs WHERE vs ORDER BY).
         """
-        cache_key = (template_col.key(), "")
-        if cache_key in self._column_cache:
-            return self._column_cache[cache_key]
-        table_name = self._target_table(template_col.table)
-        if table_name is None:
-            self._column_cache[cache_key] = None
+        key, table_key, kind, keyless, select = slot
+        if key in self.chosen:
+            return self.chosen[key]
+        table = self.targets.get(table_key)
+        if table is None:
+            self.chosen[key] = None
             return None
-        candidates = self.ctx.column_pool(table_name, kind)
-        # Projection/grouping/aggregation slots should avoid raw key columns.
-        if role in ("select", "group", "agg", "order") and len(candidates) > 1:
-            non_keys = [
-                c for c in candidates
-                if not c.is_primary and not c.name.lower().endswith("_id")
-            ]
-            if non_keys:
-                candidates = non_keys
+        candidates = self.pools.get((table, kind, keyless))
+        if candidates is None:
+            candidates = self.ctx.column_pool(self.emitter, table, kind, keyless)
         if not candidates:
             return None
         # Spread distinct template slots across distinct target columns.
-        fresh = [c for c in candidates if f"{table_name}.{c.name.lower()}" not in
-                 self._used_columns]
-        pool = fresh or candidates
+        pool = candidates
+        if self.used:
+            pool = [c for c in candidates if c.key not in self.used] or candidates
         index = 0
-        if role == "select":
+        if select:
             index = min(self.variant, len(pool) - 1)
             self.variant_matters |= index < len(pool) - 1
-        chosen = pool[index]
-        ref = ColumnRef(table=table_name, column=chosen.name)
-        self._used_columns.add(f"{table_name}.{chosen.name.lower()}")
-        self._column_cache[cache_key] = ref
-        return ref
+        chosen = self.chosen[key] = pool[index]
+        self.used.add(chosen.key)
+        return chosen
 
-    # -- literal binding -------------------------------------------------------
-
-    def next_number(self, fallback: Literal) -> Literal:
-        if self._numbers:
-            return Literal(self._numbers.pop(0))
+    def number_literal(self, default: tuple[str, object]) -> tuple[str, object]:
+        """The question's next number, else (ungrounded) ``default``."""
+        numbers = self.ctx.number_literals
+        if self.number < len(numbers):
+            self.number += 1
+            return numbers[self.number - 1]
         self.ungrounded += 1
-        return fallback
+        return default
 
-    def _pop_matched_value(self, table: str, column: str) -> MatchedValue | None:
-        target = ColumnRef(table, column).key()
+    def text_binding(self, slot: tuple, default: tuple[str, object]):
+        """(column, literal) for an equality on text; column None when
+        nothing binds.  Retrieved values pin both the column and the
+        stored surface form; without them the question's spans fill the
+        value slot."""
+        table = self.targets.get(slot[1])
+        if table is None:
+            return None, default
+        # A matched value in the assigned table is the strongest signal.
+        preferred = self.column(slot)
+        match = self._take_value(table, preferred)
+        if match is not None:
+            return match.column, match.literal
+        if preferred is None:
+            return None, default
+        strings = self.ctx.question_strings
+        if self.string < len(strings):
+            self.string += 1
+            surface = strings[self.string - 1]
+            return preferred, self.ctx.string_literal(table, preferred.name, surface)
+        self.ungrounded += 1
+        return preferred, self.ctx.string_literal(table, preferred.name, None) or default
+
+    def _take_value(self, table: str, preferred: _Col | None) -> _Value | None:
         table_key = identifier_key(table)
-        same_column = [
-            m for m in self._available_values
-            if ColumnRef(m.table, m.column).key() == target
-        ]
-        pool = same_column or [
-            m for m in self._available_values if identifier_key(m.table) == table_key
+        target = preferred.key if preferred is not None else f"{table_key}."
+        available = self.values if self.values is not None else self.ctx.values(self.emitter)
+        pool = [v for v in available if v.column.key == target] or [
+            v for v in available if v.table_key == table_key
         ]
         if not pool:
             return None
-        best = max(pool, key=lambda m: m.degree)
-        self._available_values.remove(best)
+        best = max(pool, key=_BY_DEGREE)
+        self.values = list(available)
+        self.values.remove(best)
         return best
 
-    def bind_text_predicate(
-        self, template_col: ColumnRef, fallback: Literal
-    ) -> tuple[ColumnRef | None, Literal]:
-        """Choose (column, value) for an equality predicate on text.
 
-        Retrieved values pin both the column and the stored surface
-        form; without them the question's spans fill the value slot.
-        """
-        table_name = self._target_table(template_col.table)
-        if table_name is None:
-            return None, fallback
-        # A matched value in the assigned table is the strongest signal.
-        preferred_col = self.map_column(template_col, kind="text", role="filter")
-        match = self._pop_matched_value(
-            table_name, preferred_col.column if preferred_col else ""
-        )
-        if match is not None:
-            return (
-                ColumnRef(table=match.table, column=match.column),
-                Literal(match.value),
-            )
-        if preferred_col is None:
-            return None, fallback
-        if self._strings:
-            surface = self._strings.pop(0)
-            repaired = self._repair_value_format(
-                surface, table_name, preferred_col.column
-            )
-            return preferred_col, Literal(repaired)
-        self.ungrounded += 1
-        if self.ctx.representative is not None:
-            values = self.ctx.representative(table_name, preferred_col.column)
-            values = [v for v in values if isinstance(v, str)]
-            if values:
-                return preferred_col, Literal(values[0])
-        return preferred_col, fallback
+def _slot(column: ColumnRef, kind: str, role: str) -> tuple:
+    """A template column slot: (key, table key, kind, keyless, select)."""
+    keyless = role in ("select", "group", "agg", "order")
+    return column.key(), identifier_key(column.table), kind, keyless, role == "select"
 
-    def _repair_value_format(self, surface: str, table: str, column: str) -> str:
-        """Align a question-surface value with the column's stored format.
 
-        The prompt's representative values (§6.3) show the model how the
-        column actually stores data; when a stored value *contains* the
-        question's mention ("Graz" -> "City of Graz", "F" -> "Female"),
-        the stored form is copied.  Semantic re-expressions with no
-        surface overlap ("approved" -> "granted") cannot be repaired —
-        the sparse-retrieval weakness the paper reports on Dr.Spider's
-        DBcontent-equivalence split.
-        """
-        from repro.retrieval.lcs import longest_common_substring
+def _chooser(column: ColumnRef, kind: str, role: str, fallback: str = "") -> Callable:
+    """The choice of ``column``'s target from ``kind``'s pool, else
+    from ``fallback``'s."""
+    first = _slot(column, kind, role)
+    if not fallback:
+        return lambda state: state.column(first)
+    second = _slot(column, fallback, role)
+    return lambda state: state.column(first) or state.column(second)
 
-        if self.ctx.representative is None or not surface:
-            return surface
-        stored_values = [
-            value
-            for value in self.ctx.representative(table, column)
-            if isinstance(value, str)
-        ]
-        if surface in stored_values:
-            return surface
-        best = None
-        best_containment = 0.0
-        for value in stored_values:
-            shared = longest_common_substring(surface, value)
-            containment = len(shared) / len(surface)
-            if containment > best_containment:
-                best_containment = containment
-                best = value
-        if best is not None and best_containment >= 0.8:
-            return best
-        return surface
 
-    # -- query construction ------------------------------------------------
+def _on_column(choose: Callable, rest: Callable) -> Callable:
+    """A slot on one chosen column: its text, then ``rest(state, column)``."""
 
-    def fill(self, template: Query) -> Query | None:
-        select_items = []
-        for item in template.select_items:
-            expr = self._fill_select_expr(item.expr)
-            if expr is None:
-                return None
-            select_items.append(SelectItem(expr=expr))
-        from_table = self._target_table(template.from_table) or self._target_table("")
-        if from_table is None:
-            return None
-
-        joins: list[JoinEdge] = []
-        joined_tables = [from_table]
-        for edge in template.joins:
-            right_table = self._target_table(edge.table)
-            if right_table is None or right_table in joined_tables:
-                return None
-            join = self._build_join(joined_tables, right_table)
-            if join is None:
-                return None
-            joins.append(join)
-            joined_tables.append(right_table)
-
-        where = None
-        if template.where is not None:
-            where = self._fill_condition(template.where)
-            if where is None:
-                return None
-        group_by = []
-        for col in template.group_by:
-            mapped = self.map_column(col, kind="any", role="group")
-            if mapped is None:
-                return None
-            group_by.append(mapped)
-        having = None
-        if template.having is not None:
-            having = self._fill_condition(template.having)
-            if having is None:
-                return None
-        order_by = []
-        for item in template.order_by:
-            expr = self._fill_order_expr(item.expr)
-            if expr is None:
-                return None
-            descending = self.ctx.question_cue(
-                question_order_direction, item.descending
-            )
-            order_by.append(OrderItem(expr=expr, descending=descending))
-
-        limit = template.limit
-        if limit is not None and self.ctx.question_top_k is not None:
-            limit = self.ctx.question_top_k
-
-        # GROUP BY must group by the non-aggregated projection when the
-        # template does — keep them aligned.
-        if group_by and select_items:
-            plain = [
-                item.expr for item in select_items
-                if isinstance(item.expr, ColumnRef) and item.expr.column != "*"
-            ]
-            if plain and len(group_by) == 1:
-                group_by = [plain[0]]
-
-        return Query(
-            select_items=tuple(select_items),
-            from_table=from_table,
-            joins=tuple(joins),
-            where=where,
-            group_by=tuple(group_by),
-            having=having,
-            order_by=tuple(order_by),
-            limit=limit,
-            distinct=template.distinct,
-        )
-
-    def _build_join(self, left_tables: list[str], right_table: str) -> JoinEdge | None:
-        for left_table in left_tables:
-            fkey = self.ctx.schema.join_edge(left_table, right_table)
-            if fkey is not None:
-                if identifier_key(fkey.src_table) == identifier_key(right_table):
-                    return JoinEdge(
-                        table=right_table,
-                        left=ColumnRef(fkey.dst_table, fkey.dst_column),
-                        right=ColumnRef(fkey.src_table, fkey.src_column),
-                    )
-                return JoinEdge(
-                    table=right_table,
-                    left=ColumnRef(fkey.src_table, fkey.src_column),
-                    right=ColumnRef(fkey.dst_table, fkey.dst_column),
-                )
-        # No key metadata: guess by shared column names.
-        right = self.ctx.schema.table(right_table)
-        for left_table in left_tables:
-            left = self.ctx.schema.table(left_table)
-            for column in left.columns:
-                if right.has_column(column.name):
-                    return JoinEdge(
-                        table=right_table,
-                        left=ColumnRef(left_table, column.name),
-                        right=ColumnRef(right_table, column.name),
-                    )
-        return None
-
-    def _fill_select_expr(self, expr: Expression) -> Expression | None:
-        if isinstance(expr, ColumnRef):
-            if expr.column == "*":
-                return ColumnRef(table="", column="*")
-            return self.map_column(expr, kind="any", role="select")
-        if isinstance(expr, Aggregation):
-            if expr.arg.column == "*":
-                return Aggregation(expr.func, ColumnRef("", "*"), expr.distinct)
-            func = expr.func
-            if func in ("avg", "max", "min", "sum"):
-                # Condition the aggregate on the question's wording.
-                func = self.ctx.question_cue(question_aggregate, func)
-            kind = "numeric" if func in ("sum", "avg", "max", "min") else "any"
-            arg = self.map_column(expr.arg, kind=kind, role="agg")
-            if arg is None and kind == "numeric":
-                arg = self.map_column(expr.arg, kind="any", role="agg")
-            if arg is None:
-                return None
-            return Aggregation(func, arg, expr.distinct)
-        if isinstance(expr, Literal):
-            return expr
-        return None
-
-    def _fill_order_expr(self, expr: Expression) -> Expression | None:
-        if isinstance(expr, ColumnRef):
-            return self.map_column(expr, kind="numeric", role="order") or self.map_column(
-                expr, kind="any", role="order"
-            )
-        if isinstance(expr, Aggregation):
-            return self._fill_select_expr(expr)
-        return None
-
-    def _fill_condition(self, cond: Condition) -> Condition | None:
-        if isinstance(cond, CompoundCondition):
-            filled = []
-            for sub in cond.conditions:
-                result = self._fill_condition(sub)
-                if result is None:
-                    return None
-                filled.append(result)
-            return CompoundCondition(op=cond.op, conditions=tuple(filled))
-        if isinstance(cond, BinaryCondition):
-            return self._fill_binary(cond)
-        if isinstance(cond, InCondition):
-            return self._fill_in(cond)
-        if isinstance(cond, BetweenCondition):
-            column = self.map_column(cond.expr, kind="numeric", role="filter")
-            if column is None:
-                return None
-            low = self.next_number(cond.low)
-            high = self.next_number(cond.high)
-            if isinstance(low.value, (int, float)) and isinstance(
-                high.value, (int, float)
-            ) and low.value > high.value:
-                low, high = high, low
-            return BetweenCondition(expr=column, low=low, high=high)
-        if isinstance(cond, LikeCondition):
-            column = self.map_column(cond.expr, kind="text", role="filter")
-            if column is None:
-                return None
-            pattern = cond.pattern
-            letter = self.ctx.question_letter
-            if letter is not None:
-                pattern = Literal(f"{letter}%")
-            else:
-                self.ungrounded += 1
-            return LikeCondition(expr=column, pattern=pattern, negated=cond.negated)
-        if isinstance(cond, NullCondition):
-            column = self.map_column(cond.expr, kind="any", role="filter")
-            if column is None:
-                return None
-            return NullCondition(expr=column, negated=cond.negated)
-        return None
-
-    def _fill_binary(self, cond: BinaryCondition) -> Condition | None:
-        if isinstance(cond.right, Query):
-            # Scalar subquery: map the inner query with the same filler.
-            if not isinstance(cond.left, ColumnRef):
-                return None
-            left = self.map_column(cond.left, kind="numeric", role="filter")
-            inner = self.fill(cond.right)
-            if left is None or inner is None:
-                return None
-            return BinaryCondition(left=left, op=cond.op, right=inner)
-        if isinstance(cond.left, Aggregation):
-            agg = self._fill_select_expr(cond.left)
-            if agg is None:
-                return None
-            right = cond.right
-            op = cond.op
-            if isinstance(right, Literal) and isinstance(right.value, (int, float)):
-                right = self.next_number(right)
-                if op in (">", "<", ">=", "<="):
-                    op = self.ctx.question_cue(question_comparison_op, op)
-            return BinaryCondition(left=agg, op=op, right=right)
-        if not isinstance(cond.left, ColumnRef):
-            return None
-        if isinstance(cond.right, Literal):
-            if isinstance(cond.right.value, str):
-                column, literal = self.bind_text_predicate(cond.left, cond.right)
-                if column is None:
-                    return None
-                return BinaryCondition(left=column, op=cond.op, right=literal)
-            column = self.map_column(cond.left, kind="numeric", role="filter")
-            if column is None:
-                return None
-            op = cond.op
-            if op in (">", "<", ">=", "<="):
-                op = self.ctx.question_cue(question_comparison_op, op)
-            return BinaryCondition(
-                left=column, op=op, right=self.next_number(cond.right)
-            )
-        if isinstance(cond.right, ColumnRef):
-            left = self.map_column(cond.left, kind="any", role="filter")
-            right = self.map_column(cond.right, kind="any", role="filter")
-            if left is None or right is None:
-                return None
-            return BinaryCondition(left=left, op=cond.op, right=right)
-        return None
-
-    def _fill_in(self, cond: InCondition) -> Condition | None:
-        if cond.subquery is not None:
-            column = self.map_column(cond.expr, kind="any", role="filter")
-            inner = self.fill(cond.subquery)
-            if column is None or inner is None:
-                return None
-            return InCondition(
-                expr=column, subquery=inner, negated=cond.negated
-            )
-        values: list[Literal] = []
-        column: ColumnRef | None = None
-        for value in cond.values:
-            if isinstance(value.value, str):
-                bound_col, literal = self.bind_text_predicate(cond.expr, value)
-                column = column or bound_col
-                values.append(literal)
-            else:
-                values.append(self.next_number(value))
-                column = column or self.map_column(
-                    cond.expr, kind="numeric", role="filter"
-                )
+    def slot(state: _Fill) -> str | None:
+        column = choose(state)
         if column is None:
             return None
-        return InCondition(expr=column, values=tuple(values), negated=cond.negated)
+        state.columns.append(column.key)
+        return column.text + rest(state, column)
+
+    return slot
+
+
+def _around(choose: Callable, inner: Callable, middle: str) -> Callable:
+    """``column <middle> subquery )``; the subquery fills even when no
+    column is chosen, as its choices count towards ``variant_matters``."""
+
+    def slot(state: _Fill) -> str | None:
+        column, text = choose(state), inner(state)
+        if column is None or text is None:
+            return None
+        state.columns.append(column.key)
+        return f"{column.text}{middle}{text} )"
+
+    return slot
+
+
+def _text_of(piece) -> Callable:
+    """``piece`` as a slot: a fixed text becomes a slot always giving it."""
+    return piece if callable(piece) else (lambda state: piece)
+
+
+def _escaped(text: str, rounds: int = 1) -> str:
+    """``text`` as a literal through ``rounds`` of ``str.format``."""
+    if "{" in text or "}" in text:
+        for _ in range(rounds):
+            text = text.replace("{", "{{").replace("}", "}}")
+    return text
+
+
+def _nothing(state: _Fill, column: _Col) -> str:
+    return ""
+
+
+class FillPlan:
+    """A template compiled for one dialect: its slots, in fill order,
+    with the dialect text between them rendered once.
+
+    :meth:`bind` resolves what a table assignment fixes (FROM/JOIN
+    text, join columns, LIMIT text); a fill then only chooses columns
+    and literals.  A template node no fill gets past (an aggregate
+    compared with a subquery, an ORDER BY literal, ...) makes a plan
+    that never fills.
+
+    Exactness: slots run in the order the AST filler visited the nodes
+    and make its choices from the same pools, so each fill's SQL,
+    ungrounded count and ``variant_matters`` are the ones that filler
+    gave serialized in the plan's dialect.  An assignment whose FROM or
+    joins do not map failed every variant there (such a failure does
+    not depend on the variant), so binding it gives no fill at all.
+    """
+
+    def __init__(self, template: Query, emitter: DialectEmitter):
+        self.emitter, self.dialect = emitter, emitter.name
+        #: Distinct template tables in appearance order (lower-cased).
+        self.tables = _template_tables(template)
+        first = template.select_items[0].expr if template.select_items else None
+        #: One COUNT projection and no GROUP BY (every fill keeps both).
+        self.bare_count = (
+            len(template.select_items) == 1
+            and isinstance(first, Aggregation)
+            and first.func == "count"
+            and not template.group_by
+        )
+        #: Per query level, top level first: (query, form, bound positions).
+        self._levels: list = []
+        self._fixed_columns: set[str] = set()
+        try:
+            self._fill = self._query(template, top=True)
+        except _Unfillable:
+            self._fill = None
+
+    def bind(self, table_map: dict[str, str], ctx: InstantiationContext) -> _Bound | None:
+        """The plan under ``table_map``, or None when it cannot fill:
+        every query level's FROM and joins map through ``table_map``
+        (a join may not repeat a table)."""
+        if self._fill is None:
+            return None
+        targets = dict(table_map)
+        if len(table_map) == 1:
+            # Unqualified columns belong to the template's only table.
+            targets[""] = next(iter(table_map.values()))
+        emitter, top_k = self.emitter, ctx.question_top_k
+        columns, forms = set(self._fixed_columns), []
+        for query, form, positions in self._levels:
+            first = targets.get(identifier_key(query.from_table)) or targets.get("")
+            if first is None:
+                return None
+            joined, sources = [first], [emitter.quote(first)]
+            for edge in query.joins:
+                right = targets.get(identifier_key(edge.table))
+                if right is None or right in joined:
+                    return None
+                join = ctx.join(joined, right)
+                if join is None:
+                    return None
+                sources.append(emitter.render_join(join))
+                columns.update((join.left.key(), join.right.key()))
+                joined.append(right)
+            head = tail = ""
+            if query.limit is not None:
+                head, tail = emitter.render_limit(query.limit if top_k is None else top_k)
+            fixed = (f" {head}" if head else "", " ".join(sources), f" {tail}" if tail else "")
+            forms.append(form.format(*(
+                "{}" if position is None else _escaped(fixed[position])
+                for position in positions
+            )))
+        # The top level's FROM and joins use every assigned table, each
+        # once; subqueries use some of them again.
+        tables = frozenset(map(identifier_key, table_map.values()))
+        return _Bound(targets, tuple(forms), frozenset(columns), tables, ctx.pools(emitter))
+
+    def fill(self, bound: _Bound, ctx: InstantiationContext, variant: int):
+        """(candidate or None, whether ``variant + 1`` could fill differently)."""
+        state = _Fill(ctx, self.emitter, bound, variant)
+        sql = self._fill(state)
+        if sql is None:
+            return None, state.variant_matters
+        bindings, projected = tuple(state.bindings), state.projected
+        return FilledCandidate(
+            sql,
+            state.ungrounded,
+            self.dialect,
+            bound.columns.union(state.columns),
+            bound.tables,
+            bindings,
+            bool(projected) and any(key in projected for key, _ in bindings),
+            self.bare_count,
+        ), state.variant_matters
+
+    # -- compilation: one method per template node kind -------------------------
+
+    def _query(self, query: Query, top: bool = False) -> Callable:
+        level = len(self._levels)
+        self._levels.append(None)
+        pieces, positions, slots = [], [], []
+
+        def add(piece) -> None:
+            if isinstance(piece, str):
+                pieces.append(_escaped(piece, rounds=2))
+                return
+            pieces.append("{}")
+            positions.append(piece if isinstance(piece, int) else None)
+            if callable(piece):
+                slots.append(piece)
+
+        add("SELECT DISTINCT" if query.distinct else "SELECT")
+        if query.limit is not None:
+            add(_HEAD)
+        for number, item in enumerate(query.select_items):
+            add(", " if number else " ")
+            add(self._expr(item.expr, projected=top))
+        add(" FROM ")
+        add(_FROM)
+        if query.where is not None:
+            add(" WHERE ")
+            add(self._condition(query.where, binds=top))
+        if query.group_by:
+            add(" GROUP BY ")
+            add(self._group(query))
+        if query.having is not None:
+            add(" HAVING ")
+            add(self._condition(query.having, binds=False))
+        for number, item in enumerate(query.order_by):
+            add(", " if number else " ORDER BY ")
+            add(self._order(item))
+        if query.limit is not None:
+            add(_TAIL)
+        self._levels[level] = (query, "".join(pieces), tuple(positions))
+
+        def fill(state: _Fill) -> str | None:
+            texts = []
+            for slot in slots:
+                text = slot(state)
+                if text is None:
+                    return None
+                texts.append(text)
+            return state.forms[level].format(*texts)
+
+        return fill
+
+    def _expr(self, expr, projected: bool = False):
+        """A select item, or an aggregate anywhere: its fixed text or slot."""
+        if isinstance(expr, Literal):
+            return expr.render()
+        if isinstance(expr, ColumnRef):
+            if expr.column == "*":
+                return self.emitter.render_column(ColumnRef("", "*"))
+
+            def project(state: _Fill, column: _Col) -> str:
+                if projected:
+                    state.projected.append(column.key)
+                return ""
+
+            return _on_column(_chooser(expr, "any", "select"), project)
+        if not isinstance(expr, Aggregation):
+            raise _Unfillable
+        if expr.arg.column == "*":
+            star = Aggregation(expr.func, ColumnRef("", "*"), expr.distinct)
+            return self.emitter.render_expression(star)
+        # Condition the aggregate on the question's wording.
+        cued = expr.func in ("avg", "max", "min", "sum")
+        choose = _chooser(expr.arg, "numeric", "agg", "any") if cued else _chooser(
+            expr.arg, "any", "agg"
+        )
+        distinct = "DISTINCT " if expr.distinct else ""
+
+        def aggregate(state: _Fill) -> str | None:
+            func = state.ctx.question_cue(question_aggregate, expr.func) if cued else expr.func
+            column = choose(state)
+            if column is None:
+                return None
+            state.columns.append(column.key)
+            return f"{func.upper()}({distinct}{column.text})"
+
+        return aggregate
+
+    def _group(self, query: Query) -> Callable:
+        slots = [_slot(column, "any", "group") for column in query.group_by]
+        # GROUP BY must group by the non-aggregated projection when the
+        # template does — keep them aligned.
+        plain = [
+            item.expr.key() for item in query.select_items
+            if isinstance(item.expr, ColumnRef) and item.expr.column != "*"
+        ]
+        aligned = plain[0] if plain and len(slots) == 1 else None
+
+        def group(state: _Fill) -> str | None:
+            chosen = []
+            for slot in slots:
+                column = state.column(slot)
+                if column is None:
+                    return None
+                chosen.append(column)
+            if aligned is not None:
+                chosen = [state.chosen[aligned]]
+            state.columns.extend(column.key for column in chosen)
+            return ", ".join(column.text for column in chosen)
+
+        return group
+
+    def _order(self, item) -> Callable:
+        if isinstance(item.expr, ColumnRef):
+            expr = _on_column(_chooser(item.expr, "numeric", "order", "any"), _nothing)
+        elif isinstance(item.expr, Aggregation):
+            expr = _text_of(self._expr(item.expr))
+        else:
+            raise _Unfillable
+
+        def order(state: _Fill) -> str | None:
+            text = expr(state)
+            if text is None:
+                return None
+            descending = state.ctx.question_cue(question_order_direction, item.descending)
+            return text + (" DESC" if descending else " ASC")
+
+        return order
+
+    def _condition(self, cond, binds: bool) -> Callable:
+        """``cond``'s slot; with ``binds`` (the top level's WHERE) its
+        equality predicates count as bindings."""
+        if isinstance(cond, CompoundCondition):
+            parts = [
+                (self._condition(sub, binds), isinstance(sub, CompoundCondition))
+                for sub in cond.conditions
+            ]
+            joiner = f" {cond.op.upper()} "
+
+            def compound(state: _Fill) -> str | None:
+                texts = []
+                for part, nested in parts:
+                    text = part(state)
+                    if text is None:
+                        return None
+                    texts.append(f"( {text} )" if nested else text)
+                return joiner.join(texts)
+
+            return compound
+        if isinstance(cond, BinaryCondition):
+            return self._binary(cond, binds)
+        if not isinstance(getattr(cond, "expr", None), ColumnRef):
+            raise _Unfillable
+        if isinstance(cond, InCondition):
+            return self._in(cond, binds)
+        if isinstance(cond, BetweenCondition):
+            low, high = _literal(cond.low), _literal(cond.high)
+
+            def between(state: _Fill, column: _Col) -> str:
+                first, second = state.number_literal(low), state.number_literal(high)
+                if isinstance(first[1], (int, float)) and isinstance(
+                    second[1], (int, float)
+                ) and first[1] > second[1]:
+                    first, second = second, first
+                return f" BETWEEN {first[0]} AND {second[0]}"
+
+            return _on_column(_chooser(cond.expr, "numeric", "filter"), between)
+        if isinstance(cond, LikeCondition):
+            keyword = " NOT LIKE " if cond.negated else " LIKE "
+            default = cond.pattern.render()
+
+            def like(state: _Fill, column: _Col) -> str:
+                letter = state.ctx.question_letter
+                if letter is None:
+                    state.ungrounded += 1
+                    return keyword + default
+                return keyword + Literal(f"{letter}%").render()
+
+            return _on_column(_chooser(cond.expr, "text", "filter"), like)
+        if isinstance(cond, NullCondition):
+            keyword = " IS NOT NULL" if cond.negated else " IS NULL"
+            return _on_column(
+                _chooser(cond.expr, "any", "filter"), lambda state, column: keyword
+            )
+        raise _Unfillable
+
+    def _binary(self, cond: BinaryCondition, binds: bool) -> Callable:
+        left, right, op = cond.left, cond.right, cond.op
+        render_operator = self.emitter.render_operator
+        bind = binds and op == "="
+        if isinstance(right, Query):
+            # Scalar subquery: filled in place by the same fill.
+            if not isinstance(left, ColumnRef):
+                raise _Unfillable
+            inner = self._query(right)
+            return _around(
+                _chooser(left, "numeric", "filter"), inner, f" {render_operator(op)} ( "
+            )
+
+        def compared(state: _Fill, default, column: _Col | None = None) -> str:
+            """`` op number``: the question's next number, its wording's operator."""
+            text, value = state.number_literal(default)
+            if bind and column is not None:
+                state.bindings.append((column.key, value))
+            if op in _COMPARISONS:
+                return f" {render_operator(state.ctx.question_cue(question_comparison_op, op))} {text}"
+            return f" {render_operator(op)} {text}"
+
+        if isinstance(left, Aggregation):
+            aggregate = _text_of(self._expr(left))
+            if isinstance(right, Literal) and isinstance(right.value, (int, float)):
+                default = _literal(right)
+                rest = lambda state: compared(state, default)  # noqa: E731
+            else:
+                if isinstance(right, Aggregation):
+                    right = right.arg
+                if isinstance(right, ColumnRef) and right.column != "*":
+                    self._fixed_columns.add(right.key())
+                fixed = f" {render_operator(op)} {self.emitter.render_expression(cond.right)}"
+                rest = lambda state: fixed  # noqa: E731
+
+            def having(state: _Fill) -> str | None:
+                text = aggregate(state)
+                return None if text is None else text + rest(state)
+
+            return having
+        if not isinstance(left, ColumnRef):
+            raise _Unfillable
+        if isinstance(right, Literal) and not isinstance(right.value, str):
+            default = _literal(right)
+            return _on_column(
+                _chooser(left, "numeric", "filter"),
+                lambda state, column: compared(state, default, column),
+            )
+        if isinstance(right, Literal):
+            slot, default = _slot(left, "text", "filter"), _literal(right)
+            middle = f" {render_operator(op)} "
+
+            def text_equality(state: _Fill) -> str | None:
+                column, literal = state.text_binding(slot, default)
+                if column is None:
+                    return None
+                state.columns.append(column.key)
+                if bind:
+                    state.bindings.append((column.key, literal[1]))
+                return column.text + middle + literal[0]
+
+            return text_equality
+        if not isinstance(right, ColumnRef):
+            raise _Unfillable
+        first, second = _chooser(left, "any", "filter"), _chooser(right, "any", "filter")
+        middle = f" {render_operator(op)} "
+
+        def columns(state: _Fill) -> str | None:
+            one, other = first(state), second(state)
+            if one is None or other is None:
+                return None
+            state.columns.extend((one.key, other.key))
+            return one.text + middle + other.text
+
+        return columns
+
+    def _in(self, cond: InCondition, binds: bool) -> Callable:
+        keyword = " NOT IN ( " if cond.negated else " IN ( "
+        if cond.subquery is not None:
+            inner = self._query(cond.subquery)
+            return _around(_chooser(cond.expr, "any", "filter"), inner, keyword)
+        text_slot = _slot(cond.expr, "text", "filter")
+        number = _chooser(cond.expr, "numeric", "filter")
+        values = [(isinstance(v.value, str), _literal(v)) for v in cond.values]
+
+        def in_values(state: _Fill) -> str | None:
+            column, literals = None, []
+            for is_text, default in values:
+                if is_text:
+                    bound, literal = state.text_binding(text_slot, default)
+                    column = column or bound
+                else:
+                    literal = state.number_literal(default)
+                    column = column or number(state)
+                literals.append(literal)
+            if column is None:
+                return None
+            state.columns.append(column.key)
+            if binds:
+                state.bindings.extend((column.key, value) for _, value in literals)
+            return column.text + keyword + ", ".join(t for t, _ in literals) + " )"
+
+        return in_values
+
+
+class PlannedTemplate:
+    """A template query with its fill plans, one per dialect, each
+    compiled on first use, and its structure profile."""
+
+    __slots__ = ("query", "_plans", "_profile")
+
+    def __init__(self, query: Query):
+        self.query = query
+        self._plans: dict[DialectEmitter, FillPlan] = {}
+        self._profile: StructureProfile | None = None
+
+    @property
+    def profile(self) -> StructureProfile:
+        """:func:`profile_query` of the template, computed on first read."""
+        if self._profile is None:
+            self._profile = profile_query(self.query)
+        return self._profile
+
+    def plan(self, emitter: DialectEmitter) -> FillPlan:
+        plan = self._plans.get(emitter)
+        if plan is None:
+            plan = self._plans[emitter] = FillPlan(self.query, emitter)
+        return plan
 
 
 def _template_tables(template: Query) -> list[str]:
     """Distinct template tables in appearance order."""
-    tables = [template.from_table.lower()]
+    tables = [identifier_key(template.from_table)]
     for edge in template.joins:
-        if edge.table.lower() not in tables:
-            tables.append(edge.table.lower())
+        if identifier_key(edge.table) not in tables:
+            tables.append(identifier_key(edge.table))
     return tables
 
 
-def _table_assignments(
-    ctx: InstantiationContext, template_tables: list[str]
-) -> list[dict[str, str]]:
-    ranked = ctx.ranked_tables
-    if not ranked:
-        return []
-    depth = max(1, ctx.slot_depth)
-    if len(template_tables) == 1:
-        return [
-            {template_tables[0]: table} for table in ranked[:depth]
-        ]
-    # Multi-table templates: prefer pairs connected by a join path.
-    assignments: list[dict[str, str]] = []
-    pool = ranked[: depth + 2]
-    for first in pool:
-        for second in pool:
-            if first == second:
-                continue
-            has_fk = ctx.schema.join_edge(first, second) is not None
-            if ctx.schema.foreign_keys and not has_fk:
-                continue
-            mapping = {template_tables[0]: first, template_tables[1]: second}
-            for extra in template_tables[2:]:
-                candidates = [t for t in pool if t not in mapping.values()]
-                if not candidates:
-                    break
-                mapping[extra] = candidates[0]
-            if len(mapping) == len(template_tables):
-                assignments.append(mapping)
-            if len(assignments) >= depth * 2:
-                return assignments
-    if not assignments and not ctx.schema.foreign_keys:
-        # Without key metadata fall back to the naive top pairing.
-        if len(pool) >= len(template_tables):
-            assignments.append(dict(zip(template_tables, pool)))
-    return assignments
+class FilledCandidate(NamedTuple):
+    """One instantiated candidate: its SQL, its grounding diagnostics and
+    the feature inputs its slot choices imply."""
 
-
-@dataclass(frozen=True)
-class FilledCandidate:
-    """One instantiated candidate, its SQL, and its grounding diagnostics."""
-
-    query: Query
     sql: str
     ungrounded_literals: int
+    #: The dialect ``sql`` is written in.
+    dialect: str = "sqlite"
+    #: Lower-cased ``table.column`` keys and tables the SQL references.
+    columns: frozenset[str] = frozenset()
+    tables: frozenset[str] = frozenset()
+    #: (column key, value) of each equality/IN predicate of the WHERE.
+    bindings: tuple[tuple[str, object], ...] = ()
+    #: A projected column is also equality-filtered.
+    overlap: bool = False
+    #: One COUNT projection and no GROUP BY.
+    bare_count: bool = False
+
+    @property
+    def query(self) -> Query:
+        """The SQL's parse tree, parsed when read: no fill builds one."""
+        return parse_dialect_sql(self.sql, self.dialect)
 
 
-def iter_fills(
-    template: Query,
-    ctx: InstantiationContext,
-    serialize: Callable[[Query], str] = SQLITE_EMITTER.serialize,
-) -> Iterator[FilledCandidate]:
-    """The candidate instantiations of ``template``, one fill at a time.
+def iter_fills(plan: FillPlan, ctx: InstantiationContext) -> Iterator[FilledCandidate]:
+    """The candidate instantiations of ``plan``'s template, one fill at a time.
 
     Yields up to ``slot_depth * assignments`` candidates, deduplicated
     case-insensitively on their SQL, best-ranked table assignments
     first, each assignment's fills as :func:`assignment_fills` makes
     them.  Each fill happens only when the next candidate is asked for,
-    so a caller that stops early skips the rest of the work.
-    ``serialize`` renders each fill exactly once (pass the backend
-    emitter's ``serialize`` to get SQL in its dialect).
+    so a caller that stops early skips the rest of the work.  The SQL
+    is in the plan's dialect.
     """
     seen: set[str] = set()
-    for table_map in _table_assignments(ctx, _template_tables(template)):
-        for candidate in assignment_fills(template, table_map, ctx, serialize):
+    for table_map in ctx.table_assignments(plan.tables):
+        for candidate in assignment_fills(plan, table_map, ctx):
             key = candidate.sql.lower()
             if key not in seen:
                 seen.add(key)
@@ -728,42 +720,39 @@ def iter_fills(
 
 
 def assignment_fills(
-    template: Query,
-    table_map: dict[str, str],
-    ctx: InstantiationContext,
-    serialize: Callable[[Query], str],
+    plan: FillPlan, table_map: dict[str, str], ctx: InstantiationContext
 ) -> Iterator[FilledCandidate]:
-    """``template``'s fills under one table assignment: ``variant`` 0,
-    1, ... in turn, not deduplicated.
+    """``plan``'s fills under one table assignment: ``variant`` 0, 1, ...
+    in turn, not deduplicated.
 
     Every fill uses exactly the tables ``table_map`` assigns: FROM and
     each join map through it (a join may not repeat a table), subqueries
-    map through the same filler, and compound arms are dropped.
+    map through the same fill, and compound arms are dropped.  An
+    assignment whose FROM or joins do not map gives no fill.
 
     Variant early exit: ``variant`` only picks a select slot's column,
     so once a fill (finished or abandoned) read no select pool with a
     column left past its pick, every later variant would make the same
-    choices in the same order and give the same query or the same
-    ``None``.  Those variants are skipped; the yielded sequence is the
-    one filling every variant would give, less repeats.
+    choices in the same order and give the same SQL or nothing.  Those
+    variants are skipped; the yielded sequence is the one filling every
+    variant would give, less repeats.
     """
+    bound = plan.bind(table_map, ctx)
+    if bound is None:
+        return
     for variant in range(max(1, ctx.slot_depth)):
-        filler = _Filler(ctx, table_map, variant)
-        filled = filler.fill(template)
-        if filled is not None:
-            yield FilledCandidate(
-                query=filled,
-                sql=serialize(filled),
-                ungrounded_literals=filler.ungrounded,
-            )
-        if not filler.variant_matters:
+        candidate, variant_matters = plan.fill(bound, ctx, variant)
+        if candidate is not None:
+            yield candidate
+        if not variant_matters:
             break
 
 
 def instantiate_template(
     template: Query,
     ctx: InstantiationContext,
-    serialize: Callable[[Query], str] = SQLITE_EMITTER.serialize,
+    emitter: DialectEmitter = SQLITE_EMITTER,
 ) -> list[FilledCandidate]:
-    """All candidate instantiations of ``template``: ``list(iter_fills(...))``."""
-    return list(iter_fills(template, ctx, serialize))
+    """All candidate instantiations of ``template``, in ``emitter``'s
+    dialect: ``list(iter_fills(FillPlan(template, emitter), ctx))``."""
+    return list(iter_fills(FillPlan(template, emitter), ctx))

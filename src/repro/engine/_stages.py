@@ -42,8 +42,8 @@ an earlier stage is itself an input.
 
 ``value_retrieve`` runs before ``schema_link`` because the §6.1 schema
 filter *consumes* the §6.2 matched values (Algorithm 1 does the same);
-the prompt text is serialized last because it depends on the filtered
-schema but nothing downstream depends on the text itself.
+the prompt text depends on the filtered schema but nothing downstream
+depends on the text itself, so it is serialized only when read.
 
 The stage bodies are line-for-line ports of the pre-refactor
 ``CodeSParser.generate`` monolith; the golden parity suite
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable
 
@@ -72,12 +73,8 @@ from repro.core.ranking import (
     score_fill,
 )
 from repro.core.retriever import TemplateIndex
-from repro.core.slotfill import (
-    InstantiationContext,
-    _table_assignments,
-    _template_tables,
-    assignment_fills,
-)
+from repro.core.fillcontext import InstantiationContext
+from repro.core.slotfill import assignment_fills
 from repro.core.structure import cue_structure_prior, question_cues
 from repro.db.backends.base import backend_dialect
 from repro.engine.context import InferenceContext
@@ -101,6 +98,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.parser import CodeSParser
     from repro.linking.classifier import SchemaItemClassifier
     from repro.sqlgen.ast import Query
+    from repro.sqlgen.dialects import DialectEmitter
 
 
 @dataclass(frozen=True)
@@ -279,7 +277,11 @@ class SchemaLinkStage(_ParserStage):
 
 
 class PromptBuildStage(_ParserStage):
-    """Serialize the database prompt (§6.3) and seed slot filling."""
+    """Assemble the database prompt (§6.3) and seed slot filling.
+
+    The prompt text is serialized when first read
+    (:attr:`DatabasePrompt.text`); no later stage reads it.
+    """
 
     name = "prompt_build"
     reads = ("question", "builder", "filtered", "matched", "schema", "scores")
@@ -287,13 +289,13 @@ class PromptBuildStage(_ParserStage):
 
     def run(self, ctx: InferenceContext) -> None:
         parser = self.parser
-        text = ctx.builder.serialize_prompt(ctx.filtered.schema, ctx.matched)
+        matched = tuple(ctx.matched)
         ctx.prompt = DatabasePrompt(
-            text=text,
             schema=ctx.schema,
-            matched_values=tuple(ctx.matched),
+            matched_values=matched,
             kept_tables=ctx.filtered.kept_tables,
             options=parser.options,
+            render=partial(ctx.builder.serialize_prompt, ctx.filtered.schema, matched),
         )
         representative = None
         if parser.options.include_representative_values:
@@ -368,15 +370,15 @@ class CandidateGenStage(_ParserStage):
                 (entry, sim if entry.skeleton in known else 0.35 * sim)
                 for entry, sim in retrieved
             ]
-        templates = [(entry.template, sim) for entry, sim in retrieved]
+        templates = [(entry.plans, sim) for entry, sim in retrieved]
         best_sim = max((sim for _, sim in templates), default=0.0)
         if templates and best_sim >= 0.45:
             bank_quota = max(1, parser.config.slot_depth)
         else:
             bank_quota = max(12, 6 * parser.config.slot_depth)
         cues = question_cues(ctx.question)
-        for template in parser._skeleton_bank[:bank_quota]:
-            prior = cue_structure_prior(cues, template)
+        for template in parser._skeleton_plans[:bank_quota]:
+            prior = cue_structure_prior(cues, template.profile)
             templates.append((template, 0.35 * prior))
         ctx.templates = templates
 
@@ -384,7 +386,7 @@ class CandidateGenStage(_ParserStage):
         # downstream consumer (lint, dedup, execution) sees SQL the
         # backend actually accepts.  On the default SQLite backend this
         # is byte-identical to the historical serializer.
-        serialize = emitter_for(backend_dialect(ctx.database)).serialize
+        emitter = emitter_for(backend_dialect(ctx.database))
         lm_memo = _sql_memos(ctx, parser)["lm"]
         facts = RequestFacts.of(
             ctx.question,
@@ -393,19 +395,22 @@ class CandidateGenStage(_ParserStage):
             lambda sql: lm_memo.get(sql, parser.router.score, sql),
         )
         ctx.raw_candidates = _fill_and_score(
-            templates, ctx.inst_ctx, serialize, facts, parser.config.beam_size
+            templates, ctx.inst_ctx, emitter, facts, parser.config.beam_size
         )
 
 
 def _fill_and_score(
     templates: list,
     inst_ctx: InstantiationContext,
-    serialize: "Callable[[Query], str]",
+    emitter: "DialectEmitter",
     facts: RequestFacts,
     beam_size: int,
 ) -> list[tuple[str, float]]:
     """(sql, score) of each distinct fill that could still reach the
     beam when it was made, in fill order, stopping once none can.
+
+    ``templates`` are (:class:`PlannedTemplate`, similarity) pairs; each
+    fills through its plan for ``emitter``'s dialect.
 
     Table assignments are walked here, not through ``iter_fills``, so
     that a whole assignment is skipped once the beam's floor reaches
@@ -428,39 +433,36 @@ def _fill_and_score(
     seen: set[str] = set()
 
     def settled(index: int) -> bool:
-        """No fill of ``templates[index:]`` can enter the beam any more."""
+        """No fill of ``templates[index:]`` can enter the beam any more
+        (nor, as ``reach`` only falls and the floor only rises, of any
+        later slice)."""
         return len(best) == beam_size and best[0] >= reach[index]
-
-    def fills(index: int):
-        """templates[index]'s (fill, ranges), less beaten assignments."""
-        template, sim = templates[index]
-        for table_map in _table_assignments(inst_ctx, _template_tables(template)):
-            tables = frozenset(map(identifier_key, table_map.values()))
-            ranges = feature_ranges(facts, sim, tables, best_sim[index])
-            if len(best) == beam_size and best[0] >= score_ceiling(ranges):
-                continue
-            for fill in assignment_fills(template, table_map, inst_ctx, serialize):
-                yield fill, ranges
 
     for index, (template, sim) in enumerate(templates):
         if settled(index):
             break
-        for fill, ranges in fills(index):
-            key = fill.sql.lower()
-            if key in seen:
+        plan = template.plan(emitter)
+        for table_map in inst_ctx.table_assignments(plan.tables):
+            tables = frozenset(map(identifier_key, table_map.values()))
+            ranges = feature_ranges(facts, sim, tables, best_sim[index])
+            if len(best) == beam_size and best[0] >= score_ceiling(ranges):
                 continue
-            seen.add(key)
-            floor = best[0] if len(best) == beam_size else None
-            score = score_fill(fill, sim, facts, ranges, floor)
-            if score is None:
-                continue
-            scored.append((fill.sql, score))
-            if floor is None:
-                heapq.heappush(best, score)
-            elif score > floor:
-                heapq.heapreplace(best, score)
-            if settled(index):
-                break
+            for fill in assignment_fills(plan, table_map, inst_ctx):
+                key = fill.sql.lower()
+                if key in seen:
+                    continue
+                seen.add(key)
+                floor = best[0] if len(best) == beam_size else None
+                score = score_fill(fill, sim, facts, ranges, floor)
+                if score is None:
+                    continue
+                scored.append((fill.sql, score))
+                if floor is None:
+                    heapq.heappush(best, score)
+                elif score > floor:
+                    heapq.heapreplace(best, score)
+                if settled(index):
+                    return scored
     return scored
 
 

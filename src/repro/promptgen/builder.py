@@ -15,7 +15,9 @@ types) before hard truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable
 
 from repro.db.backends.sqlite import Database
 from repro.db.schema import Schema
@@ -32,14 +34,20 @@ class DatabasePrompt:
 
     ``schema`` is the *effective* schema view downstream consumers see:
     when keys or comments are ablated away, they are removed here too,
-    not just from the serialized text.
+    not just from the serialized text.  The text itself is serialized
+    by ``render`` on its first read: generation never reads it.
     """
 
-    text: str
     schema: Schema
     matched_values: tuple[MatchedValue, ...]
     kept_tables: tuple[str, ...]
     options: PromptOptions = PromptOptions()
+    render: Callable[[], str] = field(default=str, repr=False, compare=False)
+
+    @cached_property
+    def text(self) -> str:
+        """The serialized prompt (§6.3, Figure 4)."""
+        return self.render()
 
 
 def apply_schema_ablations(schema: Schema, options: PromptOptions) -> Schema:
@@ -124,14 +132,12 @@ class PromptBuilder:
         filtered = self.filter_schema(
             linking_question, matched, gold_sql=gold_sql, question=question
         )
-        text = self.serialize_prompt(filtered.schema, matched)
-        effective_schema = apply_schema_ablations(filtered.schema, self.options)
         return DatabasePrompt(
-            text=text,
-            schema=effective_schema,
+            schema=apply_schema_ablations(filtered.schema, self.options),
             matched_values=tuple(matched),
             kept_tables=filtered.kept_tables,
             options=self.options,
+            render=partial(self.serialize_prompt, filtered.schema, matched),
         )
 
     def retrieve_values(self, question: str) -> list[MatchedValue]:

@@ -32,6 +32,7 @@ from repro.sqlgen.ast import (
     Condition,
     Expression,
     InCondition,
+    JoinEdge,
     LikeCondition,
     Literal,
     NullCondition,
@@ -92,6 +93,24 @@ class DialectEmitter:
         """Map the AST's canonical comparison spelling to the dialect's."""
         return self.inequality if op == "!=" else op
 
+    def render_join(self, edge: JoinEdge) -> str:
+        return (
+            f"JOIN {self.quote(edge.table)} ON "
+            f"{self.render_column(edge.left)} = {self.render_column(edge.right)}"
+        )
+
+    def render_limit(self, limit: int) -> tuple[str, str]:
+        """A row limit as (head, tail): the text after ``SELECT
+        [DISTINCT]`` and the text ending the query ("" where the
+        dialect's style puts nothing)."""
+        if self.limit_style == "limit":
+            return "", f"LIMIT {limit}"
+        if self.limit_style == "fetch_first":
+            return "", f"FETCH FIRST {limit} ROWS ONLY"
+        if self.limit_style == "top":
+            return f"TOP {limit}", ""
+        raise ValueError(f"unknown limit_style: {self.limit_style!r}")
+
     # -- query rendering ----------------------------------------------------
 
     def serialize(self, query: Query) -> str:
@@ -108,8 +127,9 @@ class DialectEmitter:
         pieces: list[str] = ["SELECT"]
         if query.distinct:
             pieces.append("DISTINCT")
-        if query.limit is not None and self.limit_style == "top":
-            pieces.append(f"TOP {query.limit}")
+        head, tail = ("", "") if query.limit is None else self.render_limit(query.limit)
+        if head:
+            pieces.append(head)
         select_parts = []
         for item in query.select_items:
             text = self.render_expression(item.expr)
@@ -119,11 +139,7 @@ class DialectEmitter:
         pieces.append(", ".join(select_parts))
         pieces.append("FROM")
         pieces.append(self.quote(query.from_table))
-        for edge in query.joins:
-            pieces.append(
-                f"JOIN {self.quote(edge.table)} ON "
-                f"{self.render_column(edge.left)} = {self.render_column(edge.right)}"
-            )
+        pieces.extend(self.render_join(edge) for edge in query.joins)
         if query.where is not None:
             pieces.append("WHERE")
             pieces.append(self.serialize_condition(query.where))
@@ -140,13 +156,8 @@ class DialectEmitter:
                 direction = " DESC" if item.descending else " ASC"
                 order_parts.append(self.render_expression(item.expr) + direction)
             pieces.append(", ".join(order_parts))
-        if query.limit is not None:
-            if self.limit_style == "limit":
-                pieces.append(f"LIMIT {query.limit}")
-            elif self.limit_style == "fetch_first":
-                pieces.append(f"FETCH FIRST {query.limit} ROWS ONLY")
-            elif self.limit_style != "top":
-                raise ValueError(f"unknown limit_style: {self.limit_style!r}")
+        if tail:
+            pieces.append(tail)
         return " ".join(pieces)
 
     def serialize_condition(self, cond: Condition, parenthesize: bool = False) -> str:

@@ -21,7 +21,7 @@ import hashlib
 import numpy as np
 
 from repro.memo import Memo
-from repro.text.tokenize import character_ngrams, sentence_tokens
+from repro.text.tokenize import multi_order_ngrams, sentence_tokens
 
 #: Texts a :class:`MemoizedEmbedder` keeps embedded.
 MEMO_CAPACITY = 4096
@@ -80,9 +80,7 @@ class HashedNgramEmbedder:
     def _features(self, text: str) -> list[str]:
         if not text.strip():
             return []
-        feats: list[str] = []
-        for order in self.orders:
-            feats.extend(character_ngrams(text, order))
+        feats = multi_order_ngrams(text, self.orders)
         if self.use_words:
             feats.extend(f"w:{tok}" for tok in sentence_tokens(text))
         return feats

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+(?:\.\d+)?|'[^']*'|\"[^\"]*\"|\S")
 _CAMEL_RE = re.compile(r"(?<=[a-z0-9])(?=[A-Z])")
@@ -70,9 +71,19 @@ def character_ngrams(text: str, order: int) -> list[str]:
     Padding with ``#`` marks word boundaries, which makes short words
     distinguishable from substrings of longer words.
     """
-    if order <= 0:
-        raise ValueError(f"n-gram order must be positive, got {order}")
+    return multi_order_ngrams(text, (order,))
+
+
+def multi_order_ngrams(text: str, orders: Iterable[int]) -> list[str]:
+    """:func:`character_ngrams` of each of ``orders`` in turn, in one
+    list: the text is normalized and padded once for every order."""
     padded = f"#{normalize(text)}#"
-    if len(padded) < order:
-        return [padded]
-    return [padded[i:i + order] for i in range(len(padded) - order + 1)]
+    grams: list[str] = []
+    for order in orders:
+        if order <= 0:
+            raise ValueError(f"n-gram order must be positive, got {order}")
+        if len(padded) < order:
+            grams.append(padded)
+        else:
+            grams += [padded[i:i + order] for i in range(len(padded) - order + 1)]
+    return grams

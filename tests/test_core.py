@@ -8,13 +8,13 @@ import pytest
 
 from repro.config import get_model_config
 from repro.core import CodeSParser, DemonstrationRetriever
-from repro.core.slotfill import (
+from repro.core.fillcontext import (
     InstantiationContext,
-    instantiate_template,
     question_aggregate,
     question_comparison_op,
     question_order_direction,
 )
+from repro.core.slotfill import instantiate_template
 from repro.core.structure import question_cues, structure_prior
 from repro.datasets import build_spider
 from repro.datasets.base import Text2SQLExample

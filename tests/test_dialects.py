@@ -21,7 +21,8 @@ from repro import cli
 from repro.analysis import SchemaCatalog
 from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.diagnostics import DIALECT_CASE_FOLD
-from repro.core.slotfill import InstantiationContext, instantiate_template
+from repro.core.fillcontext import InstantiationContext
+from repro.core.slotfill import instantiate_template
 from repro.datasets import DATASET_BUILDERS, build_bank_financials
 from repro.db import Database
 from repro.db.backends import (
@@ -169,7 +170,7 @@ class TestSlotFillEmission:
                     candidate
                     for template in templates
                     for candidate in instantiate_template(
-                        template, ctx, serialize=emitter.serialize
+                        template, ctx, emitter=emitter
                     )
                 ]
                 for candidate in candidates:
@@ -534,3 +535,28 @@ class TestEngineOnColumnarBackend:
         backend = create_backend("columnar", database)
         result = parser.generate(dataset.dev[0].question, backend)
         assert backend.is_executable(result.sql)
+
+    def test_skeleton_tier_answers_in_the_backend_dialect(self):
+        """Under ``effort="skeleton"`` the degrade stage answers from the
+        skeleton bank: on the columnar backend in ANSI text (quoted
+        identifiers), the SQLite answer transpiled, and unchanged SQLite
+        text on SQLite."""
+        from repro.core import CodeSParser
+        from repro.eval.harness import pair_samples
+
+        dataset = DATASET_BUILDERS["spider"]()
+        parser = CodeSParser("codes-1b")
+        parser.fit(pair_samples(dataset))
+        checked = 0
+        for example in dataset.dev[:12]:
+            database = dataset.database_of(example)
+            plain = parser.generate(example.question, database, effort="skeleton")
+            ansi = parser.generate(
+                example.question, ColumnarBackend.from_database(database), effort="skeleton"
+            )
+            assert (plain.tier, ansi.tier) == ("skeleton", "skeleton")
+            assert '"' not in plain.sql
+            assert ansi.sql == transpile(plain.sql, "ansi")
+            assert ansi.sql != plain.sql
+            checked += 1
+        assert checked == 12

@@ -52,20 +52,43 @@ from repro.core.ranking import (
     score_ceiling,
     score_fill,
 )
-from repro.core.slotfill import FilledCandidate, iter_fills
+from repro.core.fillcontext import (
+    question_aggregate,
+    question_comparison_op,
+    question_order_direction,
+)
+from repro.core.slotfill import FilledCandidate, FillPlan, iter_fills
 from repro.datasets.base import Text2SQLExample
 from repro.datasets.spider import SpiderConfig
 from repro.db.backends.base import backend_dialect
 from repro.errors import GenerationError, ScoreRangeError, SQLSyntaxError
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.eval.reporting import format_stage_report
-from repro.core import ranking, slotfill
+from repro.core import fillcontext, ranking, slotfill
 from repro.linking.classifier import SchemaScores
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.memo import Memo
 from repro.reliability.clock import FakeClock
+from repro.retrieval.value_retriever import MatchedValue
 from repro.sqlgen import parser as sqlgen_parser
-from repro.sqlgen.ast import identifier_key
+from repro.sqlgen.ast import (
+    Aggregation,
+    BetweenCondition,
+    BinaryCondition,
+    ColumnRef,
+    CompoundCondition,
+    Condition,
+    Expression,
+    InCondition,
+    JoinEdge,
+    LikeCondition,
+    Literal,
+    NullCondition,
+    OrderItem,
+    Query,
+    SelectItem,
+    identifier_key,
+)
 from repro.sqlgen.dialects import emitter_for
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.parser import parse_sql
@@ -266,9 +289,10 @@ def test_repeat_questions_hit_the_per_database_cache(bank):
 
 
 def _count_candidate_gen_work(parser, monkeypatch) -> tuple[Counter, list]:
-    """Count, from here on: successful top-level fills, serializations
-    by the stage's emitter, LM-memo lookups, and column rankings (as
-    (scores, table) pairs)."""
+    """Count, from here on: successful fills (plan fills, and top-level
+    reference fills), fill texts made, AST serializations by the
+    stage's emitter, LM-memo lookups, and column rankings (as (scores,
+    table) pairs)."""
     counts: Counter = Counter()
 
     class CountingEmitter:
@@ -287,7 +311,22 @@ def _count_candidate_gen_work(parser, monkeypatch) -> tuple[Counter, list]:
         lambda dialect: CountingEmitter(emitter_for(dialect)),
     )
 
-    fill = slotfill._Filler.fill
+    plan_fill = FillPlan.fill
+
+    def counting_plan_fill(self, bound, ctx, variant):
+        candidate, variant_matters = plan_fill(self, bound, ctx, variant)
+        counts["fills"] += candidate is not None
+        return candidate, variant_matters
+
+    monkeypatch.setattr(FillPlan, "fill", counting_plan_fill)
+
+    def counting_candidate(*fields):
+        counts["texts"] += 1
+        return FilledCandidate(*fields)
+
+    monkeypatch.setattr(slotfill, "FilledCandidate", counting_candidate)
+
+    fill = _ReferenceFiller.fill
     depth = [0]
 
     def counting_fill(self, template):
@@ -300,7 +339,7 @@ def _count_candidate_gen_work(parser, monkeypatch) -> tuple[Counter, list]:
             counts["fills"] += 1
         return filled
 
-    monkeypatch.setattr(slotfill._Filler, "fill", counting_fill)
+    monkeypatch.setattr(_ReferenceFiller, "fill", counting_fill)
 
     memo_get = Memo.get
 
@@ -324,17 +363,19 @@ def _count_candidate_gen_work(parser, monkeypatch) -> tuple[Counter, list]:
 
 def _assert_request_invariant_work_once(counts: Counter, rankings: list) -> None:
     assert counts["fills"] > 0
-    assert counts["serialize"] == counts["fills"]
+    assert counts["texts"] == counts["fills"]
+    assert counts["serialize"] == 0
     per_table = Counter((id(scores), table) for scores, table in rankings)
     assert per_table and max(per_table.values()) == 1
 
 
 def test_candidate_gen_does_request_invariant_work_once(bank, monkeypatch):
-    """Each fill is serialized once; each table's columns are ranked once.
+    """Each fill makes its SQL text once, and no fill serializes an
+    AST; each table's columns are ranked once.
 
     Counts calls during one ``generate()`` on a golden-parity question,
-    so a return to per-slot recomputation or a second serialization of
-    every candidate fails here without any timing.
+    so a return to per-slot recomputation or to building and
+    serializing a query per candidate fails here without any timing.
     """
     parser, dataset, database = bank
     example = dataset.dev[0]
@@ -379,7 +420,7 @@ def test_question_cues_are_read_once_per_request(warm_spider_15b, monkeypatch):
         monkeypatch.setattr(slotfill, name, counting(name, getattr(slotfill, name)))
     for name in ("_TOPK_RE", "_LETTER_RE"):
         monkeypatch.setattr(
-            slotfill, name, CountingPattern(name, getattr(slotfill, name))
+            fillcontext, name, CountingPattern(name, getattr(fillcontext, name))
         )
     engine = parser.build_engine()
     seen: Counter = Counter()
@@ -456,6 +497,504 @@ def test_fit_parses_each_training_sql_once(warm_spider_15b, monkeypatch):
     assert parses == Counter(example.sql for example, _ in samples)
 
 
+# -- the reference filler: slot filling over ASTs, as before fill plans ------
+
+
+def _reference_column_pool(ctx, table_name: str, kind: str) -> tuple:
+    """``table_name``'s columns, best-ranked first, filtered by ``kind``."""
+    table = ctx.schema.table(table_name)
+    pool = tuple(
+        table.column(name)
+        for name in ctx.scores.top_columns(table_name, len(table.columns))
+    )
+    if ctx.use_types and kind in ("numeric", "text"):
+        types = ("INTEGER", "REAL") if kind == "numeric" else ("TEXT", "DATE")
+        pool = tuple(column for column in pool if column.type.upper() in types)
+    return pool
+
+
+class _ReferenceFiller:
+    """Fills one template under one (table assignment, variant) choice,
+    building the filled query's AST: the fill path fill plans replaced."""
+
+    def __init__(
+        self,
+        ctx: InstantiationContext,
+        table_map: dict[str, str],
+        variant: int,
+    ):
+        self.ctx = ctx
+        self.table_map = table_map
+        self.variant = variant
+        self._column_cache: dict[tuple[str, str], ColumnRef | None] = {}
+        self._numbers = list(ctx.question_numbers)
+        self._strings = list(ctx.question_strings)
+        self._available_values = list(ctx.matched_values)
+        self._used_columns: set[str] = set()
+        #: Literal slots that had to fall back to template/DB defaults
+        #: because nothing in the question grounded them.
+        self.ungrounded = 0
+        #: Whether some select slot picked by ``variant`` had a column
+        #: left past its pick, i.e. ``variant + 1`` would choose another.
+        self.variant_matters = False
+
+    # -- table / column mapping ----------------------------------------------
+
+    def _target_table(self, template_table: str) -> str | None:
+        if template_table:
+            return self.table_map.get(template_table.lower())
+        # Unqualified columns belong to the template's only table.
+        if len(self.table_map) == 1:
+            return next(iter(self.table_map.values()))
+        return None
+
+    def map_column(
+        self, template_col: ColumnRef, kind: str = "any", role: str = ""
+    ) -> ColumnRef | None:
+        """Assign a target column to a template column slot.
+
+        The cache is keyed by the template column alone so the same
+        template column always maps to the same target column, no
+        matter where it re-appears (SELECT vs WHERE vs ORDER BY).
+        """
+        cache_key = (template_col.key(), "")
+        if cache_key in self._column_cache:
+            return self._column_cache[cache_key]
+        table_name = self._target_table(template_col.table)
+        if table_name is None:
+            self._column_cache[cache_key] = None
+            return None
+        candidates = _reference_column_pool(self.ctx, table_name, kind)
+        # Projection/grouping/aggregation slots should avoid raw key columns.
+        if role in ("select", "group", "agg", "order") and len(candidates) > 1:
+            non_keys = [
+                c for c in candidates
+                if not c.is_primary and not c.name.lower().endswith("_id")
+            ]
+            if non_keys:
+                candidates = non_keys
+        if not candidates:
+            return None
+        # Spread distinct template slots across distinct target columns.
+        fresh = [c for c in candidates if f"{table_name}.{c.name.lower()}" not in
+                 self._used_columns]
+        pool = fresh or candidates
+        index = 0
+        if role == "select":
+            index = min(self.variant, len(pool) - 1)
+            self.variant_matters |= index < len(pool) - 1
+        chosen = pool[index]
+        ref = ColumnRef(table=table_name, column=chosen.name)
+        self._used_columns.add(f"{table_name}.{chosen.name.lower()}")
+        self._column_cache[cache_key] = ref
+        return ref
+
+    # -- literal binding -------------------------------------------------------
+
+    def next_number(self, fallback: Literal) -> Literal:
+        if self._numbers:
+            return Literal(self._numbers.pop(0))
+        self.ungrounded += 1
+        return fallback
+
+    def _pop_matched_value(self, table: str, column: str) -> MatchedValue | None:
+        target = ColumnRef(table, column).key()
+        table_key = identifier_key(table)
+        same_column = [
+            m for m in self._available_values
+            if ColumnRef(m.table, m.column).key() == target
+        ]
+        pool = same_column or [
+            m for m in self._available_values if identifier_key(m.table) == table_key
+        ]
+        if not pool:
+            return None
+        best = max(pool, key=lambda m: m.degree)
+        self._available_values.remove(best)
+        return best
+
+    def bind_text_predicate(
+        self, template_col: ColumnRef, fallback: Literal
+    ) -> tuple[ColumnRef | None, Literal]:
+        """Choose (column, value) for an equality predicate on text.
+
+        Retrieved values pin both the column and the stored surface
+        form; without them the question's spans fill the value slot.
+        """
+        table_name = self._target_table(template_col.table)
+        if table_name is None:
+            return None, fallback
+        # A matched value in the assigned table is the strongest signal.
+        preferred_col = self.map_column(template_col, kind="text", role="filter")
+        match = self._pop_matched_value(
+            table_name, preferred_col.column if preferred_col else ""
+        )
+        if match is not None:
+            return (
+                ColumnRef(table=match.table, column=match.column),
+                Literal(match.value),
+            )
+        if preferred_col is None:
+            return None, fallback
+        if self._strings:
+            surface = self._strings.pop(0)
+            repaired = self._repair_value_format(
+                surface, table_name, preferred_col.column
+            )
+            return preferred_col, Literal(repaired)
+        self.ungrounded += 1
+        if self.ctx.representative is not None:
+            values = self.ctx.representative(table_name, preferred_col.column)
+            values = [v for v in values if isinstance(v, str)]
+            if values:
+                return preferred_col, Literal(values[0])
+        return preferred_col, fallback
+
+    def _repair_value_format(self, surface: str, table: str, column: str) -> str:
+        """Align a question-surface value with the column's stored format.
+
+        The prompt's representative values (§6.3) show the model how the
+        column actually stores data; when a stored value *contains* the
+        question's mention ("Graz" -> "City of Graz", "F" -> "Female"),
+        the stored form is copied.  Semantic re-expressions with no
+        surface overlap ("approved" -> "granted") cannot be repaired —
+        the sparse-retrieval weakness the paper reports on Dr.Spider's
+        DBcontent-equivalence split.
+        """
+        from repro.retrieval.lcs import longest_common_substring
+
+        if self.ctx.representative is None or not surface:
+            return surface
+        stored_values = [
+            value
+            for value in self.ctx.representative(table, column)
+            if isinstance(value, str)
+        ]
+        if surface in stored_values:
+            return surface
+        best = None
+        best_containment = 0.0
+        for value in stored_values:
+            shared = longest_common_substring(surface, value)
+            containment = len(shared) / len(surface)
+            if containment > best_containment:
+                best_containment = containment
+                best = value
+        if best is not None and best_containment >= 0.8:
+            return best
+        return surface
+
+    # -- query construction ------------------------------------------------
+
+    def fill(self, template: Query) -> Query | None:
+        select_items = []
+        for item in template.select_items:
+            expr = self._fill_select_expr(item.expr)
+            if expr is None:
+                return None
+            select_items.append(SelectItem(expr=expr))
+        from_table = self._target_table(template.from_table) or self._target_table("")
+        if from_table is None:
+            return None
+
+        joins: list[JoinEdge] = []
+        joined_tables = [from_table]
+        for edge in template.joins:
+            right_table = self._target_table(edge.table)
+            if right_table is None or right_table in joined_tables:
+                return None
+            join = self._build_join(joined_tables, right_table)
+            if join is None:
+                return None
+            joins.append(join)
+            joined_tables.append(right_table)
+
+        where = None
+        if template.where is not None:
+            where = self._fill_condition(template.where)
+            if where is None:
+                return None
+        group_by = []
+        for col in template.group_by:
+            mapped = self.map_column(col, kind="any", role="group")
+            if mapped is None:
+                return None
+            group_by.append(mapped)
+        having = None
+        if template.having is not None:
+            having = self._fill_condition(template.having)
+            if having is None:
+                return None
+        order_by = []
+        for item in template.order_by:
+            expr = self._fill_order_expr(item.expr)
+            if expr is None:
+                return None
+            descending = self.ctx.question_cue(
+                question_order_direction, item.descending
+            )
+            order_by.append(OrderItem(expr=expr, descending=descending))
+
+        limit = template.limit
+        if limit is not None and self.ctx.question_top_k is not None:
+            limit = self.ctx.question_top_k
+
+        # GROUP BY must group by the non-aggregated projection when the
+        # template does — keep them aligned.
+        if group_by and select_items:
+            plain = [
+                item.expr for item in select_items
+                if isinstance(item.expr, ColumnRef) and item.expr.column != "*"
+            ]
+            if plain and len(group_by) == 1:
+                group_by = [plain[0]]
+
+        return Query(
+            select_items=tuple(select_items),
+            from_table=from_table,
+            joins=tuple(joins),
+            where=where,
+            group_by=tuple(group_by),
+            having=having,
+            order_by=tuple(order_by),
+            limit=limit,
+            distinct=template.distinct,
+        )
+
+    def _build_join(self, left_tables: list[str], right_table: str) -> JoinEdge | None:
+        for left_table in left_tables:
+            fkey = self.ctx.schema.join_edge(left_table, right_table)
+            if fkey is not None:
+                if identifier_key(fkey.src_table) == identifier_key(right_table):
+                    return JoinEdge(
+                        table=right_table,
+                        left=ColumnRef(fkey.dst_table, fkey.dst_column),
+                        right=ColumnRef(fkey.src_table, fkey.src_column),
+                    )
+                return JoinEdge(
+                    table=right_table,
+                    left=ColumnRef(fkey.src_table, fkey.src_column),
+                    right=ColumnRef(fkey.dst_table, fkey.dst_column),
+                )
+        # No key metadata: guess by shared column names.
+        right = self.ctx.schema.table(right_table)
+        for left_table in left_tables:
+            left = self.ctx.schema.table(left_table)
+            for column in left.columns:
+                if right.has_column(column.name):
+                    return JoinEdge(
+                        table=right_table,
+                        left=ColumnRef(left_table, column.name),
+                        right=ColumnRef(right_table, column.name),
+                    )
+        return None
+
+    def _fill_select_expr(self, expr: Expression) -> Expression | None:
+        if isinstance(expr, ColumnRef):
+            if expr.column == "*":
+                return ColumnRef(table="", column="*")
+            return self.map_column(expr, kind="any", role="select")
+        if isinstance(expr, Aggregation):
+            if expr.arg.column == "*":
+                return Aggregation(expr.func, ColumnRef("", "*"), expr.distinct)
+            func = expr.func
+            if func in ("avg", "max", "min", "sum"):
+                # Condition the aggregate on the question's wording.
+                func = self.ctx.question_cue(question_aggregate, func)
+            kind = "numeric" if func in ("sum", "avg", "max", "min") else "any"
+            arg = self.map_column(expr.arg, kind=kind, role="agg")
+            if arg is None and kind == "numeric":
+                arg = self.map_column(expr.arg, kind="any", role="agg")
+            if arg is None:
+                return None
+            return Aggregation(func, arg, expr.distinct)
+        if isinstance(expr, Literal):
+            return expr
+        return None
+
+    def _fill_order_expr(self, expr: Expression) -> Expression | None:
+        if isinstance(expr, ColumnRef):
+            return self.map_column(expr, kind="numeric", role="order") or self.map_column(
+                expr, kind="any", role="order"
+            )
+        if isinstance(expr, Aggregation):
+            return self._fill_select_expr(expr)
+        return None
+
+    def _fill_condition(self, cond: Condition) -> Condition | None:
+        if isinstance(cond, CompoundCondition):
+            filled = []
+            for sub in cond.conditions:
+                result = self._fill_condition(sub)
+                if result is None:
+                    return None
+                filled.append(result)
+            return CompoundCondition(op=cond.op, conditions=tuple(filled))
+        if isinstance(cond, BinaryCondition):
+            return self._fill_binary(cond)
+        if isinstance(cond, InCondition):
+            return self._fill_in(cond)
+        if isinstance(cond, BetweenCondition):
+            column = self.map_column(cond.expr, kind="numeric", role="filter")
+            if column is None:
+                return None
+            low = self.next_number(cond.low)
+            high = self.next_number(cond.high)
+            if isinstance(low.value, (int, float)) and isinstance(
+                high.value, (int, float)
+            ) and low.value > high.value:
+                low, high = high, low
+            return BetweenCondition(expr=column, low=low, high=high)
+        if isinstance(cond, LikeCondition):
+            column = self.map_column(cond.expr, kind="text", role="filter")
+            if column is None:
+                return None
+            pattern = cond.pattern
+            letter = self.ctx.question_letter
+            if letter is not None:
+                pattern = Literal(f"{letter}%")
+            else:
+                self.ungrounded += 1
+            return LikeCondition(expr=column, pattern=pattern, negated=cond.negated)
+        if isinstance(cond, NullCondition):
+            column = self.map_column(cond.expr, kind="any", role="filter")
+            if column is None:
+                return None
+            return NullCondition(expr=column, negated=cond.negated)
+        return None
+
+    def _fill_binary(self, cond: BinaryCondition) -> Condition | None:
+        if isinstance(cond.right, Query):
+            # Scalar subquery: map the inner query with the same filler.
+            if not isinstance(cond.left, ColumnRef):
+                return None
+            left = self.map_column(cond.left, kind="numeric", role="filter")
+            inner = self.fill(cond.right)
+            if left is None or inner is None:
+                return None
+            return BinaryCondition(left=left, op=cond.op, right=inner)
+        if isinstance(cond.left, Aggregation):
+            agg = self._fill_select_expr(cond.left)
+            if agg is None:
+                return None
+            right = cond.right
+            op = cond.op
+            if isinstance(right, Literal) and isinstance(right.value, (int, float)):
+                right = self.next_number(right)
+                if op in (">", "<", ">=", "<="):
+                    op = self.ctx.question_cue(question_comparison_op, op)
+            return BinaryCondition(left=agg, op=op, right=right)
+        if not isinstance(cond.left, ColumnRef):
+            return None
+        if isinstance(cond.right, Literal):
+            if isinstance(cond.right.value, str):
+                column, literal = self.bind_text_predicate(cond.left, cond.right)
+                if column is None:
+                    return None
+                return BinaryCondition(left=column, op=cond.op, right=literal)
+            column = self.map_column(cond.left, kind="numeric", role="filter")
+            if column is None:
+                return None
+            op = cond.op
+            if op in (">", "<", ">=", "<="):
+                op = self.ctx.question_cue(question_comparison_op, op)
+            return BinaryCondition(
+                left=column, op=op, right=self.next_number(cond.right)
+            )
+        if isinstance(cond.right, ColumnRef):
+            left = self.map_column(cond.left, kind="any", role="filter")
+            right = self.map_column(cond.right, kind="any", role="filter")
+            if left is None or right is None:
+                return None
+            return BinaryCondition(left=left, op=cond.op, right=right)
+        return None
+
+    def _fill_in(self, cond: InCondition) -> Condition | None:
+        if cond.subquery is not None:
+            column = self.map_column(cond.expr, kind="any", role="filter")
+            inner = self.fill(cond.subquery)
+            if column is None or inner is None:
+                return None
+            return InCondition(
+                expr=column, subquery=inner, negated=cond.negated
+            )
+        values: list[Literal] = []
+        column: ColumnRef | None = None
+        for value in cond.values:
+            if isinstance(value.value, str):
+                bound_col, literal = self.bind_text_predicate(cond.expr, value)
+                column = column or bound_col
+                values.append(literal)
+            else:
+                values.append(self.next_number(value))
+                column = column or self.map_column(
+                    cond.expr, kind="numeric", role="filter"
+                )
+        if column is None:
+            return None
+        return InCondition(expr=column, values=tuple(values), negated=cond.negated)
+
+
+def _reference_bindings(query: Query) -> list[tuple[str, object]]:
+    """(column key, literal value) pairs of the WHERE's equality/IN predicates."""
+    bindings: list[tuple[str, object]] = []
+
+    def visit(cond) -> None:
+        if isinstance(cond, BinaryCondition):
+            if (
+                cond.op == "="
+                and isinstance(cond.left, ColumnRef)
+                and isinstance(cond.right, Literal)
+            ):
+                bindings.append((cond.left.key(), cond.right.value))
+        elif isinstance(cond, InCondition):
+            if isinstance(cond.expr, ColumnRef):
+                for value in cond.values:
+                    bindings.append((cond.expr.key(), value.value))
+        elif isinstance(cond, CompoundCondition):
+            for sub in cond.conditions:
+                visit(sub)
+
+    if query.where is not None:
+        visit(query.where)
+    return bindings
+
+
+def _reference_candidate(query: Query, sql: str, ungrounded: int, dialect: str):
+    """A FilledCandidate whose feature inputs come from walking ``query``."""
+    bindings = _reference_bindings(query)
+    projected = {
+        item.expr.key()
+        for item in query.select_items
+        if isinstance(item.expr, ColumnRef) and item.expr.column != "*"
+    }
+    first = query.select_items[0].expr
+    return FilledCandidate(
+        sql,
+        ungrounded,
+        dialect,
+        frozenset(query.columns_used()),
+        frozenset(query.tables_used()),
+        tuple(bindings),
+        bool(projected & {key for key, _ in bindings}),
+        len(query.select_items) == 1
+        and isinstance(first, Aggregation)
+        and first.func == "count"
+        and not query.group_by,
+    )
+
+
+def _reference_fill(template, inst_ctx, table_map, variant, emitter):
+    """(reference FilledCandidate or None, the filler) for one choice;
+    ``filler.filled`` keeps the filled query."""
+    filler = _ReferenceFiller(inst_ctx, table_map, variant)
+    filled = filler.filled = filler.fill(template)
+    if filled is None:
+        return None, filler
+    sql = emitter.serialize(filled)
+    return _reference_candidate(filled, sql, filler.ungrounded, emitter.name), filler
+
+
 # -- bound-and-prune candidate generation ---------------------------------------
 
 
@@ -470,39 +1009,34 @@ def _after(stage_name: str, action):
     return middleware
 
 
-def _every_variant_fills(template, inst_ctx, serialize) -> list[FilledCandidate]:
-    """``template``'s fills under every (table assignment, variant) pair,
-    deduplicated like ``iter_fills`` but with no early exit: the
-    reference the optimised enumeration has to reproduce."""
+def _every_variant_fills(template, inst_ctx, emitter) -> list[FilledCandidate]:
+    """``template``'s reference fills under every (table assignment,
+    variant) pair, deduplicated like ``iter_fills`` but with no early
+    exit: what the fill plans' enumeration has to reproduce."""
     fills: list[FilledCandidate] = []
     seen: set[str] = set()
-    table_maps = slotfill._table_assignments(
-        inst_ctx, slotfill._template_tables(template)
-    )
+    table_maps = inst_ctx.table_assignments(slotfill._template_tables(template))
     for table_map in table_maps:
         for variant in range(max(1, inst_ctx.slot_depth)):
-            filler = slotfill._Filler(inst_ctx, table_map, variant)
-            filled = filler.fill(template)
-            if filled is None:
+            fill, _ = _reference_fill(template, inst_ctx, table_map, variant, emitter)
+            if fill is None or fill.sql.lower() in seen:
                 continue
-            sql = serialize(filled)
-            if sql.lower() in seen:
-                continue
-            seen.add(sql.lower())
-            fills.append(FilledCandidate(filled, sql, filler.ungrounded))
+            seen.add(fill.sql.lower())
+            fills.append(fill)
     return fills
 
 
 def _exhaustive_scored(parser, ctx) -> list[tuple[str, float]]:
     """Every distinct candidate of ``ctx.templates``, filled eagerly under
-    every variant and scored with the feature table, in generation order."""
-    serialize = emitter_for(backend_dialect(ctx.database)).serialize
+    every variant by the reference filler and scored with the feature
+    table, in generation order."""
+    emitter = emitter_for(backend_dialect(ctx.database))
     facts = RequestFacts.of(ctx.question, ctx.scores, ctx.matched, parser.router.score)
     scored: list[tuple[str, float]] = []
     seen: set[str] = set()
     for template, sim in ctx.templates:
         ranges = feature_ranges(facts, sim)
-        for fill in _every_variant_fills(template, ctx.inst_ctx, serialize):
+        for fill in _every_variant_fills(template.query, ctx.inst_ctx, emitter):
             if fill.sql.lower() not in seen:
                 seen.add(fill.sql.lower())
                 scored.append((fill.sql, score_fill(fill, sim, facts, ranges)))
@@ -581,12 +1115,12 @@ def test_pruned_beam_is_exact_when_a_later_template_repeats_fills_closer(bank):
         ctx.templates = [(t, 0.2 * sim) for t, sim in ctx.templates] + [
             (t, sim + 0.5) for t, sim in ctx.templates
         ]
-        serialize = emitter_for(backend_dialect(ctx.database)).serialize
+        emitter = emitter_for(backend_dialect(ctx.database))
         facts = RequestFacts.of(
             ctx.question, ctx.scores, ctx.matched, parser.router.score
         )
         pruned = _fill_and_score(
-            ctx.templates, ctx.inst_ctx, serialize, facts, beam_size
+            ctx.templates, ctx.inst_ctx, emitter, facts, beam_size
         )
         reference = _exhaustive_scored(parser, ctx)
         assert sorted(pruned, key=lambda pair: -pair[1])[:beam_size] == sorted(
@@ -616,11 +1150,11 @@ def test_pruning_fills_and_scores_fewer_candidates_than_exhaustive(
     pruned = dict(counts)
     counts.clear()
     ctx = contexts[0]
-    serialize = emitter_for(backend_dialect(database)).serialize
+    emitter = emitter_for(backend_dialect(database))
     distinct = {
         candidate.sql.lower()
         for template, _ in ctx.templates
-        for candidate in _every_variant_fills(template, ctx.inst_ctx, serialize)
+        for candidate in _every_variant_fills(template.query, ctx.inst_ctx, emitter)
     }
     assert pruned["fills"] < counts["fills"]
     assert pruned["lm_lookups"] < len(distinct)
@@ -653,7 +1187,7 @@ def test_every_feature_value_lies_in_its_declared_range(setup, request):
     checked = 0
     for ctx in _generated_contexts(parser, dataset, dataset.dev[:24]):
         facts = RequestFacts.of(ctx.question, ctx.scores, ctx.matched, lm_score)
-        serialize = emitter_for(backend_dialect(ctx.database)).serialize
+        emitter = emitter_for(backend_dialect(ctx.database))
         sims = [sim for _, sim in ctx.templates]
         for index, (template, sim) in enumerate(ctx.templates):
             ranges = feature_ranges(facts, sim)
@@ -661,23 +1195,21 @@ def test_every_feature_value_lies_in_its_declared_range(setup, request):
                 (lo - RANGE_SLACK, hi + RANGE_SLACK)
                 for lo, hi in (f.bounds(facts, (sim, sim), None) for f in FEATURES)
             ]
-            # Every (assignment, variant) fill: a superset of
+            # Every (assignment, variant) reference fill: a superset of
             # _every_variant_fills, which drops repeats.
-            table_maps = slotfill._table_assignments(
-                ctx.inst_ctx, slotfill._template_tables(template)
+            table_maps = ctx.inst_ctx.table_assignments(
+                slotfill._template_tables(template.query)
             )
             for table_map in table_maps:
                 tables = frozenset(map(identifier_key, table_map.values()))
                 tight = feature_ranges(facts, sim, tables, max(sims[index:]))
                 for variant in range(max(1, ctx.inst_ctx.slot_depth)):
-                    filler = slotfill._Filler(ctx.inst_ctx, table_map, variant)
-                    filled = filler.fill(template)
-                    if filled is None:
-                        continue
-                    assert filled.tables_used() == tables
-                    fill = FilledCandidate(
-                        filled, serialize(filled), filler.ungrounded
+                    fill, _ = _reference_fill(
+                        template.query, ctx.inst_ctx, table_map, variant, emitter
                     )
+                    if fill is None:
+                        continue
+                    assert fill.tables == tables
                     _assert_in_ranges(fill, sim, facts, ranges)
                     _assert_in_ranges(fill, sim, facts, tight)
                     checked += 1
@@ -686,23 +1218,23 @@ def test_every_feature_value_lies_in_its_declared_range(setup, request):
 
 def test_warm_questions_fill_and_score_within_budget(warm_spider_15b, monkeypatch):
     """On the benchmark's warm questions at codes-15b, skipping beaten
-    table assignments keeps ``_Filler.fill`` calls (subquery fills
-    included) at most 2400 and ``score_fill`` calls at most 1700,
-    against 3494 and 2522 with one ceiling per template."""
+    table assignments keeps plan fills (``FillPlan.fill`` calls) at
+    most 2400 and ``score_fill`` calls at most 1700, against 3494 and
+    2522 AST fills and scores with one ceiling per template."""
     parser, dataset = warm_spider_15b
     calls: Counter = Counter()
-    fill = slotfill._Filler.fill
+    fill = FillPlan.fill
     score = score_fill
 
-    def counting_fill(self, template):
+    def counting_fill(self, bound, ctx, variant):
         calls["fill"] += 1
-        return fill(self, template)
+        return fill(self, bound, ctx, variant)
 
     def counting_score(*args):
         calls["score_fill"] += 1
         return score(*args)
 
-    monkeypatch.setattr(slotfill._Filler, "fill", counting_fill)
+    monkeypatch.setattr(FillPlan, "fill", counting_fill)
     monkeypatch.setattr("repro.engine._stages.score_fill", counting_score)
     engine = parser.build_engine()
     for example in dataset.dev:
@@ -986,32 +1518,152 @@ def test_iter_fills_equals_every_variant_reference(setup, request, monkeypatch):
     """Skipping variants that cannot change the fill yields, for every
     template a request retrieves, exactly the every-variant reference's
     fills (SQL and ungrounded count) in the same order, with no more
-    ``_Filler.fill`` calls, and strictly fewer on the warm set."""
+    plan fills than top-level reference fills, and strictly fewer on
+    the warm set."""
     parser, dataset, examples = _setup_examples(setup, request)
     calls = Counter()
-    fill = slotfill._Filler.fill
+    plan_fill, reference_fill = FillPlan.fill, _ReferenceFiller.fill
+    depth = [0]
 
-    def counting_fill(self, template):
-        calls[mode] += 1
-        return fill(self, template)
+    def counting_plan_fill(self, bound, ctx, variant):
+        calls["iter_fills"] += 1
+        return plan_fill(self, bound, ctx, variant)
 
-    monkeypatch.setattr(slotfill._Filler, "fill", counting_fill)
-    mode = "generate"
-    for ctx in _generated_contexts(parser, dataset, examples):
-        serialize = emitter_for(backend_dialect(ctx.database)).serialize
+    def counting_reference_fill(self, template):
+        calls["reference"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return reference_fill(self, template)
+        finally:
+            depth[0] -= 1
+
+    contexts = _generated_contexts(parser, dataset, examples)
+    monkeypatch.setattr(FillPlan, "fill", counting_plan_fill)
+    monkeypatch.setattr(_ReferenceFiller, "fill", counting_reference_fill)
+    for ctx in contexts:
+        emitter = emitter_for(backend_dialect(ctx.database))
         for template, _ in ctx.templates:
-            mode = "iter_fills"
-            fills = [(f.sql, f.ungrounded_literals)
-                     for f in iter_fills(template, ctx.inst_ctx, serialize)]
-            mode = "reference"
+            fills = [
+                (f.sql, f.ungrounded_literals)
+                for f in iter_fills(FillPlan(template.query, emitter), ctx.inst_ctx)
+            ]
             reference = [
                 (f.sql, f.ungrounded_literals)
-                for f in _every_variant_fills(template, ctx.inst_ctx, serialize)
+                for f in _every_variant_fills(template.query, ctx.inst_ctx, emitter)
             ]
-            assert fills == reference, (ctx.question, template)
+            assert fills == reference, (ctx.question, template.query)
     assert 0 < calls["iter_fills"] <= calls["reference"]
     if setup == "warm_spider_15b":
         assert calls["iter_fills"] < calls["reference"]
+
+
+@pytest.mark.parametrize("setup", ["bank_1b", "spider_1b"])
+def test_fill_plans_equal_the_reference_filler_in_every_dialect(setup, request):
+    """For every (template, table assignment, variant) the golden
+    questions retrieve, the plan's fill equals the reference filler's
+    AST: its SQL serialized in sqlite, ansi and tsql, its ungrounded
+    count and its feature inputs (columns, tables, bindings, overlap,
+    COUNT shape), and the SQL parses back to that AST.  Where the
+    plan's table assignment binds, it also agrees on whether the next
+    variant could fill differently; where it does not, no variant of
+    the reference fills."""
+    parser, dataset, examples = _setup_examples(setup, request)
+    checked = Counter()
+    for ctx in _generated_contexts(parser, dataset, examples):
+        inst_ctx = ctx.inst_ctx
+        for dialect in ("sqlite", "ansi", "tsql"):
+            emitter = emitter_for(dialect)
+            for template, _ in ctx.templates:
+                plan = FillPlan(template.query, emitter)
+                for table_map in inst_ctx.table_assignments(plan.tables):
+                    bound = plan.bind(table_map, inst_ctx)
+                    for variant in range(max(1, inst_ctx.slot_depth)):
+                        reference, filler = _reference_fill(
+                            template.query, inst_ctx, table_map, variant, emitter
+                        )
+                        if bound is None:
+                            assert reference is None, reference.sql
+                            checked["unbound"] += 1
+                            continue
+                        fill, variant_matters = plan.fill(bound, inst_ctx, variant)
+                        assert fill == reference, (dialect, template.query, variant)
+                        assert variant_matters == filler.variant_matters
+                        if fill is not None:
+                            assert fill.query == filler.filled, fill.sql
+                        checked[dialect, fill is not None] += 1
+    assert all(checked[dialect, True] > 0 for dialect in ("sqlite", "ansi", "tsql"))
+
+
+#: Templates that walk every node kind a plan compiles, its fallbacks
+#: and the shapes no fill gets past (a self-join, an aggregate compared
+#: with a subquery, an ORDER BY literal).
+_NODE_TEMPLATES = [
+    "SELECT DISTINCT t.a, COUNT(*) FROM t WHERE t.b = 'x' AND t.c > 3 "
+    "GROUP BY t.a HAVING COUNT(*) >= 2 ORDER BY COUNT(*) DESC LIMIT 5",
+    "SELECT a.x FROM a JOIN b ON a.k = b.k JOIN c ON b.k = c.k "
+    "WHERE c.y IN ('p', 'q') OR ( b.z BETWEEN 10 AND 2 AND a.w LIKE 'A%' )",
+    "SELECT t.a FROM t WHERE t.b > ( SELECT AVG(t.b) FROM t ) ORDER BY t.c ASC",
+    "SELECT t.a FROM t WHERE t.b NOT IN ( SELECT s.b FROM s ) AND t.c IS NOT NULL",
+    "SELECT a.x FROM a JOIN a ON a.k = a.k",
+    "SELECT MAX(t.a), MIN(t.b), SUM(t.c), AVG(DISTINCT t.d), 1 FROM t "
+    "WHERE t.e = 3 AND t.f != 'v'",
+    "SELECT t.a FROM t ORDER BY 1",
+    "SELECT t.a FROM t WHERE t.b = t.c",
+    "SELECT t.a FROM t WHERE t.b IN (1, 'x', 2.5) AND t.c IN ('y', 7)",
+    "SELECT t.a FROM t GROUP BY t.a HAVING MAX(t.b) > ( SELECT MAX(t.b) FROM t )",
+    "SELECT t.a FROM t WHERE t.b > 5 UNION SELECT s.a FROM s",
+    "SELECT t.* FROM t WHERE t.b IS NULL LIMIT 3",
+    "SELECT COUNT(t.a) FROM t WHERE t.b < -3.5 AND t.c = NULL",
+    "SELECT a.x, b.y FROM a JOIN b ON a.k = b.k GROUP BY a.x, b.y",
+    "SELECT t.a FROM t GROUP BY t.a HAVING MAX(t.b) = 'z' OR SUM(t.b) > t.c",
+    "SELECT t.a FROM t WHERE t.b LIKE 'x%' AND t.c NOT LIKE '%y' ORDER BY t.d",
+    "SELECT t.a, '{x}' FROM t WHERE t.b = '}{' AND t.c = 'a{0}b'",
+    "SELECT a, COUNT(*) FROM t WHERE b = 'q' GROUP BY a",
+    "SELECT x.a FROM t WHERE t.b = 'q'",
+]
+
+_NODE_QUESTIONS = [
+    "List the 3 most recent clients named 'Ann {0}' with balance over 100 "
+    "and between 500 and 5, starting with the letter B",
+    "How many clients live in Jesenik or Prague at least 2 times?",
+    "Show every account",
+]
+
+
+def test_fill_plans_equal_the_reference_filler_on_every_node_kind(bank):
+    """The plan/reference equality above, over templates that walk
+    every node kind and fallback, on questions that ground and that do
+    not ground their literals."""
+    parser, dataset, database = bank
+    contexts = []
+    engine = parser.build_engine(middleware=(_after("rank", contexts.append),))
+    for question in _NODE_QUESTIONS + [e.question for e in dataset.dev[:8]]:
+        parser.generate(question, database, engine=engine)
+    checked = Counter()
+    for ctx in contexts:
+        inst_ctx = ctx.inst_ctx
+        for dialect in ("sqlite", "ansi", "tsql"):
+            emitter = emitter_for(dialect)
+            for sql in _NODE_TEMPLATES:
+                template = parse_sql(sql)
+                plan = FillPlan(template, emitter)
+                for table_map in inst_ctx.table_assignments(plan.tables):
+                    bound = plan.bind(table_map, inst_ctx)
+                    for variant in range(max(1, inst_ctx.slot_depth)):
+                        reference, filler = _reference_fill(
+                            template, inst_ctx, table_map, variant, emitter
+                        )
+                        if bound is None:
+                            assert reference is None, (sql, reference.sql)
+                            checked["unbound"] += 1
+                            continue
+                        fill, variant_matters = plan.fill(bound, inst_ctx, variant)
+                        assert fill == reference, (dialect, sql, variant)
+                        assert variant_matters == filler.variant_matters
+                        if fill is not None:
+                            assert fill.query == filler.filled, fill.sql
+                        checked[fill is not None] += 1
+    assert checked["unbound"] and checked[True] and checked[False]
 
 
 #: Prints ``raw_candidates`` for a golden bank_financials question whose

@@ -91,6 +91,36 @@ class TestEmbedder:
         assert close > 0.7
         assert close > far + 0.3
 
+    def test_one_pass_ngrams_equal_the_per_order_reference(self):
+        """Features sliced from one padded string give vectors
+        byte-identical to calling ``character_ngrams`` once per order,
+        over every dev question of the CLI datasets and texts that are
+        empty, blank or shorter than an order."""
+        from repro.datasets import DATASET_BUILDERS
+
+        class PerOrder(HashedNgramEmbedder):
+            def _features(self, text):
+                if not text.strip():
+                    return []
+                feats = []
+                for order in self.orders:
+                    feats.extend(character_ngrams(text, order))
+                if self.use_words:
+                    feats.extend(f"w:{tok}" for tok in sentence_tokens(text))
+                return feats
+
+        texts = ["", " ", " \t\n ", "a", "ab", "A b", "x" * 7, "  How  MANY? "]
+        for name in ("spider", "bird", "spider-syn", "spider-realistic", "spider-dk",
+                     "bank_financials", "aminer_simplified"):
+            texts += [example.question for example in DATASET_BUILDERS[name]().dev]
+        for orders in ((3, 4), (1, 2, 5), (6,)):
+            fast = HashedNgramEmbedder(dim=128, orders=orders)
+            slow = PerOrder(dim=128, orders=orders)
+            for text in texts:
+                assert fast.embed(text).tobytes() == slow.embed(text).tobytes(), text
+        with pytest.raises(ValueError):
+            HashedNgramEmbedder(orders=(3, 0)).embed("abc")
+
     def test_empty_string_zero_vector(self):
         embedder = HashedNgramEmbedder(dim=64)
         for text in ("", " ", " \t\n "):
