@@ -265,24 +265,27 @@ class InstantiationContext:
             )
         return values
 
-    def string_literal(
-        self, table: str, column: str, surface: str | None
-    ) -> "tuple[str, object] | None":
-        """(text, value) of the string a text slot on ``column`` gets:
-        ``surface`` aligned with the column's stored format or, without
-        a surface, the column's first representative string (None if it
-        has none)."""
-        key = (table, column, surface)
+    def repaired_literal(self, table: str, column: str, surface) -> tuple[str, object]:
+        """(text, value) of the question span ``surface`` aligned with
+        ``column``'s stored format."""
+        key = ("repaired", table, column, surface)
         if key not in self._strings:
-            stored = []
-            if self.representative is not None:
-                stored = [v for v in self.representative(table, column) if isinstance(v, str)]
-            if surface is None:
-                value = stored[0] if stored else None
-            else:
-                value = _repaired(surface, stored) if self.representative else surface
-            self._strings[key] = None if value is None else _literal(Literal(value))
+            value = surface
+            if self.representative is not None and surface:
+                value = _repaired(surface, self._stored(table, column))
+            self._strings[key] = _literal(Literal(value))
         return self._strings[key]
+
+    def stored_literal(self, table: str, column: str) -> "tuple[str, object] | None":
+        """(text, value) of ``column``'s first representative string, if any."""
+        key = ("stored", table, column)
+        if key not in self._strings:
+            stored = self._stored(table, column) if self.representative else []
+            self._strings[key] = _literal(Literal(stored[0])) if stored else None
+        return self._strings[key]
+
+    def _stored(self, table: str, column: str) -> list[str]:
+        return [v for v in self.representative(table, column) if isinstance(v, str)]
 
     @cached_property
     def question_numbers(self) -> tuple[float | int, ...]:
@@ -347,7 +350,7 @@ def _repaired(surface: str, stored: list[str]) -> str:
     """
     from repro.retrieval.lcs import longest_common_substring
 
-    if not surface or surface in stored:
+    if surface in stored:
         return surface
     best, best_containment = None, 0.0
     for value in stored:

@@ -44,7 +44,6 @@ from repro.core.fillcontext import (
     question_comparison_op,
     question_order_direction,
 )
-from repro.core.structure import StructureProfile, profile_query
 from repro.sqlgen.ast import (
     Aggregation,
     BetweenCondition,
@@ -177,9 +176,9 @@ class _Fill:
         if self.string < len(strings):
             self.string += 1
             surface = strings[self.string - 1]
-            return preferred, self.ctx.string_literal(table, preferred.name, surface)
+            return preferred, self.ctx.repaired_literal(table, preferred.name, surface)
         self.ungrounded += 1
-        return preferred, self.ctx.string_literal(table, preferred.name, None) or default
+        return preferred, self.ctx.stored_literal(table, preferred.name) or default
 
     def _take_value(self, table: str, preferred: _Col | None) -> _Value | None:
         table_key = identifier_key(table)
@@ -266,12 +265,14 @@ class FillPlan:
     compared with a subquery, an ORDER BY literal, ...) makes a plan
     that never fills.
 
-    Exactness: slots run in the order the AST filler visited the nodes
-    and make its choices from the same pools, so each fill's SQL,
-    ungrounded count and ``variant_matters`` are the ones that filler
-    gave serialized in the plan's dialect.  An assignment whose FROM or
-    joins do not map failed every variant there (such a failure does
-    not depend on the variant), so binding it gives no fill at all.
+    Slots run in template order (select items, FROM/JOIN, WHERE, GROUP
+    BY, HAVING, ORDER BY, LIMIT, each subquery in place), and each one's
+    text is what :meth:`DialectEmitter.serialize` renders for the node
+    it fills, so a fill's SQL is the serialization of the query its
+    choices make.  FROM and joins do not depend on the variant, so an
+    assignment where they do not map binds to nothing instead of
+    failing every variant.  ``tests/test_engine.py`` checks both against
+    a reference filler that builds the query.
     """
 
     def __init__(self, template: Query, emitter: DialectEmitter):
@@ -644,21 +645,13 @@ class FillPlan:
 
 class PlannedTemplate:
     """A template query with its fill plans, one per dialect, each
-    compiled on first use, and its structure profile."""
+    compiled on first use."""
 
-    __slots__ = ("query", "_plans", "_profile")
+    __slots__ = ("query", "_plans")
 
     def __init__(self, query: Query):
         self.query = query
         self._plans: dict[DialectEmitter, FillPlan] = {}
-        self._profile: StructureProfile | None = None
-
-    @property
-    def profile(self) -> StructureProfile:
-        """:func:`profile_query` of the template, computed on first read."""
-        if self._profile is None:
-            self._profile = profile_query(self.query)
-        return self._profile
 
     def plan(self, emitter: DialectEmitter) -> FillPlan:
         plan = self._plans.get(emitter)

@@ -1627,6 +1627,7 @@ _NODE_QUESTIONS = [
     "and between 500 and 5, starting with the letter B",
     "How many clients live in Jesenik or Prague at least 2 times?",
     "Show every account",
+    "Which clients are named '' or \"\" in Praha?",
 ]
 
 
