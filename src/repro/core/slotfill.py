@@ -117,36 +117,38 @@ class _Fill:
         self.projected: list[str] = []
         self.bindings: list[tuple[str, object]] = []
 
-    def column(self, slot: tuple) -> _Col | None:
-        """Assign a target column to a template column slot.
+    def column(self, slots: tuple) -> _Col | None:
+        """Assign a target column to a template column: the first of
+        ``slots`` (its kinds, in fallback order) with a pool to pick from.
 
         The choice is keyed by the template column alone so the same
         template column always maps to the same target column, no
         matter where it re-appears (SELECT vs WHERE vs ORDER BY).
         """
-        key, table_key, kind, keyless, select = slot
-        if key in self.chosen:
-            return self.chosen[key]
-        table = self.targets.get(table_key)
-        if table is None:
-            self.chosen[key] = None
-            return None
-        candidates = self.pools.get((table, kind, keyless))
-        if candidates is None:
-            candidates = self.ctx.column_pool(self.emitter, table, kind, keyless)
-        if not candidates:
-            return None
-        # Spread distinct template slots across distinct target columns.
-        pool = candidates
-        if self.used:
-            pool = [c for c in candidates if c.key not in self.used] or candidates
-        index = 0
-        if select:
-            index = min(self.variant, len(pool) - 1)
-            self.variant_matters |= index < len(pool) - 1
-        chosen = self.chosen[key] = pool[index]
-        self.used.add(chosen.key)
-        return chosen
+        for key, table_key, kind, keyless, select in slots:
+            if key in self.chosen:
+                return self.chosen[key]
+            table = self.targets.get(table_key)
+            if table is None:
+                self.chosen[key] = None
+                return None
+            candidates = self.pools.get((table, kind, keyless))
+            if candidates is None:
+                candidates = self.ctx.column_pool(self.emitter, table, kind, keyless)
+            if not candidates:
+                continue
+            # Spread distinct template slots across distinct target columns.
+            pool = candidates
+            if self.used:
+                pool = [c for c in candidates if c.key not in self.used] or candidates
+            index = 0
+            if select:
+                index = min(self.variant, len(pool) - 1)
+                self.variant_matters |= index < len(pool) - 1
+            chosen = self.chosen[key] = pool[index]
+            self.used.add(chosen.key)
+            return chosen
+        return None
 
     def number_literal(self, default: tuple[str, object]) -> tuple[str, object]:
         """The question's next number, else (ungrounded) ``default``."""
@@ -157,16 +159,16 @@ class _Fill:
         self.ungrounded += 1
         return default
 
-    def text_binding(self, slot: tuple, default: tuple[str, object]):
+    def text_binding(self, slots: tuple, default: tuple[str, object]):
         """(column, literal) for an equality on text; column None when
         nothing binds.  Retrieved values pin both the column and the
         stored surface form; without them the question's spans fill the
         value slot."""
-        table = self.targets.get(slot[1])
+        table = self.targets.get(slots[0][1])
         if table is None:
             return None, default
         # A matched value in the assigned table is the strongest signal.
-        preferred = self.column(slot)
+        preferred = self.column(slots)
         match = self._take_value(table, preferred)
         if match is not None:
             return match.column, match.literal
@@ -195,41 +197,33 @@ class _Fill:
         return best
 
 
-def _slot(column: ColumnRef, kind: str, role: str) -> tuple:
-    """A template column slot: (key, table key, kind, keyless, select)."""
+def _slots(column: ColumnRef, role: str, *kinds: str) -> tuple:
+    """``column``'s slots, one per kind in fallback order: (key, table
+    key, kind, keyless, select)."""
     keyless = role in ("select", "group", "agg", "order")
-    return column.key(), identifier_key(column.table), kind, keyless, role == "select"
+    key, table_key = column.key(), identifier_key(column.table)
+    return tuple((key, table_key, kind, keyless, role == "select") for kind in kinds)
 
 
-def _chooser(column: ColumnRef, kind: str, role: str, fallback: str = "") -> Callable:
-    """The choice of ``column``'s target from ``kind``'s pool, else
-    from ``fallback``'s."""
-    first = _slot(column, kind, role)
-    if not fallback:
-        return lambda state: state.column(first)
-    second = _slot(column, fallback, role)
-    return lambda state: state.column(first) or state.column(second)
-
-
-def _on_column(choose: Callable, rest: Callable) -> Callable:
+def _on_column(slots: tuple, rest: Callable | None = None) -> Callable:
     """A slot on one chosen column: its text, then ``rest(state, column)``."""
 
     def slot(state: _Fill) -> str | None:
-        column = choose(state)
+        column = state.column(slots)
         if column is None:
             return None
         state.columns.append(column.key)
-        return column.text + rest(state, column)
+        return column.text if rest is None else column.text + rest(state, column)
 
     return slot
 
 
-def _around(choose: Callable, inner: Callable, middle: str) -> Callable:
+def _around(slots: tuple, inner: Callable, middle: str) -> Callable:
     """``column <middle> subquery )``; the subquery fills even when no
     column is chosen, as its choices count towards ``variant_matters``."""
 
     def slot(state: _Fill) -> str | None:
-        column, text = choose(state), inner(state)
+        column, text = state.column(slots), inner(state)
         if column is None or text is None:
             return None
         state.columns.append(column.key)
@@ -249,10 +243,6 @@ def _escaped(text: str, rounds: int = 1) -> str:
         for _ in range(rounds):
             text = text.replace("{", "{{").replace("}", "}}")
     return text
-
-
-def _nothing(state: _Fill, column: _Col) -> str:
-    return ""
 
 
 class FillPlan:
@@ -413,11 +403,10 @@ class FillPlan:
                 return self.emitter.render_column(ColumnRef("", "*"))
 
             def project(state: _Fill, column: _Col) -> str:
-                if projected:
-                    state.projected.append(column.key)
+                state.projected.append(column.key)
                 return ""
 
-            return _on_column(_chooser(expr, "any", "select"), project)
+            return _on_column(_slots(expr, "select", "any"), project if projected else None)
         if not isinstance(expr, Aggregation):
             raise _Unfillable
         if expr.arg.column == "*":
@@ -425,14 +414,14 @@ class FillPlan:
             return self.emitter.render_expression(star)
         # Condition the aggregate on the question's wording.
         cued = expr.func in ("avg", "max", "min", "sum")
-        choose = _chooser(expr.arg, "numeric", "agg", "any") if cued else _chooser(
-            expr.arg, "any", "agg"
+        slots = _slots(expr.arg, "agg", "numeric", "any") if cued else _slots(
+            expr.arg, "agg", "any"
         )
         distinct = "DISTINCT " if expr.distinct else ""
 
         def aggregate(state: _Fill) -> str | None:
             func = state.ctx.question_cue(question_aggregate, expr.func) if cued else expr.func
-            column = choose(state)
+            column = state.column(slots)
             if column is None:
                 return None
             state.columns.append(column.key)
@@ -441,7 +430,7 @@ class FillPlan:
         return aggregate
 
     def _group(self, query: Query) -> Callable:
-        slots = [_slot(column, "any", "group") for column in query.group_by]
+        slots = [_slots(column, "group", "any") for column in query.group_by]
         # GROUP BY must group by the non-aggregated projection when the
         # template does — keep them aligned.
         plain = [
@@ -466,7 +455,7 @@ class FillPlan:
 
     def _order(self, item) -> Callable:
         if isinstance(item.expr, ColumnRef):
-            expr = _on_column(_chooser(item.expr, "numeric", "order", "any"), _nothing)
+            expr = _on_column(_slots(item.expr, "order", "numeric", "any"))
         elif isinstance(item.expr, Aggregation):
             expr = _text_of(self._expr(item.expr))
         else:
@@ -518,7 +507,7 @@ class FillPlan:
                     first, second = second, first
                 return f" BETWEEN {first[0]} AND {second[0]}"
 
-            return _on_column(_chooser(cond.expr, "numeric", "filter"), between)
+            return _on_column(_slots(cond.expr, "filter", "numeric"), between)
         if isinstance(cond, LikeCondition):
             keyword = " NOT LIKE " if cond.negated else " LIKE "
             default = cond.pattern.render()
@@ -530,11 +519,11 @@ class FillPlan:
                     return keyword + default
                 return keyword + Literal(f"{letter}%").render()
 
-            return _on_column(_chooser(cond.expr, "text", "filter"), like)
+            return _on_column(_slots(cond.expr, "filter", "text"), like)
         if isinstance(cond, NullCondition):
             keyword = " IS NOT NULL" if cond.negated else " IS NULL"
             return _on_column(
-                _chooser(cond.expr, "any", "filter"), lambda state, column: keyword
+                _slots(cond.expr, "filter", "any"), lambda state, column: keyword
             )
         raise _Unfillable
 
@@ -548,7 +537,7 @@ class FillPlan:
                 raise _Unfillable
             inner = self._query(right)
             return _around(
-                _chooser(left, "numeric", "filter"), inner, f" {render_operator(op)} ( "
+                _slots(left, "filter", "numeric"), inner, f" {render_operator(op)} ( "
             )
 
         def compared(state: _Fill, default, column: _Col | None = None) -> str:
@@ -583,15 +572,15 @@ class FillPlan:
         if isinstance(right, Literal) and not isinstance(right.value, str):
             default = _literal(right)
             return _on_column(
-                _chooser(left, "numeric", "filter"),
+                _slots(left, "filter", "numeric"),
                 lambda state, column: compared(state, default, column),
             )
         if isinstance(right, Literal):
-            slot, default = _slot(left, "text", "filter"), _literal(right)
+            slots, default = _slots(left, "filter", "text"), _literal(right)
             middle = f" {render_operator(op)} "
 
             def text_equality(state: _Fill) -> str | None:
-                column, literal = state.text_binding(slot, default)
+                column, literal = state.text_binding(slots, default)
                 if column is None:
                     return None
                 state.columns.append(column.key)
@@ -602,11 +591,11 @@ class FillPlan:
             return text_equality
         if not isinstance(right, ColumnRef):
             raise _Unfillable
-        first, second = _chooser(left, "any", "filter"), _chooser(right, "any", "filter")
+        first, second = _slots(left, "filter", "any"), _slots(right, "filter", "any")
         middle = f" {render_operator(op)} "
 
         def columns(state: _Fill) -> str | None:
-            one, other = first(state), second(state)
+            one, other = state.column(first), state.column(second)
             if one is None or other is None:
                 return None
             state.columns.extend((one.key, other.key))
@@ -618,20 +607,19 @@ class FillPlan:
         keyword = " NOT IN ( " if cond.negated else " IN ( "
         if cond.subquery is not None:
             inner = self._query(cond.subquery)
-            return _around(_chooser(cond.expr, "any", "filter"), inner, keyword)
-        text_slot = _slot(cond.expr, "text", "filter")
-        number = _chooser(cond.expr, "numeric", "filter")
+            return _around(_slots(cond.expr, "filter", "any"), inner, keyword)
+        text, number = _slots(cond.expr, "filter", "text"), _slots(cond.expr, "filter", "numeric")
         values = [(isinstance(v.value, str), _literal(v)) for v in cond.values]
 
         def in_values(state: _Fill) -> str | None:
             column, literals = None, []
             for is_text, default in values:
                 if is_text:
-                    bound, literal = state.text_binding(text_slot, default)
+                    bound, literal = state.text_binding(text, default)
                     column = column or bound
                 else:
                     literal = state.number_literal(default)
-                    column = column or number(state)
+                    column = column or state.column(number)
                 literals.append(literal)
             if column is None:
                 return None
