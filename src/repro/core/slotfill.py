@@ -664,16 +664,16 @@ class FilledCandidate(NamedTuple):
     sql: str
     ungrounded_literals: int
     #: The dialect ``sql`` is written in.
-    dialect: str = "sqlite"
+    dialect: str
     #: Lower-cased ``table.column`` keys and tables the SQL references.
-    columns: frozenset[str] = frozenset()
-    tables: frozenset[str] = frozenset()
+    columns: frozenset[str]
+    tables: frozenset[str]
     #: (column key, value) of each equality/IN predicate of the WHERE.
-    bindings: tuple[tuple[str, object], ...] = ()
+    bindings: tuple[tuple[str, object], ...]
     #: A projected column is also equality-filtered.
-    overlap: bool = False
+    overlap: bool
     #: One COUNT projection and no GROUP BY.
-    bare_count: bool = False
+    bare_count: bool
 
     @property
     def query(self) -> Query:

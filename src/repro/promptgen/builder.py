@@ -41,8 +41,8 @@ class DatabasePrompt:
     schema: Schema
     matched_values: tuple[MatchedValue, ...]
     kept_tables: tuple[str, ...]
+    render: Callable[[], str] = field(repr=False, compare=False)
     options: PromptOptions = PromptOptions()
-    render: Callable[[], str] = field(default=str, repr=False, compare=False)
 
     @cached_property
     def text(self) -> str:
