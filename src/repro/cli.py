@@ -45,7 +45,6 @@ from repro.eval.harness import evaluate_parser, pair_samples
 from repro.eval.reporting import (
     format_failure_report,
     format_serving_report,
-    format_stage_report,
     format_table,
 )
 from repro.reliability import Deadline, FakeClock, RetryPolicy
@@ -149,15 +148,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         deadline_s=args.deadline_s,
         max_retries=args.max_retries,
         static_eval=not args.no_static_eval,
-        batch=args.batch,
         dialect=args.dialect,
         **kwargs,
     )
     print(format_table([result.as_row()], title=f"{args.model} on {args.dataset}"))
-    if args.batch:
-        stage_report = format_stage_report(result)
-        if stage_report:
-            print(stage_report)
+    if result.stage_timings:
+        print(format_table(
+            result.stage_rows(), title=f"per-stage timing for {result.name}"
+        ))
     report = format_failure_report(result)
     if report:
         print(report)
@@ -392,7 +390,6 @@ def _build_router(args: argparse.Namespace, parser, databases) -> ShardRouter:
         databases.keys(),
         config=ShardingConfig(
             virtual_nodes=args.virtual_nodes,
-            seed=args.shard_seed,
             rate_per_tenant=args.rate_per_tenant,
         ),
     )
@@ -900,11 +897,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--no-static-eval", action="store_true",
         help="disable the static EX short-circuit (execute every "
              "prediction even when provably equivalent to gold)",
-    )
-    eval_parser.add_argument(
-        "--batch", action="store_true",
-        help="hold one staged engine per database (reusing builders, "
-             "analyzers and linking scores) and print per-stage timings",
     )
     eval_parser.add_argument(
         "--dialect", default="sqlite",

@@ -44,6 +44,7 @@ from repro.core.fillcontext import (
     question_comparison_op,
     question_order_direction,
 )
+from repro.core.structure import StructureProfile, profile_query
 from repro.sqlgen.ast import (
     Aggregation,
     BetweenCondition,
@@ -58,7 +59,6 @@ from repro.sqlgen.ast import (
     identifier_key,
 )
 from repro.sqlgen.dialects import DialectEmitter, parse_dialect_sql
-from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
 
 class _Bound(NamedTuple):
@@ -632,14 +632,22 @@ class FillPlan:
 
 
 class PlannedTemplate:
-    """A template query with its fill plans, one per dialect, each
-    compiled on first use."""
+    """A template query with its fill plans, one per dialect, and its
+    structure profile, each computed on first use."""
 
-    __slots__ = ("query", "_plans")
+    __slots__ = ("query", "_plans", "_profile")
 
     def __init__(self, query: Query):
         self.query = query
         self._plans: dict[DialectEmitter, FillPlan] = {}
+        self._profile: StructureProfile | None = None
+
+    @property
+    def profile(self) -> StructureProfile:
+        """:func:`~repro.core.structure.profile_query` of the template."""
+        if self._profile is None:
+            self._profile = profile_query(self.query)
+        return self._profile
 
     def plan(self, emitter: DialectEmitter) -> FillPlan:
         plan = self._plans.get(emitter)
@@ -728,12 +736,3 @@ def assignment_fills(
         if not variant_matters:
             break
 
-
-def instantiate_template(
-    template: Query,
-    ctx: InstantiationContext,
-    emitter: DialectEmitter = SQLITE_EMITTER,
-) -> list[FilledCandidate]:
-    """All candidate instantiations of ``template``, in ``emitter``'s
-    dialect: ``list(iter_fills(FillPlan(template, emitter), ctx))``."""
-    return list(iter_fills(FillPlan(template, emitter), ctx))

@@ -156,13 +156,13 @@ _SOFT_CUES = frozenset({"relation", "sorted", "group", "or"})
 
 def structure_prior(question: str, query: Query) -> float:
     """How plausibly ``query``'s structure answers ``question`` (0..1)."""
-    return cue_structure_prior(question_cues(question), query)
+    return cue_structure_prior(question_cues(question), profile_query(query))
 
 
-def cue_structure_prior(cues: set[str], query: Query) -> float:
-    """:func:`structure_prior` from the question's :func:`question_cues`,
-    for callers that score many queries against one question."""
-    profile = profile_query(query)
+def cue_structure_prior(cues: set[str], profile: StructureProfile) -> float:
+    """:func:`structure_prior` from the question's :func:`question_cues`
+    and the query's :func:`profile_query`, for callers that score many
+    queries against one question."""
     score = 0.5
     for cue, prop in _CUE_TO_PROP.items():
         has_prop = getattr(profile, prop)

@@ -11,7 +11,7 @@ protocol plus the backend's :class:`BackendCapabilities`, never against
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, runtime_checkable
 
 from repro.errors import ExecutionError
 
@@ -113,6 +113,56 @@ class ExecutionBackend(Protocol):
 
     def close(self) -> None:
         ...
+
+
+class ValueAccess:
+    """The backend methods that follow from a backend's own ``execute``,
+    ``row_count``, ``distinct_values`` and ``table_rows``: one
+    implementation for every backend."""
+
+    def is_executable(self, sql: str, deadline: "Deadline | None" = None) -> bool:
+        """True when ``sql`` runs without error on this database.
+
+        A deadline expiry counts as "not executable": the query may be
+        valid SQL, but it cannot answer within the serving budget.
+        """
+        try:
+            self.execute(sql, max_rows=1, deadline=deadline)
+            return True
+        except ExecutionError:  # includes DeadlineExceededError
+            return False
+
+    def representative_values(
+        self, table_name: str, column_name: str, k: int = 2
+    ) -> list[Any]:
+        """First ``k`` distinct non-null values of a column (§6.3 (3)),
+        the paper's probe ``SELECT DISTINCT {COLUMN} FROM {TABLE} WHERE
+        {COLUMN} IS NOT NULL LIMIT {k}``."""
+        return self.distinct_values(table_name, column_name, limit=int(k))
+
+    def all_rows(self) -> dict[str, list[Row]]:
+        """Complete content snapshot keyed by table name."""
+        return {table.name: self.table_rows(table.name) for table in self.schema.tables}
+
+    def total_value_count(self) -> int:
+        """Total number of stored cells across all tables."""
+        total = 0
+        for table in self.schema.tables:
+            total += self.row_count(table.name) * len(table.columns)
+        return total
+
+    def iter_text_values(self) -> Iterator[tuple[str, str, str]]:
+        """Yield ``(table, column, value)`` for every distinct text value.
+
+        This is the stream the BM25 value index is built from.
+        """
+        for table in self.schema.tables:
+            for column in table.columns:
+                if column.type.upper() not in ("TEXT", "DATE"):
+                    continue
+                for value in self.distinct_values(table.name, column.name):
+                    if isinstance(value, str) and value:
+                        yield table.name, column.name, value
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.errors import ExecutionError, SQLSyntaxError
-from repro.db.backends.base import BackendCapabilities, Row
+from repro.db.backends.base import BackendCapabilities, Row, ValueAccess
 from repro.db.schema import Schema, Table
 from repro.reliability.deadline import Deadline
 from repro.sqlgen.ast import (
@@ -71,7 +71,7 @@ _SCALAR_FUNCS = frozenset({"abs", "round", "length", "upper", "lower"})
 _Env = dict[str, Any]
 
 
-class ColumnarBackend:
+class ColumnarBackend(ValueAccess):
     """Column-major in-memory backend executing the sqlgen AST."""
 
     name: str = "columnar"
@@ -153,14 +153,6 @@ class ColumnarBackend:
         rows = _Evaluator(self, deadline).run(query)
         return rows[:max_rows]
 
-    def is_executable(self, sql: str, deadline: Deadline | None = None) -> bool:
-        """True when ``sql`` runs without error within the deadline."""
-        try:
-            self.execute(sql, max_rows=1, deadline=deadline)
-            return True
-        except ExecutionError:  # includes DeadlineExceededError
-            return False
-
     def close(self) -> None:
         self._columns = {}
         self._nrows = {}
@@ -175,19 +167,6 @@ class ColumnarBackend:
     def row_count(self, table_name: str) -> int:
         _, _, nrows = self._table_store(table_name)
         return nrows
-
-    def total_value_count(self) -> int:
-        """Total number of stored cells across all tables."""
-        total = 0
-        for table in self.schema.tables:
-            total += self.row_count(table.name) * len(table.columns)
-        return total
-
-    def representative_values(
-        self, table_name: str, column_name: str, k: int = 2
-    ) -> list[Any]:
-        """First ``k`` distinct non-null values of a column (§6.3 (3))."""
-        return self.distinct_values(table_name, column_name, limit=int(k))
 
     def distinct_values(
         self, table_name: str, column_name: str, limit: int = 10_000
@@ -207,25 +186,11 @@ class ColumnarBackend:
                 break
         return out
 
-    def iter_text_values(self) -> Iterator[tuple[str, str, str]]:
-        """Yield ``(table, column, value)`` for every distinct text value."""
-        for table in self.schema.tables:
-            for column in table.columns:
-                if column.type.upper() not in ("TEXT", "DATE"):
-                    continue
-                for value in self.distinct_values(table.name, column.name):
-                    if isinstance(value, str) and value:
-                        yield table.name, column.name, value
-
     def table_rows(self, table_name: str) -> list[Row]:
         """All rows of a table, reassembled row-major."""
         table, store, nrows = self._table_store(table_name)
         columns = [store[identifier_key(column.name)] for column in table.columns]
         return [tuple(column[i] for column in columns) for i in range(nrows)]
-
-    def all_rows(self) -> dict[str, list[Row]]:
-        """Complete content snapshot keyed by table name."""
-        return {table.name: self.table_rows(table.name) for table in self.schema.tables}
 
 
 # ---------------------------------------------------------------------------

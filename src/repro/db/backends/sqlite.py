@@ -12,10 +12,15 @@ everything else reaches execution through the
 from __future__ import annotations
 
 import sqlite3
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.errors import DeadlineExceededError, ExecutionError, SchemaError
-from repro.db.backends.base import SQLITE_CAPABILITIES, BackendCapabilities, Row
+from repro.db.backends.base import (
+    SQLITE_CAPABILITIES,
+    BackendCapabilities,
+    Row,
+    ValueAccess,
+)
 from repro.db.schema import Schema
 from repro.reliability.deadline import Deadline, ExecutionGuard
 
@@ -47,7 +52,7 @@ class _StepBudget:
         return 1 if self.remaining <= 0 else 0
 
 
-class Database:
+class Database(ValueAccess):
     """A schema plus a populated SQLite connection.
 
     Build one with :meth:`from_schema`; the connection is in-memory by
@@ -183,49 +188,12 @@ class Database:
         finally:
             self._pop_progress_handler()
 
-    def is_executable(self, sql: str, deadline: Deadline | None = None) -> bool:
-        """True when ``sql`` runs without error on this database.
-
-        A deadline expiry counts as "not executable": the query may be
-        valid SQL, but it cannot answer within the serving budget.
-        """
-        try:
-            self.execute(sql, max_rows=1, deadline=deadline)
-            return True
-        except ExecutionError:  # includes DeadlineExceededError
-            return False
-
     # -- value access -------------------------------------------------------
 
     def row_count(self, table_name: str) -> int:
         table = self.schema.table(table_name)
         rows = self.execute(f'SELECT COUNT(*) FROM "{table.name}"')
         return int(rows[0][0])
-
-    def total_value_count(self) -> int:
-        """Total number of stored cells across all tables."""
-        total = 0
-        for table in self.schema.tables:
-            total += self.row_count(table.name) * len(table.columns)
-        return total
-
-    def representative_values(
-        self, table_name: str, column_name: str, k: int = 2
-    ) -> list[Any]:
-        """First ``k`` distinct non-null values of a column (§6.3 (3)).
-
-        Mirrors the paper's probe query::
-
-            SELECT DISTINCT {COLUMN} FROM {TABLE}
-            WHERE {COLUMN} IS NOT NULL LIMIT {k}
-        """
-        table = self.schema.table(table_name)
-        column = table.column(column_name)
-        sql = (
-            f'SELECT DISTINCT "{column.name}" FROM "{table.name}" '
-            f'WHERE "{column.name}" IS NOT NULL LIMIT {int(k)}'
-        )
-        return [row[0] for row in self.execute(sql)]
 
     def distinct_values(
         self, table_name: str, column_name: str, limit: int = 10_000
@@ -239,24 +207,7 @@ class Database:
         )
         return [row[0] for row in self.execute(sql)]
 
-    def iter_text_values(self) -> Iterator[tuple[str, str, str]]:
-        """Yield ``(table, column, value)`` for every distinct text value.
-
-        This is the stream the BM25 value index is built from.
-        """
-        for table in self.schema.tables:
-            for column in table.columns:
-                if column.type.upper() not in ("TEXT", "DATE"):
-                    continue
-                for value in self.distinct_values(table.name, column.name):
-                    if isinstance(value, str) and value:
-                        yield table.name, column.name, value
-
     def table_rows(self, table_name: str) -> list[Row]:
         """All rows of a table (for cloning / perturbation)."""
         table = self.schema.table(table_name)
         return self.execute(f'SELECT * FROM "{table.name}"')
-
-    def all_rows(self) -> dict[str, list[Row]]:
-        """Complete content snapshot keyed by table name."""
-        return {table.name: self.table_rows(table.name) for table in self.schema.tables}

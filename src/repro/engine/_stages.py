@@ -378,7 +378,7 @@ class CandidateGenStage(_ParserStage):
             bank_quota = max(12, 6 * parser.config.slot_depth)
         cues = question_cues(ctx.question)
         for template in parser._skeleton_plans[:bank_quota]:
-            prior = cue_structure_prior(cues, template.query)
+            prior = cue_structure_prior(cues, template.profile)
             templates.append((template, 0.35 * prior))
         ctx.templates = templates
 

@@ -183,7 +183,6 @@ def evaluate_parser(
     breaker_recovery_s: float = 30.0,
     clock: Clock | None = None,
     static_eval: bool = True,
-    batch: bool = False,
     dialect: str = "sqlite",
 ) -> EvalResult:
     """Evaluate ``parser`` on one split of ``dataset``.
@@ -214,14 +213,13 @@ def evaluate_parser(
     prediction canonically *and* fails to execute would score instead
     of quarantining (bundled gold sets are audited executable).
 
-    With ``batch`` (CLI ``--batch``) and a parser exposing
-    ``build_engine`` (:class:`repro.core.CodeSParser`), the harness
-    holds one staged engine — with its own
-    :class:`~repro.engine.cache.StageCache` — per database, so prompt
-    builders, analyzers, cost estimators and linking scores are reused
-    across every question on that database; the per-stage cache traffic
-    shows up in ``stage_timings``.  Per-stage traces are aggregated
-    whenever the parser emits them, batch mode or not.
+    A parser exposing ``build_engine`` (:class:`repro.core.CodeSParser`)
+    runs on one staged engine per database, built for this call with
+    its own :class:`~repro.engine.cache.StageCache`: prompt builders,
+    analyzers, cost estimators and linking scores are reused across
+    every question on that database, and each call starts cold.
+    Per-stage traces are aggregated into ``stage_timings`` whenever the
+    parser emits them.
 
     ``dialect`` (CLI ``--dialect``) runs the whole evaluation on the
     registered backend that speaks it: every database is adapted via
@@ -257,11 +255,10 @@ def evaluate_parser(
 
     clock = clock or SYSTEM_CLOCK
     suites = suites if suites is not None else {}
-    backends: dict[str, object] = {}
-    breakers: dict[str, CircuitBreaker] = {}
-    analyzers: dict[str, SemanticAnalyzer] = {}
-    batch = batch and hasattr(parser, "build_engine")
-    engines: dict[str, object] = {}
+    # db_id -> (backend, breaker, analyzer, engine), built on first
+    # sight: each database is adapted once (a content snapshot, not per
+    # example) and gets one engine for all of its questions.
+    per_database: dict[str, tuple] = {}
     stage_timings: dict[str, dict[str, float]] = {}
     hits = 0
     ts_hits = 0
@@ -278,39 +275,33 @@ def evaluate_parser(
     diagnostics: Counter[str] = Counter()
 
     for index, example in enumerate(examples):
-        database = dataset.database_of(example)
+        if example.db_id not in per_database:
+            backend = create_backend(backend_name, dataset.database_of(example))
+            per_database[example.db_id] = (
+                backend,
+                CircuitBreaker(
+                    failure_threshold=breaker_threshold,
+                    recovery_timeout_s=breaker_recovery_s,
+                    clock=clock,
+                    name=example.db_id,
+                ),
+                SemanticAnalyzer(
+                    SchemaCatalog.from_database(backend),
+                    capabilities=getattr(backend, "capabilities", None),
+                ),
+                parser.build_engine() if hasattr(parser, "build_engine") else None,
+            )
+        database, breaker, analyzer, engine = per_database[example.db_id]
         gold_sql = example.sql
         if dialect != "sqlite":
-            # Adapt once per database (a content snapshot, not per
-            # example) and move gold into the backend's dialect.
-            backend = backends.get(example.db_id)
-            if backend is None:
-                backend = backends[example.db_id] = create_backend(
-                    backend_name, database
-                )
-            database = backend
             try:
                 gold_sql = transpile(example.sql, dialect)
             except SQLSyntaxError:
                 # Outside the transpilable subset: hand the backend the
                 # verbatim text, which classifies it gold_unexecutable.
                 gold_sql = example.sql
-        breaker = breakers.get(example.db_id)
-        if breaker is None:
-            breaker = breakers[example.db_id] = CircuitBreaker(
-                failure_threshold=breaker_threshold,
-                recovery_timeout_s=breaker_recovery_s,
-                clock=clock,
-                name=example.db_id,
-            )
         kwargs: dict[str, object] = {}
-        if batch:
-            # One engine (and StageCache) per database: builders,
-            # analyzers, estimators and linking scores built for the
-            # first question on a database serve all the others.
-            engine = engines.get(example.db_id)
-            if engine is None:
-                engine = engines[example.db_id] = parser.build_engine()
+        if engine is not None:
             kwargs["engine"] = engine
         if use_external_knowledge and example.external_knowledge:
             kwargs["external_knowledge"] = example.external_knowledge
@@ -376,12 +367,6 @@ def evaluate_parser(
         predictions.append(predicted)
 
         # -- static semantic audit of the prediction --------------------------
-        analyzer = analyzers.get(example.db_id)
-        if analyzer is None:
-            analyzer = analyzers[example.db_id] = SemanticAnalyzer(
-                SchemaCatalog.from_database(database),
-                capabilities=getattr(database, "capabilities", None),
-            )
         prediction_diags = analyzer.analyze_sql(predicted)
         for diagnostic in prediction_diags:
             diagnostics[diagnostic.code] += 1

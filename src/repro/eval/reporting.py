@@ -50,19 +50,6 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def format_stage_report(result: "EvalResult") -> str:
-    """Aggregated per-stage engine timings of a run.
-
-    Empty string when the parser emitted no traces, so callers can
-    unconditionally ``print`` the report.
-    """
-    if not result.stage_timings:
-        return ""
-    return format_table(
-        result.stage_rows(), title=f"per-stage timing for {result.name}"
-    )
-
-
 def format_serving_report(metrics, title: str = "serving metrics") -> str:
     """Render a :class:`repro.serving.metrics.ServerMetrics` snapshot.
 

@@ -51,11 +51,10 @@ from repro.serving.outcomes import (
     Failed,
     Overloaded,
     ProviderShed,
-    RateLimited,
     ServeRequest,
 )
 from repro.serving.queue import AdmissionQueue
-from repro.serving.ratelimit import TokenBucket
+from repro.serving.ratelimit import FrontDoor
 from repro.serving.scheduler import (
     Batch,
     DegradationLadder,
@@ -138,12 +137,21 @@ class Server:
             batch_size=self.config.batch_size,
         )
         self.metrics_aggregator = MetricsAggregator()
-        self._engines: dict[str, object] = {}
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._buckets: dict[str, TokenBucket] = {}
-        self._db_locks: dict[str, threading.Lock] = {}
-        #: guards the resource dicts above (creation races between workers)
+        self.front_door = FrontDoor(
+            self.databases,
+            self.config.rate_per_tenant,
+            self.config.burst_per_tenant,
+            self.clock,
+        )
+        #: db_id -> (warm engine, circuit breaker), built on first use.
+        self._resources: dict[str, tuple[object, CircuitBreaker]] = {}
+        #: guards ``_resources`` (creation races between workers)
         self._resources_lock = threading.Lock()
+        # One lock per database, made up front by item assignment so
+        # that `repro check`'s lock analysis sees the `_db_locks[*]` family.
+        self._db_locks: dict[str, threading.Lock] = {}
+        for db_id in self.databases:
+            self._db_locks[db_id] = threading.Lock()
 
     # -- admission -----------------------------------------------------------
 
@@ -154,24 +162,10 @@ class Server:
         arrives from a later :meth:`step`), or the typed shed/failure
         outcome when it never entered the queue.
         """
-        if request.db_id not in self.databases:
-            outcome = Failed(
-                request=request,
-                error=f"unknown database {request.db_id!r}",
-                latency_s=0.0,
-            )
+        outcome = self.front_door.check(request)
+        if outcome is not None:
             self.metrics_aggregator.record(outcome)
             return outcome
-        if self.config.rate_per_tenant is not None:
-            bucket = self._bucket_for(request.tenant)
-            if not bucket.try_take():
-                outcome = RateLimited(
-                    request=request,
-                    reason=f"tenant {request.tenant!r} exceeded "
-                    f"{self.config.rate_per_tenant}/s",
-                )
-                self.metrics_aggregator.record(outcome)
-                return outcome
         budget = (
             request.deadline_s
             if request.deadline_s is not None
@@ -221,14 +215,13 @@ class Server:
 
     def _execute_batch(self, batch: Batch) -> list:
         self.metrics_aggregator.record_batch(len(batch))
-        lock = self._db_lock_for(batch.db_id)
+        lock = self._db_locks[batch.db_id]
         outcomes = []
         # One database's batches run serialized: the warm engine and its
         # StageCache are not safe for concurrent stages; different
         # databases proceed in parallel on other workers.
         with lock:
-            engine = self._engine_for(batch.db_id)
-            breaker = self._breaker_for(batch.db_id)
+            engine, breaker = self._resources_for(batch.db_id)
             for item in batch.items:
                 # Holding the db lock across execution (service-model
                 # sleeps, provider generate) IS the serialization this
@@ -329,55 +322,32 @@ class Server:
 
         The sharding layer's rebalance protocol calls this on the new
         shard owner before the map swap, so the first post-swap request
-        lands on a warm engine, breaker, and lock instead of paying the
-        cold build inside its own latency.
+        lands on a warm engine and breaker instead of paying the cold
+        build inside its own latency.
         """
         if db_id not in self.databases:
             raise ServingError(f"cannot warm unknown database {db_id!r}")
-        self._engine_for(db_id)
-        self._breaker_for(db_id)
-        self._db_lock_for(db_id)
+        self._resources_for(db_id)
 
-    # -- per-resource state --------------------------------------------------
-
-    def _engine_for(self, db_id: str):
+    def _resources_for(self, db_id: str) -> "tuple[object, CircuitBreaker]":
+        """``db_id``'s warm engine (``None`` for a parser without
+        ``build_engine``) and circuit breaker, built together on first use."""
         with self._resources_lock:
-            engine = self._engines.get(db_id)
-            if engine is None and hasattr(self.parser, "build_engine"):
-                engine = self._engines[db_id] = self.parser.build_engine(
-                    cache=StageCache(capacity=CACHE_CAPACITY)
+            resources = self._resources.get(db_id)
+            if resources is None:
+                build_engine = getattr(self.parser, "build_engine", None)
+                resources = self._resources[db_id] = (
+                    build_engine(cache=StageCache(capacity=CACHE_CAPACITY))
+                    if build_engine is not None
+                    else None,
+                    CircuitBreaker(
+                        failure_threshold=self.config.breaker_failure_threshold,
+                        recovery_timeout_s=self.config.breaker_recovery_s,
+                        clock=self.clock,
+                        name=db_id,
+                    ),
                 )
-            return engine
-
-    def _breaker_for(self, db_id: str) -> CircuitBreaker:
-        with self._resources_lock:
-            breaker = self._breakers.get(db_id)
-            if breaker is None:
-                breaker = self._breakers[db_id] = CircuitBreaker(
-                    failure_threshold=self.config.breaker_failure_threshold,
-                    recovery_timeout_s=self.config.breaker_recovery_s,
-                    clock=self.clock,
-                    name=db_id,
-                )
-            return breaker
-
-    def _bucket_for(self, tenant: str) -> TokenBucket:
-        with self._resources_lock:
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                bucket = self._buckets[tenant] = TokenBucket(
-                    rate=self.config.rate_per_tenant,
-                    burst=self.config.burst_per_tenant,
-                    clock=self.clock,
-                )
-            return bucket
-
-    def _db_lock_for(self, db_id: str) -> threading.Lock:
-        with self._resources_lock:
-            lock = self._db_locks.get(db_id)
-            if lock is None:
-                lock = self._db_locks[db_id] = threading.Lock()
-            return lock
+            return resources
 
     # -- observability -------------------------------------------------------
 
@@ -392,10 +362,10 @@ class Server:
         with self._resources_lock:
             caches = [
                 engine.cache.stats
-                for engine in self._engines.values()
+                for engine, _ in self._resources.values()
                 if getattr(engine, "cache", None) is not None
             ]
-            breakers = [breaker.stats for breaker in self._breakers.values()]
+            breakers = [breaker.stats for _, breaker in self._resources.values()]
         router = getattr(self.parser, "router", None)
         return self.metrics_aggregator.snapshot(
             self.queue.depth,

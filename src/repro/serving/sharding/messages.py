@@ -64,7 +64,8 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class SnapshotRequest:
-    """Ask for a frozen :class:`~repro.serving.metrics.ServerMetrics`."""
+    """Ask for the worker-side part of a frozen
+    :class:`~repro.serving.metrics.ServerMetrics` (``split()[1]``)."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,9 @@ class HeartbeatAck:
 
 @dataclass(frozen=True)
 class MetricsMsg:
-    """A frozen per-shard metrics snapshot."""
+    """A frozen per-shard metrics snapshot: batches, caches, provider
+    counters, breakers and queue depth, with no outcome counters and no
+    latency samples (the router counts those from what it delivers)."""
 
     worker_id: str
     snapshot: "ServerMetrics"

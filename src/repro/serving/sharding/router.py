@@ -44,8 +44,8 @@ from typing import Callable, Iterable
 from repro.errors import ServingError
 from repro.reliability.clock import Clock, SYSTEM_CLOCK
 from repro.serving.metrics import MetricsAggregator, ServerMetrics
-from repro.serving.outcomes import Failed, Overloaded, RateLimited, ServeRequest
-from repro.serving.ratelimit import TokenBucket
+from repro.serving.outcomes import Failed, Overloaded, ServeRequest
+from repro.serving.ratelimit import FrontDoor
 from repro.serving.sharding.messages import (
     Drain,
     Drained,
@@ -77,7 +77,6 @@ class ShardingConfig:
     """Tuning knobs for the router (worker Servers carry their own)."""
 
     virtual_nodes: int = 64
-    seed: int = 0
     #: Central per-tenant admission; ``None`` disables rate limiting.
     rate_per_tenant: float | None = None
     burst_per_tenant: float = 16.0
@@ -144,6 +143,12 @@ class ShardRouter:
         self.config = config or ShardingConfig()
         self.clock = clock if clock is not None else SYSTEM_CLOCK
         self.db_ids = frozenset(db_ids)
+        self.front_door = FrontDoor(
+            self.db_ids,
+            self.config.rate_per_tenant,
+            self.config.burst_per_tenant,
+            self.clock,
+        )
         self._handle_factory = handle_factory
         self.handles = {
             worker_id: handle_factory(worker_id)
@@ -156,7 +161,6 @@ class ShardRouter:
         }
         #: request_id -> (request, worker_id) for dispatched, unresolved work.
         self._pending: dict[str, tuple[ServeRequest, str]] = {}
-        self._buckets: dict[str, TokenBucket] = {}
         self._outcome_buffer: list = []
         self._drain_acks: set[str] = set()
         self._worker_metrics: dict[str, ServerMetrics] = {}
@@ -181,23 +185,10 @@ class ShardRouter:
                 error=f"duplicate request id {request.request_id!r} is still pending",
                 latency_s=0.0,
             )
-        elif request.db_id not in self.db_ids:
-            outcome = Failed(
-                request=request,
-                error=f"unknown database {request.db_id!r}",
-                latency_s=0.0,
-            )
-        elif (
-            self.config.rate_per_tenant is not None
-            and not self._bucket_for(request.tenant).try_take()
-        ):
-            outcome = RateLimited(
-                request=request,
-                reason=f"tenant {request.tenant!r} exceeded "
-                f"{self.config.rate_per_tenant}/s",
-            )
         else:
-            outcome = self._route(request, shed_depth=self.config.shed_depth)
+            outcome = self.front_door.check(request)
+            if outcome is None:
+                outcome = self._route(request, shed_depth=self.config.shed_depth)
         if outcome is None:
             self.metrics_aggregator.record_admitted()
         else:
@@ -247,16 +238,6 @@ class ShardRouter:
         self._pending[request.request_id] = (request, worker_id)
         self._states[worker_id].depth += 1
         self.handles[worker_id].send(Submit(request=request))
-
-    def _bucket_for(self, tenant: str) -> TokenBucket:
-        bucket = self._buckets.get(tenant)
-        if bucket is None:
-            bucket = self._buckets[tenant] = TokenBucket(
-                rate=self.config.rate_per_tenant,
-                burst=self.config.burst_per_tenant,
-                clock=self.clock,
-            )
-        return bucket
 
     # -- event collection ----------------------------------------------------
 
@@ -643,9 +624,6 @@ class ShardRouter:
             for worker_id in sorted(self.handles)
             if (snapshot := self._snapshot_worker(worker_id)) is not None
         ]
-        outcomes, _ = self.metrics_aggregator.snapshot().split()
         return ServerMetrics.merge(
-            ServerMetrics({"queue_depth": parked}),
-            outcomes,
-            *(shard.split()[1] for shard in live + self._retired_metrics),
+            self.metrics_aggregator.snapshot(parked), *live, *self._retired_metrics
         )

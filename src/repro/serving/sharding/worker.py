@@ -66,11 +66,10 @@ class ShardWorker:
         if isinstance(command, Heartbeat):
             return [HeartbeatAck(worker_id=self.worker_id, seq=command.seq)]
         if isinstance(command, SnapshotRequest):
-            return [
-                MetricsMsg(
-                    worker_id=self.worker_id, snapshot=self.server.metrics()
-                )
-            ]
+            # Only the worker-side counters: the router counts outcomes
+            # and keeps latency samples itself.
+            _, worker_side = self.server.metrics().split()
+            return [MetricsMsg(worker_id=self.worker_id, snapshot=worker_side)]
         if isinstance(command, Shutdown):
             self.stopping = True
             return []

@@ -22,6 +22,14 @@ class TestCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert "EX%" in out
+        assert "per-stage timing for spider" in out
+        assert "candidate_gen" in out
+
+    def test_eval_batch_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", "--dataset", "spider", "--limit", "1", "--batch"])
+        assert exited.value.code == 2
+        assert "--batch" in capsys.readouterr().err
 
     def test_eval_fewshot(self, capsys):
         assert main([
@@ -109,6 +117,36 @@ class TestCLI:
         assert first["status"] == "completed"
         assert "SELECT" in first["sql"]
         assert answers[1] == answers[0]
+
+    def test_serve_process_transport_matches_inline_at_high_watermarks(
+        self, tmp_path, capsys
+    ):
+        # With the watermarks out of reach every answer is beam-tier, so
+        # pipe timing cannot change the tier mix and the forked workers
+        # answer byte for byte as inline ones do.
+        from repro.datasets import build_spider
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("".join(
+            json.dumps({"question": e.question, "db_id": e.db_id, "id": f"q{i}"})
+            + "\n"
+            for i, e in enumerate(build_spider().dev[:8])
+        ))
+        answers = {}
+        for transport in ("inline", "process"):
+            assert main([
+                "serve", "--dataset", "spider", "--model", "codes-1b",
+                "--input", str(requests), "--workers", "2",
+                "--transport", transport,
+                "--skeleton-watermark", "100", "--sentinel-watermark", "200",
+            ]) == 0
+            answers[transport] = [
+                {key: json.loads(line)[key] for key in ("id", "status", "sql", "tier")}
+                for line in capsys.readouterr().out.strip().splitlines()
+            ]
+        assert len(answers["inline"]) == 8
+        assert {a["tier"] for a in answers["inline"]} == {"beam"}
+        assert answers["process"] == answers["inline"]
 
     def test_serve_rejects_duplicate_ids(self, tmp_path, capsys):
         requests = tmp_path / "requests.jsonl"

@@ -14,7 +14,7 @@ from repro.core.fillcontext import (
     question_comparison_op,
     question_order_direction,
 )
-from repro.core.slotfill import instantiate_template
+from repro.core.slotfill import FillPlan, iter_fills
 from repro.core.structure import question_cues, structure_prior
 from repro.datasets import build_spider
 from repro.datasets.base import Text2SQLExample
@@ -219,6 +219,10 @@ class TestStructurePrior:
             assert 0.05 <= structure_prior(question, query) <= 0.95
 
 
+def _fills(template, ctx):
+    return list(iter_fills(FillPlan(template, SQLITE_EMITTER), ctx))
+
+
 class TestSlotFill:
     def _ctx(self, question, matched=()):
         db = bank_database()
@@ -235,7 +239,7 @@ class TestSlotFill:
         template = parse_sql("SELECT t.a FROM t WHERE t.b = 'x'")
         match = MatchedValue("client", "district", "Jesenik", 1.0)
         ctx, db = self._ctx("names of clients living in Jesenik", [match])
-        candidates = instantiate_template(template, ctx)
+        candidates = _fills(template, ctx)
         sqls = [SQLITE_EMITTER.serialize(c.query) for c in candidates]
         assert any("client.district = 'Jesenik'" in sql for sql in sqls)
 
@@ -247,7 +251,7 @@ class TestSlotFill:
         ctx, db = self._ctx(
             "names of accounts that have a loan with status approved", [match]
         )
-        candidates = instantiate_template(template, ctx)
+        candidates = _fills(template, ctx)
         sqls = [SQLITE_EMITTER.serialize(c.query) for c in candidates]
         assert any(
             "JOIN" in sql and "loan.account_id = account.account_id" in sql
@@ -257,7 +261,7 @@ class TestSlotFill:
     def test_numbers_fill_in_order(self):
         template = parse_sql("SELECT t.a FROM t WHERE t.b BETWEEN 1 AND 2")
         ctx, db = self._ctx("accounts with balance between 100 and 500")
-        candidates = instantiate_template(template, ctx)
+        candidates = _fills(template, ctx)
         assert any(
             "BETWEEN 100 AND 500" in SQLITE_EMITTER.serialize(c.query)
             for c in candidates
@@ -266,20 +270,20 @@ class TestSlotFill:
     def test_ungrounded_literals_tracked(self):
         template = parse_sql("SELECT t.a FROM t WHERE t.b > 99")
         ctx, db = self._ctx("show clients")  # no number in question
-        candidates = instantiate_template(template, ctx)
+        candidates = _fills(template, ctx)
         assert candidates
         assert all(c.ungrounded_literals >= 1 for c in candidates)
 
     def test_grounded_candidates_have_zero(self):
         template = parse_sql("SELECT t.a FROM t WHERE t.b > 99")
         ctx, db = self._ctx("accounts with balance over 1000")
-        candidates = instantiate_template(template, ctx)
+        candidates = _fills(template, ctx)
         assert any(c.ungrounded_literals == 0 for c in candidates)
 
     def test_candidates_execute(self):
         template = parse_sql("SELECT t.a FROM t ORDER BY t.b DESC LIMIT 1")
         ctx, db = self._ctx("client with the highest balance")
-        for candidate in instantiate_template(template, ctx):
+        for candidate in _fills(template, ctx):
             assert db.is_executable(SQLITE_EMITTER.serialize(candidate.query))
 
 

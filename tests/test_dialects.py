@@ -22,7 +22,7 @@ from repro.analysis import SchemaCatalog
 from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.diagnostics import DIALECT_CASE_FOLD
 from repro.core.fillcontext import InstantiationContext
-from repro.core.slotfill import instantiate_template
+from repro.core.slotfill import FillPlan, iter_fills
 from repro.datasets import DATASET_BUILDERS, build_bank_financials
 from repro.db import Database
 from repro.db.backends import (
@@ -169,9 +169,7 @@ class TestSlotFillEmission:
                 candidates = [
                     candidate
                     for template in templates
-                    for candidate in instantiate_template(
-                        template, ctx, emitter=emitter
-                    )
+                    for candidate in iter_fills(FillPlan(template, emitter), ctx)
                 ]
                 for candidate in candidates:
                     assert candidate.sql == emitter.serialize(candidate.query)
@@ -217,6 +215,15 @@ class TestBackendRegistry:
             backend_dialect(ColumnarBackend.from_database(bank_database()))
             == "ansi"
         )
+
+    @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+    def test_value_scans_agree_between_backends(self, name):
+        for database in DATASET_BUILDERS[name]().databases.values():
+            columnar = create_backend("columnar", database)
+            assert list(columnar.iter_text_values()) == list(
+                database.iter_text_values()
+            )
+            assert columnar.total_value_count() == database.total_value_count()
 
     def test_capability_flags_differ_between_backends(self):
         assert SQLITE_CAPABILITIES.limit_style == "limit"

@@ -18,6 +18,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,7 +64,6 @@ from repro.datasets.spider import SpiderConfig
 from repro.db.backends.base import backend_dialect
 from repro.errors import GenerationError, ScoreRangeError, SQLSyntaxError
 from repro.eval.harness import evaluate_parser, pair_samples
-from repro.eval.reporting import format_stage_report
 from repro.core import fillcontext, ranking, slotfill
 from repro.linking.classifier import SchemaScores
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
@@ -435,6 +435,31 @@ def test_question_cues_are_read_once_per_request(warm_spider_15b, monkeypatch):
         "question_order_direction", "question_aggregate",
         "question_comparison_op", "_TOPK_RE", "_LETTER_RE",
     }
+
+
+def test_each_bank_template_is_profiled_once(warm_spider_15b, monkeypatch):
+    """A skeleton-bank template's structure profile is computed on its
+    first use and reused by every later request."""
+    parser, dataset = warm_spider_15b
+    # Fresh plans, so templates profiled by earlier tests count too.
+    bank = tuple(map(slotfill.PlannedTemplate, parser._skeleton_bank))
+    monkeypatch.setattr(parser, "_skeleton_plans", bank)
+    profiled: Counter = Counter()
+    profile_query = slotfill.profile_query
+
+    def counting(query):
+        profiled[id(query)] += 1
+        return profile_query(query)
+
+    monkeypatch.setattr(slotfill, "profile_query", counting)
+    engine = parser.build_engine()
+    for _ in range(2):
+        for example in dataset.dev:
+            parser.generate(
+                example.question, dataset.database_of(example), engine=engine
+            )
+    assert profiled and set(profiled.values()) == {1}
+    assert set(profiled) <= {id(template.query) for template in bank}
 
 
 def _count_parses(monkeypatch) -> Counter:
@@ -1752,21 +1777,25 @@ def test_beam_perturber_still_applies_after_rank(bank):
     assert perturbed.sql == clean.sql
 
 
-# -- batch evaluation ---------------------------------------------------------
+# -- evaluation engines -------------------------------------------------------
 
 
-def test_batch_eval_matches_per_question_eval_and_reuses_caches(bank):
+def test_eval_matches_the_parsers_own_engine_and_reuses_caches(bank):
+    """The harness's per-database engines answer as the parser's own
+    long-lived engine does, and reuse resources within a database."""
     parser, dataset, _ = bank
-    plain = evaluate_parser(parser, dataset, limit=8, name="plain")
-    batch = evaluate_parser(parser, dataset, limit=8, name="batch", batch=True)
-    assert batch.predictions == plain.predictions
-    assert batch.ex == plain.ex
-    assert set(batch.stage_timings) == set(STAGE_NAMES)
-    assert all(agg["calls"] == 8 for agg in batch.stage_timings.values())
-    total_hits = sum(agg["cache_hits"] for agg in batch.stage_timings.values())
+    result = evaluate_parser(parser, dataset, limit=8, name="eval")
+    # Without ``build_engine`` the harness calls ``generate`` bare, so
+    # every question runs on the parser's own engine.
+    own_engine = SimpleNamespace(generate=parser.generate)
+    plain = evaluate_parser(own_engine, dataset, limit=8, name="plain")
+    assert result.predictions == plain.predictions
+    assert result.ex == plain.ex
+    assert set(result.stage_timings) == set(STAGE_NAMES)
+    assert all(agg["calls"] == 8 for agg in result.stage_timings.values())
+    total_hits = sum(agg["cache_hits"] for agg in result.stage_timings.values())
     assert total_hits > 0  # per-database engines reused resources
-    report = format_stage_report(batch)
-    assert "per-stage timing" in report and "value_retrieve" in report
+    assert [row["stage"] for row in result.stage_rows()] == list(STAGE_NAMES)
 
 
 # -- facade + registries ------------------------------------------------------

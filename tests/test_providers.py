@@ -502,7 +502,9 @@ class TestServingIntegration:
         assert metrics.provider_sheds == 1
         assert metrics.shed.get("provider_shed") == 1
         # the *database* breaker is not charged for a provider outage.
-        assert server._breakers["db"].stats.consecutive_failures == 0
+        (breaker,) = metrics.database_breakers
+        assert breaker.name == "db"
+        assert breaker.consecutive_failures == 0
 
     def test_server_metrics_surface_router_stats(self, lm):
         from repro.serving import Server, ServeRequest

@@ -36,11 +36,13 @@ from repro.serving import (
     ShardMap,
     ShardRouter,
     ShardingConfig,
+    ShardWorker,
     default_worker_ids,
     nearest_rank,
     replay,
 )
 from repro.serving.loadgen import Arrival
+from repro.serving.metrics import OUTCOME_COUNTERS
 from repro.reliability.clock import SYSTEM_CLOCK
 from repro.serving.sharding import Heartbeat, HeartbeatAck
 from repro.serving.sharding.messages import (
@@ -241,6 +243,22 @@ class TestRouting:
         outcomes = [router.submit(_request(index, db_id="db0")) for index in range(4)]
         assert outcomes[0] is None and outcomes[1] is None
         assert all(isinstance(outcome, RateLimited) for outcome in outcomes[2:])
+
+    def test_both_front_doors_shed_alike(self):
+        # A single Server and an inline router build the unknown-database
+        # and rate-limited outcomes through the same admission check.
+        limits = dict(rate_per_tenant=1.0, burst_per_tenant=1.0)
+        server = Server(
+            StubParser(), _databases(), config=ServerConfig(**limits), clock=FakeClock()
+        )
+        router, _ = _cluster(FakeClock(), sharding=ShardingConfig(**limits))
+        requests = [_request(0, db_id="nope"), _request(1, db_id="db0"),
+                    _request(2, db_id="db0")]
+        from_server = [repr(server.submit(request)) for request in requests]
+        from_router = [repr(router.submit(request)) for request in requests]
+        assert from_server == from_router
+        assert from_server[0].startswith("Failed(") and from_server[1] == "None"
+        assert from_server[2].startswith("RateLimited(")
 
     def test_duplicate_pending_id_fails_and_resolves_once(self):
         # Outcomes are keyed by request id: a second live request under
@@ -750,6 +768,28 @@ class TestMergedMetrics:
         router.rebalance(router.shard_map.remove_worker("w1"))
         rows = router.metrics().providers
         assert sorted(row["worker"] for row in rows) == ["w0", "w1"]
+
+    def test_a_worker_snapshot_carries_no_outcome_counters_or_samples(self):
+        # The router counts outcomes itself, so a worker sends only the
+        # counters the router cannot see.
+        server = Server(
+            TracedStubParser(), _databases(), clock=FakeClock(),
+            service_model=ServiceModel(),
+        )
+        worker = ShardWorker("w0", server)
+        for index, db_id in enumerate(DB_IDS):
+            assert worker.handle(Submit(request=_request(index, db_id=db_id))) == []
+        while worker.step():
+            pass
+        assert server.metrics().completed == len(DB_IDS)
+        (message,) = worker.handle(SnapshotRequest())
+        assert isinstance(message, MetricsMsg)
+        snapshot = message.snapshot
+        assert snapshot.batches == len(DB_IDS)
+        assert not [
+            name for name in snapshot.counters if name.startswith(OUTCOME_COUNTERS)
+        ]
+        assert snapshot.latency_samples == snapshot.queue_wait_samples == ()
 
     @pytest.mark.parametrize("snapshot_first", [False, True])
     def test_a_dead_inline_worker_reports_its_last_snapshot(self, snapshot_first):
