@@ -38,7 +38,7 @@ SAMPLE_CAPACITY = 4096
 #: stage walls included, since a ``Completed`` keeps its trace on both
 #: shard transports.  A shard router counts these from the outcomes it
 #: delivers and takes only the other counters from its workers
-#: (:meth:`ServerMetrics.split`).
+#: (:meth:`ServerMetrics.without_outcomes`).
 OUTCOME_COUNTERS = (
     "admitted", "completed", "failed", "queue_s", "shed.", "stage_wall_s.", "tier."
 )
@@ -176,16 +176,15 @@ class ServerMetrics:
             tuple(breaker for m in snapshots for breaker in m.database_breakers),
         )
 
-    def split(self) -> tuple["ServerMetrics", "ServerMetrics"]:
-        """(the :data:`OUTCOME_COUNTERS` with the samples, every other
-        counter with the provider rows and breakers)."""
-        outcomes, rest = {}, {}
-        for name, value in self.counters.items():
-            (outcomes if name.startswith(OUTCOME_COUNTERS) else rest)[name] = value
-        return (
-            replace(self, counters=outcomes, providers=(), database_breakers=()),
-            replace(self, counters=rest, latency_samples=(), queue_wait_samples=()),
-        )
+    def without_outcomes(self) -> "ServerMetrics":
+        """Every counter but the :data:`OUTCOME_COUNTERS`, with the
+        provider rows and breakers and without the samples."""
+        rest = {
+            name: value
+            for name, value in self.counters.items()
+            if not name.startswith(OUTCOME_COUNTERS)
+        }
+        return replace(self, counters=rest, latency_samples=(), queue_wait_samples=())
 
     def as_rows(self) -> list[dict[str, object]]:
         """Key/value rows for :func:`repro.eval.reporting.format_table`."""

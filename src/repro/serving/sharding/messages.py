@@ -65,7 +65,7 @@ class Heartbeat:
 @dataclass(frozen=True)
 class SnapshotRequest:
     """Ask for the worker-side part of a frozen
-    :class:`~repro.serving.metrics.ServerMetrics` (``split()[1]``)."""
+    :class:`~repro.serving.metrics.ServerMetrics` (``without_outcomes()``)."""
 
 
 @dataclass(frozen=True)

@@ -613,7 +613,7 @@ class ShardRouter:
         and sums stage wall time from the delivered traces; worker
         snapshots add only what the router cannot see (batches,
         caches, provider counters, breakers and queue depth —
-        :meth:`ServerMetrics.split`).  Percentiles come from the
+        :meth:`ServerMetrics.without_outcomes`).  Percentiles come from the
         delivered outcomes' latencies, never averaged.  Retired and
         crashed workers' final snapshots stay in the fold, so neither a
         rebalance nor a restart loses history.

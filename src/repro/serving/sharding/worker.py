@@ -68,8 +68,8 @@ class ShardWorker:
         if isinstance(command, SnapshotRequest):
             # Only the worker-side counters: the router counts outcomes
             # and keeps latency samples itself.
-            _, worker_side = self.server.metrics().split()
-            return [MetricsMsg(worker_id=self.worker_id, snapshot=worker_side)]
+            snapshot = self.server.metrics().without_outcomes()
+            return [MetricsMsg(worker_id=self.worker_id, snapshot=snapshot)]
         if isinstance(command, Shutdown):
             self.stopping = True
             return []
