@@ -656,7 +656,7 @@ def _cmd_providers(args: argparse.Namespace) -> int:
 
 
 #: ``repro check`` exit codes — a stable contract for CI wrappers:
-#: 0 = clean, 1 = findings or stale baseline, 2 = usage error.
+#: 0 = clean, 1 = findings, 2 = usage error.
 CHECK_OK = 0
 CHECK_FINDINGS = 1
 CHECK_USAGE = 2
@@ -743,17 +743,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"repro check: no such directory: {root}", file=sys.stderr)
         return CHECK_USAGE
     rule_ids = args.rules.split(",") if args.rules else None
-    if args.write_baseline and not args.baseline:
-        print(
-            "repro check: --write-baseline requires --baseline PATH",
-            file=sys.stderr,
-        )
-        return CHECK_USAGE
-
-    baseline = None
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is not None and baseline_path.exists() and not args.write_baseline:
-        baseline = staticcheck.load_baseline(baseline_path)
 
     cache = None
     if args.cache:
@@ -770,37 +759,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
 
     try:
-        result = staticcheck.check_tree(
-            root, rule_ids=rule_ids, baseline=baseline, cache=cache
-        )
+        result = staticcheck.check_tree(root, rule_ids=rule_ids, cache=cache)
     except KeyError as exc:
         print(f"repro check: {exc.args[0]}", file=sys.stderr)
         return CHECK_USAGE
     if cache is not None:
         cache.save()
 
-    if args.write_baseline:
-        staticcheck.save_baseline(
-            staticcheck.Baseline.from_findings(result.findings), baseline_path
-        )
-        print(
-            f"wrote {len(result.findings)} grandfathered finding(s) "
-            f"to {baseline_path}"
-        )
-        return CHECK_OK
-
     if args.fix:
-        diff, changed = staticcheck.apply_fixes(
-            result, root, baseline_path=baseline_path
-        )
+        diff, changed = staticcheck.apply_fixes(result, root)
         if diff:
             print(diff, end="")
         print(f"fixed {changed} file(s)")
         # Findings the fixer cannot retire (anything but stale
-        # suppressions / stale baseline entries) still fail the run.
+        # suppressions) still fail the run.
         remaining = [f for f in result.findings if f.rule != "SUP001"]
-        if result.stale_baseline and baseline_path is None:
-            return CHECK_FINDINGS
         return CHECK_OK if not remaining else CHECK_FINDINGS
 
     if args.format == "json":
@@ -1090,14 +1063,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all registered)",
     )
     check_parser.add_argument(
-        "--baseline", default=None,
-        help="JSON baseline file of grandfathered findings",
-    )
-    check_parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to --baseline instead of failing",
-    )
-    check_parser.add_argument(
         "--explain", default=None, metavar="RULE",
         help="print one rule's documentation and exit",
     )
@@ -1107,8 +1072,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     check_parser.add_argument(
         "--fix", action="store_true",
-        help="delete stale suppression comments and prune stale "
-             "baseline entries, printing a unified diff",
+        help="delete stale suppression comments, printing a unified diff",
     )
     check_parser.add_argument(
         "--cache", default=None, metavar="PATH",

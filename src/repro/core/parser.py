@@ -92,7 +92,7 @@ class GenerationResult:
 
     ``trace`` carries the engine's per-stage record (wall time via the
     injectable Clock, candidate counts, cache traffic, executions) —
-    what ``repro trace`` prints and batch eval aggregates.
+    what ``repro trace`` prints and the eval harness aggregates.
     """
 
     sql: str
@@ -185,9 +185,10 @@ class CodeSParser:
 
         The default middleware chain — the Clock-driven TraceRecorder
         and the beam-perturber adapter — always runs outermost-first;
-        ``middleware`` is appended after it.  Callers that want
-        isolated per-database resource reuse (the batch eval harness)
-        pass their own ``cache``.
+        ``middleware`` is appended after it.  Without a ``cache`` the
+        engine gets a fresh :class:`StageCache` of its own, which the
+        eval harness's per-database engines rely on; the serving layer
+        passes a bounded one.
         """
         base: tuple[Middleware, ...] = (
             TraceRecorder(self.clock),

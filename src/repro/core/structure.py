@@ -154,15 +154,10 @@ _CUE_TO_PROP = {
 _SOFT_CUES = frozenset({"relation", "sorted", "group", "or"})
 
 
-def structure_prior(question: str, query: Query) -> float:
-    """How plausibly ``query``'s structure answers ``question`` (0..1)."""
-    return cue_structure_prior(question_cues(question), profile_query(query))
-
-
 def cue_structure_prior(cues: set[str], profile: StructureProfile) -> float:
-    """:func:`structure_prior` from the question's :func:`question_cues`
-    and the query's :func:`profile_query`, for callers that score many
-    queries against one question."""
+    """How plausibly a query's structure answers a question (0..1),
+    from the question's :func:`question_cues` and the query's
+    :func:`profile_query`."""
     score = 0.5
     for cue, prop in _CUE_TO_PROP.items():
         has_prop = getattr(profile, prop)

@@ -15,7 +15,7 @@ candidate counts, cache traffic, executions), and the fault injectors
 of :mod:`repro.engine.middleware`.  Per-database resources (prompt
 builders, analyzers with their schema catalogs, cost estimators,
 linking scores) resolve through a clearable :class:`StageCache`, so
-batch evaluation reuses them across every question on a database.
+an engine reuses them across every question on its database.
 
 Stage internals live in :mod:`repro.engine._stages` and may not be
 imported from outside this package (ARCH004); build pipelines with

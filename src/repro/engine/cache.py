@@ -1,4 +1,4 @@
-"""Per-database resource cache shared across questions in batch mode.
+"""Per-database resource cache shared across one engine's questions.
 
 Prompt builders, semantic analyzers (with their schema catalogs), cost
 estimators, value-retrieval results and linking scores are all

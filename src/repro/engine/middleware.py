@@ -36,17 +36,8 @@ class BeamPerturbMiddleware:
     parser's ``beam_perturber`` attribute later still works.
     """
 
-    def __init__(
-        self,
-        perturber: BeamPerturber | None = None,
-        provider: Callable[[], BeamPerturber | None] | None = None,
-        stage: str = "rank",
-    ):
-        if perturber is not None and provider is not None:
-            raise ValueError("pass either perturber or provider, not both")
-        self._perturber = perturber
+    def __init__(self, provider: Callable[[], BeamPerturber | None]):
         self._provider = provider
-        self.stage = stage
 
     def __call__(
         self,
@@ -55,9 +46,9 @@ class BeamPerturbMiddleware:
         call_next: Callable[[], None],
     ) -> None:
         call_next()
-        if stage.name != self.stage:
+        if stage.name != "rank":
             return
-        perturber = self._provider() if self._provider else self._perturber
+        perturber = self._provider()
         if perturber is not None and ctx.beam:
             ctx.beam = list(perturber(ctx.beam))
 

@@ -4,7 +4,7 @@
 with an injectable :class:`~repro.reliability.clock.Clock` (ARCH001:
 no raw ``time.*`` reads) and appends one :class:`StageTrace` per stage
 to the context's :class:`InferenceTrace`.  The trace is what
-``repro trace`` prints and what the batch eval harness aggregates into
+``repro trace`` prints and what the eval harness aggregates into
 per-stage timing rows.
 """
 

@@ -5,10 +5,11 @@ the :class:`~repro.staticcheck.registry.Rule` protocol, registered in
 a global :class:`~repro.staticcheck.registry.RuleRegistry`, and run by
 :func:`check_tree` / :func:`check_modules` over parsed
 :class:`~repro.staticcheck.module.ModuleContext` objects.  Findings
-carry source spans and line-independent fingerprints; inline
-``# staticcheck: disable=RULE`` comments and a committed baseline file
-grandfather known findings without letting new ones in.  Emitters
-render text, JSON, and SARIF 2.1.0 — all byte-deterministic.
+carry source spans and line-independent fingerprints; an inline
+``# staticcheck: disable=RULE`` comment, scoped to one line and the
+rules it names, is the one way to excuse a finding, and SUP001 reports
+each one that stops excusing anything.  Emitters render text, JSON,
+and SARIF 2.1.0 — all byte-deterministic.
 
 Flow-sensitive rules (RES001 resource leaks, EXC001 exception flow,
 DEAD001 dead code) build on the intraprocedural CFG (``cfg.py``) and
@@ -21,12 +22,6 @@ See DESIGN.md §13–§14 for the architecture and how to add a rule.
 """
 
 from repro.staticcheck import rules as _rules  # noqa: F401  (registration)
-from repro.staticcheck.baseline import (
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-    save_baseline,
-)
 from repro.staticcheck.cache import (
     FindingCache,
     content_hash,
@@ -68,10 +63,6 @@ __all__ = [
     "RuleRegistry",
     "REGISTRY",
     "register",
-    "Baseline",
-    "BaselineEntry",
-    "load_baseline",
-    "save_baseline",
     "CheckResult",
     "check_modules",
     "check_source",

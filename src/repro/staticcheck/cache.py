@@ -5,7 +5,7 @@ every *incremental* rule (``Rule.incremental``), keyed by the SHA-256
 of the file's bytes.  On a warm run an unchanged module skips every
 incremental rule's ``check`` entirely; rules with cross-module state
 (LOCK001's lock-order graph, the runner-driven SUP001) always run, as
-do suppression matching and baseline splitting — so warm output is
+does suppression matching — so warm output is
 byte-identical to a cold run by construction, which the test suite
 verifies.
 

@@ -25,18 +25,13 @@ SARIF_SCHEMA = (
 
 
 def render_text(result: "CheckResult") -> str:
-    """One line per finding plus a status summary (shim-compatible)."""
+    """One line per finding plus a status summary."""
     lines = [finding.render() for finding in result.findings]
-    for entry in result.stale_baseline:
-        lines.append(f"stale baseline entry: {entry.render()}")
-    if result.baselined:
-        lines.append(f"({len(result.baselined)} baselined finding(s) suppressed)")
     if result.ok():
         lines.append(f"staticcheck: OK ({result.files} file(s))")
     else:
         lines.append(
-            f"staticcheck: {len(result.findings)} finding(s), "
-            f"{len(result.stale_baseline)} stale baseline entr(ies) "
+            f"staticcheck: {len(result.findings)} finding(s) "
             f"over {result.files} file(s)"
         )
     return "\n".join(lines)
@@ -47,16 +42,6 @@ def render_json(result: "CheckResult") -> str:
     payload = {
         "files": result.files,
         "findings": [finding.as_dict() for finding in result.findings],
-        "baselined": [finding.as_dict() for finding in result.baselined],
-        "stale_baseline": [
-            {
-                "rule": entry.rule,
-                "path": entry.path,
-                "fingerprint": entry.fingerprint,
-                "note": entry.note,
-            }
-            for entry in result.stale_baseline
-        ],
         "ok": result.ok(),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

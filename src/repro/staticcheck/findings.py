@@ -6,17 +6,16 @@ positions into the original text rather than threading location state
 through the AST value objects, so rules stay free to analyse whatever
 granularity they like and point back afterwards.
 
-Fingerprints deliberately exclude line numbers: a baseline entry must
-survive unrelated edits above the finding, so identity is
-``rule | path | message`` (with multiplicity handled by the baseline
-matcher, not the fingerprint).
+Fingerprints deliberately exclude line numbers: the SARIF emitter
+publishes them so a code-scanning UI can follow one finding across
+unrelated edits above it, so identity is ``rule | path | message``.
 """
 
 from __future__ import annotations
 
 import ast
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ERROR = "error"
 WARNING = "warning"
@@ -52,8 +51,6 @@ class Finding:
     path: str
     span: SourceSpan
     message: str
-    #: True once the baseline matcher grandfathered this finding.
-    baselined: bool = field(default=False, compare=False)
 
     @property
     def line(self) -> int:
@@ -61,7 +58,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file."""
+        """Line-independent identity the SARIF emitter publishes."""
         digest = hashlib.sha256(
             f"{self.rule}|{self.path}|{self.message}".encode("utf-8")
         )
@@ -83,5 +80,4 @@ class Finding:
             "col": self.span.col,
             "message": self.message,
             "fingerprint": self.fingerprint,
-            "baselined": self.baselined,
         }

@@ -1,15 +1,12 @@
 """Deterministic autofixes for ``repro check --fix``.
 
-Only mechanical, provably-safe fixes are automated — the ones whose
-*finding* already names the exact edit:
+Only a mechanical, provably-safe fix is automated — the one whose
+*finding* already names the exact edit: for each **SUP001** (stale
+inline suppression), delete the unused rule id from its
+``# staticcheck: disable=`` comment; when the last id goes, delete the
+whole comment (and the line, if nothing else is on it).
 
-- **SUP001** (stale inline suppression): delete the unused rule id
-  from its ``# staticcheck: disable=`` comment; when the last id goes,
-  delete the whole comment (and the line, if nothing else is on it).
-- **stale baseline entries**: rewrite the baseline file without the
-  entries whose findings no longer exist.
-
-Both fixes are derived from one :class:`~repro.staticcheck.runner.
+The fixes are derived from one :class:`~repro.staticcheck.runner.
 CheckResult`, applied in sorted path order, and rendered as a unified
 diff of every file touched.  The fixer is idempotent by construction:
 after one pass the findings that drove it are gone, so a second pass
@@ -22,23 +19,16 @@ outlived the code it described.
 from __future__ import annotations
 
 import difflib
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.staticcheck.baseline import Baseline, load_baseline, save_baseline
+from repro.staticcheck.module import SUPPRESSION_RE
 from repro.staticcheck.runner import CheckResult
-
-#: the ``disable=`` comment, split into (head, rule list, trailer) —
-#: the trailer is anything after the id list, e.g. a justification.
-_SUPPRESSION = re.compile(
-    r"\s*#\s*staticcheck:\s*disable=(?P<rules>[A-Za-z0-9_,\s]+)(?P<trailer>.*)$"
-)
 
 
 @dataclass(frozen=True)
 class FileFix:
-    """One file's planned rewrite (``after is None`` = no change)."""
+    """One file's planned rewrite."""
 
     path: str
     before: str
@@ -57,7 +47,7 @@ class FileFix:
 
 def _strip_rules(line: str, dead_rules: set[str]) -> str:
     """Remove ``dead_rules`` from the line's suppression comment."""
-    match = _SUPPRESSION.search(line)
+    match = SUPPRESSION_RE.search(line)
     if match is None:
         return line
     listed = [r.strip() for r in match.group("rules").split(",") if r.strip()]
@@ -102,46 +92,11 @@ def plan_suppression_fixes(
     return fixes
 
 
-def plan_baseline_fix(
-    result: CheckResult, baseline_path: str | Path
-) -> FileFix | None:
-    """Rewrite of the baseline file without its stale entries, if any."""
-    if not result.stale_baseline:
-        return None
-    baseline_path = Path(baseline_path)
-    before = baseline_path.read_text(encoding="utf-8")
-    stale = set(result.stale_baseline)
-    kept = Baseline(
-        tuple(
-            entry
-            for entry in load_baseline(baseline_path).entries
-            if entry not in stale
-        )
-    )
-    # Render through save_baseline for the canonical byte form.
-    scratch = baseline_path.with_suffix(".fixtmp")
-    save_baseline(kept, scratch)
-    after = scratch.read_text(encoding="utf-8")
-    scratch.unlink()
-    if after == before:
-        return None
-    return FileFix(path=baseline_path.name, before=before, after=after)
-
-
-def apply_fixes(
-    result: CheckResult,
-    root: str | Path,
-    baseline_path: str | Path | None = None,
-) -> tuple[str, int]:
+def apply_fixes(result: CheckResult, root: str | Path) -> tuple[str, int]:
     """Apply every planned fix; return (unified diff, files changed)."""
     fixes = plan_suppression_fixes(result, root)
-    targets = [(Path(root) / fix.path, fix) for fix in fixes]
-    if baseline_path is not None and Path(baseline_path).exists():
-        baseline_fix = plan_baseline_fix(result, baseline_path)
-        if baseline_fix is not None:
-            targets.append((Path(baseline_path), baseline_fix))
     chunks = []
-    for file_path, fix in targets:
-        file_path.write_text(fix.after, encoding="utf-8")
+    for fix in fixes:
+        (Path(root) / fix.path).write_text(fix.after, encoding="utf-8")
         chunks.append(fix.diff())
-    return "".join(chunks), len(targets)
+    return "".join(chunks), len(fixes)

@@ -20,7 +20,12 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
-_SUPPRESS_RE = re.compile(r"staticcheck:\s*disable=([A-Za-z0-9_,\s]+)")
+#: one suppression comment: its rule-id list, then a trailer (anything
+#: after the ids, e.g. the reason).  The runner honours what this
+#: matches and ``--fix`` edits what it matches, so the two cannot drift.
+SUPPRESSION_RE = re.compile(
+    r"#\s*staticcheck:\s*disable=(?P<rules>[A-Za-z0-9_,\s]+)(?P<trailer>.*)$"
+)
 
 
 @dataclass
@@ -46,12 +51,12 @@ def find_suppressions(source: str) -> dict[int, set[str]]:
         for token in tokens:
             if token.type != tokenize.COMMENT:
                 continue
-            match = _SUPPRESS_RE.search(token.string)
+            match = SUPPRESSION_RE.search(token.string)
             if match is None:
                 continue
             rules = {
                 part.strip()
-                for part in match.group(1).split(",")
+                for part in match.group("rules").split(",")
                 if part.strip()
             }
             if rules:

@@ -1,4 +1,4 @@
-"""The check driver: parse, run rules, apply suppressions and baseline.
+"""The check driver: parse, run rules, apply inline suppressions.
 
 Pipeline per run (all deterministic):
 
@@ -9,10 +9,7 @@ Pipeline per run (all deterministic):
 3. drop findings suppressed by an inline ``# staticcheck: disable=``
    comment on their line, tracking which suppressions fired;
 4. emit :class:`UnusedSuppressionRule` findings for suppressions that
-   silenced nothing (a stale disable comment is itself drift);
-5. split the remainder against the baseline: grandfathered findings
-   are reported separately, and baseline entries with no matching
-   finding are *stale* and fail the check until removed.
+   silenced nothing (a stale disable comment is itself drift).
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.staticcheck.baseline import Baseline, BaselineEntry
 from repro.staticcheck.cache import FindingCache, content_hash
 from repro.staticcheck.findings import Finding, SourceSpan
 from repro.staticcheck.module import ModuleContext, parse_module
@@ -51,8 +47,6 @@ class CheckResult:
     """Everything one run produced, pre-sorted and frozen for emitters."""
 
     findings: tuple[Finding, ...]
-    baselined: tuple[Finding, ...] = ()
-    stale_baseline: tuple[BaselineEntry, ...] = ()
     files: int = 0
     suppressed: int = 0
     rule_ids: tuple[str, ...] = field(default_factory=tuple)
@@ -63,7 +57,7 @@ class CheckResult:
     cache_misses: int = 0
 
     def ok(self) -> bool:
-        return not self.findings and not self.stale_baseline
+        return not self.findings
 
 
 def load_tree(root: str | Path) -> list[ModuleContext]:
@@ -79,7 +73,6 @@ def load_tree(root: str | Path) -> list[ModuleContext]:
 def check_modules(
     modules: list[ModuleContext],
     rules: list[Rule] | None = None,
-    baseline: Baseline | None = None,
     cache: FindingCache | None = None,
 ) -> CheckResult:
     """Run ``rules`` (default: the whole registry) over parsed modules.
@@ -147,16 +140,8 @@ def check_modules(
 
     # Deduplicate (a rule pinning two identical findings to one node)
     # and order deterministically.
-    deduped = sorted(set(kept), key=Finding.sort_key)
-
-    if baseline is not None:
-        active, baselined, stale = baseline.match(deduped)
-    else:
-        active, baselined, stale = deduped, [], []
     return CheckResult(
-        findings=tuple(active),
-        baselined=tuple(baselined),
-        stale_baseline=tuple(stale),
+        findings=tuple(sorted(set(kept), key=Finding.sort_key)),
         files=len(modules),
         suppressed=suppressed,
         rule_ids=tuple(rule.id for rule in rules),
@@ -169,14 +154,12 @@ def check_modules(
 def check_tree(
     root: str | Path,
     rule_ids=None,
-    baseline: Baseline | None = None,
     cache: FindingCache | None = None,
 ) -> CheckResult:
     """Parse and check every ``.py`` file under ``root``."""
     return check_modules(
         load_tree(root),
         rules=REGISTRY.create(rule_ids),
-        baseline=baseline,
         cache=cache,
     )
 

@@ -216,7 +216,7 @@ class TestCLI:
 
 class TestCheckExitCodes:
     """``repro check`` exit codes are a stable contract:
-    0 = clean, 1 = findings/stale baseline, 2 = usage error."""
+    0 = clean, 1 = findings, 2 = usage error."""
 
     def _tree(self, tmp_path, source: str):
         root = tmp_path / "tree"
@@ -234,21 +234,6 @@ class TestCheckExitCodes:
         assert main(["check", "--root", str(root)]) == 1
         assert "ARCH001" in capsys.readouterr().out
 
-    def test_stale_baseline_exits_one(self, tmp_path, capsys):
-        root = self._tree(tmp_path, "x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "rule": "ARCH001", "path": "mod.py",
-                "fingerprint": "0" * 16, "note": "gone",
-            }],
-        }), encoding="utf-8")
-        assert main([
-            "check", "--root", str(root), "--baseline", str(baseline),
-        ]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
-
     def test_missing_root_exits_two(self, tmp_path, capsys):
         assert main(["check", "--root", str(tmp_path / "nope")]) == 2
         assert "no such directory" in capsys.readouterr().err
@@ -264,9 +249,17 @@ class TestCheckExitCodes:
         assert main(["check", "--explain", "NOPE999"]) == 2
         assert "unknown rule" in capsys.readouterr().err
 
-    def test_write_baseline_without_path_exits_two(self, capsys):
-        assert main(["check", "--write-baseline"]) == 2
-        assert "--write-baseline requires" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags",
+        [["--baseline", "baseline.json"], ["--write-baseline"]],
+        ids=["baseline", "write-baseline"],
+    )
+    def test_baseline_options_are_gone(self, tmp_path, capsys, flags):
+        root = self._tree(tmp_path, "x = 1\n")
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "--root", str(root), *flags])
+        assert exited.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
     def test_unknown_argument_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -293,26 +286,6 @@ class TestCheckFix:
         again = capsys.readouterr().out
         assert "fixed 0 file(s)" in again
         assert "---" not in again  # second run: empty diff
-
-    def test_fix_prunes_stale_baseline(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        root.mkdir()
-        (root / "mod.py").write_text("x = 1\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "rule": "ARCH001", "path": "mod.py",
-                "fingerprint": "0" * 16, "note": "gone",
-            }],
-        }), encoding="utf-8")
-        assert main([
-            "check", "--root", str(root),
-            "--baseline", str(baseline), "--fix",
-        ]) == 0
-        assert "baseline.json" in capsys.readouterr().out
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        assert payload["entries"] == []
 
     def test_fix_leaves_real_findings_failing(self, tmp_path, capsys):
         root = tmp_path / "tree"

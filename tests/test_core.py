@@ -15,7 +15,11 @@ from repro.core.fillcontext import (
     question_order_direction,
 )
 from repro.core.slotfill import FillPlan, iter_fills
-from repro.core.structure import question_cues, structure_prior
+from repro.core.structure import (
+    cue_structure_prior,
+    profile_query,
+    question_cues,
+)
 from repro.datasets import build_spider
 from repro.datasets.base import Text2SQLExample
 from repro.datasets.spider import SpiderConfig
@@ -190,23 +194,28 @@ class TestStructurePrior:
         count_query = parse_sql("SELECT COUNT(*) FROM t")
         select_query = parse_sql("SELECT a FROM t")
         question = "How many things are there?"
-        assert structure_prior(question, count_query) > structure_prior(
-            question, select_query
-        )
+        cues = question_cues(question)
+        assert cue_structure_prior(
+            cues, profile_query(count_query)
+        ) > cue_structure_prior(cues, profile_query(select_query))
 
     def test_no_count_cue_demotes_count(self):
         count_query = parse_sql("SELECT COUNT(*) FROM t")
         select_query = parse_sql("SELECT a FROM t")
         question = "Show the names of things"
-        assert structure_prior(question, select_query) > structure_prior(
-            question, count_query
-        )
+        cues = question_cues(question)
+        assert cue_structure_prior(
+            cues, profile_query(select_query)
+        ) > cue_structure_prior(cues, profile_query(count_query))
 
     def test_subquery_cue(self):
         sub = parse_sql("SELECT a FROM t WHERE b > ( SELECT AVG(b) FROM t )")
         plain = parse_sql("SELECT a FROM t WHERE b > 5")
         question = "items with b above the average"
-        assert structure_prior(question, sub) > structure_prior(question, plain)
+        cues = question_cues(question)
+        assert cue_structure_prior(
+            cues, profile_query(sub)
+        ) > cue_structure_prior(cues, profile_query(plain))
 
     def test_cues_extracted(self):
         cues = question_cues("How many items are there for each type?")
@@ -216,7 +225,10 @@ class TestStructurePrior:
     def test_bounded(self):
         query = parse_sql("SELECT COUNT(*) FROM t")
         for question in ("", "how many for each or between letter average"):
-            assert 0.05 <= structure_prior(question, query) <= 0.95
+            prior = cue_structure_prior(
+                question_cues(question), profile_query(query)
+            )
+            assert 0.05 <= prior <= 0.95
 
 
 def _fills(template, ctx):

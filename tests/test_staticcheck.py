@@ -1,4 +1,4 @@
-"""The staticcheck rule engine: registry, suppressions, baseline,
+"""The staticcheck rule engine: registry, suppressions, fingerprints,
 emitters, and the three deep checkers (STAGE001, DET001, LOCK001)."""
 
 import json
@@ -9,18 +9,15 @@ import pytest
 
 from repro.engine import _stages
 from repro.staticcheck import (
-    Baseline,
     REGISTRY,
     Rule,
     RuleRegistry,
     check_modules,
     check_source,
-    load_baseline,
     parse_module,
     render_json,
     render_sarif,
     render_text,
-    save_baseline,
 )
 
 pytestmark = pytest.mark.staticcheck
@@ -130,70 +127,23 @@ class TestSuppressions:
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# fingerprints
 
 
-class TestBaseline:
-    SOURCE = "import time\nt = time.time()\n"
-
-    def _result(self, source, baseline=None):
+class TestFingerprint:
+    @staticmethod
+    def _finding(source):
         module = parse_module("mod.py", source)
-        return check_modules(
-            [module], rules=REGISTRY.create(["ARCH001"]), baseline=baseline
-        )
-
-    def test_baseline_grandfathers_existing_findings(self):
-        first = self._result(self.SOURCE)
-        assert [f.rule for f in first.findings] == ["ARCH001"]
-        baseline = Baseline.from_findings(list(first.findings))
-        second = self._result(self.SOURCE, baseline=baseline)
-        assert second.findings == ()
-        assert len(second.baselined) == 1
-        assert second.baselined[0].baselined is True
-        assert second.ok()
-
-    def test_stale_entry_expires_and_fails(self):
-        dirty = self._result(self.SOURCE)
-        baseline = Baseline.from_findings(list(dirty.findings))
-        clean = self._result("x = 1\n", baseline=baseline)
-        assert clean.findings == ()
-        assert len(clean.stale_baseline) == 1
-        assert not clean.ok()
-
-    def test_multiplicity_one_entry_covers_one_finding(self):
-        two = "import time\nt1 = time.time()\nt2 = time.time()\n"
-        result = self._result(two)
-        assert len(result.findings) == 2
-        baseline = Baseline.from_findings([result.findings[0]])
-        partial = self._result(two, baseline=baseline)
-        assert len(partial.findings) == 1  # the second occurrence stays active
-        assert len(partial.baselined) == 1
-        assert not partial.ok()
+        (finding,) = check_modules(
+            [module], rules=REGISTRY.create(["ARCH001"])
+        ).findings
+        return finding
 
     def test_fingerprint_is_line_independent(self):
-        shifted = "\n\n\nimport time\nt = time.time()\n"
-        original = self._result(self.SOURCE)
-        baseline = Baseline.from_findings(list(original.findings))
-        moved = self._result(shifted, baseline=baseline)
-        assert moved.findings == ()
-        assert moved.ok()
-
-    def test_save_load_roundtrip(self, tmp_path):
-        result = self._result(self.SOURCE)
-        baseline = Baseline.from_findings(list(result.findings), note="legacy")
-        path = tmp_path / "baseline.json"
-        save_baseline(baseline, path)
-        loaded = load_baseline(path)
-        assert len(loaded) == 1
-        assert loaded.entries[0].note == "legacy"
-        again = self._result(self.SOURCE, baseline=loaded)
-        assert again.ok()
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
+        original = self._finding("import time\nt = time.time()\n")
+        moved = self._finding("\n\n\nimport time\nt = time.time()\n")
+        assert moved.line == original.line + 3
+        assert moved.fingerprint == original.fingerprint
 
 
 # ---------------------------------------------------------------------------
