@@ -1,7 +1,10 @@
-"""Exact-text goldens for three operator-facing reports.
+"""Exact-text goldens for operator-facing reports.
 
 Each golden under ``tests/golden/`` is the byte-for-byte output of:
 
+- ``repro datasets``;
+- ``repro shardmap --dataset spider --workers 4 --target-workers 6``;
+- ``repro equiv --dataset spider``;
 - ``repro loadgen --dataset bank_financials --model codes-1b --seed 7``;
 - ``repro providers --seed 0``;
 - ``format_serving_report(router.metrics())`` after a FakeClock replay
@@ -78,6 +81,12 @@ def _cluster_report() -> str:
 
 
 OUTPUTS = {
+    "cli_datasets.txt": lambda: _cli("datasets"),
+    "cli_shardmap_spider_4to6.txt": lambda: _cli(
+        "shardmap", "--dataset", "spider", "--workers", "4",
+        "--target-workers", "6",
+    ),
+    "cli_equiv_spider.txt": lambda: _cli("equiv", "--dataset", "spider"),
     "loadgen_bank_financials_seed7.txt": lambda: _cli(
         "loadgen", "--dataset", "bank_financials", "--model", "codes-1b",
         "--seed", "7",
