@@ -39,7 +39,6 @@ from repro.analysis.diagnostics import (
     RULE_SEVERITIES,
     Diagnostic,
     Severity,
-    error_count,
     has_errors,
 )
 from repro.analysis.report import (
@@ -64,7 +63,6 @@ __all__ = [
     "canonical_key",
     "canonical_key_sql",
     "canonicalize",
-    "error_count",
     "format_lint_report",
     "has_errors",
     "lint_dataset",

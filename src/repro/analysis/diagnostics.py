@@ -102,6 +102,3 @@ def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
     """True when any diagnostic is error-tier."""
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
-
-def error_count(diagnostics: Iterable[Diagnostic]) -> int:
-    return sum(1 for d in diagnostics if d.severity is Severity.ERROR)

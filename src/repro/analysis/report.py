@@ -80,8 +80,7 @@ def lint_dataset(
     report = LintReport(dataset=dataset.name)
     analyzers: dict[str, SemanticAnalyzer] = {}
     for split in splits:
-        examples = dataset.train if split == "train" else dataset.dev
-        for index, example in enumerate(examples):
+        for index, example in enumerate(dataset.split(split)):
             analyzer = analyzers.get(example.db_id)
             if analyzer is None:
                 database = dataset.database_of(example)

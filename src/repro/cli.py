@@ -17,6 +17,16 @@ Subcommands::
     repro check                             # static analysis over src/repro
     repro check --explain STAGE001          # show one rule's documentation
 
+Each shared argument is declared once (``DATASET``, ``MODEL``, ``SEED``,
+the ``SERVING`` and ``SHARDING`` groups, ...) and ``_commands()`` names
+the ones every subcommand takes, with its own defaults.  Every value is
+checked while the command line is parsed, by its ``choices`` or
+``type``; a check that needs two arguments or a built dataset raises
+:class:`UsageError`, which :func:`main` hands to the subcommand's
+``parser.error``.  So every usage error exits 2 (``EXIT_USAGE``) with
+one ``repro <cmd>: error: ...`` line on stderr, and no dataset is built
+before the checks that do not need one have passed.
+
 Everything runs offline and deterministically.
 """
 
@@ -28,6 +38,8 @@ import json
 import os
 import sys
 from collections import Counter
+from pathlib import Path
+from typing import Callable
 
 from repro.analysis import (
     SchemaCatalog,
@@ -39,8 +51,10 @@ from repro.analysis import (
 from repro.augment import augment_domain
 from repro.config import MODEL_REGISTRY
 from repro.core import CodeSParser, DemonstrationRetriever
-from repro.datasets import DATASET_BUILDERS
-from repro.errors import DeadlineExceededError, ReproError
+from repro.datasets import DATASET_BUILDERS, SPLITS
+from repro.db.backends import available_backends, backend_for_dialect
+from repro.errors import DeadlineExceededError, ExecutionError, ReproError
+from repro.eval.conformance import REFERENCE_BACKEND, run_conformance
 from repro.eval.harness import evaluate_parser, pair_samples
 from repro.eval.reporting import (
     format_failure_report,
@@ -67,11 +81,33 @@ from repro.serving import (
     run_loadgen,
 )
 
+#: Exit codes, one contract for every subcommand (CI wrappers rely on
+#: it): 0 = success, 1 = the run found problems (dirty gold SQL,
+#: backend divergences, staticcheck findings), 2 = usage error.
+EXIT_OK = 0
+EXIT_FAILED = 1
+EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """A bad command line that only a check across arguments or on a
+    built dataset can see; :func:`main` reports it as argparse does."""
+
+
 def _build_dataset(name: str):
-    try:
-        return DATASET_BUILDERS[name]()
-    except KeyError:
-        sys.exit(f"unknown dataset {name!r}; choose from {sorted(DATASET_BUILDERS)}")
+    return DATASET_BUILDERS[name]()
+
+
+def _build_datasets(name: str) -> list:
+    """The datasets ``name`` selects; ``dr-spider`` expands to every
+    perturbation set and ``all`` to every bundled set."""
+    if name == "all":
+        names = list(DATASET_BUILDERS)
+    elif name == "dr-spider":
+        names = [n for n in DATASET_BUILDERS if n.startswith("dr-spider-")]
+    else:
+        names = [name]
+    return [_build_dataset(target) for target in names]
 
 
 def _fitted_parser(dataset, model: str, clock=None) -> CodeSParser:
@@ -83,50 +119,35 @@ def _fitted_parser(dataset, model: str, clock=None) -> CodeSParser:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
-    rows = []
-    for name, builder in DATASET_BUILDERS.items():
-        dataset = builder()
-        rows.append(
-            {
-                "dataset": name,
-                "databases": len(dataset.databases),
-                "train": len(dataset.train),
-                "dev": len(dataset.dev),
-            }
-        )
+    rows = [
+        {
+            "dataset": dataset.name,
+            "databases": len(dataset.databases),
+            "train": len(dataset.train),
+            "dev": len(dataset.dev),
+        }
+        for dataset in _build_datasets("all")
+    ]
     print(format_table(rows, title="Available benchmarks"))
-    return 0
+    return EXIT_OK
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.mode != "fewshot" and args.shots is not None:
-        print(
-            f"repro eval: --shots applies only to --mode fewshot, "
-            f"not --mode {args.mode}",
-            file=sys.stderr,
+        raise UsageError(
+            f"--shots applies only to --mode fewshot, not --mode {args.mode}"
         )
-        return 2
     shots = 3 if args.shots is None else args.shots
     if args.mode == "fewshot" and shots < 1:
-        print(
-            f"repro eval: --mode fewshot needs --shots >= 1, got {shots} "
-            "(use --mode zeroshot for no demonstrations)",
-            file=sys.stderr,
+        raise UsageError(
+            f"--mode fewshot needs --shots >= 1, got {shots} "
+            "(use --mode zeroshot for no demonstrations)"
         )
-        return 2
-    if args.dialect != "sqlite":
-        from repro.db.backends import backend_for_dialect
-        from repro.errors import ExecutionError
-
-        try:
-            backend_for_dialect(args.dialect)
-        except ExecutionError as exc:
-            sys.exit(str(exc))
-        if args.ts:
-            sys.exit(
-                "--ts requires the reference sqlite dialect "
-                f"(test suites execute on sqlite), not {args.dialect!r}"
-            )
+    if args.ts and args.dialect != "sqlite":
+        raise UsageError(
+            "--ts requires the reference sqlite dialect "
+            f"(test suites execute on sqlite), not {args.dialect!r}"
+        )
     dataset = _build_dataset(args.dataset)
     parser = CodeSParser(args.model)
     kwargs = {}
@@ -159,14 +180,24 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = format_failure_report(result)
     if report:
         print(report)
-    return 0
+    return EXIT_OK
+
+
+def _answering(args: argparse.Namespace):
+    """The fitted parser and the ``--db-id`` database (default: the
+    dataset's first) that ``ask`` and ``trace`` answer on."""
+    dataset = _build_dataset(args.dataset)
+    db_id = args.db_id or next(iter(dataset.databases))
+    if db_id not in dataset.databases:
+        raise UsageError(
+            f"argument --db-id: {db_id!r} is not a database of "
+            f"{args.dataset} (choose from {', '.join(dataset.databases)})"
+        )
+    return _fitted_parser(dataset, args.model), dataset.databases[db_id]
 
 
 def _cmd_ask(args: argparse.Namespace) -> int:
-    dataset = _build_dataset(args.dataset)
-    parser = _fitted_parser(dataset, args.model)
-    db_id = args.db_id or next(iter(dataset.databases))
-    database = dataset.databases[db_id]
+    parser, database = _answering(args)
     retry = (
         RetryPolicy(max_attempts=args.max_retries + 1)
         if args.max_retries
@@ -190,77 +221,59 @@ def _cmd_ask(args: argparse.Namespace) -> int:
     try:
         rows = retry.call(_execute) if retry is not None else _execute()
     except DeadlineExceededError as exc:
-        sys.exit(f"query exceeded the --deadline-s budget: {exc}")
+        print(
+            f"repro ask: query exceeded the --deadline-s budget: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_FAILED
     for row in rows[:20]:
         print(" ", row)
     if len(rows) > 20:
         print(f"  ... ({len(rows)} rows total)")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Answer one question and print the per-stage engine trace."""
-    dataset = _build_dataset(args.dataset)
-    parser = _fitted_parser(dataset, args.model)
-    db_id = args.db_id or next(iter(dataset.databases))
-    database = dataset.databases[db_id]
+    parser, database = _answering(args)
     result = parser.generate(args.question, database)
     print(f"SQL:  {result.sql}")
     print(f"tier: {result.tier}")
     if result.trace is None:
         print("(no trace recorded)")
-        return 0
+        return EXIT_OK
     print(
         format_table(
             result.trace.as_rows(),
             title=f"stage trace ({1000 * result.trace.total_s:.2f} ms total)",
         )
     )
-    return 0
-
-
-def _lint_targets(name: str) -> list:
-    """The datasets ``name`` selects; ``dr-spider`` expands to every
-    perturbation set and ``all`` to every bundled set."""
-    if name == "all":
-        names = list(DATASET_BUILDERS)
-    elif name == "dr-spider":
-        names = [n for n in DATASET_BUILDERS if n.startswith("dr-spider-")]
-    elif name in DATASET_BUILDERS:
-        names = [name]
-    else:
-        sys.exit(
-            f"unknown dataset {name!r}; choose from "
-            f"{sorted([*DATASET_BUILDERS, 'dr-spider', 'all'])}"
-        )
-    return [DATASET_BUILDERS[target]() for target in names]
+    return EXIT_OK
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    splits = tuple(args.splits.split(","))
     rows = []
     dirty = 0
-    for dataset in _lint_targets(args.dataset):
-        report = dataset.lint(splits=splits)
+    for dataset in _build_datasets(args.dataset):
+        report = dataset.lint(splits=args.splits)
         rows.append(report.as_row())
         dirty += len(report.error_findings)
         if report.findings and args.verbose:
             print(format_lint_report(report, max_findings=args.max_findings))
         elif report.error_findings:
             print(format_lint_report(report, max_findings=args.max_findings))
-    print(format_table(rows, title=f"Gold SQL lint audit (splits: {args.splits})"))
+    title = f"Gold SQL lint audit (splits: {','.join(args.splits)})"
+    print(format_table(rows, title=title))
     if dirty:
         print(f"FAIL: {dirty} gold queries carry error-tier diagnostics")
-        return 1
+        return EXIT_FAILED
     print("OK: no error-tier diagnostics in gold SQL")
-    return 0
+    return EXIT_OK
 
 
 def _equiv_report(dataset, splits: tuple[str, ...], max_pairs: int) -> dict[str, object]:
     """Duplicate-ratio and prover-verdict histogram for one benchmark."""
-    examples = []
-    for split in splits:
-        examples.extend(getattr(dataset, split, []) or [])
+    examples = [example for split in splits for example in dataset.split(split)]
     keys = [canonical_key_sql(example.sql) for example in examples]
     unique = len(set(keys))
     verdicts = {verdict: 0 for verdict in Verdict}
@@ -296,20 +309,20 @@ def _equiv_report(dataset, splits: tuple[str, ...], max_pairs: int) -> dict[str,
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    splits = tuple(args.splits.split(","))
-    rows = []
-    for dataset in _lint_targets(args.dataset):
-        rows.append(_equiv_report(dataset, splits, args.max_pairs))
+    rows = [
+        _equiv_report(dataset, args.splits, args.max_pairs)
+        for dataset in _build_datasets(args.dataset)
+    ]
     print(
         format_table(
             rows,
             title=(
-                f"Gold SQL equivalence audit (splits: {args.splits}; "
+                f"Gold SQL equivalence audit (splits: {','.join(args.splits)}; "
                 f"within-database pairs, capped at {args.max_pairs})"
             ),
         )
     )
-    return 0
+    return EXIT_OK
 
 
 def _cmd_augment(args: argparse.Namespace) -> int:
@@ -331,7 +344,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     else:
         print(json.dumps(payload[:5], indent=2))
         print(f"... {len(payload)} pairs total (use --out to save)")
-    return 0
+    return EXIT_OK
 
 
 def _server_config(args: argparse.Namespace) -> ServerConfig:
@@ -342,6 +355,15 @@ def _server_config(args: argparse.Namespace) -> ServerConfig:
         sentinel_watermark=args.sentinel_watermark,
         rate_per_tenant=args.rate_per_tenant,
         default_deadline_s=args.deadline_s,
+    )
+
+
+def _shard_map(args: argparse.Namespace, workers: int) -> ShardMap:
+    """A ``workers``-worker map on ``--virtual-nodes`` and ``--shard-seed``."""
+    return ShardMap(
+        default_worker_ids(workers),
+        virtual_nodes=args.virtual_nodes,
+        seed=args.shard_seed,
     )
 
 
@@ -379,13 +401,8 @@ def _build_router(args: argparse.Namespace, parser, databases) -> ShardRouter:
             return ProcessWorkerHandle(worker_id, build)
         return InlineWorkerHandle(worker_id, build)
 
-    shard_map = ShardMap(
-        default_worker_ids(args.workers),
-        virtual_nodes=args.virtual_nodes,
-        seed=args.shard_seed,
-    )
     return ShardRouter(
-        shard_map,
+        _shard_map(args, args.workers),
         handle_factory,
         databases.keys(),
         config=ShardingConfig(
@@ -449,7 +466,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 requests.append(_serve_request(line, index, default_db))
             except ValueError as exc:
                 print(f"repro serve: line {index + 1}: {exc}", file=sys.stderr)
-                return 2
+                return EXIT_USAGE
     finally:
         if args.input:
             handle.close()
@@ -457,7 +474,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     repeated = [request_id for request_id, n in ids.items() if n > 1]
     if repeated:
         print(f"repro serve: duplicate request id {repeated[0]!r}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     parser = _fitted_parser(dataset, args.model)
     arrivals = [Arrival(at=0.0, request=request) for request in requests]
     failures: list[dict] = []
@@ -480,7 +497,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(json.dumps({"status": "worker_failure", **failure}, sort_keys=True))
     if metrics is not None:
         print(format_serving_report(metrics), file=sys.stderr)
-    return 0
+    return EXIT_OK
 
 
 def _cmd_shardmap(args: argparse.Namespace) -> int:
@@ -492,11 +509,7 @@ def _cmd_shardmap(args: argparse.Namespace) -> int:
     """
     dataset = _build_dataset(args.dataset)
     db_ids = sorted(dataset.databases)
-    shard_map = ShardMap(
-        default_worker_ids(args.workers),
-        virtual_nodes=args.virtual_nodes,
-        seed=args.shard_seed,
-    )
+    shard_map = _shard_map(args, args.workers)
     rows = [
         {
             "worker": worker_id,
@@ -515,12 +528,7 @@ def _cmd_shardmap(args: argparse.Namespace) -> int:
         )
     )
     if args.target_workers is not None:
-        new_map = ShardMap(
-            default_worker_ids(args.target_workers),
-            virtual_nodes=args.virtual_nodes,
-            seed=args.shard_seed,
-        )
-        moves = shard_map.moves(new_map, db_ids)
+        moves = shard_map.moves(_shard_map(args, args.target_workers), db_ids)
         print()
         if not moves:
             print(f"rebalance to {args.target_workers} workers: nothing moves")
@@ -537,7 +545,7 @@ def _cmd_shardmap(args: argparse.Namespace) -> int:
                     ),
                 )
             )
-    return 0
+    return EXIT_OK
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -568,7 +576,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         server, arrivals, title=f"loadgen {args.dataset} seed={args.seed}"
     )
     print(result.report)
-    return 0
+    return EXIT_OK
 
 
 def _cmd_providers(args: argparse.Namespace) -> int:
@@ -652,66 +660,22 @@ def _cmd_providers(args: argparse.Namespace) -> int:
     print(format_table(summary, title=f"Router {config.name!r} seed={args.seed}"))
     print()
     print(format_table(router.as_rows(), title="Providers"))
-    return 0
-
-
-#: ``repro check`` exit codes — a stable contract for CI wrappers:
-#: 0 = clean, 1 = findings, 2 = usage error.
-CHECK_OK = 0
-CHECK_FINDINGS = 1
-CHECK_USAGE = 2
-
-#: ``repro conformance`` exit codes — same contract shape as ``check``:
-#: 0 = every backend matched SQLite everywhere, 1 = divergences or
-#: backend errors, 2 = usage error.
-CONFORMANCE_OK = 0
-CONFORMANCE_DIVERGENT = 1
-CONFORMANCE_USAGE = 2
+    return EXIT_OK
 
 
 def _cmd_conformance(args: argparse.Namespace) -> int:
     """Run the cross-dialect conformance suite and print the report."""
-    from repro.db.backends import available_backends
-    from repro.eval.conformance import REFERENCE_BACKEND, run_conformance
-
-    if args.dataset == "all":
-        datasets = None
-    elif args.dataset in DATASET_BUILDERS:
-        datasets = [DATASET_BUILDERS[args.dataset]()]
-    else:
-        print(
-            f"repro conformance: unknown dataset {args.dataset!r}; choose "
-            f"from {sorted([*DATASET_BUILDERS, 'all'])}",
-            file=sys.stderr,
-        )
-        return CONFORMANCE_USAGE
-    if args.backend == "all":
-        backends = None
-    elif args.backend in available_backends():
-        if args.backend == REFERENCE_BACKEND:
-            print(
-                f"repro conformance: {REFERENCE_BACKEND!r} is the reference "
-                f"backend; pick one to compare against it",
-                file=sys.stderr,
-            )
-            return CONFORMANCE_USAGE
-        backends = [args.backend]
-    else:
-        print(
-            f"repro conformance: unknown backend {args.backend!r}; choose "
-            f"from {sorted([*available_backends(), 'all'])}",
-            file=sys.stderr,
-        )
-        return CONFORMANCE_USAGE
     report = run_conformance(
-        datasets=datasets, backends=backends, deadline_s=args.deadline_s
+        datasets=_build_datasets(args.dataset),
+        backends=None if args.backend == "all" else [args.backend],
+        deadline_s=args.deadline_s,
     )
     print(report.render(max_divergences=args.max_divergences))
     if report.ok:
         print("OK: every backend matches the reference on every gold set")
-        return CONFORMANCE_OK
+        return EXIT_OK
     print("FAIL: backends diverged from the reference (see report above)")
-    return CONFORMANCE_DIVERGENT
+    return EXIT_FAILED
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -720,8 +684,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     Imported lazily so the (pure-stdlib, but sizeable) rule registry
     only loads for this subcommand.
     """
-    from pathlib import Path
-
     import repro
     from repro import staticcheck
 
@@ -729,40 +691,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for rule_id in staticcheck.REGISTRY.ids():
             rule_cls = staticcheck.REGISTRY.get(rule_id)
             print(f"{rule_id}  ({rule_cls.severity})  {rule_cls.title}")
-        return CHECK_OK
+        return EXIT_OK
     if args.explain:
-        try:
-            print(staticcheck.REGISTRY.explain(args.explain))
-        except KeyError as exc:
-            print(f"repro check: {exc.args[0]}", file=sys.stderr)
-            return CHECK_USAGE
-        return CHECK_OK
+        print(staticcheck.REGISTRY.explain(args.explain))
+        return EXIT_OK
 
-    root = Path(args.root) if args.root else Path(repro.__file__).parent
-    if not root.is_dir():
-        print(f"repro check: no such directory: {root}", file=sys.stderr)
-        return CHECK_USAGE
-    rule_ids = args.rules.split(",") if args.rules else None
-
+    root = args.root or Path(repro.__file__).parent
     cache = None
     if args.cache:
-        try:
-            rule_classes = [
-                staticcheck.REGISTRY.get(rid)
-                for rid in (rule_ids or staticcheck.REGISTRY.ids())
-            ]
-        except KeyError as exc:
-            print(f"repro check: {exc.args[0]}", file=sys.stderr)
-            return CHECK_USAGE
+        rule_classes = [
+            staticcheck.REGISTRY.get(rid)
+            for rid in (args.rules or staticcheck.REGISTRY.ids())
+        ]
         cache = staticcheck.FindingCache(
             args.cache, staticcheck.rules_fingerprint(rule_classes)
         )
-
-    try:
-        result = staticcheck.check_tree(root, rule_ids=rule_ids, cache=cache)
-    except KeyError as exc:
-        print(f"repro check: {exc.args[0]}", file=sys.stderr)
-        return CHECK_USAGE
+    result = staticcheck.check_tree(root, rule_ids=args.rules, cache=cache)
     if cache is not None:
         cache.save()
 
@@ -774,7 +718,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         # Findings the fixer cannot retire (anything but stale
         # suppressions) still fail the run.
         remaining = [f for f in result.findings if f.rule != "SUP001"]
-        return CHECK_OK if not remaining else CHECK_FINDINGS
+        return EXIT_OK if not remaining else EXIT_FAILED
 
     if args.format == "json":
         print(staticcheck.render_json(result))
@@ -782,60 +726,258 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(staticcheck.render_sarif(result))
     else:
         print(staticcheck.render_text(result))
-    return CHECK_OK if result.ok() else CHECK_FINDINGS
+    return EXIT_OK if result.ok() else EXIT_FAILED
 
 
-def _add_reliability_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--deadline-s", type=float, default=None,
-        help="wall-clock budget per SQL execution (seconds)",
-    )
-    subparser.add_argument(
-        "--max-retries", type=int, default=0,
-        help="retries for transient generation/execution failures",
-    )
+# ---------------------------------------------------------------------------
+# value checks: argparse ``type`` callables
 
 
-def _add_serving_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument("--queue-capacity", type=int, default=64)
-    subparser.add_argument("--batch-size", type=int, default=4)
-    subparser.add_argument(
-        "--skeleton-watermark", type=int, default=8,
-        help="queue depth at which batches drop to skeleton effort",
-    )
-    subparser.add_argument(
-        "--sentinel-watermark", type=int, default=24,
-        help="queue depth at which batches answer with the sentinel",
-    )
-    subparser.add_argument(
-        "--rate-per-tenant", type=float, default=None,
+def _checked(kind: type, ok: Callable[[float], bool], bound: str):
+    """Parse a ``kind`` and reject it unless ``ok``; argparse reports a
+    parse failure as ``invalid <kind> value`` and a rejection as
+    ``must be <bound>``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_count = _checked(int, lambda v: v >= 0, ">= 0")
+_positive = _checked(float, lambda v: v > 0, "positive")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+
+
+def _splits(text: str) -> tuple[str, ...]:
+    splits = tuple(text.split(","))
+    for split in splits:
+        if split not in SPLITS:
+            raise argparse.ArgumentTypeError(
+                f"unknown split {split!r}; choose from {', '.join(SPLITS)}"
+            )
+    return splits
+
+
+def _dialect(name: str) -> str:
+    try:
+        backend_for_dialect(name)
+    except ExecutionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
+
+
+def _directory(text: str) -> Path:
+    if not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"no such directory: {text}")
+    return Path(text)
+
+
+def _rule_id(rule_id: str) -> str:
+    from repro.staticcheck import REGISTRY
+
+    try:
+        REGISTRY.get(rule_id)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return rule_id
+
+
+def _rule_ids(text: str) -> list[str] | None:
+    return [_rule_id(rule_id) for rule_id in text.split(",")] if text else None
+
+
+# ---------------------------------------------------------------------------
+# arguments, declared once
+
+
+class Arg:
+    """One command-line argument: ``add_argument``'s flags and keywords.
+    Calling it returns a copy with some keywords replaced, which is how
+    a subcommand gives a shared argument its own default or help."""
+
+    def __init__(self, *flags: str, **spec):
+        self.flags = flags
+        self.spec = spec
+
+    def __call__(self, **overrides) -> Arg:
+        return Arg(*self.flags, **{**self.spec, **overrides})
+
+
+DATASET = Arg("--dataset", choices=tuple(DATASET_BUILDERS), metavar="DATASET")
+#: ``--dataset`` for the audits, which also take the two groups.
+DATASET_GROUP = DATASET(
+    default="all", choices=(*DATASET_BUILDERS, "dr-spider", "all"),
+    help="benchmark name, 'dr-spider' for all perturbations, or 'all'",
+)
+MODEL = Arg("--model", choices=sorted(MODEL_REGISTRY))
+SEED = Arg("--seed", type=int, default=0)
+DEADLINE = Arg("--deadline-s", type=float, default=None)
+#: ``--deadline-s`` and ``--max-retries`` for ``eval`` and ``ask``.
+RELIABILITY = (
+    DEADLINE(help="wall-clock budget per SQL execution (seconds)"),
+    Arg("--max-retries", type=_count, default=0,
+        help="retries for transient generation/execution failures"),
+)
+#: ``--db-id`` and ``--question`` for ``ask`` and ``trace``.
+QUESTION = (Arg("--db-id", default=None), Arg("--question", required=True))
+SPLITS_ARG = Arg("--splits", type=_splits, default="train,dev",
+                 help="comma-separated splits to audit (default: train,dev)")
+SERVING = (
+    Arg("--queue-capacity", type=_positive_int, default=64),
+    Arg("--batch-size", type=_positive_int, default=4),
+    Arg("--skeleton-watermark", type=int, default=8,
+        help="queue depth at which batches drop to skeleton effort"),
+    Arg("--sentinel-watermark", type=int, default=24,
+        help="queue depth at which batches answer with the sentinel"),
+    Arg("--rate-per-tenant", type=float, default=None,
         help="token-bucket refill rate per tenant (requests/s); "
-             "omit to disable rate limiting",
-    )
-    subparser.add_argument(
-        "--deadline-s", type=float, default=None,
-        help="default end-to-end deadline per request (seconds)",
-    )
-
-
-def _add_sharding_flags(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
-        "--workers", type=int, default=1,
+             "omit to disable rate limiting"),
+    DEADLINE(help="default end-to-end deadline per request (seconds)"),
+)
+SHARDING = (
+    Arg("--workers", type=_positive_int, default=1,
         help="shard the databases over N workers behind a router "
-             "(1 = single-process serving, the default)",
-    )
-    subparser.add_argument(
-        "--transport", default="inline", choices=("inline", "process"),
+             "(1 = single-process serving, the default)"),
+    Arg("--transport", default="inline", choices=("inline", "process"),
         help="worker transport: inline (deterministic, one process) or "
-             "process (forked children, real parallelism)",
-    )
-    subparser.add_argument(
-        "--virtual-nodes", type=int, default=64,
-        help="virtual nodes per worker on the consistent-hash ring",
-    )
-    subparser.add_argument(
-        "--shard-seed", type=int, default=0,
-        help="seed for the consistent-hash ring points",
+             "process (forked children, real parallelism)"),
+    Arg("--virtual-nodes", type=_positive_int, default=64,
+        help="virtual nodes per worker on the consistent-hash ring"),
+    Arg("--shard-seed", type=int, default=0,
+        help="seed for the consistent-hash ring points"),
+)
+
+
+def _commands() -> tuple:
+    """Every subcommand as (name, handler, help, arguments in ``--help``
+    order).  Built per parser, so ``conformance --backend`` offers the
+    backends registered at that moment."""
+    backends = [b for b in available_backends() if b != REFERENCE_BACKEND]
+    return (
+        ("datasets", _cmd_datasets, "list available benchmarks", ()),
+        ("eval", _cmd_eval, "evaluate a model on a benchmark", (
+            DATASET(default="spider"),
+            MODEL(default="codes-7b"),
+            Arg("--mode", default="sft", choices=("sft", "fewshot", "zeroshot")),
+            Arg("--shots", type=int, default=None,
+                help="demonstrations per question, --mode fewshot only (default 3)"),
+            Arg("--ek", action="store_true", help="use external knowledge (BIRD)"),
+            Arg("--ts", action="store_true", help="also compute test-suite accuracy"),
+            Arg("--limit", type=_count, default=None),
+            Arg("--no-static-eval", action="store_true",
+                help="disable the static EX short-circuit (execute every "
+                     "prediction even when provably equivalent to gold)"),
+            Arg("--dialect", type=_dialect, default="sqlite",
+                help="run on the backend speaking this SQL dialect (gold queries "
+                     "are transpiled); default sqlite is the reference engine"),
+            *RELIABILITY,
+        )),
+        ("ask", _cmd_ask, "translate one question to SQL", (
+            DATASET(default="bank_financials"), MODEL(default="codes-7b"),
+            *QUESTION, *RELIABILITY,
+        )),
+        ("trace", _cmd_trace, "answer one question and show the per-stage trace", (
+            DATASET(default="bank_financials"), MODEL(default="codes-7b"), *QUESTION,
+        )),
+        ("augment", _cmd_augment, "run bi-directional augmentation for a domain", (
+            Arg("--domain", default="bank_financials",
+                choices=("bank_financials", "aminer_simplified")),
+            Arg("--question-to-sql", type=int, default=60),
+            Arg("--sql-to-question", type=int, default=90),
+            SEED,
+            Arg("--out", default=None),
+        )),
+        ("lint", _cmd_lint, "statically audit a benchmark's gold SQL", (
+            DATASET_GROUP,
+            SPLITS_ARG,
+            Arg("--max-findings", type=int, default=10,
+                help="dirty queries to print per dataset"),
+            Arg("--verbose", action="store_true",
+                help="also print reports for datasets with warnings only"),
+        )),
+        ("equiv", _cmd_equiv, "report gold-SQL duplicate ratios and prover verdicts", (
+            DATASET_GROUP,
+            SPLITS_ARG,
+            Arg("--max-pairs", type=int, default=2000,
+                help="cap on within-database query pairs fed to the prover"),
+        )),
+        ("serve", _cmd_serve,
+         "one-shot JSONL serving through the micro-batch scheduler", (
+            DATASET(default="bank_financials"),
+            MODEL(default="codes-1b"),
+            Arg("--input", default=None,
+                help="JSONL request file (default: stdin); each line is "
+                     '{"question": ..., "db_id": ..., "id"?, "tenant"?, '
+                     '"deadline_s"?}'),
+            Arg("--metrics", action="store_true",
+                help="print the server metrics snapshot to stderr after serving"),
+            *SERVING,
+            *SHARDING,
+        )),
+        ("shardmap", _cmd_shardmap,
+         "show the consistent-hash shard assignments and a rebalance plan diff", (
+            DATASET(default="bank_financials"),
+            Arg("--target-workers", type=_positive_int, default=None,
+                help="also print which databases move when rebalancing to "
+                     "this many workers"),
+            *SHARDING,
+        )),
+        ("loadgen", _cmd_loadgen,
+         "seeded open-loop Poisson load report on a fake clock", (
+            DATASET(default="bank_financials"),
+            MODEL(default="codes-1b"),
+            Arg("--n", type=_positive_int, default=64, help="number of arrivals"),
+            Arg("--rate", type=_positive, default=30.0,
+                help="Poisson arrival rate (requests/s)"),
+            SEED,
+            *SERVING,
+        )),
+        ("providers", _cmd_providers,
+         "seeded chaos run against an LM provider topology", (
+            Arg("--config", default=None,
+                help="JSON RouterConfig file; omit for the built-in demo mix"),
+            MODEL(default="codes-7b"),
+            Arg("--n", type=int, default=500, help="routed requests to simulate"),
+            SEED,
+            Arg("--failure-rate", type=_fraction, default=0.3,
+                help="demo mix: primary provider's injected failure rate"),
+            Arg("--hedge-delay-s", type=float, default=0.02,
+                help="fire a hedged backup after this many seconds; "
+                     "negative disables hedging"),
+        )),
+        ("conformance", _cmd_conformance,
+         "execute every bundled gold query on each backend and "
+         "result-compare against the reference SQLite engine", (
+            DATASET(default="all", choices=(*DATASET_BUILDERS, "all"),
+                    help="one bundled gold set by name, or 'all' (the default)"),
+            Arg("--backend", default="all", choices=(*backends, "all"),
+                help="one registered backend to audit, or 'all' non-reference "
+                     "backends (the default)"),
+            DEADLINE(help="wall-clock budget per backend-side execution (seconds)"),
+            Arg("--max-divergences", type=int, default=10,
+                help="divergent examples to print per backend"),
+        )),
+        ("check", _cmd_check, "run the staticcheck rule engine over a source tree", (
+            Arg("--root", type=_directory, default=None,
+                help="tree to check (default: the installed repro package)"),
+            Arg("--format", default="text", choices=("text", "json", "sarif")),
+            Arg("--rules", type=_rule_ids, default=None,
+                help="comma-separated rule ids to run (default: all registered)"),
+            Arg("--explain", type=_rule_id, default=None, metavar="RULE",
+                help="print one rule's documentation and exit"),
+            Arg("--list", action="store_true", help="list registered rules and exit"),
+            Arg("--fix", action="store_true",
+                help="delete stale suppression comments, printing a unified diff"),
+            Arg("--cache", default=None, metavar="PATH",
+                help="incremental finding cache file; unchanged modules skip "
+                     "per-module rules on warm runs"),
+        )),
     )
 
 
@@ -844,242 +986,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="repro", description="CodeS text-to-SQL reproduction CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("datasets", help="list available benchmarks").set_defaults(
-        func=_cmd_datasets
-    )
-
-    eval_parser = sub.add_parser("eval", help="evaluate a model on a benchmark")
-    eval_parser.add_argument("--dataset", default="spider")
-    eval_parser.add_argument(
-        "--model", default="codes-7b", choices=sorted(MODEL_REGISTRY)
-    )
-    eval_parser.add_argument(
-        "--mode", default="sft", choices=("sft", "fewshot", "zeroshot")
-    )
-    eval_parser.add_argument(
-        "--shots", type=int, default=None,
-        help="demonstrations per question, --mode fewshot only (default 3)",
-    )
-    eval_parser.add_argument("--ek", action="store_true",
-                             help="use external knowledge (BIRD)")
-    eval_parser.add_argument("--ts", action="store_true",
-                             help="also compute test-suite accuracy")
-    eval_parser.add_argument("--limit", type=int, default=None)
-    eval_parser.add_argument(
-        "--no-static-eval", action="store_true",
-        help="disable the static EX short-circuit (execute every "
-             "prediction even when provably equivalent to gold)",
-    )
-    eval_parser.add_argument(
-        "--dialect", default="sqlite",
-        help="run on the backend speaking this SQL dialect (gold queries "
-             "are transpiled); default sqlite is the reference engine",
-    )
-    _add_reliability_flags(eval_parser)
-    eval_parser.set_defaults(func=_cmd_eval)
-
-    ask_parser = sub.add_parser("ask", help="translate one question to SQL")
-    ask_parser.add_argument("--dataset", default="bank_financials")
-    ask_parser.add_argument(
-        "--model", default="codes-7b", choices=sorted(MODEL_REGISTRY)
-    )
-    ask_parser.add_argument("--db-id", default=None)
-    ask_parser.add_argument("--question", required=True)
-    _add_reliability_flags(ask_parser)
-    ask_parser.set_defaults(func=_cmd_ask)
-
-    trace_parser = sub.add_parser(
-        "trace", help="answer one question and show the per-stage trace"
-    )
-    trace_parser.add_argument("--dataset", default="bank_financials")
-    trace_parser.add_argument(
-        "--model", default="codes-7b", choices=sorted(MODEL_REGISTRY)
-    )
-    trace_parser.add_argument("--db-id", default=None)
-    trace_parser.add_argument("--question", required=True)
-    trace_parser.set_defaults(func=_cmd_trace)
-
-    augment_parser = sub.add_parser(
-        "augment", help="run bi-directional augmentation for a domain"
-    )
-    augment_parser.add_argument(
-        "--domain", default="bank_financials",
-        choices=("bank_financials", "aminer_simplified"),
-    )
-    augment_parser.add_argument("--question-to-sql", type=int, default=60)
-    augment_parser.add_argument("--sql-to-question", type=int, default=90)
-    augment_parser.add_argument("--seed", type=int, default=0)
-    augment_parser.add_argument("--out", default=None)
-    augment_parser.set_defaults(func=_cmd_augment)
-
-    lint_parser = sub.add_parser(
-        "lint", help="statically audit a benchmark's gold SQL"
-    )
-    lint_parser.add_argument(
-        "--dataset", default="all",
-        help="benchmark name, 'dr-spider' for all perturbations, or 'all'",
-    )
-    lint_parser.add_argument(
-        "--splits", default="train,dev",
-        help="comma-separated splits to audit (default: train,dev)",
-    )
-    lint_parser.add_argument(
-        "--max-findings", type=int, default=10,
-        help="dirty queries to print per dataset",
-    )
-    lint_parser.add_argument(
-        "--verbose", action="store_true",
-        help="also print reports for datasets with warnings only",
-    )
-    lint_parser.set_defaults(func=_cmd_lint)
-
-    equiv_parser = sub.add_parser(
-        "equiv", help="report gold-SQL duplicate ratios and prover verdicts"
-    )
-    equiv_parser.add_argument(
-        "--dataset", default="all",
-        help="benchmark name, 'dr-spider' for all perturbations, or 'all'",
-    )
-    equiv_parser.add_argument(
-        "--splits", default="train,dev",
-        help="comma-separated splits to audit (default: train,dev)",
-    )
-    equiv_parser.add_argument(
-        "--max-pairs", type=int, default=2000,
-        help="cap on within-database query pairs fed to the prover",
-    )
-    equiv_parser.set_defaults(func=_cmd_equiv)
-
-    serve_parser = sub.add_parser(
-        "serve", help="one-shot JSONL serving through the micro-batch scheduler"
-    )
-    serve_parser.add_argument("--dataset", default="bank_financials")
-    serve_parser.add_argument(
-        "--model", default="codes-1b", choices=sorted(MODEL_REGISTRY)
-    )
-    serve_parser.add_argument(
-        "--input", default=None,
-        help="JSONL request file (default: stdin); each line is "
-             '{"question": ..., "db_id": ..., "id"?, "tenant"?, "deadline_s"?}',
-    )
-    serve_parser.add_argument(
-        "--metrics", action="store_true",
-        help="print the server metrics snapshot to stderr after serving",
-    )
-    _add_serving_flags(serve_parser)
-    _add_sharding_flags(serve_parser)
-    serve_parser.set_defaults(func=_cmd_serve)
-
-    shardmap_parser = sub.add_parser(
-        "shardmap",
-        help="show the consistent-hash shard assignments and a "
-             "rebalance plan diff",
-    )
-    shardmap_parser.add_argument("--dataset", default="bank_financials")
-    shardmap_parser.add_argument(
-        "--target-workers", type=int, default=None,
-        help="also print which databases move when rebalancing to "
-             "this many workers",
-    )
-    _add_sharding_flags(shardmap_parser)
-    shardmap_parser.set_defaults(func=_cmd_shardmap)
-
-    loadgen_parser = sub.add_parser(
-        "loadgen", help="seeded open-loop Poisson load report on a fake clock"
-    )
-    loadgen_parser.add_argument("--dataset", default="bank_financials")
-    loadgen_parser.add_argument(
-        "--model", default="codes-1b", choices=sorted(MODEL_REGISTRY)
-    )
-    loadgen_parser.add_argument("--n", type=int, default=64,
-                                help="number of arrivals")
-    loadgen_parser.add_argument("--rate", type=float, default=30.0,
-                                help="Poisson arrival rate (requests/s)")
-    loadgen_parser.add_argument("--seed", type=int, default=0)
-    _add_serving_flags(loadgen_parser)
-    loadgen_parser.set_defaults(func=_cmd_loadgen)
-
-    providers_parser = sub.add_parser(
-        "providers",
-        help="seeded chaos run against an LM provider topology",
-    )
-    providers_parser.add_argument(
-        "--config", default=None,
-        help="JSON RouterConfig file; omit for the built-in demo mix",
-    )
-    providers_parser.add_argument("--model", default="codes-7b")
-    providers_parser.add_argument(
-        "--n", type=int, default=500, help="routed requests to simulate"
-    )
-    providers_parser.add_argument("--seed", type=int, default=0)
-    providers_parser.add_argument(
-        "--failure-rate", type=float, default=0.3,
-        help="demo mix: primary provider's injected failure rate",
-    )
-    providers_parser.add_argument(
-        "--hedge-delay-s", type=float, default=0.02,
-        help="fire a hedged backup after this many seconds; "
-             "negative disables hedging",
-    )
-    providers_parser.set_defaults(func=_cmd_providers)
-
-    conformance_parser = sub.add_parser(
-        "conformance",
-        help="execute every bundled gold query on each backend and "
-             "result-compare against the reference SQLite engine",
-    )
-    conformance_parser.add_argument(
-        "--dataset", default="all",
-        help="one bundled gold set by name, or 'all' (the default)",
-    )
-    conformance_parser.add_argument(
-        "--backend", default="all",
-        help="one registered backend to audit, or 'all' non-reference "
-             "backends (the default)",
-    )
-    conformance_parser.add_argument(
-        "--deadline-s", type=float, default=None,
-        help="wall-clock budget per backend-side execution (seconds)",
-    )
-    conformance_parser.add_argument(
-        "--max-divergences", type=int, default=10,
-        help="divergent examples to print per backend",
-    )
-    conformance_parser.set_defaults(func=_cmd_conformance)
-
-    check_parser = sub.add_parser(
-        "check", help="run the staticcheck rule engine over a source tree"
-    )
-    check_parser.add_argument(
-        "--root", default=None,
-        help="tree to check (default: the installed repro package)",
-    )
-    check_parser.add_argument(
-        "--format", default="text", choices=("text", "json", "sarif"),
-    )
-    check_parser.add_argument(
-        "--rules", default=None,
-        help="comma-separated rule ids to run (default: all registered)",
-    )
-    check_parser.add_argument(
-        "--explain", default=None, metavar="RULE",
-        help="print one rule's documentation and exit",
-    )
-    check_parser.add_argument(
-        "--list", action="store_true",
-        help="list registered rules and exit",
-    )
-    check_parser.add_argument(
-        "--fix", action="store_true",
-        help="delete stale suppression comments, printing a unified diff",
-    )
-    check_parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="incremental finding cache file; unchanged modules skip "
-             "per-module rules on warm runs",
-    )
-    check_parser.set_defaults(func=_cmd_check)
+    for name, run, help_text, arguments in _commands():
+        command_parser = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            command_parser.add_argument(*arg.flags, **arg.spec)
+        command_parser.set_defaults(func=run, usage_error=command_parser.error)
     return parser
 
 
@@ -1087,12 +998,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        args.usage_error(str(exc))  # prints usage and the error, exits 2
     except BrokenPipeError:
         # e.g. `repro check --explain RULE | head` — the reader closed
         # stdout; exit quietly instead of tracebacking.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return 0
+        return EXIT_OK
 
 
 if __name__ == "__main__":

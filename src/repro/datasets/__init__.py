@@ -17,7 +17,7 @@ builder; the CLI and the conformance suite select datasets through it.
 from functools import partial
 from typing import Callable
 
-from repro.datasets.base import Text2SQLDataset, Text2SQLExample
+from repro.datasets.base import SPLITS, Text2SQLDataset, Text2SQLExample
 from repro.datasets.spider import build_spider
 from repro.datasets.bird import build_bird
 from repro.datasets.variants import SPIDER_VARIANTS, build_spider_variant
@@ -44,6 +44,7 @@ __all__ = [
     "DATASET_BUILDERS",
     "DR_SPIDER_PERTURBATIONS",
     "SPIDER_VARIANTS",
+    "SPLITS",
     "Text2SQLDataset",
     "Text2SQLExample",
     "build_aminer_simplified",

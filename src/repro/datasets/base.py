@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 from repro.db.backends.sqlite import Database
 from repro.errors import DatasetError
 
+#: The example splits every :class:`Text2SQLDataset` carries.
+SPLITS = ("train", "dev")
+
 
 @dataclass(frozen=True)
 class Text2SQLExample:
@@ -40,6 +43,14 @@ class Text2SQLDataset:
     dev: list[Text2SQLExample] = field(default_factory=list)
     generated: dict = field(default_factory=dict, repr=False)
 
+    def split(self, name: str) -> list[Text2SQLExample]:
+        """The examples of split ``name``, one of :data:`SPLITS`."""
+        if name not in SPLITS:
+            raise DatasetError(
+                f"unknown split {name!r}; choose from {', '.join(SPLITS)}"
+            )
+        return getattr(self, name)
+
     def database_of(self, example: Text2SQLExample) -> Database:
         try:
             return self.databases[example.db_id]
@@ -53,8 +64,8 @@ class Text2SQLDataset:
 
         Raises :class:`DatasetError` listing the first broken example.
         """
-        for split_name, split in (("train", self.train), ("dev", self.dev)):
-            for index, example in enumerate(split):
+        for split_name in SPLITS:
+            for index, example in enumerate(self.split(split_name)):
                 database = self.database_of(example)
                 if not database.is_executable(example.sql):
                     raise DatasetError(

@@ -19,7 +19,6 @@ honest about dialect quirks.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import Any, Optional, Union
 
@@ -120,14 +119,6 @@ class ColumnarBackend(ValueAccess):
     def from_database(cls, database: Any) -> "ColumnarBackend":
         """Snapshot a reference backend's schema and content."""
         return cls(database.schema, database.all_rows())
-
-    def with_capabilities(self, **overrides: Any) -> "ColumnarBackend":
-        """Copy of this backend with tweaked capability flags (for tests)."""
-        caps = dataclasses.replace(self.capabilities, **overrides)
-        clone = ColumnarBackend(self.schema, capabilities=caps)
-        clone._columns = self._columns
-        clone._nrows = self._nrows
-        return clone
 
     # -- execution ----------------------------------------------------------
 

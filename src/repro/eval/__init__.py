@@ -7,7 +7,6 @@ from repro.eval.execution import (
     PREDICTION_TIMEOUT,
     PREDICTION_UNEXECUTABLE,
     MatchOutcome,
-    execution_accuracy,
     execution_match,
     execution_match_outcome,
 )
@@ -17,7 +16,7 @@ from repro.eval.conformance import (
     Divergence,
     run_conformance,
 )
-from repro.eval.testsuite import TestSuite, test_suite_accuracy
+from repro.eval.testsuite import TestSuite
 from repro.eval.ves import valid_efficiency_score
 from repro.eval.harness import (
     FAILURE_CLASSES,
@@ -45,7 +44,6 @@ __all__ = [
     "TestSuite",
     "evaluate_parser",
     "run_conformance",
-    "execution_accuracy",
     "execution_match",
     "execution_match_outcome",
     "format_failure_report",
@@ -54,6 +52,5 @@ __all__ = [
     "print_table",
     "results_match",
     "roc_auc",
-    "test_suite_accuracy",
     "valid_efficiency_score",
 ]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.db.backends.sqlite import Database
 from repro.errors import DeadlineExceededError, ExecutionError
@@ -99,15 +98,3 @@ def execution_match(database: Database, predicted_sql: str, gold_sql: str) -> bo
     ordered = bool(_ORDER_BY_RE.search(gold_sql))
     return results_match(predicted_rows, gold_rows, ordered=ordered)
 
-
-def execution_accuracy(
-    database_pairs: Sequence[tuple[Database, str, str]],
-) -> float:
-    """Mean EX over ``(database, predicted_sql, gold_sql)`` triples."""
-    if not database_pairs:
-        return 0.0
-    hits = sum(
-        1 for database, predicted, gold in database_pairs
-        if execution_match(database, predicted, gold)
-    )
-    return hits / len(database_pairs)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from repro.analysis.analyzer import SemanticAnalyzer
 from repro.analysis.catalog import SchemaCatalog
@@ -57,13 +56,6 @@ FAILURE_CLASSES = (
     GOLD_UNEXECUTABLE,
     GOLD_TIMEOUT,
 )
-
-
-class SQLGenerator(Protocol):
-    """Anything that maps (question, database) to SQL."""
-
-    def generate(self, question: str, database: Database, **kwargs):  # pragma: no cover
-        ...
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,7 @@ def evaluate_parser(
     The default ``"sqlite"`` is the identity: byte-for-byte the
     historical behaviour.
     """
-    examples = dataset.dev if split == "dev" else dataset.train
+    examples = dataset.split(split)
     if limit is not None:
         examples = examples[:limit]
     backend_name = backend_for_dialect(dialect)
@@ -464,5 +456,5 @@ def pair_samples(
     dataset: Text2SQLDataset, split: str = "train"
 ) -> list[tuple[Text2SQLExample, Database]]:
     """(example, database) pairs for parser fine-tuning."""
-    examples = dataset.train if split == "train" else dataset.dev
+    examples = dataset.split(split)
     return [(example, dataset.database_of(example)) for example in examples]

@@ -93,17 +93,3 @@ class TestSuite:
         for variant in self.variants:
             variant.close()
 
-
-def test_suite_accuracy(
-    suites: list[TestSuite], predictions: list[str], golds: list[str]
-) -> float:
-    """Mean TS over aligned (suite, prediction, gold) triples."""
-    if not suites:
-        return 0.0
-    if not (len(suites) == len(predictions) == len(golds)):
-        raise ValueError("suites, predictions and golds must align")
-    hits = sum(
-        1 for suite, pred, gold in zip(suites, predictions, golds)
-        if suite.check(pred, gold)
-    )
-    return hits / len(suites)

@@ -1,8 +1,7 @@
 """SQL toolkit: lexer, AST, parser, serializer, skeletons, templates.
 
 Everything the system needs to manipulate SQL as data — tokenizing
-queries, parsing them into a typed AST, pretty-printing, normalizing for
-comparison, and extracting skeletons/templates for the retrieval-based
+queries, parsing them into a typed AST, pretty-printing, and extracting skeletons/templates for the retrieval-based
 parser and the SQL-to-question augmentation pipeline.
 """
 
@@ -21,7 +20,6 @@ from repro.sqlgen.ast import (
 )
 from repro.sqlgen.parser import parse_sql
 from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
-from repro.sqlgen.normalizer import normalize_sql
 from repro.sqlgen.skeleton import extract_skeleton, skeleton_of_query
 from repro.sqlgen.spans import Span, identifier_span
 
@@ -44,7 +42,6 @@ __all__ = [
     "TokenKind",
     "identifier_span",
     "extract_skeleton",
-    "normalize_sql",
     "parse_sql",
     "serialize",
     "skeleton_of_query",

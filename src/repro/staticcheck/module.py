@@ -20,11 +20,13 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
-#: one suppression comment: its rule-id list, then a trailer (anything
-#: after the ids, e.g. the reason).  The runner honours what this
-#: matches and ``--fix`` edits what it matches, so the two cannot drift.
+#: one suppression comment: its comma-separated rule ids, then a
+#: trailer (anything after the ids, e.g. the reason, with or without
+#: parentheses).  The runner honours what this matches and ``--fix``
+#: edits what it matches, so the two cannot drift.
 SUPPRESSION_RE = re.compile(
-    r"#\s*staticcheck:\s*disable=(?P<rules>[A-Za-z0-9_,\s]+)(?P<trailer>.*)$"
+    r"#\s*staticcheck:\s*disable=\s*"
+    r"(?P<rules>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)(?P<trailer>.*)$"
 )
 
 

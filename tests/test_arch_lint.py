@@ -329,7 +329,7 @@ class TestRepoGate:
             "--root",
             str(REPO_ROOT / "src" / "repro"),
         ]
-        assert cli.main(argv) == cli.CHECK_OK
+        assert cli.main(argv) == cli.EXIT_OK
 
     def test_json_output_is_byte_stable_across_hash_seeds(self):
         """``repro check --format json`` must not depend on PYTHONHASHSEED."""

@@ -40,10 +40,12 @@ class TestCLI:
 
     @pytest.mark.parametrize("shots", ["0", "-2"])
     def test_eval_fewshot_without_shots_exits_2(self, shots, capsys):
-        assert main([
-            "eval", "--dataset", "spider", "--model", "codes-1b",
-            "--mode", "fewshot", "--shots", shots, "--limit", "4",
-        ]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "eval", "--dataset", "spider", "--model", "codes-1b",
+                "--mode", "fewshot", "--shots", shots, "--limit", "4",
+            ])
+        assert exited.value.code == 2
         captured = capsys.readouterr()
         assert "--shots" in captured.err
         assert captured.out == ""
@@ -54,10 +56,12 @@ class TestCLI:
             raise AssertionError("a dataset was built before the flag check")
 
         monkeypatch.setattr(cli, "_build_dataset", no_dataset)
-        assert main([
-            "eval", "--dataset", "spider", "--model", "codes-1b",
-            "--mode", mode, "--shots", shots, "--limit", "4",
-        ]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "eval", "--dataset", "spider", "--model", "codes-1b",
+                "--mode", mode, "--shots", shots, "--limit", "4",
+            ])
+        assert exited.value.code == 2
         captured = capsys.readouterr()
         assert "--shots" in captured.err
         assert captured.out == ""
@@ -214,6 +218,45 @@ class TestCLI:
         assert "shed total" in first
 
 
+#: Bad command lines.  Before they were checked at parse time, the
+#: first eleven ended in a traceback, the next four exited 1, and the
+#: last three ran: ``--limit -1`` scored all but the last example and
+#: two ``--splits`` typos were audited as another split.
+USAGE_ERRORS = [
+    ["providers", "--model", "nope"],
+    ["providers", "--failure-rate", "2"],
+    ["shardmap", "--workers", "0"],
+    ["shardmap", "--target-workers", "0"],
+    ["loadgen", "--rate", "0"],
+    ["serve", "--batch-size", "0"],
+    ["serve", "--workers", "2", "--virtual-nodes", "0"],
+    ["eval", "--max-retries", "-1"],
+    ["ask", "--db-id", "nope", "--question", "How many clients are there?"],
+    ["serve", "--queue-capacity", "0"],
+    ["loadgen", "--n", "0"],
+    ["eval", "--dataset", "nope"],
+    ["lint", "--dataset", "nope"],
+    ["eval", "--dialect", "tsql"],
+    ["eval", "--dialect", "ansi", "--ts"],
+    ["eval", "--limit", "-1"],
+    ["lint", "--splits", "bogus"],
+    ["equiv", "--splits", "bogus"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", USAGE_ERRORS, ids=[" ".join(argv[:5]) for argv in USAGE_ERRORS]
+)
+def test_usage_error_exits_2_with_one_error_line(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"repro {argv[0]}: error: ") == 1
+    assert "Traceback" not in captured.err
+
+
 class TestCheckExitCodes:
     """``repro check`` exit codes are a stable contract:
     0 = clean, 1 = findings, 2 = usage error."""
@@ -235,18 +278,22 @@ class TestCheckExitCodes:
         assert "ARCH001" in capsys.readouterr().out
 
     def test_missing_root_exits_two(self, tmp_path, capsys):
-        assert main(["check", "--root", str(tmp_path / "nope")]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "--root", str(tmp_path / "nope")])
+        assert exited.value.code == 2
         assert "no such directory" in capsys.readouterr().err
 
     def test_unknown_rule_exits_two(self, tmp_path, capsys):
         root = self._tree(tmp_path, "x = 1\n")
-        assert main([
-            "check", "--root", str(root), "--rules", "NOPE999",
-        ]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "--root", str(root), "--rules", "NOPE999"])
+        assert exited.value.code == 2
         assert "unknown rule" in capsys.readouterr().err
 
     def test_unknown_explain_exits_two(self, capsys):
-        assert main(["check", "--explain", "NOPE999"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            main(["check", "--explain", "NOPE999"])
+        assert exited.value.code == 2
         assert "unknown rule" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -296,6 +343,18 @@ class TestCheckFix:
         # nothing fixable, and the ARCH001 finding still fails the run.
         assert main(["check", "--root", str(root), "--fix"]) == 1
         assert "fixed 0 file(s)" in capsys.readouterr().out
+
+    def test_fix_leaves_a_reason_without_parentheses_alone(self, tmp_path, capsys):
+        root = tmp_path / "tree"
+        root.mkdir()
+        source = (
+            "import time\n"
+            "t = time.time()  # staticcheck: disable=ARCH001 clock read is fine here\n"
+        )
+        (root / "mod.py").write_text(source, encoding="utf-8")
+        assert main(["check", "--root", str(root), "--fix"]) == 0
+        assert "fixed 0 file(s)" in capsys.readouterr().out
+        assert (root / "mod.py").read_text(encoding="utf-8") == source
 
 
 class TestCheckCache:

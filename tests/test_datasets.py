@@ -22,6 +22,7 @@ from repro.datasets.generator import GenerationOptions, instantiate_blueprint
 from repro.datasets.spider import SpiderConfig
 from repro.datasets.templates import sample_question_sql, template_ids
 from repro.errors import DatasetError
+from repro.eval.harness import evaluate_parser, pair_samples
 from repro.sqlgen.parser import parse_sql
 
 _SMALL_SPIDER = SpiderConfig(
@@ -160,6 +161,25 @@ class TestSpider:
 
     def test_no_external_knowledge(self, small_spider):
         assert all(not e.external_knowledge for e in small_spider.train)
+
+    def test_split_accessor(self, small_spider):
+        assert small_spider.split("train") is small_spider.train
+        assert small_spider.split("dev") is small_spider.dev
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda dataset: dataset.split("test"),
+            lambda dataset: evaluate_parser(None, dataset, split="test"),
+            lambda dataset: pair_samples(dataset, split="test"),
+            lambda dataset: dataset.lint(splits=("bogus",)),
+        ],
+        ids=["split", "evaluate_parser", "pair_samples", "lint"],
+    )
+    def test_unknown_split_raises(self, small_spider, read):
+        # No reader falls back to the other split.
+        with pytest.raises(DatasetError, match="unknown split"):
+            read(small_spider)
 
 
 class TestBird:

@@ -300,8 +300,14 @@ class TestColumnarExecutor:
         assert len(backend.execute(transpile(sql, "ansi"))) == 1
 
     def test_flipping_like_case_sensitivity_changes_the_match_set(self):
-        _, backend = self._pair()
-        strict = backend.with_capabilities(like_case_sensitive=True)
+        sqlite_db, backend = self._pair()
+        strict = ColumnarBackend(
+            sqlite_db.schema,
+            sqlite_db.all_rows(),
+            capabilities=dataclasses.replace(
+                backend.capabilities, like_case_sensitive=True
+            ),
+        )
         sql = transpile(
             "SELECT name FROM client WHERE name LIKE 'sarah%'", "ansi"
         )
@@ -424,13 +430,19 @@ class TestConformanceCLI:
         assert "OK" in out and "columnar" in out
 
     def test_exit_two_on_unknown_backend(self, capsys):
-        assert cli.main(["conformance", "--backend", "duckdb"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["conformance", "--backend", "duckdb"])
+        assert exited.value.code == 2
 
     def test_exit_two_on_unknown_dataset(self, capsys):
-        assert cli.main(["conformance", "--dataset", "nope"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["conformance", "--dataset", "nope"])
+        assert exited.value.code == 2
 
     def test_exit_two_on_reference_backend(self, capsys):
-        assert cli.main(["conformance", "--backend", "sqlite"]) == 2
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["conformance", "--backend", "sqlite"])
+        assert exited.value.code == 2
 
     def test_exit_one_on_divergence(self, capsys, restore_backend_registry):
         register_backend(

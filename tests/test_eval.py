@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ExecutionError
 from repro.eval import (
     TestSuite,
-    execution_accuracy,
     execution_match,
     results_match,
     roc_auc,
     valid_efficiency_score,
 )
-from repro.eval import test_suite_accuracy as ts_accuracy
 
 from tests.fixtures import bank_database
 
@@ -67,17 +65,6 @@ class TestExecutionMatch:
         shuffled = "SELECT name FROM client ORDER BY name DESC"
         assert not execution_match(db, shuffled, gold)
 
-    def test_execution_accuracy_mean(self):
-        db = bank_database()
-        pairs = [
-            (db, "SELECT COUNT(*) FROM client", "SELECT COUNT(*) FROM client"),
-            (db, "SELECT COUNT(*) FROM loan", "SELECT COUNT(*) FROM client"),
-        ]
-        assert execution_accuracy(pairs) == pytest.approx(0.5)
-
-    def test_execution_accuracy_empty(self):
-        assert execution_accuracy([]) == 0.0
-
 
 class TestTestSuite:
     def test_correct_query_passes_all_variants(self):
@@ -107,14 +94,6 @@ class TestTestSuite:
     def test_invalid_variant_count(self):
         with pytest.raises(ValueError):
             TestSuite(bank_database(), n_variants=0)
-
-    def test_test_suite_accuracy_alignment(self):
-        suite = TestSuite(bank_database(), n_variants=1, seed=0)
-        with pytest.raises(ValueError):
-            ts_accuracy([suite], ["a", "b"], ["a"])
-
-    def test_test_suite_accuracy_empty(self):
-        assert ts_accuracy([], [], []) == 0.0
 
 
 class TestVES:

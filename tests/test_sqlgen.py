@@ -7,14 +7,12 @@ from repro.errors import SQLSyntaxError
 from repro.sqlgen import (
     ColumnRef,
     Literal,
-    normalize_sql,
     parse_sql,
     serialize,
     tokenize_sql,
 )
 from repro.sqlgen.ast import normalize_number
 from repro.sqlgen.lexer import TokenKind
-from repro.sqlgen.normalizer import same_structure
 from repro.sqlgen.skeleton import extract_skeleton, try_extract_skeleton
 
 from tests.strategies import bank_queries, queries
@@ -168,12 +166,6 @@ class TestRoundTrip:
         once = serialize(query)
         assert serialize(parse_sql(once)) == once
 
-    @settings(max_examples=60, deadline=None)
-    @given(queries())
-    def test_normalize_idempotent(self, query):
-        sql = serialize(query)
-        assert normalize_sql(normalize_sql(sql)) == normalize_sql(sql)
-
     @settings(max_examples=100, deadline=None)
     @given(queries())
     def test_canonicalize_idempotent(self, query):
@@ -244,26 +236,6 @@ class TestNumberNormalization:
         sql = f"SELECT a FROM t WHERE x = {normalize_number(1e-05)}"
         query = parse_sql(sql)
         assert serialize(query) == sql
-
-
-class TestNormalizer:
-    def test_whitespace_and_case_insensitive(self):
-        assert same_structure(
-            "select  NAME from Users", "SELECT name FROM users"
-        )
-
-    def test_alias_insensitive(self):
-        assert same_structure(
-            "SELECT T1.x FROM t AS T1",
-            "SELECT t.x FROM t",
-        )
-
-    def test_unparseable_falls_back(self):
-        text = normalize_sql("WITH weird AS (SELECT 1) SELECT * FROM weird;")
-        assert "with weird" in text
-
-    def test_different_queries_differ(self):
-        assert not same_structure("SELECT a FROM t", "SELECT b FROM t")
 
 
 class TestSkeleton:

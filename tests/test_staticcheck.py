@@ -117,6 +117,14 @@ class TestSuppressions:
         source = "x = 1  # staticcheck: disable=ARCH001,SUP001\n"
         assert _rules(source) == []
 
+    def test_reason_without_parentheses_is_not_a_rule_id(self):
+        source = (
+            "import time\n"
+            "t = time.time()"
+            "  # staticcheck: disable=ARCH001 clock read is fine here\n"
+        )
+        assert _rules(source) == []
+
     def test_multi_rule_disable(self):
         source = (
             "import time\n"
