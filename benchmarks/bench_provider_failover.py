@@ -26,6 +26,7 @@ from repro.errors import ReproError
 from repro.lm.providers import ProviderSpec, RouterConfig, build_router
 from repro.lm.registry import DEFAULT_LM_REGISTRY
 from repro.reliability import FakeClock
+from repro.serving import nearest_rank
 
 from repro import CodeSParser, pair_samples
 
@@ -87,18 +88,18 @@ def _run_leg(lm, hedge_delay_s):
         except ReproError:
             pass
         clock.advance(0.005)
-    stats = router.stats_dict()
+    counters = router.counters
     per_k = 1000.0 / N_REQUESTS
     return {
         "leg": "hedged" if hedge_delay_s is not None else "no hedge",
         "availability": round(succeeded / N_REQUESTS, 4),
-        "p50 s": round(router.latency_quantile(0.50), 4),
-        "p95 s": round(router.latency_quantile(0.95), 4),
-        "failovers/1k": round(stats["failovers"] * per_k, 2),
-        "retries/1k": round(stats["retries"] * per_k, 2),
-        "hedges": stats["hedges_fired"],
-        "hedge wins": stats["hedge_wins"],
-        "discarded": stats["hedge_discarded"],
+        "p50 s": round(nearest_rank(router.effective_latencies, 50), 4),
+        "p95 s": round(nearest_rank(router.effective_latencies, 95), 4),
+        "failovers/1k": round(counters["failovers"] * per_k, 2),
+        "retries/1k": round(counters["retries"] * per_k, 2),
+        "hedges": counters["hedges_fired"],
+        "hedge wins": counters["hedge_wins"],
+        "discarded": counters["hedge_discarded"],
     }
 
 
@@ -162,14 +163,14 @@ def test_zero_sql_drift_under_flaky_primary(benchmark, spider, report):
             succeeded += 1
             if actual != expected:
                 drifted += 1
-        router_stats = chaotic.router.stats_dict()
+        router = chaotic.router
         return {
             "requests": len(examples),
             "succeeded": succeeded,
             "drifted": drifted,
-            "injected failures": router_stats["providers"][0]["fail"],
-            "router retries": router_stats["retries"],
-            "failovers": router_stats["failovers"],
+            "injected failures": router.as_rows()[0]["fail"],
+            "router retries": router.counters["retries"],
+            "failovers": router.counters["failovers"],
         }
 
     row = benchmark.pedantic(run, rounds=1, iterations=1)

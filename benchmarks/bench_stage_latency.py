@@ -8,7 +8,8 @@ injectable Clock, aggregated by the eval harness):
    median and interquartile range of ``REPEATS`` runs;
 2. StageCache savings — cold (a fresh engine, and thus a fresh cache,
    per question) vs. the harness (one engine per database), showing
-   which stages stop paying resource-construction costs.
+   which stages stop paying resource-construction costs — also as the
+   median and interquartile range of ``REPEATS`` runs.
 """
 
 from repro.config import CODES_TIERS
@@ -67,73 +68,54 @@ def test_stage_latency_per_tier(benchmark, spider, parsers, report, median_iqr):
     assert by_stage["total"][f"{last} ms"] >= by_stage["total"][f"{first} ms"] * 0.8
 
 
-def test_stage_cache_batch_savings(benchmark, spider, parsers, report):
+def _cold_and_batch_ms(parser, spider):
+    """Per-stage wall ms (plus ``TOTAL``) with a fresh engine, and thus
+    a fresh StageCache, per question, then through the harness (one
+    engine per database); also the harness's stage timings."""
+    cold = dict.fromkeys(STAGE_NAMES, 0.0)
+    for example in spider.dev[:LIMIT]:
+        engine = parser.build_engine()
+        result = parser.generate(
+            example.question, spider.database_of(example), engine=engine
+        )
+        for stage_trace in result.trace.stages:
+            cold[stage_trace.stage] += 1000 * stage_trace.wall_s
+    timings = evaluate_parser(parser, spider, limit=LIMIT, name="batch").stage_timings
+    batch = {stage: 1000 * agg["wall_s"] for stage, agg in timings.items()}
+    for per_stage in (cold, batch):
+        per_stage["TOTAL"] = sum(per_stage.values())
+    return cold, batch, timings
+
+
+def test_stage_cache_batch_savings(benchmark, spider, parsers, report, median_iqr):
     def run():
         parser = parsers.sft("codes-1b", spider)
-        examples = spider.dev[:LIMIT]
-
-        # Cold: a fresh engine (fresh StageCache) per question — every
-        # builder, analyzer, estimator and value index is rebuilt.
-        cold: dict[str, float] = {stage: 0.0 for stage in STAGE_NAMES}
-        for example in examples:
-            engine = parser.build_engine()
-            result = parser.generate(
-                example.question, spider.database_of(example), engine=engine
-            )
-            for stage_trace in result.trace.stages:
-                cold[stage_trace.stage] += stage_trace.wall_s
-
-        # Batch: the harness holds one engine per database.
-        batch = evaluate_parser(parser, spider, limit=LIMIT, name="batch")
-
+        runs = [_cold_and_batch_ms(parser, spider) for _ in range(REPEATS)]
+        timings = runs[-1][2]  # cache hits and misses repeat exactly
         rows = []
-        for stage in STAGE_NAMES:
-            agg = batch.stage_timings[stage]
-            cold_ms = 1000 * cold[stage]
-            batch_ms = 1000 * agg["wall_s"]
+        for stage in (*STAGE_NAMES, "TOTAL"):
+            cold_ms, cold_iqr = median_iqr([cold[stage] for cold, _, _ in runs])
+            batch_ms, batch_iqr = median_iqr([batch[stage] for _, batch, _ in runs])
+            aggs = list(timings.values()) if stage == "TOTAL" else [timings[stage]]
             rows.append(
                 {
                     "stage": stage,
                     "cold ms": round(cold_ms, 2),
+                    "cold IQR": round(cold_iqr, 2),
                     "batch ms": round(batch_ms, 2),
+                    "batch IQR": round(batch_iqr, 2),
                     "saved %": round(100 * (1 - batch_ms / cold_ms), 1)
                     if cold_ms > 0
                     else 0.0,
-                    "cache hits": int(agg["cache_hits"]),
-                    "cache misses": int(agg["cache_misses"]),
+                    "cache hits": sum(int(agg["cache_hits"]) for agg in aggs),
+                    "cache misses": sum(int(agg["cache_misses"]) for agg in aggs),
                 }
             )
-        rows.append(
-            {
-                "stage": "TOTAL",
-                "cold ms": round(1000 * sum(cold.values()), 2),
-                "batch ms": round(
-                    1000
-                    * sum(a["wall_s"] for a in batch.stage_timings.values()),
-                    2,
-                ),
-                "saved %": round(
-                    100
-                    * (
-                        1
-                        - sum(a["wall_s"] for a in batch.stage_timings.values())
-                        / sum(cold.values())
-                    ),
-                    1,
-                ),
-                "cache hits": sum(
-                    int(a["cache_hits"]) for a in batch.stage_timings.values()
-                ),
-                "cache misses": sum(
-                    int(a["cache_misses"]) for a in batch.stage_timings.values()
-                ),
-            }
-        )
         report(
             "stage_cache_savings",
             rows,
             f"staged engine — StageCache savings in batch mode "
-            f"(spider, {LIMIT} questions)",
+            f"(spider, {LIMIT} questions), median and IQR of {REPEATS} runs",
         )
         return rows
 

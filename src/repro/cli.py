@@ -23,9 +23,11 @@ the ones every subcommand takes, with its own defaults.  Every value is
 checked while the command line is parsed, by its ``choices`` or
 ``type``; a check that needs two arguments or a built dataset raises
 :class:`UsageError`, which :func:`main` hands to the subcommand's
-``parser.error``.  So every usage error exits 2 (``EXIT_USAGE``) with
-one ``repro <cmd>: error: ...`` line on stderr, and no dataset is built
-before the checks that do not need one have passed.
+``parser.error``, as it hands unrecognized flags.  Flags match only in
+full (no argparse prefix matching).  So every usage error exits 2
+(``EXIT_USAGE``) with one ``repro <cmd>: error: ...`` line on stderr,
+and no dataset is built before the checks that do not need one have
+passed.
 
 Everything runs offline and deterministically.
 """
@@ -76,6 +78,7 @@ from repro.serving import (
     ShardRouter,
     Shed,
     default_worker_ids,
+    nearest_rank,
     poisson_workload,
     replay,
     run_loadgen,
@@ -634,28 +637,26 @@ def _cmd_providers(args: argparse.Namespace) -> int:
         except ReproError:  # staticcheck: disable=EXC001 (probe counts successes; failures are the complement)
             pass
         clock.advance(0.01)
-    stats = router.stats_dict()
+    counters = router.counters
     summary = [
-        {"metric": "requests", "value": stats["requests"]},
+        {"metric": "requests", "value": counters["requests"]},
         {"metric": "succeeded", "value": succeeded},
         {
             "metric": "availability",
             "value": f"{succeeded / max(1, args.n):.4f}",
         },
-        {"metric": "failovers", "value": stats["failovers"]},
-        {"metric": "retries", "value": stats["retries"]},
-        {"metric": "hedges fired", "value": stats["hedges_fired"]},
-        {"metric": "hedge wins", "value": stats["hedge_wins"]},
-        {"metric": "hedge discarded", "value": stats["hedge_discarded"]},
-        {"metric": "all-open sheds", "value": stats["all_open_sheds"]},
+        {"metric": "failovers", "value": counters["failovers"]},
+        {"metric": "retries", "value": counters["retries"]},
+        {"metric": "hedges fired", "value": counters["hedges_fired"]},
+        {"metric": "hedge wins", "value": counters["hedge_wins"]},
+        {"metric": "hedge discarded", "value": counters["hedge_discarded"]},
+        {"metric": "all-open sheds", "value": counters["all_open_sheds"]},
+    ] + [
         {
-            "metric": "p50 effective latency s",
-            "value": f"{router.latency_quantile(0.50):.6f}",
-        },
-        {
-            "metric": "p95 effective latency s",
-            "value": f"{router.latency_quantile(0.95):.6f}",
-        },
+            "metric": f"p{percentile} effective latency s",
+            "value": f"{nearest_rank(router.effective_latencies, percentile):.6f}",
+        }
+        for percentile in (50, 95)
     ]
     print(format_table(summary, title=f"Router {config.name!r} seed={args.seed}"))
     print()
@@ -982,12 +983,15 @@ def _commands() -> tuple:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    # No prefix matching: ``--deadline`` must not silently mean ``--deadline-s``.
     parser = argparse.ArgumentParser(
-        prog="repro", description="CodeS text-to-SQL reproduction CLI"
+        prog="repro",
+        description="CodeS text-to-SQL reproduction CLI",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, run, help_text, arguments in _commands():
-        command_parser = sub.add_parser(name, help=help_text)
+        command_parser = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for arg in arguments:
             command_parser.add_argument(*arg.flags, **arg.spec)
         command_parser.set_defaults(func=run, usage_error=command_parser.error)
@@ -995,7 +999,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args, unknown = build_arg_parser().parse_known_args(argv)
+    if unknown:  # reported by the subcommand, as every usage error is
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -73,13 +73,3 @@ class StageCache:
 
     def __contains__(self, full_key: tuple) -> bool:
         return full_key in self._memo.entries
-
-    @property
-    def stats(self) -> dict[str, int | None]:
-        return {
-            "entries": len(self._memo.entries),
-            "hits": self._memo.hits,
-            "misses": self._memo.misses,
-            "evictions": self._memo.evictions,
-            "capacity": self._memo.capacity,
-        }

@@ -30,14 +30,19 @@ single ``clock.sleep``.  On a ``FakeClock`` the entire routing history
 ``(config, seeds, call order)``, which is what the byte-stability
 tests in ``tests/test_providers.py`` assert.
 
-Counter updates are guarded by a lock obtained from
-:func:`repro.reliability.new_lock` — the serving layer's worker
-threads may share one router, and ARCH005 keeps raw ``threading``
-imports out of ``lm/``.
+The router reports in the serving layer's two shapes: ``counters``,
+one dict of named additive request counters, and :meth:`as_rows`, one
+plain dict per provider.  The newest routing events and effective
+latencies are kept in bounded deques; percentiles over the latencies
+are :func:`repro.serving.metrics.nearest_rank`.  Counter updates are
+guarded by a lock obtained from :func:`repro.reliability.new_lock` —
+the serving layer's worker threads may share one router, and ARCH005
+keeps raw ``threading`` imports out of ``lm/``.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import AllProvidersOpenError, ProviderError, ProviderTimeoutError
@@ -49,7 +54,7 @@ from repro.reliability.sync import new_lock
 
 #: Bounded routing-event history (oldest dropped first).
 MAX_EVENTS = 512
-#: Effective latencies kept for :meth:`ProviderRouter.latency_quantile`
+#: Effective latencies kept in ``ProviderRouter.effective_latencies``
 #: (the newest; every routed call adds one).
 MAX_LATENCIES = 4096
 
@@ -140,23 +145,24 @@ class ProviderRouter:
                     ),
                 )
             )
-        # -- request-level counters (lock-guarded) ---------------------------
-        self.requests = 0
-        self.failovers = 0
-        self.total_retries = 0
-        self.hedges_fired = 0
-        self.hedge_wins = 0
-        self.hedge_discarded = 0
-        self.all_open_sheds = 0
-        self.effective_latencies: list[float] = []
-        self.events: list[str] = []
+        #: Request-level counters (lock-guarded), filed by the server as
+        #: ``provider.<name>``.
+        self.counters: dict[str, int] = dict.fromkeys(
+            (
+                "requests",
+                "failovers",
+                "retries",
+                "hedges_fired",
+                "hedge_wins",
+                "hedge_discarded",
+                "all_open_sheds",
+            ),
+            0,
+        )
+        self.effective_latencies: deque[float] = deque(maxlen=MAX_LATENCIES)
+        self.events: deque[str] = deque(maxlen=MAX_EVENTS)
 
     # -- probing and selection ------------------------------------------------
-
-    def _record_event(self, event: str) -> None:
-        self.events.append(event)
-        if len(self.events) > MAX_EVENTS:
-            del self.events[: len(self.events) - MAX_EVENTS]
 
     def _maybe_probe(self) -> None:
         if self.probe_interval_s is None:
@@ -173,7 +179,7 @@ class ProviderRouter:
             entry.last_report = report
             entry.last_probe_at = now
             if report.healthy != entry.healthy:
-                self._record_event(
+                self.events.append(
                     f"probe {entry.provider.name}: "
                     f"{'healthy' if report.healthy else 'unhealthy'}"
                 )
@@ -188,8 +194,8 @@ class ProviderRouter:
             raise ValueError(f"no configured provider supports {op!r}")
         admissible = [entry for entry in supported if entry.breaker.allow()]
         if not admissible:
-            self.all_open_sheds += 1
-            self._record_event(f"{op}: all providers open")
+            self.counters["all_open_sheds"] += 1
+            self.events.append(f"{op}: all providers open")
             raise AllProvidersOpenError(
                 f"router {self.name!r}: all {len(supported)} provider(s) "
                 f"have open circuits for {op!r}"
@@ -218,7 +224,7 @@ class ProviderRouter:
         backoffs = iter(self.retry.delays())
         for attempt in range(1, self.retry.max_attempts + 1):
             if not entry.breaker.admit():
-                self._record_event(
+                self.events.append(
                     f"{op} {entry.provider.name}: breaker open at attempt {attempt}"
                 )
                 break
@@ -231,12 +237,12 @@ class ProviderRouter:
                 entry.breaker.record_failure()
                 spent += getattr(exc, "latency_s", 0.0)
                 kind = "timeout" if isinstance(exc, ProviderTimeoutError) else "fault"
-                self._record_event(
+                self.events.append(
                     f"{op} {entry.provider.name}: {kind} at attempt {attempt}"
                 )
                 if attempt < self.retry.max_attempts:
                     entry.retries += 1
-                    self.total_retries += 1
+                    self.counters["retries"] += 1
                     spent += next(backoffs, 0.0)
                 continue
             entry.successes += 1
@@ -271,14 +277,14 @@ class ProviderRouter:
         )
         if backup is None:
             return primary_response, primary_completion, False, False
-        self.hedges_fired += 1
+        self.counters["hedges_fired"] += 1
         backup.hedge_calls += 1
         try:
             backup_response = self._call_once(backup, op, payload)
         except ProviderError as exc:
             backup.failures += 1
             backup.breaker.record_failure()
-            self._record_event(
+            self.events.append(
                 f"{op} hedge {backup.provider.name}: failed "
                 f"({type(exc).__name__})"
             )
@@ -287,15 +293,15 @@ class ProviderRouter:
         backup.breaker.record_success()
         backup_completion = self.hedge_delay_s + backup_response.latency_s
         if backup_completion < primary_completion:
-            self.hedge_wins += 1
-            self.hedge_discarded += 1  # the primary's result goes unused
-            self._record_event(
+            self.counters["hedge_wins"] += 1
+            self.counters["hedge_discarded"] += 1  # the primary's result goes unused
+            self.events.append(
                 f"{op} hedge {backup.provider.name}: won "
                 f"({backup_completion:.4f}s < {primary_completion:.4f}s)"
             )
             return backup_response, backup_completion, True, True
-        self.hedge_discarded += 1  # the backup's result goes unused
-        self._record_event(
+        self.counters["hedge_discarded"] += 1  # the backup's result goes unused
+        self.events.append(
             f"{op} hedge {backup.provider.name}: lost "
             f"({backup_completion:.4f}s >= {primary_completion:.4f}s)"
         )
@@ -304,12 +310,12 @@ class ProviderRouter:
     def route(self, op: str, payload: str) -> RouteResult:
         """Route one request; raises only ``ProviderError`` subclasses."""
         with self._lock:
-            self.requests += 1
+            self.counters["requests"] += 1
             self._maybe_probe()
             candidates = self._candidates(op)
             spent = 0.0
             failovers = 0
-            retries_before = self.total_retries
+            retries_before = self.counters["retries"]
             anything_attempted = False
             last_error: ProviderError | None = None
             for position, entry in enumerate(candidates):
@@ -320,8 +326,8 @@ class ProviderRouter:
                     last_error = attempt.error or last_error
                     if position + 1 < len(candidates):
                         failovers += 1
-                        self.failovers += 1
-                        self._record_event(
+                        self.counters["failovers"] += 1
+                        self.events.append(
                             f"{op}: failover {entry.provider.name} -> "
                             f"{candidates[position + 1].provider.name}"
                         )
@@ -336,7 +342,7 @@ class ProviderRouter:
                     provider=winner.provider,
                     effective_latency_s=effective,
                     failovers=failovers,
-                    retries=self.total_retries - retries_before,
+                    retries=self.counters["retries"] - retries_before,
                     hedged=hedge_fired,
                     hedge_won=hedge_won,
                 )
@@ -344,7 +350,7 @@ class ProviderRouter:
             # is still charged — the caller waited through it.
             self._charge(spent)
             if not anything_attempted:
-                self.all_open_sheds += 1
+                self.counters["all_open_sheds"] += 1
                 raise AllProvidersOpenError(
                     f"router {self.name!r}: every provider's circuit rejected "
                     f"{op!r} before any attempt"
@@ -354,8 +360,6 @@ class ProviderRouter:
 
     def _charge(self, effective_s: float) -> None:
         self.effective_latencies.append(effective_s)
-        if len(self.effective_latencies) > MAX_LATENCIES:
-            del self.effective_latencies[0]
         if effective_s > 0:
             self._clock.sleep(effective_s)
 
@@ -369,45 +373,23 @@ class ProviderRouter:
 
     # -- observability --------------------------------------------------------
 
-    def latency_quantile(self, q: float) -> float:
-        """Empirical ``q``-quantile of effective request latencies."""
-        if not self.effective_latencies:
-            return 0.0
-        ordered = sorted(self.effective_latencies)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
-
-    def stats_dict(self) -> dict[str, object]:
-        """Plain-data export for layers that must not import providers:
-        the request-level counters plus ``providers`` = :meth:`as_rows`."""
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "failovers": self.failovers,
-                "retries": self.total_retries,
-                "hedges_fired": self.hedges_fired,
-                "hedge_wins": self.hedge_wins,
-                "hedge_discarded": self.hedge_discarded,
-                "all_open_sheds": self.all_open_sheds,
-                "providers": self.as_rows(),
-            }
-
     def as_rows(self) -> list[dict[str, object]]:
-        """Per-provider table rows for ``format_table`` (CLI, bench)."""
+        """Per-provider table rows: ``repro providers``, the failover
+        benchmark and ``ServerMetrics.providers``."""
         rows = []
         for entry in self.entries:
-            stats = entry.breaker.stats
+            breaker = entry.breaker.as_row()
             rows.append(
                 {
                     "provider": entry.provider.name,
                     "priority": entry.priority,
                     "healthy": "yes" if entry.healthy else "no",
-                    "breaker": stats.state,
+                    "breaker": breaker["state"],
                     "ok": entry.successes,
                     "fail": entry.failures,
                     "retry": entry.retries,
                     "hedge": entry.hedge_calls,
-                    "opens": stats.open_count,
+                    "opens": breaker["open_count"],
                 }
             )
         return rows

@@ -91,14 +91,6 @@ class LMRegistry:
     def __len__(self) -> int:
         return len(self._lms) + len(self._corpora) + len(self._routers)
 
-    @property
-    def stats(self) -> dict[str, int]:
-        return {
-            "lms": len(self._lms),
-            "corpora": len(self._corpora),
-            "routers": len(self._routers),
-        }
-
 
 #: Process-wide default: parsers share pre-training work unless handed
 #: an isolated registry.

@@ -15,13 +15,7 @@ All time flows through the injectable :class:`Clock`; tests use
 :class:`FakeClock` and never sleep for real.
 """
 
-from repro.reliability.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    BreakerStats,
-    CircuitBreaker,
-)
+from repro.reliability.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.reliability.clock import Clock, FakeClock, MonotonicClock, SYSTEM_CLOCK
 from repro.reliability.deadline import Deadline, ExecutionGuard
 from repro.reliability.faults import (
@@ -36,7 +30,6 @@ from repro.reliability.sync import new_lock
 
 __all__ = [
     "BeamDuplicator",
-    "BreakerStats",
     "CLOSED",
     "CircuitBreaker",
     "Clock",

@@ -1,15 +1,17 @@
 """Server metrics: one bag of named additive counters, frozen snapshots.
 
-The aggregator counts typed outcomes under dotted names (``completed``,
-``shed.<status>``, ``tier.<tier>``, ``queue_s``, ``batches``,
-``stage_wall_s.<stage>``, ``cache.hits``, ``provider.requests``, ...).
-A :class:`ServerMetrics` snapshot is a frozen copy of those counters
-plus the two bounded sample rings, the provider router's table rows and
-the per-database ``BreakerStats``; every attribute a reader asks for is
-derived from them.  Percentiles are nearest-rank over end-to-end
-latencies (queue wait + service on the server's clock); the stage
-counters sum the ``TraceRecorder`` walls of each delivered outcome's
-trace.
+Every component reports in two shapes: named additive counters and
+per-entity rows (plain dicts).  The aggregator counts typed outcomes
+under dotted names (``completed``, ``shed.<status>``, ``tier.<tier>``,
+``queue_s``, ``batches``, ``stage_wall_s.<stage>``); a snapshot adds
+the counters the server reads off its caches and provider router
+(``cache.hits``, ``provider.requests``, ...).  A :class:`ServerMetrics`
+snapshot is a frozen copy of those counters plus the two bounded
+sample rings, the provider router's rows and the per-database breaker
+rows; every attribute a reader asks for is derived from them.
+Percentiles are nearest-rank over end-to-end latencies (queue wait +
+service on the server's clock); the stage counters sum the
+``TraceRecorder`` walls of each delivered outcome's trace.
 
 Snapshots merge: counters add exactly, rows concatenate, and
 percentiles are recomputed from the pooled samples — never averaged
@@ -25,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from repro.reliability.breaker import BreakerStats
 from repro.serving.outcomes import Completed, Failed, Shed
 
 #: Bound on the raw samples an aggregator retains and a snapshot
@@ -46,11 +47,11 @@ OUTCOME_COUNTERS = (
 
 def nearest_rank(values: "Iterable[float]", percentile: float) -> float:
     """Nearest-rank percentile of ``values``; 0.0 for an empty list."""
+    if not 0 < percentile <= 100:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     ordered = sorted(values)
     if not ordered:
         return 0.0
-    if not 0 < percentile <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     rank = max(1, math.ceil(percentile / 100.0 * len(ordered)))
     return ordered[rank - 1]
 
@@ -109,7 +110,8 @@ class ServerMetrics:
     #: imports repro.lm.providers — ARCH006); empty without a router.
     #: A shard router adds each row's ``worker`` id.
     providers: tuple[dict, ...] = ()
-    database_breakers: tuple[BreakerStats, ...] = ()
+    #: One ``CircuitBreaker.as_row()`` per database the server has seen.
+    database_breakers: tuple[dict, ...] = ()
 
     queue_depth = _counter("queue_depth")
     admitted = _counter("admitted")
@@ -221,7 +223,10 @@ class ServerMetrics:
                 for p in self.providers
             ]
         rows += [
-            (f"db breaker {b.name}", f"state={b.state} opens={b.open_count}")
+            (
+                f"db breaker {b['name']}",
+                f"state={b['state']} opens={b['open_count']}",
+            )
             for b in self.database_breakers
         ]
         return [{"metric": metric, "value": value} for metric, value in rows]
@@ -276,25 +281,19 @@ class MetricsAggregator:
     def snapshot(
         self,
         queue_depth: int = 0,
-        cache_stats: "Iterable[dict]" = (),
-        router_stats: "dict | None" = None,
-        breaker_stats: "Iterable[BreakerStats]" = (),
+        counters: "Iterable[tuple[str, float]]" = (),
+        providers: "Iterable[dict]" = (),
+        breakers: "Iterable[dict]" = (),
     ) -> ServerMetrics:
-        """A frozen snapshot, with per-engine ``StageCache.stats``, the
-        provider router's ``stats_dict()`` (plain data: serving never
-        imports the providers package) and per-database breaker stats.
-        """
-        router = dict(router_stats or {})
-        providers = tuple(router.pop("providers", ()))
+        """A frozen snapshot: the aggregator's counters plus each
+        ``(name, amount)`` of ``counters`` added in, with the provider
+        and database-breaker rows as given."""
         with self._lock:
-            counters = dict(self._counters)
+            totals = dict(self._counters)
             latencies, queue_waits = tuple(self._latencies), tuple(self._queue_waits)
-        counters["queue_depth"] = queue_depth
-        for stats in cache_stats:
-            for key in ("hits", "misses", "evictions"):
-                _add(counters, "cache." + key, int(stats.get(key, 0)))
-        for key, value in router.items():
-            counters["provider." + key] = value
+        totals["queue_depth"] = queue_depth
+        for name, amount in counters:
+            _add(totals, name, amount)
         return ServerMetrics(
-            counters, latencies, queue_waits, providers, tuple(breaker_stats)
+            totals, latencies, queue_waits, tuple(providers), tuple(breakers)
         )

@@ -10,7 +10,10 @@ the metrics aggregator.  It is deliberately synchronous at its core:
 :func:`repro.serving.loadgen.replay` drives it; under the shard router,
 each worker's message loop does.
 Every timing decision reads the injectable Clock, so the whole server
-runs deterministically on a FakeClock.
+runs deterministically on a FakeClock.  :meth:`Server.metrics` reports
+in the aggregator's two shapes: additive counters (its own, plus those
+read off the caches and the parser's provider router) and plain-dict
+rows, one per breaker and one per provider.
 
 Overload behaviour, composed from the reliability layer:
 
@@ -354,22 +357,27 @@ class Server:
     def metrics(self) -> ServerMetrics:
         """A frozen snapshot of counters, latencies, caches and breakers.
 
-        Provider counters come from the parser's duck-typed
-        ``router.stats_dict()`` — serving never imports
-        ``repro.lm.providers`` (ARCH006); stub parsers without a router
-        report none.
+        Each engine's ``StageCache`` hits/misses/evictions add up under
+        ``cache.*``; the parser's duck-typed provider router files its
+        ``counters`` as ``provider.<name>`` and its ``as_rows()`` as the
+        provider rows — serving never imports ``repro.lm.providers``
+        (ARCH006); stub parsers without a router report none.
         """
+        counters: list[tuple[str, float]] = []
         with self._resources_lock:
-            caches = [
-                engine.cache.stats
-                for engine, _ in self._resources.values()
-                if getattr(engine, "cache", None) is not None
-            ]
-            breakers = [breaker.stats for _, breaker in self._resources.values()]
+            for engine, _ in self._resources.values():
+                cache = getattr(engine, "cache", None)
+                if cache is not None:
+                    counters += [
+                        ("cache." + key, getattr(cache, key))
+                        for key in ("hits", "misses", "evictions")
+                    ]
+            breakers = [breaker.as_row() for _, breaker in self._resources.values()]
         router = getattr(self.parser, "router", None)
+        providers = []
+        if router is not None:
+            counters += [("provider." + n, v) for n, v in router.counters.items()]
+            providers = router.as_rows()
         return self.metrics_aggregator.snapshot(
-            self.queue.depth,
-            caches,
-            router.stats_dict() if router is not None else None,
-            breakers,
+            self.queue.depth, counters, providers, breakers
         )

@@ -204,6 +204,31 @@ class TestCLI:
         assert captured.err.startswith(f"repro serve: line 3: {reason}")
         assert captured.err.count("\n") == 1  # one message, no traceback
 
+    def test_providers_percentiles_are_nearest_rank(self, capsys, monkeypatch):
+        from repro.lm import providers
+        from repro.serving import nearest_rank
+
+        routers, build = [], providers.build_router
+
+        def build_router(*args, **kwargs):
+            routers.append(build(*args, **kwargs))
+            return routers[-1]
+
+        monkeypatch.setattr(providers, "build_router", build_router)
+        assert main(["providers", "--seed", "0"]) == 0
+        printed = dict(
+            line.rsplit(maxsplit=1)
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("p50 ", "p95 "))
+        )
+        (router,) = routers
+        assert len(router.effective_latencies) == 500
+        assert printed == {
+            f"p{p} effective latency s":
+                f"{nearest_rank(router.effective_latencies, p):.6f}"
+            for p in (50, 95)
+        }
+
     def test_loadgen_seed_is_byte_stable(self, capsys):
         argv = [
             "loadgen", "--dataset", "bank_financials", "--model", "codes-1b",
@@ -220,8 +245,9 @@ class TestCLI:
 
 #: Bad command lines.  Before they were checked at parse time, the
 #: first eleven ended in a traceback, the next four exited 1, and the
-#: last three ran: ``--limit -1`` scored all but the last example and
-#: two ``--splits`` typos were audited as another split.
+#: last four ran: ``--limit -1`` scored all but the last example, two
+#: ``--splits`` typos were audited as another split, and argparse's
+#: prefix matching took ``--deadline`` for ``--deadline-s``.
 USAGE_ERRORS = [
     ["providers", "--model", "nope"],
     ["providers", "--failure-rate", "2"],
@@ -241,6 +267,7 @@ USAGE_ERRORS = [
     ["eval", "--limit", "-1"],
     ["lint", "--splits", "bogus"],
     ["equiv", "--splits", "bogus"],
+    ["eval", "--deadline", "5"],
 ]
 
 

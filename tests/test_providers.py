@@ -37,6 +37,7 @@ from repro.lm.providers import router as provider_router
 from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
 from repro.reliability import FakeClock, FaultDecider, FlakyLLM, RetryPolicy
 from repro.reliability.breaker import OPEN
+from repro.serving import nearest_rank
 
 pytestmark = pytest.mark.providers
 
@@ -206,9 +207,9 @@ class TestRouterDeterminism:
                 except (ProviderFaultError, ProviderTimeoutError) as exc:
                     outcomes.append(type(exc).__name__)
                 clock.advance(0.01)
-            stats = router.stats_dict()
             return (
-                json.dumps(stats, sort_keys=True),
+                json.dumps(router.counters, sort_keys=True),
+                json.dumps(router.as_rows(), sort_keys=True),
                 list(router.events),
                 list(router.effective_latencies),
                 outcomes,
@@ -229,7 +230,7 @@ class TestRouterDeterminism:
             clock.advance(0.01)
         assert succeeded / 500 >= 0.99
         # failover actually engaged — the mix is not just the primary.
-        assert router.failovers > 0
+        assert router.counters["failovers"] > 0
 
 
 class TestRetriesAndFailover:
@@ -243,9 +244,9 @@ class TestRetriesAndFailover:
             retry=RetryPolicy(max_attempts=2, base_delay_s=0.1, jitter=0.0),
         )
         assert router.score(SQL) == "SELECT 1"
-        assert router.total_retries == 1
+        assert router.counters["retries"] == 1
         # effective latency = failed latency + backoff + success latency
-        assert router.effective_latencies == [
+        assert list(router.effective_latencies) == [
             pytest.approx(0.05 + 0.1 + 0.01)
         ]
         assert clock.sleeps == [pytest.approx(0.16)]
@@ -258,7 +259,7 @@ class TestRetriesAndFailover:
         )
         for _ in script:
             router.score(SQL)
-        assert router.effective_latencies == script[3:]
+        assert list(router.effective_latencies) == script[3:]
 
     def test_failover_to_backup_on_exhausted_retries(self, lm):
         clock = FakeClock()
@@ -274,7 +275,7 @@ class TestRetriesAndFailover:
         assert result.value == "SELECT 1"
         assert result.provider == "ok"
         assert result.failovers == 1
-        assert router.failovers == 1
+        assert router.counters["failovers"] == 1
         # both dead attempts + backoff + backup latency are charged.
         assert result.effective_latency_s == pytest.approx(
             0.02 + 0.1 + 0.02 + 0.01
@@ -292,12 +293,12 @@ class TestRetriesAndFailover:
         )
         for _ in range(2):
             router.score(SQL)
-        assert router.entries[0].breaker.stats.state == OPEN
+        assert router.entries[0].breaker.state == OPEN
         calls_before = dead.calls
         router.score(SQL)
         # the open breaker kept the dead provider out of the candidates.
         assert dead.calls == calls_before
-        assert router.failovers == 2
+        assert router.counters["failovers"] == 2
 
     def test_all_providers_open_raises(self, lm):
         clock = FakeClock()
@@ -311,7 +312,7 @@ class TestRetriesAndFailover:
             router.score(SQL)
         with pytest.raises(AllProvidersOpenError):
             router.score(SQL)
-        assert router.all_open_sheds == 1
+        assert router.counters["all_open_sheds"] == 1
 
     def test_generate_requires_capable_provider(self, lm):
         score_only = _ScriptedProvider("scorer", [0.0])
@@ -338,9 +339,9 @@ class TestHedging:
         assert result.provider == "fast"
         # winner completes at hedge_delay + backup latency.
         assert result.effective_latency_s == pytest.approx(0.03)
-        assert router.hedges_fired == 1
-        assert router.hedge_wins == 1
-        assert router.hedge_discarded == 1  # the primary's result
+        assert router.counters["hedges_fired"] == 1
+        assert router.counters["hedge_wins"] == 1
+        assert router.counters["hedge_discarded"] == 1  # the primary's result
 
     def test_primary_wins_when_backup_is_slower(self, lm):
         clock = FakeClock()
@@ -356,8 +357,8 @@ class TestHedging:
         assert result.hedged and not result.hedge_won
         assert result.provider == "slowish"
         assert result.effective_latency_s == pytest.approx(0.05)
-        assert router.hedge_wins == 0
-        assert router.hedge_discarded == 1  # the backup's result
+        assert router.counters["hedge_wins"] == 0
+        assert router.counters["hedge_discarded"] == 1  # the backup's result
 
     def test_fast_primary_fires_no_hedge(self, lm):
         clock = FakeClock()
@@ -371,7 +372,7 @@ class TestHedging:
         )
         result = router.route("score", SQL)
         assert not result.hedged
-        assert router.hedges_fired == 0
+        assert router.counters["hedges_fired"] == 0
 
     def test_failed_hedge_leaves_primary_result(self, lm):
         clock = FakeClock()
@@ -386,8 +387,8 @@ class TestHedging:
         result = router.route("score", SQL)
         assert result.hedged and not result.hedge_won
         assert result.value == "A"
-        assert router.hedges_fired == 1
-        assert router.hedge_discarded == 0  # the backup produced nothing
+        assert router.counters["hedges_fired"] == 1
+        assert router.counters["hedge_discarded"] == 0  # the backup produced nothing
 
     def test_hedging_reduces_p95_on_tail_latency(self, lm):
         def run(hedge_delay_s):
@@ -418,7 +419,7 @@ class TestHedging:
             for _ in range(300):
                 router.score(SQL)
                 clock.advance(0.001)
-            return router.latency_quantile(0.95)
+            return nearest_rank(router.effective_latencies, 95)
 
         assert run(0.06) < run(None)
 
@@ -441,7 +442,7 @@ class TestProviderBreakerConcurrency:
         with pytest.raises(ProviderFaultError):
             router.score(SQL)
         breaker = router.entries[0].breaker
-        assert breaker.stats.state == OPEN
+        assert breaker.state == OPEN
         clock.advance(1.0)  # OPEN -> eligible for HALF_OPEN on next admit
 
         n_threads = 8
@@ -503,8 +504,8 @@ class TestServingIntegration:
         assert metrics.shed.get("provider_shed") == 1
         # the *database* breaker is not charged for a provider outage.
         (breaker,) = metrics.database_breakers
-        assert breaker.name == "db"
-        assert breaker.consecutive_failures == 0
+        assert breaker["name"] == "db"
+        assert breaker["consecutive_failures"] == 0
 
     def test_server_metrics_surface_router_stats(self, lm):
         from repro.serving import Server, ServeRequest
@@ -534,14 +535,14 @@ class TestRegistryLifecycle:
             config, RouterConfig(hedge_delay_s=0.05)
         )
         assert hedged is not first
-        assert registry.stats["routers"] == 2
+        assert len(registry._routers) == 2
 
     def test_router_clear(self):
         registry = LMRegistry()
         registry.router_for(get_model_config("codes-1b"))
-        assert registry.stats["routers"] == 1
+        assert len(registry._routers) == 1
         registry.clear()
-        assert registry.stats["routers"] == 0
+        assert len(registry._routers) == 0
 
     def test_clock_identity_isolates_routers(self):
         registry = LMRegistry()

@@ -287,8 +287,7 @@ class TestCircuitBreaker:
     def test_half_open_probe_budget(self):
         clock = FakeClock()
         breaker = CircuitBreaker(
-            failure_threshold=1, recovery_timeout_s=1.0,
-            half_open_max_probes=1, clock=clock,
+            failure_threshold=1, recovery_timeout_s=1.0, clock=clock,
         )
         breaker.record_failure()
         clock.advance(1.0)
@@ -311,8 +310,7 @@ class TestCircuitBreaker:
 
         clock = FakeClock()
         breaker = CircuitBreaker(
-            failure_threshold=1, recovery_timeout_s=1.0,
-            half_open_max_probes=1, clock=clock,
+            failure_threshold=1, recovery_timeout_s=1.0, clock=clock,
         )
         breaker.record_failure()
         clock.advance(1.0)  # OPEN -> eligible for HALF_OPEN on next admit

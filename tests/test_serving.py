@@ -371,6 +371,8 @@ class TestMetrics:
         assert nearest_rank([], 50) == 0.0
         with pytest.raises(ValueError):
             nearest_rank(values, 0)
+        with pytest.raises(ValueError):  # checked before the empty shortcut
+            nearest_rank([], 150)
 
     def test_snapshot_arithmetic(self):
         aggregator = MetricsAggregator()
@@ -392,9 +394,9 @@ class TestMetrics:
         aggregator.record_batch(4)
         metrics = aggregator.snapshot(
             queue_depth=3,
-            cache_stats=[
-                {"hits": 10, "misses": 4, "evictions": 1},
-                {"hits": 5, "misses": 1, "evictions": 0},
+            counters=[
+                ("cache.hits", 10), ("cache.misses", 4), ("cache.evictions", 1),
+                ("cache.hits", 5), ("cache.misses", 1), ("cache.evictions", 0),
             ],
         )
         assert metrics.queue_depth == 3
@@ -437,7 +439,7 @@ class TestBoundedCaches:
         cache.get("kind", "a", lambda: "A2")  # refreshes a's recency
         cache.get("kind", "c", lambda: "C")  # evicts b, the LRU entry
         assert cache.evictions == 1
-        assert cache.stats["capacity"] == 2
+        assert cache._memo.capacity == 2
         assert cache.get("kind", "a", lambda: "rebuilt") == "A"
         assert cache.get("kind", "b", lambda: "rebuilt") == "rebuilt"
         assert cache.evictions == 2  # re-inserting b pushed out c

@@ -749,9 +749,10 @@ class TestMergedMetrics:
         # Two workers each run a provider called "local"; the merged
         # table tells them apart, and a retired worker keeps its tag.
         class OneProviderRouter:
-            def stats_dict(self):
-                row = {"provider": "local", "ok": 1, "fail": 0, "breaker": "closed"}
-                return {"requests": 1, "providers": [row]}
+            counters = {"requests": 1}
+
+            def as_rows(self):
+                return [{"provider": "local", "ok": 1, "fail": 0, "breaker": "closed"}]
 
         class RoutedStubParser(StubParser):
             router = OneProviderRouter()
