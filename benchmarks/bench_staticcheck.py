@@ -6,12 +6,15 @@ Two tables:
    amortized — the module set is loaded once and shared), plus the
    full registry in one pass.  Keeps the lint gate honest about which
    checker pays for the tree walk as rules accumulate: the deep
-   checkers (STAGE001's helper fixpoint, LOCK001's summary expansion,
-   the CFG-based flow rules) should stay within an order of magnitude
-   of the single-visitor ARCH rules.
+   checkers (STAGE001's helper fixpoint, LOCK001's summary expansion)
+   should stay within an order of magnitude of the single-visitor
+   ARCH rules.
 2. the incremental cache: a cold run (every module analyzed, cache
    populated) versus a warm run (every incremental rule served from
    the cache).  Warm must be measurably faster AND byte-identical.
+
+Every time is the median of ``ROUNDS`` passes, with the interquartile
+range beside it.
 """
 
 import time
@@ -31,43 +34,43 @@ TREE = REPO_ROOT / "src" / "repro"
 ROUNDS = 5
 
 
-def test_staticcheck_rule_cost(benchmark, report):
+def _timed_ms(fn):
+    start = time.perf_counter()
+    result = fn()
+    return result, 1000 * (time.perf_counter() - start)
+
+
+def test_staticcheck_rule_cost(benchmark, report, median_iqr):
     modules = load_tree(TREE)
+
+    def row(rule_id, severity, runs):
+        result = runs[-1][0]
+        median, iqr = median_iqr([ms for _, ms in runs])
+        return {
+            "rule": rule_id,
+            "severity": severity,
+            "ms/pass": round(median, 2),
+            "iqr ms": round(iqr, 2),
+            "ms/file": round(median / len(modules), 4),
+            "findings": len(result.findings) + result.suppressed,
+        }, result
 
     def run():
         rows = []
-        total_findings = 0
         for rule_id in REGISTRY.ids():
-            start = time.perf_counter()
-            for _ in range(ROUNDS):
-                result = check_modules(
-                    modules, rules=REGISTRY.create([rule_id])
+            runs = [
+                _timed_ms(
+                    lambda: check_modules(modules, rules=REGISTRY.create([rule_id]))
                 )
-            elapsed_ms = 1000 * (time.perf_counter() - start) / ROUNDS
-            found = len(result.findings) + result.suppressed
-            total_findings += found
-            rows.append(
-                {
-                    "rule": rule_id,
-                    "severity": REGISTRY.get(rule_id).severity,
-                    "ms/pass": round(elapsed_ms, 2),
-                    "ms/file": round(elapsed_ms / len(modules), 4),
-                    "findings": found,
-                }
-            )
-        start = time.perf_counter()
-        for _ in range(ROUNDS):
-            full = check_modules(modules, rules=REGISTRY.create())
-        full_ms = 1000 * (time.perf_counter() - start) / ROUNDS
-        rows.append(
-            {
-                "rule": "ALL",
-                "severity": "-",
-                "ms/pass": round(full_ms, 2),
-                "ms/file": round(full_ms / len(modules), 4),
-                "findings": len(full.findings) + full.suppressed,
-            }
-        )
+                for _ in range(ROUNDS)
+            ]
+            rows.append(row(rule_id, REGISTRY.get(rule_id).severity, runs)[0])
+        runs = [
+            _timed_ms(lambda: check_modules(modules, rules=REGISTRY.create()))
+            for _ in range(ROUNDS)
+        ]
+        full_row, full = row("ALL", "-", runs)
+        rows.append(full_row)
         # The gate itself: the real tree is clean under the full
         # registry (justified suppressions aside).
         assert not full.findings, [f.render() for f in full.findings]
@@ -75,7 +78,7 @@ def test_staticcheck_rule_cost(benchmark, report):
             "staticcheck_rule_cost",
             rows,
             f"staticcheck — per-rule wall time over src/repro "
-            f"({len(modules)} files, mean of {ROUNDS})",
+            f"({len(modules)} files, median and IQR of {ROUNDS})",
         )
         return rows
 
@@ -91,43 +94,49 @@ def test_staticcheck_rule_cost(benchmark, report):
     assert by_rule["ALL"]["ms/pass"] <= individual_ms * 1.5 + 50.0
 
 
-def test_staticcheck_cache_cold_vs_warm(benchmark, report, tmp_path):
+def test_staticcheck_cache_cold_vs_warm(benchmark, report, median_iqr, tmp_path):
     modules = load_tree(TREE)
     fingerprint = rules_fingerprint(
         [REGISTRY.get(rule_id) for rule_id in REGISTRY.ids()]
     )
     cache_path = tmp_path / "cache.json"
 
-    def timed(cache):
-        start = time.perf_counter()
-        result = check_modules(modules, rules=REGISTRY.create(), cache=cache)
-        elapsed_ms = 1000 * (time.perf_counter() - start)
+    def timed():
+        cache = FindingCache(cache_path, fingerprint)
+        result, elapsed_ms = _timed_ms(
+            lambda: check_modules(modules, rules=REGISTRY.create(), cache=cache)
+        )
         cache.save()
         return result, elapsed_ms
 
     def run():
-        cold, cold_ms = timed(FindingCache(cache_path, fingerprint))
-        warm_runs = []
+        colds, warms = [], []
         for _ in range(ROUNDS):
-            warm_runs.append(timed(FindingCache(cache_path, fingerprint)))
-        warm, _ = warm_runs[0]
-        warm_ms = min(ms for _, ms in warm_runs)
+            cache_path.unlink(missing_ok=True)
+            colds.append(timed())
+            warms.append(timed())
+        cold, warm = colds[0][0], warms[0][0]
+        cold_ms, cold_iqr = median_iqr([ms for _, ms in colds])
+        warm_ms, warm_iqr = median_iqr([ms for _, ms in warms])
         rows = [
             {
                 "run": "cold",
                 "ms/pass": round(cold_ms, 2),
+                "iqr ms": round(cold_iqr, 2),
                 "cache hits": cold.cache_hits,
                 "cache misses": cold.cache_misses,
             },
             {
                 "run": "warm",
                 "ms/pass": round(warm_ms, 2),
+                "iqr ms": round(warm_iqr, 2),
                 "cache hits": warm.cache_hits,
                 "cache misses": warm.cache_misses,
             },
             {
                 "run": "speedup",
                 "ms/pass": round(cold_ms / max(warm_ms, 1e-9), 2),
+                "iqr ms": "-",
                 "cache hits": "-",
                 "cache misses": "-",
             },
@@ -136,7 +145,8 @@ def test_staticcheck_cache_cold_vs_warm(benchmark, report, tmp_path):
             "staticcheck_cache_cold_vs_warm",
             rows,
             f"staticcheck — incremental cache over src/repro "
-            f"({len(modules)} files, warm = best of {ROUNDS})",
+            f"({len(modules)} files, median and IQR of {ROUNDS} "
+            "alternating cold/warm passes)",
         )
         # warm output is byte-identical to cold…
         assert render_json(warm) == render_json(cold)

@@ -1,9 +1,11 @@
 """The CodeS text-to-SQL parser (paper §4–§8).
 
-:class:`CodeSParser` owns the *model assets* — the pre-trained LM (via
-:class:`repro.lm.registry.LMRegistry`), the embedder, the SFT template
-index, the schema classifier and the pre-training skeleton bank — and
-delegates inference to the staged engine (:mod:`repro.engine`):
+:class:`CodeSParser` owns the *model assets* — the pre-trained LM
+(shared through :data:`repro.lm.registry.DEFAULT_LM_REGISTRY`), its own
+provider router (never shared, so its counters are this parser's
+calls), the embedder, the SFT template index, the schema classifier
+and the pre-training skeleton bank — and delegates inference to the
+staged engine (:mod:`repro.engine`):
 
     value_retrieve → schema_link → prompt_build → candidate_gen →
     rank → lint_gate → equiv_dedup → execute_beam → degrade
@@ -42,8 +44,7 @@ from repro.engine import (
     build_default_engine,
 )
 from repro.errors import CheckpointError, SQLSyntaxError, TrainingError
-from repro.lm.pretrain import PretrainedLM
-from repro.lm.registry import DEFAULT_LM_REGISTRY, LMRegistry
+from repro.lm.registry import DEFAULT_LM_REGISTRY
 from repro.linking.classifier import LinkingExample, SchemaItemClassifier
 from repro.linking.features import SchemaFeatureExtractor
 from repro.promptgen.builder import DatabasePrompt
@@ -59,11 +60,6 @@ if TYPE_CHECKING:
     from repro.lm.providers.config import RouterConfig
 from repro.core.fillcontext import InstantiationContext
 from repro.core.slotfill import PlannedTemplate, iter_fills
-
-
-def pretrained_lm_for(config: ModelConfig) -> PretrainedLM:
-    """The pre-trained LM for a model tier, from the default registry."""
-    return DEFAULT_LM_REGISTRY.lm_for(config)
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,6 @@ class CodeSParser:
         beam_perturber: Callable[[list[str]], list[str]] | None = None,
         equivalence_dedup: bool = True,
         clock: Clock | None = None,
-        lm_registry: LMRegistry | None = None,
         providers: "RouterConfig | None" = None,
     ):
         self.config = config or get_model_config(model)
@@ -147,16 +142,16 @@ class CodeSParser:
                 options.max_prompt_chars, self.config.max_context_chars
             ),
         )
-        registry = lm_registry or DEFAULT_LM_REGISTRY
-        self.lm = registry.lm_for(self.config)
+        self.lm = DEFAULT_LM_REGISTRY.lm_for(self.config)
         #: The reliability boundary in front of the LM.  With the
         #: default config (one fault-free zero-latency local provider)
         #: ``router.score`` is arithmetically identical to
         #: ``lm.score``, preserving golden engine parity; a
         #: ``providers=`` topology swaps in failover/hedging without
         #: the engine noticing.  Built through the registry, never by
-        #: importing repro.lm.providers here (ARCH006).
-        self.router = registry.router_for(
+        #: importing repro.lm.providers here (ARCH006), and never shared
+        #: with another parser.
+        self.router = DEFAULT_LM_REGISTRY.router_for(
             self.config, providers, clock=clock
         )
         self.embedder = HashedNgramEmbedder(dim=self.config.embed_dim)

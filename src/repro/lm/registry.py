@@ -9,9 +9,10 @@ independent registries isolate parallel evaluations from each other.
 The process-wide default registry keeps the old sharing behaviour for
 ordinary use.
 
-Provider routers (:mod:`repro.lm.providers`) are registry citizens
-too: ``router_for`` caches one live router per (LM recipe, router
-config, clock) so parsers sharing a topology share breaker state.
+Provider routers (:mod:`repro.lm.providers`) are not cached:
+``router_for`` builds a fresh router over the registry's LM on every
+call, so each parser owns its breaker state and its counters, and one
+server's metrics never include another parser's calls.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class LMRegistry:
     def __init__(self) -> None:
         self._lms: dict[tuple[str, bool, int], PretrainedLM] = {}
         self._corpora: dict[int, PretrainCorpus] = {}
-        self._routers: dict[tuple, "ProviderRouter"] = {}
 
     def corpus(self, seed: int = 0) -> PretrainCorpus:
         """The (cached) pre-training corpus for ``seed``."""
@@ -61,37 +61,28 @@ class LMRegistry:
         router_config: "RouterConfig | None" = None,
         clock: "Clock | None" = None,
     ) -> "ProviderRouter":
-        """The (cached) provider router fronting a model tier's LM.
+        """A new provider router fronting a model tier's (cached) LM.
 
-        Routers are registry citizens like LMs: keyed by the LM recipe
-        plus the (hashable, frozen) :class:`RouterConfig` plus the
-        clock identity — a router carries live breaker state bound to
-        one clock, so routers on different clocks must not be shared.
+        Each call builds its own router: a router carries live breaker
+        state and counters bound to one clock, which one caller must
+        not share with another.
         """
         from repro.lm.providers.config import RouterConfig, build_router
 
-        router_config = router_config if router_config is not None else RouterConfig()
-        key = (
-            (config.family, config.incremental, config.ngram_order),
-            router_config,
-            id(clock) if clock is not None else None,
+        return build_router(
+            router_config if router_config is not None else RouterConfig(),
+            self.lm_for(config),
+            clock=clock,
         )
-        if key not in self._routers:
-            self._routers[key] = build_router(
-                router_config, self.lm_for(config), clock=clock
-            )
-        return self._routers[key]
 
     def clear(self) -> None:
-        """Drop every cached corpus, LM, and router (rebuilt on next use)."""
+        """Drop every cached corpus and LM (rebuilt on next use)."""
         self._lms.clear()
         self._corpora.clear()
-        self._routers.clear()
 
     def __len__(self) -> int:
-        return len(self._lms) + len(self._corpora) + len(self._routers)
+        return len(self._lms) + len(self._corpora)
 
 
-#: Process-wide default: parsers share pre-training work unless handed
-#: an isolated registry.
+#: Process-wide default: every parser shares pre-training work through it.
 DEFAULT_LM_REGISTRY = LMRegistry()

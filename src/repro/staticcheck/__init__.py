@@ -11,11 +11,11 @@ rules it names, is the one way to excuse a finding, and SUP001 reports
 each one that stops excusing anything.  Emitters render text, JSON,
 and SARIF 2.1.0 — all byte-deterministic.
 
-Flow-sensitive rules (RES001 resource leaks, EXC001 exception flow,
-DEAD001 dead code) build on the intraprocedural CFG (``cfg.py``) and
-worklist dataflow solver (``dataflow.py``); a content-hash incremental
-cache (``cache.py``) makes warm runs skip unchanged modules, and
-``fix.py`` powers ``repro check --fix``.
+Every rule is a syntactic AST check, and each one earns its place in
+the mutant corpus: ``tests/golden/mutation_kills.txt`` shows, for each
+rule, a seeded bug in a real module that only that rule catches.  A
+content-hash incremental cache (``cache.py``) makes warm runs skip
+unchanged modules, and ``fix.py`` powers ``repro check --fix``.
 
 Entry points: ``repro check`` (CLI) and :func:`check_tree` (library).
 See DESIGN.md §13–§14 for the architecture and how to add a rule.
@@ -26,11 +26,6 @@ from repro.staticcheck.cache import (
     FindingCache,
     content_hash,
     rules_fingerprint,
-)
-from repro.staticcheck.cfg import CFG, Block, build_cfg, function_nodes
-from repro.staticcheck.dataflow import (
-    liveness,
-    solve,
 )
 from repro.staticcheck.emit import render_json, render_sarif, render_text
 from repro.staticcheck.fix import apply_fixes
@@ -74,11 +69,5 @@ __all__ = [
     "FindingCache",
     "content_hash",
     "rules_fingerprint",
-    "CFG",
-    "Block",
-    "build_cfg",
-    "function_nodes",
-    "solve",
-    "liveness",
     "apply_fixes",
 ]

@@ -7,7 +7,6 @@ single place the built-in set is enumerated.
 
 from repro.staticcheck.rules import (  # noqa: F401  (registration side effect)
     arch,
-    deadcode,
     determinism,
     exceptions,
     locks,
@@ -17,7 +16,6 @@ from repro.staticcheck.rules import (  # noqa: F401  (registration side effect)
 
 __all__ = [
     "arch",
-    "deadcode",
     "determinism",
     "exceptions",
     "locks",

@@ -1,37 +1,35 @@
-"""RES001: resources must be released on every control-flow path.
+"""RES001: a resource must be handed off or released before anything else runs.
 
 File handles (``open()``/``io.open``/``gzip.open``), SQLite
 connections (``sqlite3.connect``), cursors (``.cursor()``), and locks
-acquired via an explicit ``.acquire()`` call are tracked through a
-forward "held resources" dataflow over the function's CFG.  A
-resource acquired into a local name is *released* by:
+acquired via an explicit ``.acquire()`` statement are tracked from
+the statement that acquires them.  A resource assigned to a name (a
+conditional expression counts when either branch acquires) is
+accepted in exactly these shapes:
 
-- ``name.close()`` / ``name.release()`` / ``name.shutdown()``;
-- being the subject of a ``with`` statement (``with name:`` /
-  ``with closing(name):``);
-- ``del name``;
-- *escaping* — returned, yielded, raised, passed as a call argument,
-  aliased to another name, or stored into an attribute, subscript, or
-  container.  Ownership moved, so this function is off the hook.
+- it is acquired in a ``with`` header (never tracked: the context
+  manager owns cleanup, which is the recommended fix);
+- the next statement hands it off: returns or yields the name, passes
+  it as a call argument (``registry.adopt(conn)``,
+  ``with closing(conn):``), uses it as a ``with`` subject, or stores it
+  to an attribute or subscript — ownership moved;
+- the next statement releases it (``name.close()`` /
+  ``name.release()`` / ``name.shutdown()``);
+- the next statement is a ``try`` whose ``finally`` releases it.
 
-Method calls *on* the resource (``handle.read()``, ``conn.execute``)
-are uses, not escapes.  Any path that can reach the function exit —
-or re-acquire into the same name — while a resource is still held is
-a leak, reported at the acquisition site with a prefer-``with`` hint.
-Resources acquired directly in a ``with`` header never enter the
-lattice: the context manager owns cleanup, which is the recommended
-fix.  The analysis follows normal edges only; exception-path safety
-is exactly what ``with`` (or ``try``/``finally``) buys, hence the
-hint.  Explicit ``lock.acquire()`` statements add the receiver
-expression itself as a held fact until the matching ``.release()``.
+Anything else leaks the resource on some path — at the latest when a
+statement between acquisition and release raises — and is reported at
+the acquisition site with a prefer-``with`` hint; acquiring into the
+same name again on the next statement is reported as an overwrite.
+The check is syntactic: it looks at one statement and the one after
+it, so it is exception-safe by construction and needs no control-flow
+graph.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.staticcheck.cfg import NORMAL, build_cfg, function_nodes
-from repro.staticcheck.dataflow import FORWARD, solve
 from repro.staticcheck.findings import SourceSpan
 from repro.staticcheck.module import ModuleContext
 from repro.staticcheck.registry import Rule, register
@@ -55,14 +53,56 @@ RESOURCE_METHODS = {
 RELEASE_METHODS = frozenset({"close", "release", "shutdown"})
 
 
-def _method_call(node: ast.AST) -> tuple[ast.expr, str] | None:
-    """(receiver, method name) when ``node`` is ``recv.method(...)``."""
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-    ):
-        return node.func.value, node.func.attr
+def _method_call(node: ast.AST) -> tuple[str, str] | None:
+    """(receiver source, method name) when ``node`` is ``recv.method(...)``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return ast.unparse(node.func.value), node.func.attr
     return None
+
+
+def _is(node: ast.AST, key: str) -> bool:
+    """Does expression ``node`` spell the tracked resource ``key``?"""
+    return isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) == key
+
+
+def _releases(node: ast.AST, key: str) -> bool:
+    call = _method_call(node)
+    return call is not None and call[0] == key and call[1] in RELEASE_METHODS
+
+
+def _expressions(stmt: ast.stmt):
+    """Every expression node ``stmt`` owns (nested statements excluded)."""
+    for child in ast.iter_child_nodes(stmt):
+        if not isinstance(child, ast.stmt):
+            yield from ast.walk(child)
+
+
+def _hands_off(stmt: ast.stmt, key: str) -> bool:
+    """Does ``stmt`` move ownership of ``key`` away, or release it?"""
+    if isinstance(stmt, ast.Return) or (
+        isinstance(stmt, ast.Expr) and isinstance(stmt.value, (ast.Yield, ast.YieldFrom))
+    ):
+        value = stmt.value if isinstance(stmt, ast.Return) else stmt.value.value
+        if value is not None and _is(value, key):
+            return True
+    if isinstance(stmt, ast.Expr) and _releases(stmt.value, key):
+        return True
+    if isinstance(stmt, (ast.With, ast.AsyncWith)) and any(
+        _is(item.context_expr, key) for item in stmt.items
+    ):
+        return True
+    if isinstance(stmt, ast.Assign) and _is(stmt.value, key) and any(
+        isinstance(target, (ast.Attribute, ast.Subscript)) for target in stmt.targets
+    ):
+        return True
+    return any(
+        isinstance(node, ast.Call)
+        and any(
+            _is(arg, key)
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+        )
+        for node in _expressions(stmt)
+    )
 
 
 @register
@@ -76,16 +116,22 @@ class ResourceLeakRule(Rule):
     def check(self, module: ModuleContext) -> list:
         imports = ImportTable.from_tree(module.tree)
         findings = []
-        for fn in function_nodes(module.tree):
-            findings.extend(self._check_function(module, imports, fn))
+        for node in ast.walk(module.tree):
+            for field in ("body", "orelse", "finalbody"):
+                stmts = getattr(node, field, None)
+                if not isinstance(stmts, list):
+                    continue
+                for stmt, after in zip(stmts, [*stmts[1:], None]):
+                    message = self._leak(imports, stmt, after)
+                    if message is not None:
+                        span = SourceSpan(line=stmt.lineno)
+                        findings.append(self.finding(module, span, message))
         return findings
 
-    # -- acquisition/release classification --------------------------------
-
-    def _acquisition(
-        self, imports: ImportTable, value: ast.expr
-    ) -> str | None:
+    def _kind(self, imports: ImportTable, value: ast.expr) -> str | None:
         """Resource kind produced by evaluating ``value``, or None."""
+        if isinstance(value, ast.IfExp):
+            return self._kind(imports, value.body) or self._kind(imports, value.orelse)
         if not isinstance(value, ast.Call):
             return None
         resolved = imports.resolve(value.func)
@@ -96,129 +142,52 @@ class ResourceLeakRule(Rule):
             return RESOURCE_METHODS[call[1]]
         return None
 
-    @staticmethod
-    def _escaping_names(element: ast.AST, skip_value: bool = False) -> set[str]:
-        """Names that escape through ``element``.
+    def _acquired(
+        self, imports: ImportTable, stmt: ast.stmt
+    ) -> tuple[str, str] | None:
+        """(resource, kind) when ``stmt`` acquires one, else None."""
+        if (
+            isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+        ):
+            kind = self._kind(imports, stmt.value)
+            return (stmt.targets[0].id, kind) if kind is not None else None
+        if isinstance(stmt, ast.Expr):
+            call = _method_call(stmt.value)
+            if call is not None and call[1] == "acquire":
+                return call[0], "lock"
+        return None
 
-        A loaded ``Name`` escapes unless it is the direct receiver of
-        an attribute access (``name.read()`` is a use, not a move).
-        """
-        receivers: set[int] = set()
-        for node in ast.walk(element):
-            if isinstance(node, ast.Attribute) and isinstance(
-                node.value, ast.Name
-            ):
-                receivers.add(id(node.value))
-        escaped: set[str] = set()
-        for node in ast.walk(element):
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and id(node) not in receivers
-            ):
-                escaped.add(node.id)
-        return escaped
-
-    # -- the held-resources dataflow ---------------------------------------
-
-    def _check_function(
-        self, module: ModuleContext, imports: ImportTable, fn: ast.AST
-    ) -> list:
-        cfg = build_cfg(fn)
-        findings: dict[tuple, None] = {}
-
-        def transfer(element: ast.AST, held: frozenset) -> frozenset:
-            held = set(held)
-
-            def kill(name: str) -> None:
-                for fact in [f for f in held if f[0] == name]:
-                    held.discard(fact)
-
-            # with headers: subjects are released by the CM; bound
-            # resources never enter the lattice.
-            if isinstance(element, (ast.With, ast.AsyncWith)):
-                for item in element.items:
-                    expr = item.context_expr
-                    if isinstance(expr, ast.Name):
-                        kill(expr.id)
-                    call = _method_call(expr)
-                    if call is None and isinstance(expr, ast.Call):
-                        # closing(conn) and friends take ownership.
-                        for arg in expr.args:
-                            if isinstance(arg, ast.Name):
-                                kill(arg.id)
-                return frozenset(held)
-
-            # release calls and explicit .acquire() statements.
-            if isinstance(element, ast.Expr):
-                call = _method_call(element.value)
-                if call is not None:
-                    receiver, method = call
-                    if method in RELEASE_METHODS:
-                        if isinstance(receiver, ast.Name):
-                            kill(receiver.id)
-                        else:
-                            key = f"<{ast.dump(receiver)}>"
-                            kill(key)
-                        return frozenset(held)
-                    if method == "acquire":
-                        key = (
-                            receiver.id
-                            if isinstance(receiver, ast.Name)
-                            else f"<{ast.dump(receiver)}>"
-                        )
-                        for fact in [f for f in held if f[0] == key]:
-                            findings[
-                                (
-                                    fact[1],
-                                    f"{fact[2]} acquired here may be "
-                                    "re-acquired before release",
-                                )
-                            ] = None
-                        held.add((key, element.lineno, "lock"))
-                        return frozenset(held)
-
-            if isinstance(element, ast.Delete):
-                for target in element.targets:
-                    if isinstance(target, ast.Name):
-                        kill(target.id)
-                return frozenset(held)
-
-            if isinstance(element, ast.Assign) and len(element.targets) == 1:
-                target = element.targets[0]
-                kind = self._acquisition(imports, element.value)
-                if isinstance(target, ast.Name) and kind is not None:
-                    for fact in [f for f in held if f[0] == target.id]:
-                        findings[
-                            (
-                                fact[1],
-                                f"{fact[2]} assigned to {fact[0]!r} here is "
-                                "overwritten before being released",
-                            )
-                        ] = None
-                        held.discard(fact)
-                    held.add((target.id, element.lineno, kind))
-                    return frozenset(held)
-
-            # generic escapes (return x, f(x), y = x, self.h = x, ...).
-            for name in self._escaping_names(element):
-                kill(name)
-            return frozenset(held)
-
-        solution = solve(cfg, transfer, direction=FORWARD, kinds=(NORMAL,))
-        reachable = cfg.reachable()
-        exit_held = solution.block_in[cfg.exit] if cfg.exit in reachable else frozenset()
-        for name, line, kind in exit_held:
-            label = name if not name.startswith("<") else "resource"
-            findings[
-                (
-                    line,
-                    f"{kind} {label!r} acquired here is not released or "
-                    "closed on every path to function exit; use a `with` "
-                    "block (or close it in a `finally`)",
+    def _leak(
+        self, imports: ImportTable, stmt: ast.stmt, after: ast.stmt | None
+    ) -> str | None:
+        """The finding message when ``stmt`` acquires a resource that
+        ``after`` does not take over, else None."""
+        acquired = self._acquired(imports, stmt)
+        if acquired is None:
+            return None
+        key, kind = acquired
+        if after is not None:
+            if _hands_off(after, key) or (
+                isinstance(after, ast.Try)
+                and any(
+                    _releases(node, key)
+                    for final in after.finalbody
+                    for node in ast.walk(final)
                 )
-            ] = None
-        return [
-            self.finding(module, SourceSpan(line=line), message)
-            for line, message in sorted(findings)
-        ]
+            ):
+                return None
+            again = self._acquired(imports, after)
+            if again is not None and again[0] == key:
+                if kind == "lock":
+                    return "lock acquired here may be re-acquired before release"
+                return (
+                    f"{kind} assigned to {key!r} here is overwritten before "
+                    "being released"
+                )
+        return (
+            f"{kind} {key!r} acquired here is not released or closed on every "
+            "path to function exit; use a `with` block (or close it in a "
+            "`finally`)"
+        )

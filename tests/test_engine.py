@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.core import CodeSParser
-from repro.core.parser import pretrained_lm_for
 from repro.core.retriever import DemonstrationRetriever, TemplateIndex
 from repro.config import get_model_config
 from repro.datasets import (
@@ -1809,8 +1808,7 @@ def test_generate_is_a_thin_facade():
 
 def test_lm_registry_shares_and_isolates():
     config = get_model_config("codes-1b")
-    shared = pretrained_lm_for(config)
-    assert pretrained_lm_for(config) is shared
+    shared = DEFAULT_LM_REGISTRY.lm_for(config)
     assert DEFAULT_LM_REGISTRY.lm_for(config) is shared
     isolated = LMRegistry()
     assert isolated.lm_for(config) is not shared

@@ -526,23 +526,26 @@ class TestServingIntegration:
 
 
 class TestRegistryLifecycle:
-    def test_router_for_caches_per_config(self):
+    def test_router_for_builds_a_router_per_call(self):
         registry = LMRegistry()
         config = get_model_config("codes-1b")
         first = registry.router_for(config)
-        assert registry.router_for(config) is first
-        hedged = registry.router_for(
-            config, RouterConfig(hedge_delay_s=0.05)
-        )
-        assert hedged is not first
-        assert len(registry._routers) == 2
+        second = registry.router_for(config)
+        assert second is not first
+        assert len(registry) == 2  # the LM and its corpus, built once
+        hedged = registry.router_for(config, RouterConfig(hedge_delay_s=0.05))
+        assert (first.hedge_delay_s, hedged.hedge_delay_s) == (None, 0.05)
 
     def test_router_clear(self):
+        # Routers are not registry state: clear() drops the LM and its
+        # corpus, and a router built before keeps working.
         registry = LMRegistry()
-        registry.router_for(get_model_config("codes-1b"))
-        assert len(registry._routers) == 1
+        router = registry.router_for(get_model_config("codes-1b"))
+        assert len(registry) == 2
         registry.clear()
-        assert len(registry._routers) == 0
+        assert len(registry) == 0
+        router.score(SQL)
+        assert router.counters["requests"] == 1
 
     def test_clock_identity_isolates_routers(self):
         registry = LMRegistry()
@@ -550,6 +553,14 @@ class TestRegistryLifecycle:
         shared = registry.router_for(config)
         isolated = registry.router_for(config, clock=FakeClock())
         assert isolated is not shared
+
+    def test_two_parsers_keep_separate_counters(self):
+        first = CodeSParser("codes-1b")
+        second = CodeSParser("codes-1b")
+        assert first.router is not second.router
+        first.router.score(SQL)
+        assert first.router.counters["requests"] == 1
+        assert second.router.counters["requests"] == 0
 
 
 class TestRouterConfig:

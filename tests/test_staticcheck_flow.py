@@ -1,8 +1,6 @@
-"""The flow-sensitive staticcheck layer: CFG, dataflow, RES001/EXC001/
-DEAD001, the incremental cache, the ``--fix`` autofixer, and the SARIF
-golden."""
+"""RES001 and EXC001, suppressions of cross-module findings, the
+incremental cache, the ``--fix`` autofixer, and the SARIF golden."""
 
-import ast
 import json
 import os
 import shutil
@@ -16,19 +14,16 @@ import pytest
 from repro.staticcheck import (
     REGISTRY,
     FindingCache,
-    build_cfg,
     check_modules,
     check_source,
     check_tree,
     content_hash,
-    liveness,
     parse_module,
     render_json,
     render_sarif,
     rules_fingerprint,
 )
 from repro.staticcheck import cache as cache_module
-from repro.staticcheck.cfg import NORMAL
 from repro.staticcheck.fix import apply_fixes
 
 pytestmark = pytest.mark.staticcheck
@@ -44,184 +39,6 @@ def _rules(source: str, path: str = "mod.py", rule_ids=None) -> list[str]:
 
 def _messages(source: str, path: str = "mod.py", rule_ids=None) -> list[str]:
     return [f.message for f in check_source(source, path=path, rule_ids=rule_ids)]
-
-
-def _fn_cfg(source: str):
-    tree = ast.parse(textwrap.dedent(source))
-    fn = next(
-        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-    )
-    return build_cfg(fn)
-
-
-# ---------------------------------------------------------------------------
-# CFG construction
-
-
-class TestCFG:
-    def test_linear_code_is_one_block(self):
-        cfg = _fn_cfg(
-            """
-            def f():
-                a = 1
-                b = a
-            """
-        )
-        assert len(cfg.blocks[cfg.entry].elements) == 2
-        assert cfg.successors(cfg.entry) == [cfg.exit]
-
-    def test_if_branches_rejoin(self):
-        cfg = _fn_cfg(
-            """
-            def f(flag):
-                if flag:
-                    a = 1
-                else:
-                    a = 2
-                return a
-            """
-        )
-        # the entry block (header) has two normal successors.
-        assert len(cfg.successors(cfg.entry, kinds=(NORMAL,))) == 2
-        # every block except the one after a terminator is reachable.
-        assert cfg.reachable() >= {cfg.entry, cfg.exit}
-
-    def test_statement_after_return_has_no_predecessors(self):
-        cfg = _fn_cfg(
-            """
-            def f():
-                return 1
-                x = 2
-            """
-        )
-        orphans = [
-            block.index
-            for block in cfg.blocks
-            if block.elements and not cfg.predecessors(block.index)
-            and block.index != cfg.entry
-        ]
-        assert len(orphans) == 1
-        assert orphans[0] not in cfg.reachable()
-
-    def test_while_true_without_break_makes_after_unreachable(self):
-        cfg = _fn_cfg(
-            """
-            def f():
-                while True:
-                    step()
-                after = 1
-            """
-        )
-        reachable = cfg.reachable()
-        after_blocks = [
-            block.index
-            for block in cfg.blocks
-            if any(
-                isinstance(el, ast.Assign)
-                and isinstance(el.targets[0], ast.Name)
-                and el.targets[0].id == "after"
-                for el in block.elements
-            )
-        ]
-        assert after_blocks and after_blocks[0] not in reachable
-
-    def test_while_true_with_break_keeps_after_reachable(self):
-        cfg = _fn_cfg(
-            """
-            def f():
-                while True:
-                    if done():
-                        break
-                after = 1
-            """
-        )
-        reachable = cfg.reachable()
-        for block in cfg.blocks:
-            for el in block.elements:
-                if (
-                    isinstance(el, ast.Assign)
-                    and isinstance(el.targets[0], ast.Name)
-                    and el.targets[0].id == "after"
-                ):
-                    assert block.index in reachable
-
-    def test_return_routes_through_finally(self):
-        cfg = _fn_cfg(
-            """
-            def f():
-                try:
-                    return work()
-                finally:
-                    cleanup()
-            """
-        )
-        # the block holding cleanup() must lie on the return path:
-        # the return block's normal successor is the finally entry,
-        # not the exit.
-        return_block = next(
-            block.index
-            for block in cfg.blocks
-            if any(isinstance(el, ast.Return) for el in block.elements)
-        )
-        succs = cfg.successors(return_block, kinds=(NORMAL,))
-        assert succs != [cfg.exit]
-        finally_block = next(
-            block.index
-            for block in cfg.blocks
-            if any(
-                isinstance(el, ast.Expr)
-                and isinstance(el.value, ast.Call)
-                and isinstance(el.value.func, ast.Name)
-                and el.value.func.id == "cleanup"
-                for el in block.elements
-            )
-        )
-        assert finally_block in succs
-
-    def test_exception_edges_reach_handler(self):
-        cfg = _fn_cfg(
-            """
-            def f():
-                try:
-                    work()
-                except ValueError:
-                    recover()
-            """
-        )
-        handler_block = next(
-            block.index
-            for block in cfg.blocks
-            if any(
-                isinstance(el, ast.Expr)
-                and isinstance(el.value, ast.Call)
-                and isinstance(el.value.func, ast.Name)
-                and el.value.func.id == "recover"
-                for el in block.elements
-            )
-        )
-        # reachable only via an exception edge, not a normal one.
-        assert handler_block in cfg.reachable()
-        assert not cfg.predecessors(handler_block, kinds=(NORMAL,))
-
-
-# ---------------------------------------------------------------------------
-# dataflow analyses
-
-
-class TestDataflow:
-    def test_liveness_sees_later_use(self):
-        cfg = _fn_cfg(
-            """
-            def f():
-                x = 1
-                y = 2
-                return x
-            """
-        )
-        solution = liveness(cfg)
-        assert "x" in solution.block_in[cfg.entry] or "x" not in solution.block_out[cfg.entry]
-        # y is never used: dead at every program point.
-        assert all("y" not in v for v in solution.block_out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +63,9 @@ def f(path):
         assert "not released or closed on every path" in messages[0]
         assert "with" in messages[0]
 
-    def test_close_on_every_path_clean(self):
-        assert _res(
+    def test_close_after_a_read_flagged(self):
+        # the read may raise before the close: not exception-safe.
+        messages = _res(
             """
 def f(path):
     handle = open(path)
@@ -255,7 +73,9 @@ def f(path):
     handle.close()
     return data
 """
-        ) == []
+        )
+        assert len(messages) == 1
+        assert "not released or closed on every path" in messages[0]
 
     def test_leak_on_one_branch_flagged(self):
         messages = _res(
@@ -420,10 +240,9 @@ def f(lock):
         assert len(messages) == 1
         assert "lock" in messages[0]
 
-    def test_exception_path_leak_not_flagged(self):
-        # normal-edge analysis: exception safety is exactly what the
-        # prefer-`with` hint is about, not a separate finding.
-        assert _res(
+    def test_exception_path_leak_flagged(self):
+        # risky() may raise between the open and the close.
+        messages = _res(
             """
 def f(path):
     handle = open(path)
@@ -431,7 +250,8 @@ def f(path):
     handle.close()
     return 0
 """
-        ) == []
+        )
+        assert len(messages) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -585,241 +405,14 @@ def f(work):
 
 
 # ---------------------------------------------------------------------------
-# DEAD001 — unreachable code and dead stores
-
-
-def _dead(source: str) -> list[str]:
-    return _messages(source, rule_ids=["DEAD001"])
-
-
-class TestDeadCode:
-    def test_statement_after_return_flagged(self):
-        messages = _dead(
-            """
-def f():
-    return 1
-    cleanup()
-"""
-        )
-        assert len(messages) == 1
-        assert "unreachable statement in 'f'" in messages[0]
-
-    def test_one_finding_per_unreachable_region(self):
-        messages = _dead(
-            """
-def f():
-    return 1
-    a = 1
-    b = 2
-    c = 3
-"""
-        )
-        assert len(messages) == 1
-
-    def test_code_after_raise_flagged(self):
-        messages = _dead(
-            """
-def f():
-    raise ValueError("no")
-    cleanup()
-"""
-        )
-        assert len(messages) == 1
-
-    def test_code_after_endless_loop_flagged(self):
-        messages = _dead(
-            """
-def f():
-    while True:
-        step()
-    cleanup()
-"""
-        )
-        assert len(messages) == 1
-
-    def test_loop_with_break_not_flagged(self):
-        assert _dead(
-            """
-def f():
-    while True:
-        if done():
-            break
-    cleanup()
-"""
-        ) == []
-
-    def test_handler_only_code_not_flagged(self):
-        # reachable via an exception edge is reachable.
-        assert _dead(
-            """
-def f(work):
-    try:
-        work()
-    except ValueError:
-        recover()
-    return 0
-"""
-        ) == []
-
-    def test_module_level_unreachable_flagged(self):
-        messages = _dead(
-            "raise SystemExit(1)\nx = 1\n"
-        )
-        assert any("unreachable statement in 'module'" in m for m in messages)
-
-    def test_dead_store_flagged(self):
-        messages = _dead(
-            """
-def f():
-    value = expensive()
-    return 2
-"""
-        )
-        assert len(messages) == 1
-        assert "dead store" in messages[0] and "'value'" in messages[0]
-
-    def test_overwritten_on_all_paths_flagged(self):
-        messages = _dead(
-            """
-def f(flag):
-    value = 1
-    value = 2
-    return value
-"""
-        )
-        assert len(messages) == 1
-
-    def test_read_on_one_path_clean(self):
-        assert _dead(
-            """
-def f(flag):
-    value = 1
-    if flag:
-        return value
-    return 0
-"""
-        ) == []
-
-    def test_underscore_discard_exempt(self):
-        assert _dead(
-            """
-def f():
-    _unused = probe()
-    return 2
-"""
-        ) == []
-
-    def test_closure_captured_name_exempt(self):
-        assert _dead(
-            """
-def f():
-    value = 1
-
-    def inner():
-        return value
-    return inner
-"""
-        ) == []
-
-    def test_augmented_and_unpacking_targets_exempt(self):
-        assert _dead(
-            """
-def f(pair):
-    a, b = pair
-    a += 1
-    return 0
-"""
-        ) == []
-
-    def test_loop_variable_exempt(self):
-        assert _dead(
-            """
-def f(items):
-    for item in items:
-        pass
-    return 0
-"""
-        ) == []
-
-
-# ---------------------------------------------------------------------------
-# seeded mutations on real modules — each rule catches an injected
-# defect in shipped code, not just toy fixtures.
-
-
-DATABASE_PATH = SRC_REPRO / "db" / "backends" / "sqlite.py"
-DATABASE_NEEDLE = (
-    "        connection = sqlite3.connect(path, check_same_thread=False)\n"
-)
+# the real tree (seeded mutants of it live in tests/mutants.py)
 
 
 class TestSeededMutationsOnRealModules:
-    def _database_source(self) -> str:
-        source = DATABASE_PATH.read_text(encoding="utf-8")
-        assert DATABASE_NEEDLE in source
-        return source
-
     def test_real_tree_is_clean_under_flow_rules(self):
-        result = check_tree(SRC_REPRO, rule_ids=["RES001", "EXC001", "DEAD001"])
+        result = check_tree(SRC_REPRO, rule_ids=["RES001", "EXC001"])
         rendered = "\n".join(f.render() for f in result.findings)
         assert not result.findings, rendered
-
-    def test_injected_connection_leak_is_caught(self):
-        mutated = self._database_source().replace(
-            DATABASE_NEEDLE,
-            "        spare = sqlite3.connect(path)\n" + DATABASE_NEEDLE,
-            1,
-        )
-        messages = _messages(
-            mutated, path="db/backends/sqlite.py", rule_ids=["RES001"]
-        )
-        assert any(
-            "sqlite connection 'spare'" in m
-            and "not released or closed" in m
-            for m in messages
-        ), messages
-
-    def test_injected_swallow_is_caught(self):
-        mutated = self._database_source().replace(
-            DATABASE_NEEDLE,
-            DATABASE_NEEDLE
-            + "        try:\n"
-            + "            connection.execute('PRAGMA user_version')\n"
-            + "        except ExecutionError:\n"
-            + "            pass\n",
-            1,
-        )
-        messages = _messages(
-            mutated, path="db/backends/sqlite.py", rule_ids=["EXC001"]
-        )
-        assert any(
-            "silently swallows ExecutionError" in m for m in messages
-        ), messages
-
-    def test_injected_dead_store_is_caught(self):
-        mutated = self._database_source().replace(
-            DATABASE_NEEDLE,
-            DATABASE_NEEDLE + "        probe = 12345\n",
-            1,
-        )
-        messages = _messages(
-            mutated, path="db/backends/sqlite.py", rule_ids=["DEAD001"]
-        )
-        assert any(
-            "dead store" in m and "'probe'" in m for m in messages
-        ), messages
-
-    def test_injected_unreachable_is_caught(self):
-        source = self._database_source()
-        needle = "        return database\n"
-        assert needle in source
-        mutated = source.replace(
-            needle, needle + "        connection.close()\n", 1
-        )
-        messages = _messages(
-            mutated, path="db/backends/sqlite.py", rule_ids=["DEAD001"]
-        )
-        assert any("unreachable statement" in m for m in messages), messages
 
 
 # ---------------------------------------------------------------------------
@@ -1068,12 +661,6 @@ def swallowing(work):
         work()
     except ReproError:
         pass
-
-
-def dead():
-    value = 1
-    return 2
-    print("unreachable")
 """
 
 SARIF_GOLDEN = GOLDEN_DIR / "staticcheck_flow.sarif"
@@ -1082,7 +669,7 @@ SARIF_GOLDEN = GOLDEN_DIR / "staticcheck_flow.sarif"
 def _fixture_sarif() -> str:
     module = parse_module("flow/mod.py", SARIF_FIXTURE)
     result = check_modules(
-        [module], rules=REGISTRY.create(["DEAD001", "EXC001", "RES001"])
+        [module], rules=REGISTRY.create(["EXC001", "RES001"])
     )
     return render_sarif(result) + "\n"
 
@@ -1098,7 +685,7 @@ class TestSarifGolden:
         (run,) = log["runs"]
         assert run["tool"]["driver"]["name"] == "repro-staticcheck"
         rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert rule_ids == ["DEAD001", "EXC001", "RES001"]
+        assert rule_ids == ["EXC001", "RES001"]
         for rule in run["tool"]["driver"]["rules"]:
             assert rule["fullDescription"]["text"]
             assert rule["defaultConfiguration"]["level"] == "error"
@@ -1117,7 +704,7 @@ class TestSarifGolden:
             "source = sys.stdin.read()\n"
             "module = parse_module('flow/mod.py', source)\n"
             "result = check_modules([module], "
-            "rules=REGISTRY.create(['DEAD001', 'EXC001', 'RES001']))\n"
+            "rules=REGISTRY.create(['EXC001', 'RES001']))\n"
             "sys.stdout.write(render_sarif(result) + '\\n')\n"
         )
         golden = SARIF_GOLDEN.read_bytes()
