@@ -338,6 +338,32 @@ class TestStageContractOnRealModule:
         source = STAGES_PATH.read_text(encoding="utf-8")
         assert _stage_rules(source) == []
 
+    def test_seeded_undeclared_write_mutation_is_caught(self):
+        # Splice an undeclared ctx write into ValueRetrieveStage.run and
+        # verify STAGE001 rejects the mutant — the rule demonstrably
+        # guards the real contracts, not just toy fixtures.
+        source = STAGES_PATH.read_text(encoding="utf-8")
+        needle = "        ctx.linking_question = ctx.question\n"
+        assert needle in source
+        mutated = source.replace(
+            needle, "        ctx.beam = []\n" + needle, 1
+        )
+        messages = _stage_messages(mutated)
+        assert any(
+            "'value_retrieve' writes ctx.beam" in m for m in messages
+        ), messages
+
+    def test_seeded_undeclared_read_mutation_is_caught(self):
+        source = STAGES_PATH.read_text(encoding="utf-8")
+        needle = "        ctx.linking_question = ctx.question\n"
+        mutated = source.replace(
+            needle, "        _ = ctx.chosen\n" + needle, 1
+        )
+        messages = _stage_messages(mutated)
+        assert any(
+            "'value_retrieve' reads ctx.chosen" in m for m in messages
+        ), messages
+
     def test_docstring_table_matches_declarations(self):
         # the module docstring's contract block is rendered from the
         # declared tuples — regenerate with contract_table() on edit.

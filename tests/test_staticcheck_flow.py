@@ -408,11 +408,54 @@ def f(work):
 # the real tree (seeded mutants of it live in tests/mutants.py)
 
 
+DATABASE_PATH = SRC_REPRO / "db" / "backends" / "sqlite.py"
+DATABASE_NEEDLE = (
+    "        connection = sqlite3.connect(path, check_same_thread=False)\n"
+)
+
+
 class TestSeededMutationsOnRealModules:
+    def _database_source(self) -> str:
+        source = DATABASE_PATH.read_text(encoding="utf-8")
+        assert DATABASE_NEEDLE in source
+        return source
+
     def test_real_tree_is_clean_under_flow_rules(self):
         result = check_tree(SRC_REPRO, rule_ids=["RES001", "EXC001"])
         rendered = "\n".join(f.render() for f in result.findings)
         assert not result.findings, rendered
+
+    def test_injected_connection_leak_is_caught(self):
+        mutated = self._database_source().replace(
+            DATABASE_NEEDLE,
+            "        spare = sqlite3.connect(path)\n" + DATABASE_NEEDLE,
+            1,
+        )
+        messages = _messages(
+            mutated, path="db/backends/sqlite.py", rule_ids=["RES001"]
+        )
+        assert any(
+            "sqlite connection 'spare'" in m
+            and "not released or closed" in m
+            for m in messages
+        ), messages
+
+    def test_injected_swallow_is_caught(self):
+        mutated = self._database_source().replace(
+            DATABASE_NEEDLE,
+            DATABASE_NEEDLE
+            + "        try:\n"
+            + "            connection.execute('PRAGMA user_version')\n"
+            + "        except ExecutionError:\n"
+            + "            pass\n",
+            1,
+        )
+        messages = _messages(
+            mutated, path="db/backends/sqlite.py", rule_ids=["EXC001"]
+        )
+        assert any(
+            "silently swallows ExecutionError" in m for m in messages
+        ), messages
 
 
 # ---------------------------------------------------------------------------
